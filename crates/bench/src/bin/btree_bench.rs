@@ -1,20 +1,19 @@
-//! Index microbenchmark: seed enum-of-Vecs B+Tree vs the slot-layout
-//! rewrite (DESIGN.md §13), plus an end-to-end serverd sanity column.
+//! Index microbenchmark: the slot-layout B+Tree's lookup cost (DESIGN.md
+//! §13), plus an end-to-end serverd sanity column.
 //!
-//! For each tree size the same dense key space is loaded into both
-//! layouts exactly the way the product builds them — the seed tree via
-//! its insert loop at its shipped fanout (32), the slot tree via
-//! `BPlusTree::from_sorted` at the current `DEFAULT_MAX_KEYS` (64) — and
-//! probed with precomputed uniform and Zipf(0.9) key streams through
-//! each layout's shipped read path (`get` vs `lookup_hot`). Results land
-//! in `results/BENCH_btree.json`.
+//! For each tree size a dense key space is loaded the way the product
+//! builds it — `BPlusTree::from_sorted` at the current `DEFAULT_MAX_KEYS`
+//! (64) — and probed with precomputed uniform and Zipf(0.9) key streams
+//! through the shipped read path (`lookup_hot`). Results land in
+//! `results/BENCH_btree_slot.json`. The comparison against the seed
+//! enum-of-Vecs layout was measured at PR 8 and is frozen in
+//! `results/BENCH_btree.json`; the seed tree itself is gone, and the
+//! tree's regression gate from here on is `read_cold` in `benchmark/`.
 //!
-//! `--assert-speedup <f>` exits nonzero unless the slot layout is at
-//! least `f`× faster than the seed layout at the largest tree size in
-//! *both* mixes (CI smoke uses 2.0 at 1M keys). `--assert-server-ops <n>`
-//! additionally spawns an in-process server with the BENCH_server
-//! configuration and fails unless the loadgen sustains `n` ops/s — the
-//! guard that the rewrite did not regress the end-to-end miss path.
+//! `--assert-server-ops <n>` spawns an in-process server with the
+//! BENCH_server configuration and fails unless the loadgen sustains `n`
+//! ops/s — the guard that the index did not regress the end-to-end miss
+//! path.
 
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -28,32 +27,19 @@ use p4lru_traffic::zipf::Zipf;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// The seed tree's shipped default fanout (kvstore's pre-rewrite
-/// `DEFAULT_MAX_KEYS`).
-const SEED_MAX_KEYS: usize = 32;
-
 struct ExtraArgs {
-    assert_speedup: Option<f64>,
     assert_server_ops: Option<f64>,
     skip_server: bool,
 }
 
 fn parse_extra_args() -> Result<ExtraArgs, String> {
     let mut extra = ExtraArgs {
-        assert_speedup: None,
         assert_server_ops: None,
         skip_server: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--assert-speedup" => {
-                let v = args.next().ok_or("--assert-speedup needs a value")?;
-                extra.assert_speedup = Some(
-                    v.parse()
-                        .map_err(|e| format!("bad value for --assert-speedup: {e:?}"))?,
-                );
-            }
             "--assert-server-ops" => {
                 let v = args.next().ok_or("--assert-server-ops needs a value")?;
                 extra.assert_server_ops = Some(
@@ -67,8 +53,7 @@ fn parse_extra_args() -> Result<ExtraArgs, String> {
             }
             other => {
                 return Err(format!(
-                    "unknown flag {other} (try --scale, --assert-speedup, \
-                     --assert-server-ops, --skip-server)"
+                    "unknown flag {other} (try --scale, --assert-server-ops, --skip-server)"
                 ))
             }
         }
@@ -77,8 +62,8 @@ fn parse_extra_args() -> Result<ExtraArgs, String> {
 }
 
 /// Precomputed probe stream: every probe is a key that exists in the
-/// `0..n` key space, so both layouts walk to a leaf and compare full
-/// keys there (the expensive path, and the one serverd misses take).
+/// `0..n` key space, so the walk reaches a leaf and compares full keys
+/// there (the expensive path, and the one serverd misses take).
 fn probes(n: u64, count: usize, zipf: bool, seed: u64) -> Vec<u64> {
     let mut rng = SmallRng::seed_from_u64(seed);
     if zipf {
@@ -101,8 +86,8 @@ fn probes(n: u64, count: usize, zipf: bool, seed: u64) -> Vec<u64> {
 /// best-of-3 columns). The lookup closure returns the value so the sum
 /// keeps the walks observable.
 fn time_pass(probe_keys: &[u64], mut lookup: impl FnMut(&u64) -> u64) -> f64 {
-    // Warm pass: fault the tree into cache and (for the slot layout) let
-    // leaf adaptation settle before the measured passes.
+    // Warm pass: fault the tree into cache and let leaf adaptation settle
+    // before the measured passes.
     let mut sum = 0u64;
     for k in probe_keys.iter().take(probe_keys.len() / 4) {
         sum = sum.wrapping_add(lookup(k));
@@ -120,20 +105,9 @@ fn time_pass(probe_keys: &[u64], mut lookup: impl FnMut(&u64) -> u64) -> f64 {
     best
 }
 
-struct Cell {
-    seed_ns: f64,
-    slot_ns: f64,
-}
-
-fn measure_size(n: u64, probe_count: usize, zipf: bool) -> Cell {
+/// Lookup ns/op at one tree size and key mix.
+fn measure_size(n: u64, probe_count: usize, zipf: bool) -> f64 {
     let probe_keys = probes(n, probe_count, zipf, 0xB7EE ^ n);
-
-    let mut seed_tree = p4lru_bench::seed_btree::BPlusTree::new(SEED_MAX_KEYS);
-    for k in 0..n {
-        seed_tree.insert(k, k);
-    }
-    let seed_ns = time_pass(&probe_keys, |k| *seed_tree.get(k).expect("key exists"));
-    drop(seed_tree);
 
     let mut slot_tree = p4lru_kvstore::btree::BPlusTree::from_sorted(
         p4lru_kvstore::db::DEFAULT_MAX_KEYS,
@@ -149,10 +123,9 @@ fn measure_size(n: u64, probe_count: usize, zipf: bool) -> Cell {
     }
     black_box(warm);
     slot_tree.apply_adaptation();
-    let slot_ns = time_pass(&probe_keys, |k| {
+    time_pass(&probe_keys, |k| {
         *slot_tree.lookup_hot(k).0.expect("key exists")
-    });
-    Cell { seed_ns, slot_ns }
+    })
 }
 
 /// End-to-end column: the BENCH_server depth-32 configuration, so the
@@ -211,15 +184,12 @@ fn main() -> ExitCode {
     let probe_count = scale.pick(400_000, 4_000_000);
 
     let mut fig = FigureResult::new(
-        "BENCH_btree",
-        "B+Tree lookup: seed enum-of-Vecs vs slot layout (heads + hash leaves + descent cache)",
+        "BENCH_btree_slot",
+        "B+Tree lookup: slot layout (heads + hash leaves + descent cache)",
         "keys in tree",
         "lookup ns/op",
     );
     fig.x = sizes.iter().map(|&n| n as f64).collect();
-    fig.note(format!(
-        "seed layout: insert-built, max_keys={SEED_MAX_KEYS} (its shipped default), read via get()"
-    ));
     fig.note(format!(
         "slot layout: from_sorted bulk load, max_keys={} (DEFAULT_MAX_KEYS), read via lookup_hot()",
         p4lru_kvstore::db::DEFAULT_MAX_KEYS
@@ -229,43 +199,17 @@ fn main() -> ExitCode {
          all probes hit; zipf ranks scattered with mix64 so the hot set spans leaves"
     ));
 
-    let mut seed_cols = vec![Vec::new(); 2];
-    let mut slot_cols = vec![Vec::new(); 2];
-    let mut speedups = vec![Vec::new(); 2];
-    for &n in &sizes {
-        for (mix_idx, zipf) in [(0, false), (1, true)] {
-            let mix = if zipf { "zipf-0.9" } else { "uniform" };
-            let cell = measure_size(n, probe_count, zipf);
-            let speedup = cell.seed_ns / cell.slot_ns;
-            println!(
-                "{n:>9} keys {mix:>8}: seed {:>7.1} ns/op  slot {:>6.1} ns/op  ({speedup:.2}x)",
-                cell.seed_ns, cell.slot_ns
-            );
-            seed_cols[mix_idx].push(cell.seed_ns);
-            slot_cols[mix_idx].push(cell.slot_ns);
-            speedups[mix_idx].push(speedup);
+    for (mix, zipf) in [("uniform", false), ("zipf-0.9", true)] {
+        let mut col = Vec::new();
+        for &n in &sizes {
+            let ns = measure_size(n, probe_count, zipf);
+            println!("{n:>9} keys {mix:>8}: slot {ns:>6.1} ns/op");
+            col.push(ns);
         }
-    }
-    for (mix_idx, mix) in [(0, "uniform"), (1, "zipf-0.9")] {
-        fig.push_series(format!("seed {mix} (ns/op)"), seed_cols[mix_idx].clone());
-        fig.push_series(format!("slot {mix} (ns/op)"), slot_cols[mix_idx].clone());
-        fig.push_series(format!("speedup {mix} (x)"), speedups[mix_idx].clone());
+        fig.push_series(format!("slot {mix} (ns/op)"), col);
     }
 
     let mut failed = false;
-    if let Some(floor) = extra.assert_speedup {
-        for (mix_idx, mix) in [(0, "uniform"), (1, "zipf-0.9")] {
-            let at_largest = *speedups[mix_idx].last().expect("nonempty sizes");
-            if at_largest < floor {
-                eprintln!(
-                    "ASSERT FAILED: {mix} speedup {at_largest:.2}x at {} keys is below \
-                     the {floor:.2}x floor",
-                    sizes.last().expect("nonempty sizes")
-                );
-                failed = true;
-            }
-        }
-    }
 
     if !extra.skip_server {
         match measure_server(scale) {

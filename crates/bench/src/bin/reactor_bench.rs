@@ -1,26 +1,20 @@
-//! Reactor front-end benchmark (DESIGN.md §12): the threads front-end vs
-//! the reactor at the same closed-loop connection count, then an open-loop
-//! sweep holding an order of magnitude more connections than a
-//! thread-per-connection server could.
+//! Connection front-end benchmark (DESIGN.md §12): an open-loop sweep
+//! holding an order of magnitude more connections than the closed-loop
+//! generator's thread-per-connection design can offer.
 //!
-//! Three phases, each against a fresh in-process (volatile) server:
+//! Two phases, each against a fresh volatile server:
 //!
-//! 1. **threads baseline** — closed-loop loadgen at the thread pool's
-//!    working ceiling (quick 32 / full 128 connections, pipeline 8).
-//! 2. **reactor closed loop** — the identical workload against
-//!    `--frontend reactor`; `--assert-throughput-ratio <f>` exits nonzero
-//!    unless reactor/threads ≥ `f` (CI smoke uses 0.9 — on a small box the
-//!    two are within noise; the reactor's win is the next phase).
-//! 3. **open-loop sweep** — quick 1 000 / full 10 000 connections paced at
-//!    fractions of the measured reactor throughput, recording
-//!    coordinated-omission-safe latency per offered rate. The server's own
-//!    STATS gauge is polled mid-run to prove the connections are genuinely
-//!    held concurrently (`--assert-conns <n>` makes that a hard failure).
+//! 1. **capacity** — closed-loop loadgen (quick 32 / full 128 connections,
+//!    pipeline 8) against an in-process server; its throughput is the
+//!    yardstick the open loop's offered rates are fractions of.
+//! 2. **open-loop sweep** — quick 1 000 / full 10 000 connections paced at
+//!    fractions of that capacity, recording coordinated-omission-safe
+//!    latency per offered rate. The server's own STATS gauge is polled
+//!    mid-run to prove the connections are genuinely held concurrently
+//!    (`--assert-conns <n>` makes that a hard failure).
 //!
-//! Results: the sweep becomes `results/BENCH_server_openloop.json`, and a
-//! summary of all three phases is appended to the notes of
-//! `results/BENCH_server.json` (replacing any previous `reactor:` notes —
-//! the figure's shape is untouched).
+//! Results: the sweep becomes `results/BENCH_server_openloop.json`, with
+//! the capacity run and the connections held per rung in its notes.
 
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -32,38 +26,22 @@ use std::time::Duration;
 use p4lru_bench::{FigureResult, Scale};
 use p4lru_server::loadgen::{run, BenchSummary, LoadgenConfig};
 use p4lru_server::openloop::{run_open_loop, OpenLoopConfig, OpenLoopSummary};
-use p4lru_server::server::{Frontend, Server, ServerConfig};
+use p4lru_server::server::{Server, ServerConfig};
 use p4lru_server::Client;
 
-/// Fractions of the measured reactor closed-loop throughput the open loop
-/// offers. Below saturation the tail is flat; the top rung shows it lift.
+/// Fractions of the measured closed-loop throughput the open loop offers.
+/// Below saturation the tail is flat; the top rung shows it lift.
 const RATE_FRACTIONS: [f64; 3] = [0.25, 0.5, 0.75];
 
-struct ExtraArgs {
-    assert_ratio: Option<f64>,
-    assert_conns: Option<u64>,
-}
-
-fn parse_extra_args() -> Result<ExtraArgs, String> {
-    let mut extra = ExtraArgs {
-        assert_ratio: None,
-        assert_conns: None,
-    };
+/// The value of `--assert-conns`, when given.
+fn parse_assert_conns() -> Result<Option<u64>, String> {
+    let mut assert_conns = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--assert-throughput-ratio" => {
-                let v = args
-                    .next()
-                    .ok_or("--assert-throughput-ratio needs a value")?;
-                extra.assert_ratio = Some(
-                    v.parse()
-                        .map_err(|e| format!("bad value for --assert-throughput-ratio: {e:?}"))?,
-                );
-            }
             "--assert-conns" => {
                 let v = args.next().ok_or("--assert-conns needs a value")?;
-                extra.assert_conns = Some(
+                assert_conns = Some(
                     v.parse()
                         .map_err(|e| format!("bad value for --assert-conns: {e:?}"))?,
                 );
@@ -73,27 +51,18 @@ fn parse_extra_args() -> Result<ExtraArgs, String> {
             }
             other => {
                 return Err(format!(
-                    "unknown flag {other} (try --scale, --assert-throughput-ratio, --assert-conns)"
+                    "unknown flag {other} (try --scale, --assert-conns)"
                 ))
             }
         }
     }
-    Ok(extra)
+    Ok(assert_conns)
 }
 
-/// One closed-loop column: fresh server with the given front-end, one
-/// loadgen run at the connection ceiling.
-fn closed_loop(
-    base: &ServerConfig,
-    frontend: Frontend,
-    conns: usize,
-    seconds: f64,
-) -> Result<BenchSummary, String> {
-    let server = Server::spawn(&ServerConfig {
-        frontend,
-        ..base.clone()
-    })
-    .map_err(|e| format!("failed to start {} server: {e}", frontend.name()))?;
+/// The capacity yardstick: fresh in-process server, one closed-loop
+/// loadgen run.
+fn closed_loop(base: &ServerConfig, conns: usize, seconds: f64) -> Result<BenchSummary, String> {
+    let server = Server::spawn(base).map_err(|e| format!("failed to start server: {e}"))?;
     let summary = run(&LoadgenConfig {
         addr: server.local_addr().to_string(),
         threads: conns,
@@ -102,13 +71,11 @@ fn closed_loop(
         pipeline: 8,
         ..LoadgenConfig::default()
     })
-    .map_err(|e| format!("loadgen failed against {}: {e}", frontend.name()))?;
+    .map_err(|e| format!("closed-loop loadgen failed: {e}"))?;
     if summary.not_found > 0 || summary.corrupt > 0 {
         return Err(format!(
-            "{}: {} reads found nothing, {} mismatched",
-            frontend.name(),
-            summary.not_found,
-            summary.corrupt
+            "closed loop: {} reads found nothing, {} mismatched",
+            summary.not_found, summary.corrupt
         ));
     }
     server.shutdown();
@@ -136,7 +103,7 @@ impl Drop for ChildServer {
     }
 }
 
-/// Spawns a reactor-front-end `p4lru_serverd` (the binary sits next to
+/// Spawns a `p4lru_serverd` (the binary sits next to
 /// this one in the cargo target directory) on an ephemeral port and parses
 /// the bound address out of its listen banner.
 ///
@@ -169,8 +136,6 @@ fn spawn_serverd(
             &base.items.to_string(),
             "--units",
             &base.units_per_shard.to_string(),
-            "--frontend",
-            "reactor",
             "--io-threads",
             &base.io_threads.to_string(),
             "--max-conns",
@@ -202,7 +167,7 @@ fn spawn_serverd(
     Ok((child, addr))
 }
 
-/// One open-loop rung: fresh reactor serverd (child process), `conns`
+/// One open-loop rung: fresh serverd (child process), `conns`
 /// connections paced at `rate`, the server's connection gauge polled over
 /// a STATS connection throughout. Returns the summary and the highest
 /// concurrent connection count the server reported.
@@ -251,39 +216,9 @@ fn open_loop_point(
     Ok((summary, held.load(Ordering::Relaxed)))
 }
 
-/// Appends this run's summary lines to `results/BENCH_server.json`'s notes,
-/// dropping any `reactor:` notes a previous run left (the figure's axes and
-/// series are untouched). Missing file is fine — phase 3's own figure still
-/// carries everything.
-fn append_server_notes(notes: &[String]) {
-    let path = std::path::Path::new("results").join("BENCH_server.json");
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        eprintln!(
-            "   ({} not found; notes only in BENCH_server_openloop)",
-            path.display()
-        );
-        return;
-    };
-    let mut fig: FigureResult = match serde_json::from_str(&text) {
-        Ok(fig) => fig,
-        Err(e) => {
-            eprintln!("   (could not parse {}: {e})", path.display());
-            return;
-        }
-    };
-    fig.notes.retain(|n| !n.starts_with("reactor:"));
-    for n in notes {
-        fig.note(n.clone());
-    }
-    match fig.save(std::path::Path::new("results")) {
-        Ok(p) => println!("   appended notes: {}", p.display()),
-        Err(e) => eprintln!("   (could not save {}: {e})", path.display()),
-    }
-}
-
 fn main() -> ExitCode {
     let scale = Scale::from_args();
-    let extra = match parse_extra_args() {
+    let assert_conns = match parse_assert_conns() {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}");
@@ -303,8 +238,8 @@ fn main() -> ExitCode {
     let open_conns = scale.pick(1_000, 10_000);
     let open_seconds = scale.pick(1.5, 5.0);
 
-    // Phase 1+2: the same closed loop against both front-ends.
-    let threads = match closed_loop(&base, Frontend::Threads, closed_conns, closed_seconds) {
+    // Phase 1: closed-loop capacity.
+    let closed = match closed_loop(&base, closed_conns, closed_seconds) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}");
@@ -312,24 +247,12 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "threads  {closed_conns:>5} conns: {:>9.0} ops/s  p50 {:>7.1} us  p99 {:>7.1} us",
-        threads.throughput_ops_s, threads.p50_us, threads.p99_us
-    );
-    let reactor = match closed_loop(&base, Frontend::Reactor, closed_conns, closed_seconds) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let ratio = reactor.throughput_ops_s / threads.throughput_ops_s.max(1e-9);
-    println!(
-        "reactor  {closed_conns:>5} conns: {:>9.0} ops/s  p50 {:>7.1} us  p99 {:>7.1} us  ({ratio:.2}x threads)",
-        reactor.throughput_ops_s, reactor.p50_us, reactor.p99_us
+        "closed   {closed_conns:>5} conns: {:>9.0} ops/s  p50 {:>7.1} us  p99 {:>7.1} us",
+        closed.throughput_ops_s, closed.p50_us, closed.p99_us
     );
 
-    // Phase 3: open-loop rate ladder, connections an order of magnitude
-    // past what phase 1 drove, paced off the measured reactor throughput.
+    // Phase 2: open-loop rate ladder, connections an order of magnitude
+    // past what phase 1 drove, paced off the measured capacity.
     let mut fig = FigureResult::new(
         "BENCH_server_openloop",
         "Open-loop latency vs offered load, reactor front-end (volatile, YCSB-B)",
@@ -342,14 +265,14 @@ fn main() -> ExitCode {
     ));
     fig.note(format!(
         "open loop: conns={open_conns} seconds={open_seconds} window=32 \
-         rates={RATE_FRACTIONS:?} x reactor closed-loop {:.0} ops/s",
-        reactor.throughput_ops_s
+         rates={RATE_FRACTIONS:?} x closed-loop {:.0} ops/s ({closed_conns} conns, pipeline 8)",
+        closed.throughput_ops_s
     ));
     let mut min_held = u64::MAX;
     let (mut p50s, mut p95s, mut p99s, mut achieved) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for fraction in RATE_FRACTIONS {
-        let rate = (reactor.throughput_ops_s * fraction).max(1.0);
+        let rate = (closed.throughput_ops_s * fraction).max(1.0);
         let (point, held) = match open_loop_point(&base, open_conns, rate, open_seconds) {
             Ok(v) => v,
             Err(e) => {
@@ -389,29 +312,7 @@ fn main() -> ExitCode {
     fig.push_series("achieved_ops_s", achieved);
     fig.emit();
 
-    let notes = vec![
-        format!(
-            "reactor: closed loop at {closed_conns} conns (pipeline 8): threads {:.0} ops/s vs \
-             reactor {:.0} ops/s ({ratio:.2}x)",
-            threads.throughput_ops_s, reactor.throughput_ops_s
-        ),
-        format!(
-            "reactor: open loop held {min_held}+ of {open_conns} conns concurrently \
-             (server gauge, min across rates; CO-safe curves in BENCH_server_openloop.json)"
-        ),
-    ];
-    append_server_notes(&notes);
-
-    if let Some(want) = extra.assert_ratio {
-        if ratio < want {
-            eprintln!(
-                "error: --assert-throughput-ratio {want}: reactor reached only {ratio:.2}x threads"
-            );
-            return ExitCode::FAILURE;
-        }
-        println!("throughput ratio {ratio:.2}x >= required {want}x");
-    }
-    if let Some(want) = extra.assert_conns {
+    if let Some(want) = assert_conns {
         if min_held < want {
             eprintln!(
                 "error: --assert-conns {want}: server gauge peaked at {min_held} during the \

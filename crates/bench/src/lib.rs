@@ -2,11 +2,11 @@
 //!
 //! The benchmark harness regenerating **every table and figure** of the
 //! paper's evaluation (§4). Each figure has a module under [`figures`]
-//! exposing `run(scale) -> FigureResult`, a thin binary under `src/bin/`,
-//! and a row in DESIGN.md's experiment index.
+//! exposing `run(scale) -> FigureResult`, a name `all_figures --only`
+//! selects it by, and a row in DESIGN.md's experiment index.
 //!
 //! ```text
-//! cargo run --release -p p4lru-bench --bin fig09_lrutable_testbed
+//! cargo run --release -p p4lru-bench --bin all_figures -- --only fig09
 //! cargo run --release -p p4lru-bench --bin all_figures -- --scale full
 //! ```
 //!
@@ -23,6 +23,5 @@
 pub mod figures;
 pub mod harness;
 pub mod report;
-pub mod seed_btree;
 
 pub use harness::{FigureResult, Scale, Series};

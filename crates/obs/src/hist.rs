@@ -1,14 +1,15 @@
 //! An atomic, mergeable log₂-bucketed histogram.
 //!
-//! Same bucketing as the load generator's client-side
-//! `p4lru_server::LatencyHistogram` — bucket `i` holds samples with
-//! `floor(log2(ns)) == i`, quantiles read back at the bucket's geometric
-//! midpoint — but recordable from any thread: buckets are `AtomicU64`s
-//! bumped with `Relaxed` ordering, so the hot path is one `fetch_add` per
-//! sample plus one for the count and one for the running sum (the sum is
-//! what Prometheus `_sum` series need to stay exact). Reads produce a
-//! [`HistSnapshot`], a plain value type that merges exactly (bucket-wise
-//! addition), which is how per-shard histograms roll up into totals.
+//! Bucket `i` holds samples with `floor(log2(ns)) == i`; quantiles read
+//! back at the bucket's geometric midpoint, so error is bounded by the √2
+//! bucket half-width. [`AtomicHistogram`] is recordable from any thread:
+//! buckets are `AtomicU64`s bumped with `Relaxed` ordering, so the hot path
+//! is one `fetch_add` per sample plus one for the count and one for the
+//! running sum (the sum is what Prometheus `_sum` series need to stay
+//! exact). Reads produce a [`HistSnapshot`], a plain value type that merges
+//! exactly (bucket-wise addition), which is how per-shard histograms roll up
+//! into totals — and which single-owner recorders (the load generators'
+//! client-side latencies) record into directly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -68,9 +69,10 @@ impl AtomicHistogram {
     }
 }
 
-/// A point-in-time copy of an [`AtomicHistogram`]: a plain value type that
-/// supports exact merging and quantile estimation.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// A point-in-time copy of an [`AtomicHistogram`], or a histogram one owner
+/// records into directly: a plain value type that supports exact merging
+/// and quantile estimation.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Per-bucket sample counts (`buckets[i]` holds samples with
     /// `floor(log2(ns)) == i`); always [`BUCKETS`] entries.
@@ -79,6 +81,12 @@ pub struct HistSnapshot {
     pub count: u64,
     /// Exact sum of all recorded samples, nanoseconds.
     pub sum_ns: u64,
+}
+
+impl Default for HistSnapshot {
+    fn default() -> Self {
+        Self::empty()
+    }
 }
 
 impl HistSnapshot {
@@ -104,6 +112,15 @@ impl HistSnapshot {
             count,
             sum_ns: 0,
         }
+    }
+
+    /// Records one sample in nanoseconds.
+    pub fn record_ns(&mut self, ns: u64) {
+        let bucket = 63 - ns.max(1).leading_zeros() as usize;
+        self.buckets[bucket] += 1;
+        self.count += 1;
+        // Wraps like the atomic's `fetch_add`.
+        self.sum_ns = self.sum_ns.wrapping_add(ns);
     }
 
     /// Adds another snapshot's samples into this one (exact: bucket-wise).
@@ -183,6 +200,26 @@ mod tests {
         assert_eq!(s.buckets[0], 1);
         assert_eq!(s.buckets[63], 1);
         assert!(s.quantile_ns(0.5).is_some());
+    }
+
+    #[test]
+    fn direct_recording_matches_the_atomic_histogram() {
+        let atomic = AtomicHistogram::new();
+        let mut direct = HistSnapshot::empty();
+        assert_eq!(direct.quantile_ns(0.5), None);
+        for ns in [0, 1, 1_000, 1_000, 1_000_000, u64::MAX] {
+            atomic.record_ns(ns);
+            direct.record_ns(ns);
+        }
+        assert_eq!(direct, atomic.snapshot());
+        // A rank inside a bucket's run reads that bucket, not the next one.
+        let mut h = HistSnapshot::empty();
+        for _ in 0..99 {
+            h.record_ns(1_000);
+        }
+        h.record_ns(1_000_000);
+        let p99 = h.quantile_ns(0.99).unwrap();
+        assert!((512..2048).contains(&p99), "p99 = {p99}");
     }
 
     #[test]

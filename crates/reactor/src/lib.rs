@@ -1,16 +1,16 @@
 //! Event-driven connection engine for the P4LRU cache service.
 //!
-//! The thread-per-connection front-end in `p4lru-server` spends one pump
-//! thread per client, which caps a single process at hundreds of
-//! connections. This crate provides the machinery to break that wall: a
-//! small pool of I/O threads, each owning one epoll instance, multiplexing
-//! thousands of nonblocking connections through per-connection state
-//! machines ([`Driver`]s).
+//! One pump thread per client caps a single process at hundreds of
+//! connections. This crate is the machinery past that wall: a small pool of
+//! I/O threads, each owning one epoll instance, multiplexing thousands of
+//! nonblocking connections through per-connection state machines
+//! ([`Driver`]s).
 //!
 //! The crate is deliberately protocol-agnostic — it knows nothing about
-//! frames, shards, or caches. `p4lru-server` layers its existing resumable
+//! frames, shards, or caches. `p4lru-server` layers its resumable
 //! `FrameReader`/`FrameWriter` and reorder-buffer machinery on top as a
-//! [`Driver`] implementation.
+//! [`Driver`] implementation: its only connection front-end, and its
+//! open-loop load generator.
 //!
 //! Layers, bottom up:
 //!

@@ -31,10 +31,8 @@ OPTIONS:
   --seed <n>            cache hash seed      [default: 0x9412C0DE]
   --window <n>          max in-flight requests per connection (pipelining)
                         [default: 64]
-  --frontend <kind>     connection front-end: threads (one thread per
-                        connection) | reactor (epoll event loops)
-                        [default: threads]
-  --io-threads <n>      reactor event-loop threads   [default: 2]
+  --io-threads <n>      event-loop threads serving all connections
+                        [default: 2]
   --max-conns <n>       connection limit; connections past it get one ERR
                         frame and are closed          [default: 8192]
   --data-dir <path>     durability root (WAL + snapshots); a dir that was
@@ -94,10 +92,16 @@ fn parse_args() -> Result<ServerConfig, String> {
             "--units" => config.units_per_shard = value.parse().map_err(bad)?,
             "--seed" => config.seed = value.parse().map_err(bad)?,
             "--window" => config.pipeline_window = value.parse().map_err(bad)?,
+            // Undocumented: benchmark/src/procs.rs still passes `--frontend
+            // reactor`, and this PR may not touch benchmark/. The arm goes
+            // when the harness drops the flag.
             "--frontend" => {
-                config.frontend = value
-                    .parse()
-                    .map_err(|e| format!("bad value for {flag}: {e}"))?;
+                if value != "reactor" {
+                    return Err(format!(
+                        "bad value for {flag}: {value:?} (the threads front-end was \
+                         removed in PR 12; the reactor is the only one)"
+                    ));
+                }
             }
             "--io-threads" => config.io_threads = value.parse().map_err(bad)?,
             "--max-conns" => config.max_conns = value.parse().map_err(bad)?,
@@ -183,9 +187,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Each connection costs two fds (stream + dup'd write half); ask for
-    // headroom above the connection limit before any sockets open.
-    match p4lru_reactor::raise_nofile_limit(2 * config.max_conns as u64 + 256) {
+    // Each connection costs one fd; ask for headroom above the connection
+    // limit (WAL segments, replication, /metrics) before any sockets open.
+    match p4lru_reactor::raise_nofile_limit(config.max_conns as u64 + 256) {
         Ok(_) => {}
         Err(e) => eprintln!("warning: could not raise fd limit: {e}"),
     }
@@ -222,12 +226,12 @@ fn main() -> ExitCode {
     }
     println!(
         "p4lru_serverd listening on {} ({} shards, {} items, {} cached addrs, \
-         frontend={}, max_conns={})",
+         io_threads={}, max_conns={})",
         server.local_addr(),
         config.shards,
         config.items,
         capacity,
-        config.frontend.name(),
+        config.io_threads,
         config.max_conns
     );
     if let Some(addr) = server.metrics_addr() {

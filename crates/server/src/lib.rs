@@ -47,11 +47,11 @@ pub use expose::{
     tier_families, StatsSampler,
 };
 pub use metrics::{
-    ClusterSnapshot, ConnCounters, ConnSnapshot, LatencyHistogram, LatencySummary,
-    ReactorLoopSnapshot, ShardMetrics, ShardSnapshot, StageSummary, StatsReport, TierSnapshot,
+    ClusterSnapshot, ConnCounters, ConnSnapshot, LatencySummary, ReactorLoopSnapshot, ShardMetrics,
+    ShardSnapshot, StageSummary, StatsReport, TierSnapshot,
 };
 pub use openloop::{run_open_loop, sweep_to_figure_json, OpenLoopConfig, OpenLoopSummary};
 pub use protocol::{FrameReader, FrameWriter, Request, Response};
 pub use repl::{ReplConfig, Role};
-pub use server::{shard_of, Frontend, Server, ServerConfig};
+pub use server::{shard_of, Server, ServerConfig};
 pub use shard::Shard;

@@ -21,11 +21,11 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use p4lru_kvstore::db::record_for;
+use p4lru_obs::HistSnapshot;
 use p4lru_traffic::ycsb::{Op, YcsbConfig};
 use serde::Serialize;
 
 use crate::client::Client;
-use crate::metrics::LatencyHistogram;
 
 /// Load-generation parameters.
 #[derive(Clone, Debug)]
@@ -97,7 +97,7 @@ pub struct BenchSummary {
     /// Client-observed 99th-percentile latency, microseconds.
     pub p99_us: f64,
     /// The merged latency histogram (for further quantiles).
-    pub latency: LatencyHistogram,
+    pub latency: HistSnapshot,
     /// Keys of every acknowledged SET (only with `record_acked`).
     pub acked_sets: Vec<u64>,
     /// Workers that stopped early on a connection error (only nonzero with
@@ -109,7 +109,7 @@ struct WorkerResult {
     ops: u64,
     not_found: u64,
     corrupt: u64,
-    latency: LatencyHistogram,
+    latency: HistSnapshot,
     acked_sets: Vec<u64>,
     aborted: bool,
 }
@@ -150,7 +150,7 @@ pub fn run(config: &LoadgenConfig) -> io::Result<BenchSummary> {
         p50_us: 0.0,
         p95_us: 0.0,
         p99_us: 0.0,
-        latency: LatencyHistogram::new(),
+        latency: HistSnapshot::empty(),
         acked_sets: Vec::new(),
         aborted_workers: 0,
     };
@@ -178,9 +178,9 @@ pub fn run(config: &LoadgenConfig) -> io::Result<BenchSummary> {
     }
     summary.elapsed_s = started.elapsed().as_secs_f64();
     summary.throughput_ops_s = summary.ops as f64 / summary.elapsed_s.max(1e-9);
-    summary.p50_us = summary.latency.quantile_ns(0.50).unwrap_or(0) as f64 / 1e3;
-    summary.p95_us = summary.latency.quantile_ns(0.95).unwrap_or(0) as f64 / 1e3;
-    summary.p99_us = summary.latency.quantile_ns(0.99).unwrap_or(0) as f64 / 1e3;
+    summary.p50_us = summary.latency.quantile_us(0.50);
+    summary.p95_us = summary.latency.quantile_us(0.95);
+    summary.p99_us = summary.latency.quantile_us(0.99);
     Ok(summary)
 }
 
@@ -243,7 +243,7 @@ fn worker(
         ops: 0,
         not_found: 0,
         corrupt: 0,
-        latency: LatencyHistogram::new(),
+        latency: HistSnapshot::empty(),
         acked_sets: Vec::new(),
         aborted: false,
     };
@@ -414,7 +414,7 @@ mod tests {
         assert_eq!(summary.corrupt, 0, "reads must verify");
         assert!(summary.p99_us >= summary.p95_us);
         assert!(summary.p95_us >= summary.p50_us);
-        assert_eq!(summary.latency.count(), summary.ops);
+        assert_eq!(summary.latency.count, summary.ops);
 
         let stats = server.shutdown();
         assert_eq!(
@@ -457,7 +457,7 @@ mod tests {
         assert!(summary.ops > 0);
         assert_eq!(summary.not_found, 0);
         assert_eq!(summary.corrupt, 0, "in-order replies match their ops");
-        assert_eq!(summary.latency.count(), summary.ops);
+        assert_eq!(summary.latency.count, summary.ops);
 
         let stats = server.shutdown();
         assert_eq!(

@@ -734,73 +734,6 @@ impl StatsReport {
     }
 }
 
-/// A log₂-bucketed latency histogram (client side of the load generator).
-///
-/// Bucket `i` holds samples with `floor(log2(ns)) == i`; quantiles are read
-/// back at the bucket's geometric midpoint, so error is bounded by the √2
-/// bucket half-width — plenty for p50/p99 over a closed-loop run, with O(1)
-/// recording and a fixed 64-word footprint (no allocation on the hot path).
-#[derive(Clone, Debug)]
-pub struct LatencyHistogram {
-    buckets: [u64; 64],
-    count: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self {
-            buckets: [0; 64],
-            count: 0,
-        }
-    }
-
-    /// Records one sample in nanoseconds.
-    pub fn record_ns(&mut self, ns: u64) {
-        let bucket = 63 - ns.max(1).leading_zeros() as usize;
-        self.buckets[bucket] += 1;
-        self.count += 1;
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Adds another histogram's samples into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-    }
-
-    /// The approximate `q`-quantile in nanoseconds (`q` in `[0, 1]`), or
-    /// `None` if the histogram is empty.
-    pub fn quantile_ns(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                // Geometric midpoint of [2^i, 2^(i+1)): 2^i * sqrt(2).
-                let lo = 1u64 << i;
-                return Some((lo as f64 * std::f64::consts::SQRT_2) as u64);
-            }
-        }
-        unreachable!("count > 0 implies some bucket holds the rank");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1119,34 +1052,5 @@ mod tests {
         assert_eq!(cluster.role, "follower");
         assert_eq!(cluster.lag_seqs, Vec::<u64>::new());
         assert_eq!(cluster.pull_rtt.count, 0);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_bucket_accurate() {
-        let mut h = LatencyHistogram::new();
-        for _ in 0..99 {
-            h.record_ns(1_000); // bucket 9 (512..1024)
-        }
-        h.record_ns(1_000_000); // bucket 19
-        assert_eq!(h.count(), 100);
-        let p50 = h.quantile_ns(0.50).unwrap();
-        assert!((512..2048).contains(&p50), "p50 = {p50}");
-        let p99 = h.quantile_ns(0.99).unwrap();
-        assert!((512..2048).contains(&p99), "p99 = {p99}");
-        let p100 = h.quantile_ns(1.0).unwrap();
-        assert!((524_288..2_097_152).contains(&p100), "p100 = {p100}");
-    }
-
-    #[test]
-    fn histogram_merge_and_edge_cases() {
-        let mut a = LatencyHistogram::new();
-        assert_eq!(a.quantile_ns(0.5), None);
-        a.record_ns(0); // clamps to bucket 0
-        let mut b = LatencyHistogram::new();
-        b.record_ns(u64::MAX); // top bucket
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!(a.quantile_ns(0.0).is_some());
-        assert!(a.quantile_ns(1.0).is_some());
     }
 }

@@ -25,12 +25,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use p4lru_kvstore::db::record_for;
+use p4lru_obs::HistSnapshot;
 use p4lru_reactor::{
     raise_nofile_limit, Ctl, Driver, Mailbox, Reactor, Ready, SharedStream, Status,
 };
 use p4lru_traffic::ycsb::{Op, YcsbConfig, YcsbStream};
 
-use crate::metrics::LatencyHistogram;
 use crate::protocol::{encode_get, encode_set, FrameReader, FrameWriter, Response};
 
 /// How long after the send horizon connections may wait for straggler
@@ -123,7 +123,7 @@ pub struct OpenLoopSummary {
     /// Intended-send-to-reply 99th percentile, microseconds.
     pub p99_us: f64,
     /// The merged coordinated-omission-safe latency histogram.
-    pub latency: LatencyHistogram,
+    pub latency: HistSnapshot,
     /// Largest gap observed between an operation's intended and actual
     /// send, microseconds (how far the generator itself fell behind; large
     /// values mean the *measured* tail already contains generator lag).
@@ -139,7 +139,7 @@ struct Merged {
     ops: u64,
     not_found: u64,
     corrupt: u64,
-    latency: LatencyHistogram,
+    latency: HistSnapshot,
     max_send_lag_ns: u64,
     aborted_conns: u64,
     closed_conns: u64,
@@ -396,9 +396,9 @@ pub fn run_open_loop(config: &OpenLoopConfig) -> io::Result<OpenLoopSummary> {
         max_send_lag_us: merged.max_send_lag_ns / 1_000,
         aborted_conns: merged.aborted_conns,
     };
-    summary.p50_us = summary.latency.quantile_ns(0.50).unwrap_or(0) as f64 / 1e3;
-    summary.p95_us = summary.latency.quantile_ns(0.95).unwrap_or(0) as f64 / 1e3;
-    summary.p99_us = summary.latency.quantile_ns(0.99).unwrap_or(0) as f64 / 1e3;
+    summary.p50_us = summary.latency.quantile_us(0.50);
+    summary.p95_us = summary.latency.quantile_us(0.95);
+    summary.p99_us = summary.latency.quantile_us(0.99);
     Ok(summary)
 }
 
@@ -487,14 +487,14 @@ pub fn sweep_to_figure_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{Frontend, Server, ServerConfig};
+    use crate::server::{Server, ServerConfig};
 
-    fn summary_against(frontend: Frontend) -> (OpenLoopSummary, crate::metrics::StatsReport) {
+    #[test]
+    fn paced_run_completes_against_the_server() {
         let server = Server::spawn(&ServerConfig {
             items: 2_000,
             units_per_shard: 256,
             shards: 2,
-            frontend,
             ..ServerConfig::default()
         })
         .unwrap();
@@ -508,12 +508,7 @@ mod tests {
             ..OpenLoopConfig::default()
         })
         .unwrap();
-        (summary, server.shutdown())
-    }
-
-    #[test]
-    fn paced_run_completes_against_threads_frontend() {
-        let (summary, stats) = summary_against(Frontend::Threads);
+        let stats = server.shutdown();
         assert_eq!(summary.aborted_conns, 0, "every connection must drain");
         assert_eq!(summary.corrupt, 0);
         assert_eq!(summary.not_found, 0);
@@ -527,20 +522,12 @@ mod tests {
             summary.ops,
             offered
         );
-        assert_eq!(summary.latency.count(), summary.ops);
+        assert_eq!(summary.latency.count, summary.ops);
         assert_eq!(
             stats.totals.gets + stats.totals.sets,
             summary.ops,
             "server saw exactly the acknowledged operations"
         );
-    }
-
-    #[test]
-    fn paced_run_completes_against_reactor_frontend() {
-        let (summary, stats) = summary_against(Frontend::Reactor);
-        assert_eq!(summary.aborted_conns, 0);
-        assert_eq!(summary.corrupt, 0);
-        assert!(summary.ops > 0);
         assert_eq!(stats.conns.frontend, "reactor");
         assert_eq!(stats.conns.accepted_total, 8);
         assert!(!stats.reactor.is_empty(), "reactor loop stats in STATS");

@@ -1,12 +1,12 @@
-//! The reactor front-end: one [`Driver`] per connection running the same
-//! pipelined pump as the threads front-end, restated as a nonblocking
-//! state machine (DESIGN.md §12).
+//! The connection front-end: one [`Driver`] per connection running the
+//! pipelined pump (DESIGN.md §9) as a nonblocking state machine on the
+//! reactor's event loops (DESIGN.md §12).
 //!
-//! Where the threads pump blocks — on the socket for the next request, on
-//! the reply channel for the next shard answer — the driver returns to its
-//! event loop and is re-driven by whichever event lands first: socket
-//! readiness (edge-triggered), a shard reply posted to the connection's
-//! [`Mailbox`], or nothing at all if the connection is idle. The
+//! The driver never blocks — not on the socket for the next request, not
+//! for the next shard answer. It returns to its event loop and is re-driven
+//! by whichever event lands first: socket readiness (edge-triggered), a
+//! shard reply posted to the connection's [`Mailbox`], or nothing at all if
+//! the connection is idle. The
 //! edge-triggered contract is honored by construction: every `drive` call
 //! retries the buffered flush until `WouldBlock` and reads frames until
 //! `WouldBlock` or the pipeline window fills. A full window with bytes
@@ -23,11 +23,11 @@ use std::sync::Arc;
 use p4lru_reactor::{Ctl, Driver, Mailbox, Ready, SharedStream, Status};
 
 use crate::protocol::{FrameReader, FrameWriter};
-use crate::server::{complete_flushed, serve, Conn, Ctx, Reply, ReplySink};
+use crate::server::{complete_flushed, serve, Conn, Ctx, Reply, ReplySink, ShardSenders};
 
-/// Read-buffer bytes per connection. Deliberately far below the threads
-/// front-end's default: the reactor exists to hold tens of thousands of
-/// connections, so per-connection memory is the budget that matters, and
+/// Read-buffer bytes per connection. Deliberately far below
+/// [`FrameReader`]'s default: the reactor exists to hold tens of thousands
+/// of connections, so per-connection memory is the budget that matters, and
 /// the buffer grows on demand for the rare oversized frame.
 const READ_BUF: usize = 8 * 1024;
 
@@ -41,6 +41,7 @@ pub(crate) struct ReactorConn {
     writer: FrameWriter<SharedStream>,
     conn: Conn,
     ctx: Arc<Ctx>,
+    senders: ShardSenders,
     /// Reused frame-decode scratch buffer.
     frame: Vec<u8>,
 }
@@ -55,6 +56,7 @@ impl ReactorConn {
         stream: TcpStream,
         mailbox: Mailbox<Reply>,
         ctx: Arc<Ctx>,
+        senders: ShardSenders,
     ) -> io::Result<ReactorConn> {
         stream.set_nodelay(true)?;
         let read_half = SharedStream::new(stream);
@@ -64,6 +66,7 @@ impl ReactorConn {
             writer: FrameWriter::with_capacity(write_half, WRITE_BUF),
             conn: Conn::new(ReplySink::Mail(mailbox)),
             ctx,
+            senders,
             frame: Vec::new(),
         })
     }
@@ -88,8 +91,7 @@ impl ReactorConn {
         }
         if self.conn.shutdown_acked() && self.writer.pending() == 0 {
             // The SHUTDOWN ack (and everything before it) is on the wire:
-            // stop the server exactly like the threads pump does, plus the
-            // reactor itself.
+            // stop the accept loop and the reactor.
             self.ctx.running.store(false, Ordering::SeqCst);
             let _ = TcpStream::connect(self.ctx.local_addr); // wake the accept loop
             ctl.stop_reactor();
@@ -104,6 +106,7 @@ impl ReactorConn {
                         &self.frame,
                         self.reader.take_span(),
                         &self.ctx,
+                        &self.senders,
                         &mut self.conn,
                     );
                     served += 1;

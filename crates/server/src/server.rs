@@ -4,17 +4,18 @@
 //! and drains an mpsc request channel — the software rendering of "one
 //! pipeline owns its registers", which is what lets the P4LRU arrays stay
 //! lock-free (see the thread-safety notes on
-//! [`p4lru_core::array::LruArray`]). Connection-handler threads run a
-//! pipelined pump (DESIGN.md §9): buffered framed I/O, up to
-//! [`ServerConfig::pipeline_window`] requests in flight per connection, one
-//! long-lived reply channel per connection carrying `(seq, reply)` pairs
-//! back from the shards, and a reorder buffer that puts responses on the
-//! wire in request order no matter which shard finished first. STATS reads
-//! the shards' atomic counters directly, so it never queues behind the
-//! data path.
+//! [`p4lru_core::array::LruArray`]). Connections are nonblocking drivers on
+//! a fixed pool of reactor event loops ([`crate::reactor_front`], DESIGN.md
+//! §12), each running a pipelined pump (DESIGN.md §9): buffered framed I/O,
+//! up to [`ServerConfig::pipeline_window`] requests in flight per
+//! connection, one long-lived reply mailbox per connection carrying
+//! `(seq, reply)` pairs back from the shards, and a reorder buffer that puts
+//! responses on the wire in request order no matter which shard finished
+//! first. STATS reads the shards' atomic counters directly, so it never
+//! queues behind the data path.
 //!
 //! Observability (DESIGN.md §10) rides the same paths: every request
-//! carries a [`p4lru_obs::RequestTrace`] that the handler and shard threads
+//! carries a [`p4lru_obs::RequestTrace`] that the I/O and shard threads
 //! stamp at each lifecycle stage (decode → route → queue → wal-append →
 //! apply → fsync/commit-gate → reorder → flush); completed traces feed the
 //! per-shard per-op latency histograms, the tracer's stage histograms, and
@@ -27,8 +28,8 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -42,7 +43,7 @@ use p4lru_reactor::{LoopStats, Mailbox, Reactor};
 
 use crate::expose::{build_report, render_prometheus_full, StatsSampler};
 use crate::metrics::{ConnCounters, ReactorLoopSnapshot, ShardMetrics, StatsReport};
-use crate::protocol::{encode_value, write_frame, FrameReader, FrameWriter, Request, Response};
+use crate::protocol::{encode_value, write_frame, FrameWriter, Request, Response};
 use crate::reactor_front::ReactorConn;
 use crate::repl::{
     follower_pull_loop, spawn_repl_listener, FollowerConfig, ReplConfig, ReplServer, ReplState,
@@ -54,45 +55,13 @@ use crate::shard::{record_from_bytes, Shard};
 /// seeds so routing and unit indexing stay uncorrelated.
 const ROUTE_SEED: u64 = 0x5EED_0F54_A2D5;
 
-/// How often an idle connection handler re-checks the shutdown flag.
+/// How long a blocking socket wait may last before its thread re-checks the
+/// shutdown flag (and how long a rejected peer gets to take its ERR frame).
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(250);
 
-/// Which connection front-end the server runs (DESIGN.md §12).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Frontend {
-    /// One blocking handler thread per connection (the differential
-    /// baseline: simple, but each connection costs a thread).
-    #[default]
-    Threads,
-    /// A fixed pool of event-loop I/O threads multiplexing nonblocking
-    /// connections (epoll edge-triggered); connection count is bounded by
-    /// fds and per-connection buffers, not threads.
-    Reactor,
-}
-
-impl Frontend {
-    /// The label used in STATS and `/metrics` (`frontend="..."`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Frontend::Threads => "threads",
-            Frontend::Reactor => "reactor",
-        }
-    }
-}
-
-impl std::str::FromStr for Frontend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(Frontend::Threads),
-            "reactor" => Ok(Frontend::Reactor),
-            other => Err(format!(
-                "unknown frontend {other:?} (expected threads|reactor)"
-            )),
-        }
-    }
-}
+/// The `frontend="..."` label in STATS and `/metrics`. The reactor is the
+/// only connection front-end; dashboards and the benchmark key on the label.
+const FRONTEND: &str = "reactor";
 
 /// The shard a key is routed to: fixed-point multiply-shift range reduction
 /// of the routing hash. `(h as u128 * shards as u128) >> 64` maps the full
@@ -145,10 +114,9 @@ pub struct ServerConfig {
     /// `<data_dir>/samples.jsonl`; required explicitly when sampling a
     /// volatile server (no data dir to default into).
     pub sample_path: Option<PathBuf>,
-    /// Which connection front-end serves the data path.
-    pub frontend: Frontend,
-    /// Event-loop threads for the reactor front-end (ignored by
-    /// [`Frontend::Threads`]).
+    /// Reactor event-loop threads multiplexing every client connection
+    /// (epoll, edge-triggered); connection count is bounded by fds and
+    /// per-connection buffers, not threads.
     pub io_threads: usize,
     /// Most connections allowed in service at once. Past the limit, new
     /// connections receive a protocol-level ERR frame and are closed
@@ -176,7 +144,6 @@ impl Default for ServerConfig {
             metrics_addr: None,
             sample_interval: None,
             sample_path: None,
-            frontend: Frontend::Threads,
             io_threads: 2,
             max_conns: 8192,
             repl: None,
@@ -246,15 +213,17 @@ impl ShardReply {
 /// reorder/flush).
 pub(crate) type Reply = (u64, ShardReply, RequestTrace);
 
-/// Where a shard posts a finished reply. The threads front-end gives every
-/// connection an mpsc channel its handler thread blocks on; the reactor
-/// front-end gives it a [`Mailbox`] whose post also wakes the owning event
-/// loop. Shards are indifferent: both ends are just `send`.
+/// Where a shard posts a finished reply. Two variants because there are two
+/// real callers: every client connection is a reactor driver and takes a
+/// [`Mailbox`] whose post also wakes the owning event loop, while the
+/// follower pull loop ([`crate::repl`]) is a plain thread that blocks on an
+/// mpsc channel for its replication ops. Shards are indifferent: both ends
+/// are just `send`.
 #[derive(Clone)]
 pub(crate) enum ReplySink {
-    /// Per-connection mpsc channel (threads front-end).
+    /// The follower pull loop's mpsc channel.
     Chan(Sender<Reply>),
-    /// Reactor mailbox (posts wake the connection's event loop).
+    /// A client connection's reactor mailbox.
     Mail(Mailbox<Reply>),
 }
 
@@ -283,9 +252,11 @@ pub(crate) struct ShardRequest {
     pub(crate) reply: ReplySink,
 }
 
-/// What the accept loop hands every connection handler.
+/// What the accept loop hands every connection driver, and what STATS and
+/// `/metrics` render from. The shard senders deliberately live outside it
+/// ([`ShardSenders`]): the shard threads exit when the last sender drops,
+/// and this outlives them to serve the final report.
 pub(crate) struct Ctx {
-    senders: Vec<Sender<ShardRequest>>,
     pub(crate) metrics: Vec<Arc<ShardMetrics>>,
     pub(crate) tracer: Arc<Tracer>,
     pub(crate) log_slow: bool,
@@ -294,12 +265,10 @@ pub(crate) struct Ctx {
     pub(crate) pipeline_window: u64,
     /// Connection gauge/counters shared by the accept loop, STATS, and
     /// `/metrics`.
-    pub(crate) conns: Arc<ConnCounters>,
-    /// The reactor, when that front-end is running (drives the
-    /// per-io-thread STATS section).
-    reactor: Option<Arc<Reactor<Reply>>>,
-    /// `frontend="..."` label for STATS and `/metrics`.
-    frontend_name: &'static str,
+    pub(crate) conns: ConnCounters,
+    /// The event loops every connection runs on (and the per-io-thread
+    /// STATS section).
+    reactor: Reactor<Reply>,
     /// Replication state, when the node is part of a cluster: the data
     /// path checks the role (followers are read-only) and STATS carries
     /// the cluster section.
@@ -311,16 +280,30 @@ impl Ctx {
     /// connection section + per-io-thread reactor loop stats.
     pub(crate) fn report(&self) -> StatsReport {
         let mut report = build_report(&self.metrics, &self.tracer)
-            .with_conns(self.conns.snapshot(self.frontend_name));
-        if let Some(reactor) = &self.reactor {
-            report = report.with_reactor(reactor_snapshots(reactor));
-        }
+            .with_conns(self.conns.snapshot(FRONTEND))
+            .with_reactor(reactor_snapshots(&self.reactor));
         if let Some(repl) = &self.repl {
             report = report.with_cluster(repl.snapshot());
         }
         report
     }
+
+    /// The same counters as Prometheus text.
+    fn prometheus(&self) -> String {
+        render_prometheus_full(
+            &self.metrics,
+            &self.tracer,
+            None,
+            Some(&self.conns.snapshot(FRONTEND)),
+            &reactor_snapshots(&self.reactor),
+            self.repl.as_deref().map(ReplState::snapshot).as_ref(),
+        )
+    }
 }
+
+/// One sender per shard, shared by every connection driver (one `Arc`
+/// clone per connection, not one `Sender` clone per shard).
+pub(crate) type ShardSenders = Arc<[Sender<ShardRequest>]>;
 
 /// Maps the reactor's live per-loop counters into the STATS/`/metrics`
 /// snapshot shape.
@@ -342,21 +325,12 @@ fn reactor_snapshots(reactor: &Reactor<Reply>) -> Vec<ReactorLoopSnapshot> {
 /// A running server; dropping it without [`Server::shutdown`] detaches the
 /// threads (the process exit reaps them).
 pub struct Server {
-    local_addr: SocketAddr,
-    running: Arc<AtomicBool>,
+    ctx: Arc<Ctx>,
     accept: Option<JoinHandle<()>>,
     shard_handles: Vec<JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    senders: Vec<Sender<ShardRequest>>,
-    metrics: Vec<Arc<ShardMetrics>>,
-    tracer: Arc<Tracer>,
-    conns: Arc<ConnCounters>,
-    reactor: Option<Arc<Reactor<Reply>>>,
-    frontend: Frontend,
     metrics_http: Option<MetricsHttp>,
     sampler: Option<Periodic>,
     start_mode: StartMode,
-    repl: Option<Arc<ReplState>>,
     repl_addr: Option<SocketAddr>,
     repl_accept: Option<JoinHandle<()>>,
     puller: Option<JoinHandle<()>>,
@@ -541,38 +515,31 @@ impl Server {
             );
         }
 
+        // Every clone of these is owned by a thread `teardown` joins (the
+        // accept loop and its connection drivers, the follower puller), so
+        // the shard channels close — and the shard threads exit — exactly
+        // when the last producer is gone.
+        let senders: ShardSenders = senders.into();
+
         let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        let running = Arc::new(AtomicBool::new(true));
-        let handlers = Arc::new(Mutex::new(Vec::new()));
-        let conns = Arc::new(ConnCounters::default());
-        let reactor = match config.frontend {
-            Frontend::Threads => None,
-            Frontend::Reactor => Some(Arc::new(Reactor::spawn(
-                config.io_threads,
-                "p4lru-reactor",
-            )?)),
-        };
         let ctx = Arc::new(Ctx {
-            senders: senders.clone(),
-            metrics: metrics.clone(),
-            tracer: Arc::clone(&tracer),
+            metrics,
+            tracer,
             log_slow: config.log_slow,
-            running: Arc::clone(&running),
-            local_addr,
+            running: Arc::new(AtomicBool::new(true)),
+            local_addr: listener.local_addr()?,
             pipeline_window: config.pipeline_window as u64,
-            conns: Arc::clone(&conns),
-            reactor: reactor.clone(),
-            frontend_name: config.frontend.name(),
-            repl: repl_state.clone(),
+            conns: ConnCounters::default(),
+            reactor: Reactor::spawn(config.io_threads, "p4lru-reactor")?,
+            repl: repl_state,
         });
         let accept = {
-            let handlers = Arc::clone(&handlers);
             let ctx = Arc::clone(&ctx);
+            let senders = Arc::clone(&senders);
             let max_conns = config.max_conns;
             thread::Builder::new()
                 .name("p4lru-accept".to_owned())
-                .spawn(move || accept_loop(&listener, &ctx, &handlers, max_conns))?
+                .spawn(move || accept_loop(&listener, &ctx, &senders, max_conns))?
         };
 
         // Replication threads: the listener serves WAL pulls straight from
@@ -581,7 +548,7 @@ impl Server {
         let mut repl_addr = None;
         let mut repl_accept = None;
         let mut puller = None;
-        if let (Some(rc), Some(state)) = (&config.repl, &repl_state) {
+        if let (Some(rc), Some(state)) = (&config.repl, &ctx.repl) {
             if let Some(listen) = &rc.listen {
                 let (addr, handle) = spawn_repl_listener(
                     listen,
@@ -589,7 +556,7 @@ impl Server {
                         root: config.data_dir.clone().expect("repl requires a data dir"),
                         shards: config.shards,
                         state: Arc::clone(state),
-                        running: Arc::clone(&running),
+                        running: Arc::clone(&ctx.running),
                     },
                 )?;
                 repl_addr = Some(addr);
@@ -601,16 +568,20 @@ impl Server {
                     pull_interval: rc.pull_interval,
                     failover: rc.failover,
                 };
-                let senders = senders.clone();
-                let metrics = metrics.clone();
+                let senders = Arc::clone(&senders);
+                let ctx = Arc::clone(&ctx);
                 let state = Arc::clone(state);
-                let running = Arc::clone(&running);
                 puller = Some(
                     thread::Builder::new()
                         .name("p4lru-repl-pull".to_owned())
                         .spawn(move || {
                             follower_pull_loop(
-                                &cfg, &senders, &metrics, &state, &running, init_seqs,
+                                &cfg,
+                                &senders,
+                                &ctx.metrics,
+                                &state,
+                                &ctx.running,
+                                init_seqs,
                             )
                         })?,
                 );
@@ -619,26 +590,8 @@ impl Server {
 
         let metrics_http = match &config.metrics_addr {
             Some(addr) => {
-                let metrics = metrics.clone();
-                let tracer = Arc::clone(&tracer);
-                let conns = Arc::clone(&conns);
-                let reactor = reactor.clone();
-                let frontend_name = config.frontend.name();
-                let repl = repl_state.clone();
-                Some(MetricsHttp::serve(addr, move || {
-                    let reactor_loops = reactor
-                        .as_deref()
-                        .map(reactor_snapshots)
-                        .unwrap_or_default();
-                    render_prometheus_full(
-                        &metrics,
-                        &tracer,
-                        None,
-                        Some(&conns.snapshot(frontend_name)),
-                        &reactor_loops,
-                        repl.as_deref().map(ReplState::snapshot).as_ref(),
-                    )
-                })?)
+                let ctx = Arc::clone(&ctx);
+                Some(MetricsHttp::serve(addr, move || ctx.prometheus())?)
             }
             None => None,
         };
@@ -656,33 +609,23 @@ impl Server {
                         )
                     })?;
                 let mut sampler = StatsSampler::create(&path)?;
-                let metrics = metrics.clone();
-                let tracer = Arc::clone(&tracer);
+                let ctx = Arc::clone(&ctx);
                 Some(Periodic::spawn(interval, move |tick| {
                     // A full disk (or yanked dir) must not take the data
                     // path down; the sampler just drops that tick.
-                    let _ = sampler.tick(tick, &metrics, &tracer);
+                    let _ = sampler.tick(tick, &ctx.metrics, &ctx.tracer);
                 }))
             }
             None => None,
         };
 
         Ok(Server {
-            local_addr,
-            running,
+            ctx,
             accept: Some(accept),
             shard_handles,
-            handlers,
-            senders,
-            metrics,
-            tracer,
-            conns,
-            reactor,
-            frontend: config.frontend,
             metrics_http,
             sampler,
             start_mode,
-            repl: repl_state,
             repl_addr,
             repl_accept,
             puller,
@@ -691,7 +634,7 @@ impl Server {
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.ctx.local_addr
     }
 
     /// How the data directory was brought up (volatile/fresh/recovered).
@@ -707,26 +650,18 @@ impl Server {
 
     /// The node's current replication role (`None` on a standalone node).
     pub fn role(&self) -> Option<Role> {
-        self.repl.as_ref().map(|r| r.role())
+        self.ctx.repl.as_ref().map(|r| r.role())
     }
 
     /// A stats report straight from the shards' atomic counters, with the
     /// tracer's per-stage summaries attached when tracing is on.
     pub fn stats(&self) -> StatsReport {
-        let mut report = build_report(&self.metrics, &self.tracer)
-            .with_conns(self.conns.snapshot(self.frontend.name()));
-        if let Some(reactor) = &self.reactor {
-            report = report.with_reactor(reactor_snapshots(reactor));
-        }
-        if let Some(repl) = &self.repl {
-            report = report.with_cluster(repl.snapshot());
-        }
-        report
+        self.ctx.report()
     }
 
     /// The span tracer (drain slow-op traces, read stage histograms).
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        &self.ctx.tracer
     }
 
     /// Where the Prometheus endpoint is listening, if one was configured
@@ -745,9 +680,9 @@ impl Server {
     /// Initiates shutdown from this process, tears down, and returns the
     /// final stats.
     pub fn shutdown(mut self) -> StatsReport {
-        self.running.store(false, Ordering::SeqCst);
+        self.ctx.running.store(false, Ordering::SeqCst);
         // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
+        let _ = TcpStream::connect(self.ctx.local_addr);
         self.teardown();
         self.stats()
     }
@@ -760,16 +695,10 @@ impl Server {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        let handlers = std::mem::take(&mut *self.handlers.lock().expect("handler list poisoned"));
-        for h in handlers {
-            let _ = h.join();
-        }
         // The reactor's event loops own their connection drivers (which hold
-        // `Ctx`, and through it shard senders); stopping them drops the last
-        // connections before the shard channels are declared closed.
-        if let Some(reactor) = &self.reactor {
-            reactor.shutdown();
-        }
+        // shard senders); stopping them drops the last connections before
+        // the shard channels are declared closed.
+        self.ctx.reactor.shutdown();
         // Replication threads hold shard senders too, so they must exit
         // before the shard channels can close. The puller notices
         // `running` within its bounded read timeout; the repl accept
@@ -783,10 +712,8 @@ impl Server {
             }
             let _ = accept.join();
         }
-        // Shard threads exit once every sender is gone (accept loop,
-        // handlers, and reactor drivers are done by now, so these are the
-        // last clones).
-        self.senders.clear();
+        // Shard threads exit once every sender is gone, which the joins
+        // above guarantee.
         for h in self.shard_handles.drain(..) {
             let _ = h.join();
         }
@@ -932,7 +859,7 @@ fn shard_loop(
         let gate = std::time::Instant::now();
         for (reply, seq, response, mut trace, _) in batch.drain(..) {
             tracer.stamp_at(&mut trace, Stage::Fsync, gate);
-            // A vanished handler (client hung up mid-request) is not an error.
+            // A vanished connection (client hung up mid-request) is not an error.
             reply.send((seq, response, trace));
         }
     }
@@ -951,12 +878,7 @@ fn reject_connection(stream: TcpStream, max_conns: usize) {
     let _ = write_frame(&mut stream, &out);
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    ctx: &Arc<Ctx>,
-    handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    max_conns: usize,
-) {
+fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>, senders: &ShardSenders, max_conns: usize) {
     loop {
         let (stream, _) = match listener.accept() {
             Ok(pair) => pair,
@@ -975,44 +897,27 @@ fn accept_loop(
             reject_connection(stream, max_conns);
             continue;
         }
-        if let Some(reactor) = &ctx.reactor {
-            ctx.conns.opened();
-            let conn_ctx = Arc::clone(ctx);
-            // `register` only errs before the driver exists (reactor
-            // stopping / fd registration failed) — the stream just drops.
-            if reactor
-                .register(stream, move |stream, mailbox| {
-                    ReactorConn::new(stream, mailbox, conn_ctx)
-                        .map(|c| Box::new(c) as Box<dyn p4lru_reactor::Driver<Msg = Reply>>)
-                })
-                .is_err()
-            {
-                ctx.conns.closed();
-            }
-            continue;
-        }
         ctx.conns.opened();
         let conn_ctx = Arc::clone(ctx);
-        match thread::Builder::new()
-            .name("p4lru-conn".to_owned())
-            .spawn(move || {
-                handle_connection(stream, &conn_ctx);
-                conn_ctx.conns.closed();
-            }) {
-            Ok(handle) => {
-                let mut list = handlers.lock().expect("handler list poisoned");
-                list.retain(|h| !h.is_finished());
-                list.push(handle);
-            }
-            Err(_) => ctx.conns.closed(),
+        let conn_senders = Arc::clone(senders);
+        // `register` only errs before the driver exists (reactor
+        // stopping / fd registration failed) — the stream just drops.
+        if ctx
+            .reactor
+            .register(stream, move |stream, mailbox| {
+                ReactorConn::new(stream, mailbox, conn_ctx, conn_senders)
+                    .map(|c| Box::new(c) as Box<dyn p4lru_reactor::Driver<Msg = Reply>>)
+            })
+            .is_err()
+        {
+            ctx.conns.closed();
         }
     }
 }
 
 /// Per-connection pump state: sequence counters, the reorder buffer, and
-/// the one reply sink every shard sends back on. Both front-ends run this
-/// same state machine; they differ only in how they wait (a blocking
-/// handler thread vs. a reactor driver).
+/// the one reply sink every shard sends back on — everything about a
+/// connection except its socket, which [`ReactorConn`] wraps around it.
 pub(crate) struct Conn {
     /// Sequence number the next parsed request gets.
     next_seq: u64,
@@ -1093,10 +998,9 @@ impl Conn {
 /// `flush`, finish into the tracer (stage histograms + rings), record the
 /// end-to-end latency in the owning shard's per-op histogram, and log the
 /// breakdown if it crossed the slow-op threshold. Callers invoke this only
-/// after the write buffer actually drained (a blocking `flush`, or a
-/// nonblocking flush that returned "empty") — the reactor front-end may
-/// flush a buffer across several readiness events before the traces in it
-/// complete.
+/// after the write buffer actually drained (a nonblocking flush that
+/// returned "empty") — a buffer may flush across several readiness events
+/// before the traces in it complete.
 pub(crate) fn complete_flushed(conn: &mut Conn, ctx: &Ctx) {
     for mut trace in conn.unflushed.drain(..) {
         ctx.tracer.stamp(&mut trace, Stage::Flush);
@@ -1113,112 +1017,6 @@ pub(crate) fn complete_flushed(conn: &mut Conn, ctx: &Ctx) {
     }
 }
 
-/// Flushes the write buffer to the socket (blocking), then completes the
-/// traces whose responses just hit the wire.
-fn flush_finished<W: Write>(
-    writer: &mut FrameWriter<W>,
-    conn: &mut Conn,
-    ctx: &Ctx,
-) -> io::Result<()> {
-    writer.flush()?;
-    complete_flushed(conn, ctx);
-    Ok(())
-}
-
-/// The pipelined connection pump. One thread, three obligations, strictly
-/// ordered so a blocking wait can never starve the peer:
-///
-/// 1. ship every reply that is ready, in request order;
-/// 2. park on the reply channel whenever requests are in flight (a
-///    closed-loop peer won't send more until those replies land);
-/// 3. otherwise read requests — draining frames already buffered before
-///    paying another `read` syscall — and dispatch up to the window.
-fn handle_connection(stream: TcpStream, ctx: &Ctx) {
-    // Replies must hit the wire the moment we flush.
-    let _ = stream.set_nodelay(true);
-    // Bound every read so an idle connection notices shutdown.
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = FrameReader::new(stream);
-    let mut writer = FrameWriter::new(write_half);
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let mut conn = Conn::new(ReplySink::Chan(reply_tx));
-    let mut frame = Vec::new();
-    loop {
-        // (1) Collect whatever replies already arrived and ship the ready
-        // prefix.
-        while let Ok((seq, reply, trace)) = reply_rx.try_recv() {
-            conn.park(seq, reply, trace);
-        }
-        if conn.write_ready(&mut writer, ctx).is_err() {
-            return;
-        }
-        if conn.shutdown_acked() {
-            let _ = flush_finished(&mut writer, &mut conn, ctx);
-            ctx.running.store(false, Ordering::SeqCst);
-            let _ = TcpStream::connect(ctx.local_addr); // wake the accept loop
-            return;
-        }
-
-        // (2) Read more requests only when under the window, not draining
-        // for shutdown, and — unless frames are already buffered — nothing
-        // is in flight (with requests outstanding, the next event that
-        // matters is a reply; new frames keep in the kernel buffer).
-        let may_read = conn.outstanding() < ctx.pipeline_window && conn.shutdown_at.is_none();
-        if may_read && (conn.outstanding() == 0 || reader.has_buffered_frame()) {
-            if conn.outstanding() == 0 && !reader.has_buffered_frame() {
-                // About to block on the socket: everything written so far
-                // must be visible to the peer first.
-                if flush_finished(&mut writer, &mut conn, ctx).is_err() {
-                    return;
-                }
-            }
-            match reader.read_frame(&mut frame) {
-                Ok(true) => serve(&frame, reader.take_span(), ctx, &mut conn),
-                Ok(false) => return, // clean disconnect
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if !ctx.running.load(Ordering::SeqCst) {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-            continue;
-        }
-
-        if conn.outstanding() == 0 {
-            // Nothing in flight and nothing to read: only reachable while
-            // draining a shutdown whose ack was just written (handled
-            // above), so this is unreachable — but a stray state must not
-            // spin.
-            return;
-        }
-
-        // (3) Requests are in flight: block for the next reply. Flush
-        // first — the peer may be waiting on buffered responses before it
-        // sends (or reads) anything else.
-        if flush_finished(&mut writer, &mut conn, ctx).is_err() {
-            return;
-        }
-        match reply_rx.recv_timeout(POLL_INTERVAL) {
-            Ok((seq, reply, trace)) => conn.park(seq, reply, trace),
-            Err(RecvTimeoutError::Timeout) => {
-                if !ctx.running.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
 /// Parses and dispatches one request frame under the connection's next
 /// sequence number. Keyed requests go to their shard; STATS, SHUTDOWN,
 /// and PING (and malformed frames) resolve inline but park behind any
@@ -1226,7 +1024,13 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
 /// the in-band trace context the frame carried, if any — it attaches to
 /// the request's (sampled) trace so the server's eight stages land in
 /// the same trace the upstream hop originated.
-pub(crate) fn serve(frame: &[u8], span: Option<SpanContext>, ctx: &Ctx, conn: &mut Conn) {
+pub(crate) fn serve(
+    frame: &[u8],
+    span: Option<SpanContext>,
+    ctx: &Ctx,
+    senders: &[Sender<ShardRequest>],
+    conn: &mut Conn,
+) {
     let seq = conn.next_seq;
     conn.next_seq += 1;
     let request = match Request::decode(frame) {
@@ -1296,7 +1100,7 @@ pub(crate) fn serve(frame: &[u8], span: Option<SpanContext>, ctx: &Ctx, conn: &m
             return;
         }
     };
-    let shard = shard_of(op_key(&op), ctx.senders.len());
+    let shard = shard_of(op_key(&op), senders.len());
     let mut trace = ctx
         .tracer
         .start(kind.expect("keyed ops always have a kind"), shard as u32);
@@ -1308,7 +1112,7 @@ pub(crate) fn serve(frame: &[u8], span: Option<SpanContext>, ctx: &Ctx, conn: &m
     ctx.tracer.stamp(&mut trace, Stage::Decode);
     ctx.tracer.stamp(&mut trace, Stage::Route);
     ctx.metrics[shard].queue_push();
-    if ctx.senders[shard]
+    if senders[shard]
         .send(ShardRequest {
             op,
             seq,

@@ -1,22 +1,25 @@
-//! Reactor front-end integration tests (DESIGN.md §12).
+//! Connection front-end integration tests (DESIGN.md §12).
 //!
 //! The reactor multiplexes every connection onto a fixed pool of event-loop
-//! threads, but its observable contract is identical to the threads
-//! front-end: per-connection responses in request order, pipelining capped
-//! by the server window, SHUTDOWN honored, STATS/`/metrics` served. These
+//! threads; its observable contract is per-connection responses in request
+//! order, pipelining capped by the server window, SHUTDOWN honored,
+//! STATS/`/metrics` served. These
 //! tests drive it with blocking clients — a thousand of them at once — so
 //! any edge-triggered stall (a reply that never flushes, a read that never
 //! resumes) shows up as a hang or an out-of-order reply.
 
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
+use std::time::{Duration, Instant};
 
 use p4lru_kvstore::db::record_for;
 use p4lru_obs::http::http_get;
 use p4lru_server::client::Client;
 use p4lru_server::protocol::Response;
-use p4lru_server::server::{Frontend, Server, ServerConfig};
+use p4lru_server::server::{Server, ServerConfig};
 
 const ITEMS: u64 = 200;
 
@@ -25,7 +28,6 @@ fn reactor_config() -> ServerConfig {
         items: ITEMS,
         units_per_shard: 64,
         shards: 2,
-        frontend: Frontend::Reactor,
         io_threads: 2,
         ..ServerConfig::default()
     }
@@ -151,7 +153,17 @@ fn thousand_concurrent_connections_hold_and_answer_in_order() {
         .collect();
 
     all_connected.wait();
-    let held = server.stats().conns;
+    // `connect` returns once the kernel has queued the connection; the
+    // accept thread may still be working through its backlog. Every client
+    // is parked at `release`, so waiting here cannot lose a connection.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let held = loop {
+        let held = server.stats().conns;
+        if held.current == (THREADS * CONNS_PER_THREAD) as u64 || Instant::now() > deadline {
+            break held;
+        }
+        thread::sleep(Duration::from_millis(5));
+    };
     assert_eq!(
         held.current,
         (THREADS * CONNS_PER_THREAD) as u64,
@@ -177,9 +189,9 @@ fn thousand_concurrent_connections_hold_and_answer_in_order() {
     assert_eq!(loop_conns, 0, "every connection deregistered at the end");
 }
 
-fn rejection_past_max_conns(frontend: Frontend) {
+#[test]
+fn connections_past_the_limit_get_an_err_frame() {
     let server = Server::spawn(&ServerConfig {
-        frontend,
         max_conns: 2,
         ..reactor_config()
     })
@@ -195,7 +207,7 @@ fn rejection_past_max_conns(frontend: Frontend) {
     let err = c.get(3).expect_err("past the limit there is no service");
     let _ = err;
     let stats = server.stats();
-    assert_eq!(stats.conns.frontend, frontend.name());
+    assert_eq!(stats.conns.frontend, "reactor");
     assert_eq!(stats.conns.current, 2);
     assert_eq!(stats.conns.rejected_total, 1);
     // Dropping one admitted connection frees a slot for a newcomer.
@@ -206,21 +218,11 @@ fn rejection_past_max_conns(frontend: Frontend) {
         let mut d = Client::connect(addr).unwrap();
         match d.get(4) {
             Ok(_) => break d,
-            Err(_) => std::thread::sleep(std::time::Duration::from_millis(20)),
+            Err(_) => thread::sleep(Duration::from_millis(20)),
         }
     };
     assert!(d.get(5).unwrap().is_some());
     server.shutdown();
-}
-
-#[test]
-fn connections_past_the_limit_get_an_err_frame_threads() {
-    rejection_past_max_conns(Frontend::Threads);
-}
-
-#[test]
-fn connections_past_the_limit_get_an_err_frame_reactor() {
-    rejection_past_max_conns(Frontend::Reactor);
 }
 
 #[test]
@@ -303,4 +305,45 @@ fn metrics_endpoint_exposes_connection_and_reactor_families() {
         assert!(body.contains(family), "missing {family:?} in:\n{body}");
     }
     server.shutdown();
+}
+
+/// `--frontend` is no longer an option, but the benchmark harness still
+/// passes `--frontend reactor`: that literal must keep starting the
+/// daemon, and the removed value must fail loudly rather than fall back.
+#[test]
+fn serverd_accepts_frontend_reactor_and_names_the_removal_of_threads() {
+    let serverd = |frontend: &str| {
+        Command::new(env!("CARGO_BIN_EXE_p4lru_serverd"))
+            .args(["--addr", "127.0.0.1:0", "--items", "0", "--frontend"])
+            .arg(frontend)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("serverd spawns")
+    };
+
+    let mut child = serverd("reactor");
+    let mut lines = BufReader::new(child.stdout.take().expect("stdout is piped"))
+        .lines()
+        .map(|line| line.expect("serverd stdout is readable"));
+    let banner = lines
+        .find(|line| line.contains("listening on "))
+        .expect("serverd printed its listen banner");
+    let addr = banner
+        .split("listening on ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .expect("address after 'listening on'");
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    // Drain to EOF: the daemon prints its final stats into this pipe.
+    lines.for_each(drop);
+    assert!(child.wait().unwrap().success());
+
+    let refused = serverd("threads").wait_with_output().unwrap();
+    assert!(!refused.status.success());
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(
+        stderr.contains("the threads front-end was removed in PR 12"),
+        "stderr must name the removal: {stderr}"
+    );
 }

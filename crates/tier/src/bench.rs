@@ -12,7 +12,7 @@ use std::io;
 
 use p4lru_kvstore::db::record_for;
 use p4lru_netsim::SwitchHop;
-use p4lru_server::{LatencyHistogram, Server, ServerConfig, StatsReport};
+use p4lru_server::{Server, ServerConfig, StatsReport};
 use p4lru_traffic::ycsb::Op;
 use p4lru_traffic::{HotFlipConfig, ScanConfig};
 
@@ -121,10 +121,6 @@ pub struct DeploymentResult {
     pub p99_us: f64,
 }
 
-fn quantile_us(hist: &LatencyHistogram, q: f64) -> f64 {
-    hist.quantile_ns(q).unwrap_or(0) as f64 / 1_000.0
-}
-
 fn ops_for(workload: Workload, cfg: &TierBenchConfig) -> Vec<Op> {
     match workload {
         Workload::YcsbB => p4lru_traffic::ycsb::YcsbConfig {
@@ -189,9 +185,9 @@ pub fn run_two_tier(workload: Workload, cfg: &TierBenchConfig) -> io::Result<Dep
         .tier
         .as_ref()
         .expect("gateway stats always carry the tier section");
-    let p50 = quantile_us(gateway.latency(), 0.50);
-    let p95 = quantile_us(gateway.latency(), 0.95);
-    let p99 = quantile_us(gateway.latency(), 0.99);
+    let p50 = gateway.latency().quantile_us(0.50);
+    let p95 = gateway.latency().quantile_us(0.95);
+    let p99 = gateway.latency().quantile_us(0.99);
     drop(gateway);
     let _ = server.shutdown();
     let gets = gets_in(&ops);
@@ -226,9 +222,9 @@ pub fn run_server_only(workload: Workload, cfg: &TierBenchConfig) -> io::Result<
         }
     }
     let report: StatsReport = driver.stats()?;
-    let p50 = quantile_us(driver.latency(), 0.50);
-    let p95 = quantile_us(driver.latency(), 0.95);
-    let p99 = quantile_us(driver.latency(), 0.99);
+    let p50 = driver.latency().quantile_us(0.50);
+    let p95 = driver.latency().quantile_us(0.95);
+    let p99 = driver.latency().quantile_us(0.99);
     drop(driver);
     let _ = server.shutdown();
     Ok(DeploymentResult {

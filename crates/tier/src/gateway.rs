@@ -19,8 +19,9 @@ use std::time::Instant;
 
 use p4lru_kvstore::Record;
 use p4lru_netsim::SwitchHop;
+use p4lru_obs::HistSnapshot;
 use p4lru_server::shard::record_from_bytes;
-use p4lru_server::{Client, LatencyHistogram, StatsReport};
+use p4lru_server::{Client, StatsReport};
 
 use crate::counters::TierCounters;
 use crate::switch::{SwitchTier, SwitchTierConfig};
@@ -53,7 +54,7 @@ pub struct TierGateway {
     switch: SwitchTier,
     upstream: Client,
     hop: SwitchHop,
-    latency: LatencyHistogram,
+    latency: HistSnapshot,
 }
 
 impl TierGateway {
@@ -63,7 +64,7 @@ impl TierGateway {
             switch: SwitchTier::new(&config.switch),
             upstream: Client::connect(addr)?,
             hop: config.hop.clone(),
-            latency: LatencyHistogram::new(),
+            latency: HistSnapshot::empty(),
         })
     }
 
@@ -138,7 +139,7 @@ impl TierGateway {
     }
 
     /// Client-observed latency (modeled wire + measured server time).
-    pub fn latency(&self) -> &LatencyHistogram {
+    pub fn latency(&self) -> &HistSnapshot {
         &self.latency
     }
 
@@ -154,7 +155,7 @@ impl TierGateway {
 pub struct DirectDriver {
     upstream: Client,
     hop: SwitchHop,
-    latency: LatencyHistogram,
+    latency: HistSnapshot,
 }
 
 impl DirectDriver {
@@ -163,7 +164,7 @@ impl DirectDriver {
         Ok(Self {
             upstream: Client::connect(addr)?,
             hop,
-            latency: LatencyHistogram::new(),
+            latency: HistSnapshot::empty(),
         })
     }
 
@@ -203,7 +204,7 @@ impl DirectDriver {
     }
 
     /// Client-observed latency (modeled wire + measured server time).
-    pub fn latency(&self) -> &LatencyHistogram {
+    pub fn latency(&self) -> &HistSnapshot {
         &self.latency
     }
 

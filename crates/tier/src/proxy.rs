@@ -101,6 +101,17 @@ impl Shared {
             None
         }
     }
+
+    /// Expels the switch copy of `key` and bumps the admission epoch. A
+    /// SET/DEL calls this twice (coherence rules 1 and 3 in
+    /// [`crate::switch`]): before forwarding, and again once the upstream
+    /// answered — whatever it answered, since a write that errored may
+    /// still have been applied. The second call is what catches a GET that
+    /// missed after the first, was served the old value upstream ahead of
+    /// the write, and admitted it under the still-current epoch.
+    fn invalidate(&self, key: u64) {
+        self.switch.lock().expect("switch poisoned").invalidate(key);
+    }
 }
 
 /// A running tier proxy; stop with [`TierProxy::shutdown`] or wait for a
@@ -230,7 +241,7 @@ fn accept_loop(
         let shared = Arc::clone(shared);
         if let Ok(handle) = thread::Builder::new()
             .name("p4lru-tier-conn".to_owned())
-            .spawn(move || handle_connection(stream, &shared))
+            .spawn(move || proxy_connection(stream, &shared))
         {
             let mut list = handlers.lock().expect("handler list poisoned");
             list.retain(|h| !h.is_finished());
@@ -242,7 +253,7 @@ fn accept_loop(
 /// Serves one downstream connection, closed-loop: read a frame, answer it,
 /// repeat. (The pipelined fan-out lives in serverd; the proxy's job is the
 /// tier logic, and its hit path never blocks on the upstream anyway.)
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
+fn proxy_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let Ok(write_half) = stream.try_clone() else {
@@ -359,28 +370,24 @@ fn serve(
         }
         Request::Set { key, ref value } => {
             shared.counters.set();
-            shared
-                .switch
-                .lock()
-                .expect("switch poisoned")
-                .invalidate(key);
+            shared.invalidate(key);
             shared.counters.forward();
             upstream.set_next_span(span);
-            match upstream.set(key, value) {
+            let result = upstream.set(key, value);
+            shared.invalidate(key);
+            match result {
                 Ok(()) => Response::Ok,
                 Err(e) => Response::Err(format!("upstream SET failed: {e}")),
             }
         }
         Request::Del { key } => {
             shared.counters.del();
-            shared
-                .switch
-                .lock()
-                .expect("switch poisoned")
-                .invalidate(key);
+            shared.invalidate(key);
             shared.counters.forward();
             upstream.set_next_span(span);
-            match upstream.del(key) {
+            let result = upstream.del(key);
+            shared.invalidate(key);
+            match result {
                 Ok(true) => Response::Ok,
                 Ok(false) => Response::NotFound,
                 Err(e) => Response::Err(format!("upstream DEL failed: {e}")),

@@ -8,7 +8,7 @@
 //! addresses, and a flat `Vec<Record>` plays the register file, with a
 //! free-list recycling slots as index evictions release them.
 //!
-//! Coherence with the server tier rests on two rules (DESIGN.md §11):
+//! Coherence with the server tier rests on three rules (DESIGN.md §11):
 //!
 //! 1. **Invalidate-before-forward** — every SET/DEL expels the switch copy
 //!    *before* being forwarded, so a later GET cannot hit stale data.
@@ -17,6 +17,13 @@
 //!    no invalidation bumped the epoch in between. Without the guard, a
 //!    concurrent writer could slip a SET between the server read and the
 //!    admission, re-installing the overwritten value.
+//! 3. **Invalidate-again-on-ack** — once the server answers a SET/DEL, and
+//!    before the client is answered, the key is invalidated a second time.
+//!    A GET that missed after rule 1's invalidation, was applied upstream
+//!    *ahead of* the write and admitted the old value under a still-current
+//!    epoch is expelled; one still in flight fails rule 2's guard. Needed
+//!    only where GETs and writes race on separate upstream connections
+//!    (the proxy); the single-connection gateway cannot interleave them.
 
 use std::sync::Arc;
 
