@@ -138,7 +138,7 @@ fn merge_stats(reports: Vec<(String, StatsReport)>) -> StatsReport {
     for (_, report) in reports {
         let offset = shards.len() as u64;
         for mut s in report.shards {
-            s.shard += offset;
+            s.shard = s.shard.saturating_add(offset);
             shards.push(s);
         }
     }

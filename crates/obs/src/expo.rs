@@ -2,9 +2,11 @@
 //!
 //! [`Expo`] is a small builder that renders `# HELP` / `# TYPE` metadata,
 //! escaped label values, and histogram series with cumulative `le` buckets.
-//! It writes the wire text directly — no intermediate metric registry —
-//! because the server already owns its counters and snapshots; the builder
-//! only has to get the format details right:
+//! It writes the wire text directly: the server already owns its counters
+//! and snapshots, and which families exist is decided at compile time by
+//! the [`metric_set!`](crate::metric_set) tables (plus the few hand-written
+//! families beside them), so the builder only has to get the format details
+//! right:
 //!
 //! - label *values* escape `\` → `\\`, `"` → `\"`, and newline → `\n`
 //!   (metric and label names are restricted to `[a-zA-Z_:][a-zA-Z0-9_:]*`
@@ -116,6 +118,11 @@ impl Expo {
         self.out.push_str(&fmt_value(value));
         self.out.push('\n');
         self
+    }
+
+    /// Emits a family of one unlabelled sample: metadata plus its value.
+    pub fn scalar(&mut self, name: &str, kind: &str, help: &str, value: f64) -> &mut Self {
+        self.meta(name, kind, help).sample(name, &[], value)
     }
 
     /// Emits a full histogram family from a log₂ nanosecond snapshot:

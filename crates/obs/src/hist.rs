@@ -10,6 +10,15 @@
 //! exactly (bucket-wise addition), which is how per-shard histograms roll up
 //! into totals — and which single-owner recorders (the load generators'
 //! client-side latencies) record into directly.
+//!
+//! **Folds saturate.** A snapshot can be rebuilt from STATS JSON a peer sent
+//! (the router and `cluster_top` merge other nodes' reports), so its counts
+//! are outside input: every addition that combines snapshots — `merge`,
+//! `from_buckets`, the running rank in `quantile_ns`, the `Sum` rule of
+//! `metric_set!` — clamps at `u64::MAX` rather than panic a debug build or
+//! wrap a release one. Recording is different: one owner counting its own
+//! samples cannot reach 2⁶⁴, and `sum_ns` wraps there exactly as the
+//! atomic's `fetch_add` does.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -106,7 +115,7 @@ impl HistSnapshot {
         for (slot, &v) in b.iter_mut().zip(buckets.iter()) {
             *slot = v;
         }
-        let count = b.iter().sum();
+        let count = b.iter().fold(0u64, |sum, &n| sum.saturating_add(n));
         Self {
             buckets: b,
             count,
@@ -123,13 +132,14 @@ impl HistSnapshot {
         self.sum_ns = self.sum_ns.wrapping_add(ns);
     }
 
-    /// Adds another snapshot's samples into this one (exact: bucket-wise).
+    /// Adds another snapshot's samples into this one (exact: bucket-wise;
+    /// saturating — see the module docs).
     pub fn merge(&mut self, other: &HistSnapshot) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
+            *b = b.saturating_add(*o);
         }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
+        self.count = self.count.saturating_add(other.count);
+        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
     }
 
     /// The approximate `q`-quantile in nanoseconds (`q` in `[0, 1]`), read
@@ -139,9 +149,9 @@ impl HistSnapshot {
             return None;
         }
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
+        let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
+            seen = seen.saturating_add(n);
             if seen >= rank {
                 let lo = 1u64 << i;
                 return Some((lo as f64 * std::f64::consts::SQRT_2) as u64);
@@ -235,6 +245,19 @@ mod tests {
         assert_eq!(m.sum_ns, 300 + (1 << 30));
         assert_eq!(m.buckets.iter().sum::<u64>(), 3);
         assert!(m.quantile_ns(1.0).unwrap() > 1 << 29);
+    }
+
+    #[test]
+    fn folding_hostile_counts_saturates_instead_of_overflowing() {
+        let full = HistSnapshot::from_buckets(&[u64::MAX; BUCKETS]);
+        assert_eq!(full.count, u64::MAX);
+        let mut m = full.clone();
+        m.sum_ns = u64::MAX;
+        m.merge(&m.clone());
+        assert_eq!(m.count, u64::MAX);
+        assert_eq!(m.sum_ns, u64::MAX);
+        assert!(m.buckets.iter().all(|&n| n == u64::MAX));
+        assert!(m.quantile_ns(0.99).is_some());
     }
 
     #[test]

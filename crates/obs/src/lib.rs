@@ -17,6 +17,10 @@
 //! - [`expo`] — Prometheus text-format (version 0.0.4) exposition: `# HELP`
 //!   / `# TYPE` metadata, label escaping, and cumulative `le` histogram
 //!   buckets.
+//! - [`metric_set!`] — one declarative table per metric set: the atomic
+//!   counters, their snapshot struct, the cross-shard fold and the
+//!   Prometheus families are all generated from one row per metric
+//!   (see [`mod@metric_set`]).
 //! - [`http::MetricsHttp`] — a minimal std-only HTTP/1.1 GET handler
 //!   serving `/metrics` from a render callback (`serverd --metrics-addr`).
 //! - [`sampler::Periodic`] — a background thread invoking a callback on a
@@ -40,6 +44,7 @@
 pub mod expo;
 pub mod hist;
 pub mod http;
+pub mod metric_set;
 pub mod sampler;
 pub mod span;
 pub mod trace;

@@ -16,24 +16,20 @@ use p4lru_obs::trace::{STAGES, STAGE_NAMES};
 use p4lru_obs::{Expo, Tracer};
 use serde::{Deserialize, Serialize};
 
-#[cfg(test)]
-use crate::metrics::LatencySummary;
 use crate::metrics::{
     ClusterSnapshot, ConnSnapshot, ReactorLoopSnapshot, ShardMetrics, ShardSnapshot, StageSummary,
     StatsReport, TierSnapshot,
 };
 
+fn shard_snapshots(metrics: &[Arc<ShardMetrics>]) -> Vec<ShardSnapshot> {
+    (0..).zip(metrics).map(|(i, m)| m.snapshot(i)).collect()
+}
+
 /// Builds the STATS report: per-shard snapshots, their totals, and — when
 /// tracing is on — per-stage duration summaries from the tracer. `decode`
 /// is skipped: it is the trace's time origin, so it has no duration.
 pub fn build_report(metrics: &[Arc<ShardMetrics>], tracer: &Tracer) -> StatsReport {
-    let report = StatsReport::from_shards(
-        metrics
-            .iter()
-            .enumerate()
-            .map(|(i, m)| m.snapshot(i))
-            .collect(),
-    );
+    let report = StatsReport::from_shards(shard_snapshots(metrics));
     if !tracer.is_enabled() {
         return report;
     }
@@ -46,107 +42,57 @@ pub fn build_report(metrics: &[Arc<ShardMetrics>], tracer: &Tracer) -> StatsRepo
     report.with_stages(stages)
 }
 
-/// Emits one metric family with a per-shard sample.
-fn family(
-    e: &mut Expo,
-    shards: &[ShardSnapshot],
-    name: &str,
-    kind: &str,
-    help: &str,
-    value: impl Fn(&ShardSnapshot) -> f64,
-) {
-    e.meta(name, kind, help);
-    for s in shards {
-        let shard = s.shard.to_string();
-        e.sample(name, &[("shard", &shard)], value(s));
-    }
-}
-
-/// Emits the switch-tier metric families into an exposition. Used both by
-/// the two-tier proxy's own `/metrics` endpoint and by
-/// [`render_prometheus_with_tier`] when a gateway co-locates with the
-/// server renderer.
-pub fn tier_families(e: &mut Expo, t: &TierSnapshot) {
-    e.meta(
-        "p4lru_tier_requests_total",
-        "counter",
-        "Client requests routed through the switch tier.",
-    )
-    .sample(
-        "p4lru_tier_requests_total",
-        &[],
-        (t.gets + t.sets + t.dels) as f64,
-    );
-    e.meta(
-        "p4lru_tier_hits_total",
-        "counter",
-        "GETs answered entirely at the switch tier.",
-    )
-    .sample("p4lru_tier_hits_total", &[], t.hits as f64);
+/// The per-level breakdown of the tier's hits. Called by the `hits` row of
+/// the [`TierSnapshot`] table, so it sits right after `p4lru_tier_hits_total`.
+pub(crate) fn tier_level_hits(e: &mut Expo, tiers: &[TierSnapshot]) {
     e.meta(
         "p4lru_tier_level_hits_total",
         "counter",
         "Switch-tier hits by series level (0 = front array).",
     );
-    for (level, &hits) in t.level_hits.iter().enumerate() {
-        let level = level.to_string();
-        e.sample(
-            "p4lru_tier_level_hits_total",
-            &[("level", &level)],
-            hits as f64,
-        );
+    for t in tiers {
+        for (level, &hits) in t.level_hits.iter().enumerate() {
+            let level = level.to_string();
+            e.sample(
+                "p4lru_tier_level_hits_total",
+                &[("level", &level)],
+                hits as f64,
+            );
+        }
     }
-    e.meta(
-        "p4lru_tier_forwarded_total",
+}
+
+/// Emits the switch-tier metric families into an exposition — what the
+/// two-tier proxy's own `/metrics` endpoint serves. The table rows come
+/// from [`TierSnapshot::families`]; the request total and the two ratios
+/// are derived from several rows, so they are written here.
+pub fn tier_families(e: &mut Expo, t: &TierSnapshot) {
+    e.scalar(
+        "p4lru_tier_requests_total",
         "counter",
-        "Requests forwarded to the server (misses plus all writes).",
-    )
-    .sample("p4lru_tier_forwarded_total", &[], t.forwarded as f64);
-    e.meta(
-        "p4lru_tier_invalidations_total",
-        "counter",
-        "Switch entries expelled by invalidate-before-forward.",
-    )
-    .sample(
-        "p4lru_tier_invalidations_total",
-        &[],
-        t.invalidations as f64,
+        "Client requests routed through the switch tier.",
+        (t.gets + t.sets + t.dels) as f64,
     );
-    e.meta(
-        "p4lru_tier_inserts_total",
-        "counter",
-        "Miss replies admitted into the switch tier.",
-    )
-    .sample("p4lru_tier_inserts_total", &[], t.inserts as f64);
-    e.meta(
-        "p4lru_tier_evictions_total",
-        "counter",
-        "Entries pushed out of the last series level.",
-    )
-    .sample("p4lru_tier_evictions_total", &[], t.evictions as f64);
-    e.meta(
-        "p4lru_tier_stale_drops_total",
-        "counter",
-        "Miss replies not admitted because an invalidation raced them.",
-    )
-    .sample("p4lru_tier_stale_drops_total", &[], t.stale_drops as f64);
-    e.meta(
+    TierSnapshot::families(e, std::slice::from_ref(t), None);
+    e.scalar(
         "p4lru_tier_hit_rate",
         "gauge",
         "Switch-tier GET hit rate (hits / gets).",
-    )
-    .sample("p4lru_tier_hit_rate", &[], t.hit_rate);
-    e.meta(
+        t.hit_rate,
+    );
+    e.scalar(
         "p4lru_tier_offload_ratio",
         "gauge",
         "Fraction of all client requests the server never saw.",
-    )
-    .sample("p4lru_tier_offload_ratio", &[], t.offload_ratio);
+        t.offload_ratio,
+    );
 }
 
-/// Emits the replication/cluster families (`p4lru_cluster_*`). The role is
-/// exposed as a pair of labeled 0/1 gauges so a promotion shows up as an
-/// edge on both series; watermarks are per-shard gauges.
+/// Emits the replication/cluster families (`p4lru_cluster_*`,
+/// `p4lru_repl_*`): the counter rows of the [`ClusterSnapshot`] table,
+/// between the families no row can express. The role is exposed as a pair
+/// of labeled 0/1 gauges so a promotion shows up as an edge on both series;
+/// watermarks and lag are per-shard gauges; the two timings are histograms.
 pub fn cluster_families(e: &mut Expo, c: &ClusterSnapshot) {
     e.meta(
         "p4lru_cluster_role",
@@ -157,102 +103,13 @@ pub fn cluster_families(e: &mut Expo, c: &ClusterSnapshot) {
         let on = if c.role == role { 1.0 } else { 0.0 };
         e.sample("p4lru_cluster_role", &[("role", role)], on);
     }
-    e.meta(
+    e.scalar(
         "p4lru_cluster_ack_mode",
         "gauge",
         "1 when mutation acks wait for the replicated watermark.",
-    )
-    .sample(
-        "p4lru_cluster_ack_mode",
-        &[],
         if c.ack_mode { 1.0 } else { 0.0 },
     );
-    e.meta(
-        "p4lru_cluster_promotions_total",
-        "counter",
-        "Follower-to-primary promotions (failover events).",
-    )
-    .sample("p4lru_cluster_promotions_total", &[], c.promotions as f64);
-    e.meta(
-        "p4lru_cluster_pulls_served_total",
-        "counter",
-        "Replication PULL requests served to followers.",
-    )
-    .sample(
-        "p4lru_cluster_pulls_served_total",
-        &[],
-        c.pulls_served as f64,
-    );
-    e.meta(
-        "p4lru_cluster_records_shipped_total",
-        "counter",
-        "WAL records shipped to followers.",
-    )
-    .sample(
-        "p4lru_cluster_records_shipped_total",
-        &[],
-        c.records_shipped as f64,
-    );
-    e.meta(
-        "p4lru_cluster_bytes_shipped_total",
-        "counter",
-        "WAL bytes shipped to followers.",
-    )
-    .sample(
-        "p4lru_cluster_bytes_shipped_total",
-        &[],
-        c.bytes_shipped as f64,
-    );
-    e.meta(
-        "p4lru_cluster_snapshots_shipped_total",
-        "counter",
-        "Snapshots shipped for follower catch-up.",
-    )
-    .sample(
-        "p4lru_cluster_snapshots_shipped_total",
-        &[],
-        c.snapshots_shipped as f64,
-    );
-    e.meta(
-        "p4lru_cluster_records_applied_total",
-        "counter",
-        "Replicated WAL records applied locally.",
-    )
-    .sample(
-        "p4lru_cluster_records_applied_total",
-        &[],
-        c.records_applied as f64,
-    );
-    e.meta(
-        "p4lru_cluster_snapshots_installed_total",
-        "counter",
-        "Shipped snapshots installed locally.",
-    )
-    .sample(
-        "p4lru_cluster_snapshots_installed_total",
-        &[],
-        c.snapshots_installed as f64,
-    );
-    e.meta(
-        "p4lru_cluster_pull_rejects_total",
-        "counter",
-        "Malformed or mismatched pull exchanges rejected.",
-    )
-    .sample(
-        "p4lru_cluster_pull_rejects_total",
-        &[],
-        c.pull_rejects as f64,
-    );
-    e.meta(
-        "p4lru_cluster_ack_timeouts_total",
-        "counter",
-        "Ack-mode batches that timed out awaiting replication.",
-    )
-    .sample(
-        "p4lru_cluster_ack_timeouts_total",
-        &[],
-        c.ack_timeouts as f64,
-    );
+    ClusterSnapshot::families(e, std::slice::from_ref(c), None);
     e.meta(
         "p4lru_cluster_watermark",
         "gauge",
@@ -271,18 +128,18 @@ pub fn cluster_families(e: &mut Expo, c: &ClusterSnapshot) {
         let shard = shard.to_string();
         e.sample("p4lru_repl_lag_seqs", &[("shard", &shard)], lag as f64);
     }
-    e.meta(
+    e.scalar(
         "p4lru_repl_lag_bytes",
         "gauge",
         "Estimated replication lag in WAL bytes (lag times average record size).",
-    )
-    .sample("p4lru_repl_lag_bytes", &[], c.lag_bytes as f64);
-    e.meta(
+        c.lag_bytes as f64,
+    );
+    e.scalar(
         "p4lru_repl_pull_age_ms",
         "gauge",
         "Milliseconds since the last completed replication pull round trip.",
-    )
-    .sample("p4lru_repl_pull_age_ms", &[], c.pull_age_ms as f64);
+        c.pull_age_ms as f64,
+    );
     e.meta(
         "p4lru_repl_pull_rtt_seconds",
         "histogram",
@@ -301,304 +158,27 @@ pub fn cluster_families(e: &mut Expo, c: &ClusterSnapshot) {
     );
 }
 
-/// Emits the connection-accounting families: current gauge, accepted and
-/// rejected totals, labeled by front-end.
-pub fn conn_families(e: &mut Expo, c: &ConnSnapshot) {
-    let frontend = c.frontend.as_str();
-    e.meta(
-        "p4lru_connections",
-        "gauge",
-        "Connections currently in service.",
-    )
-    .sample(
-        "p4lru_connections",
-        &[("frontend", frontend)],
-        c.current as f64,
-    );
-    e.meta(
-        "p4lru_connections_total",
-        "counter",
-        "Connections accepted since startup.",
-    )
-    .sample(
-        "p4lru_connections_total",
-        &[("frontend", frontend)],
-        c.accepted_total as f64,
-    );
-    e.meta(
-        "p4lru_conn_rejected_total",
-        "counter",
-        "Connections rejected at the --max-conns accept limit.",
-    )
-    .sample(
-        "p4lru_conn_rejected_total",
-        &[("frontend", frontend)],
-        c.rejected_total as f64,
-    );
-}
-
-/// Emits one per-io-thread reactor family.
-fn reactor_family(
-    e: &mut Expo,
-    loops: &[ReactorLoopSnapshot],
-    name: &str,
-    kind: &str,
-    help: &str,
-    value: impl Fn(&ReactorLoopSnapshot) -> f64,
-) {
-    e.meta(name, kind, help);
-    for l in loops {
-        let io_thread = l.io_thread.to_string();
-        e.sample(name, &[("io_thread", &io_thread)], value(l));
-    }
-}
-
-/// Emits the reactor loop families (one sample per I/O thread). Callers
-/// skip this entirely under the threaded front-end — an absent family
-/// reads better than a zero-thread one.
-pub fn reactor_families(e: &mut Expo, loops: &[ReactorLoopSnapshot]) {
-    reactor_family(
-        e,
-        loops,
-        "p4lru_reactor_turns_total",
-        "counter",
-        "Reactor loop turns (one epoll_wait harvest each).",
-        |l| l.turns as f64,
-    );
-    reactor_family(
-        e,
-        loops,
-        "p4lru_reactor_events_total",
-        "counter",
-        "Socket readiness events harvested by the reactor.",
-        |l| l.events as f64,
-    );
-    reactor_family(
-        e,
-        loops,
-        "p4lru_reactor_wakeups_total",
-        "counter",
-        "Eventfd wakeups (coalesced shard-reply signals).",
-        |l| l.wakeups as f64,
-    );
-    reactor_family(
-        e,
-        loops,
-        "p4lru_reactor_messages_total",
-        "counter",
-        "Messages (shard replies) delivered to connection drivers.",
-        |l| l.messages as f64,
-    );
-    reactor_family(
-        e,
-        loops,
-        "p4lru_reactor_connections",
-        "gauge",
-        "Connections currently owned by each reactor I/O thread.",
-        |l| l.connections as f64,
-    );
-}
-
-/// Renders the full Prometheus text-format document served at `/metrics`.
-pub fn render_prometheus(metrics: &[Arc<ShardMetrics>], tracer: &Tracer) -> String {
-    render_prometheus_full(metrics, tracer, None, None, &[], None)
-}
-
-/// [`render_prometheus`] plus the switch-tier families, for deployments
-/// where a two-tier gateway shares the renderer with the server counters.
-pub fn render_prometheus_with_tier(
+/// Renders the full Prometheus text-format document served at `/metrics`:
+/// the shard table's families and request histograms, the tracer families
+/// when tracing is on, and — when provided — the connection-accounting,
+/// reactor-loop (one sample per I/O thread) and cluster sections.
+pub fn render_prometheus(
     metrics: &[Arc<ShardMetrics>],
     tracer: &Tracer,
-    tier: Option<&TierSnapshot>,
-) -> String {
-    render_prometheus_full(metrics, tracer, tier, None, &[], None)
-}
-
-/// The complete renderer: shard and tracer families, plus — when provided —
-/// the tier, connection-accounting, reactor-loop, and cluster sections. The
-/// server's `/metrics` endpoint calls this with whatever its front-end
-/// maintains.
-pub fn render_prometheus_full(
-    metrics: &[Arc<ShardMetrics>],
-    tracer: &Tracer,
-    tier: Option<&TierSnapshot>,
     conns: Option<&ConnSnapshot>,
     reactor: &[ReactorLoopSnapshot],
     cluster: Option<&ClusterSnapshot>,
 ) -> String {
-    let shards: Vec<ShardSnapshot> = metrics
-        .iter()
-        .enumerate()
-        .map(|(i, m)| m.snapshot(i))
-        .collect();
+    let shards = shard_snapshots(metrics);
     let mut e = Expo::new();
 
-    e.meta("p4lru_shards", "gauge", "Number of shards.").sample(
+    e.scalar(
         "p4lru_shards",
-        &[],
+        "gauge",
+        "Number of shards.",
         shards.len() as f64,
     );
-
-    family(
-        &mut e,
-        &shards,
-        "p4lru_hits_total",
-        "counter",
-        "GETs answered from the front cache.",
-        |s| s.hits as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_misses_total",
-        "counter",
-        "GETs that walked the backing index.",
-        |s| s.misses as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_absent_total",
-        "counter",
-        "GETs for keys not in the backing store.",
-        |s| s.absent as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_sets_total",
-        "counter",
-        "SETs applied.",
-        |s| s.sets as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_dels_total",
-        "counter",
-        "DELs applied.",
-        |s| s.dels as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_evictions_total",
-        "counter",
-        "Front-cache entries evicted.",
-        |s| s.evictions as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_index_visits_total",
-        "counter",
-        "B+Tree nodes visited on slow paths.",
-        |s| s.index_visits as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_index_height",
-        "gauge",
-        "Current B+Tree height of the backing index.",
-        |s| s.index_height as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_index_descent_hits_total",
-        "counter",
-        "Index lookups answered by the B+Tree descent cache.",
-        |s| s.index_descent_hits as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_wal_appends_total",
-        "counter",
-        "WAL records appended.",
-        |s| s.wal_appends as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_wal_fsyncs_total",
-        "counter",
-        "WAL fsyncs issued (group commit).",
-        |s| s.wal_fsyncs as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_wal_fsync_seconds_total",
-        "counter",
-        "Total time spent in WAL fsyncs.",
-        |s| s.wal_fsync_ns as f64 / 1e9,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_snapshots_total",
-        "counter",
-        "Snapshots sealed since startup.",
-        |s| s.snapshots as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_commit_batches_total",
-        "counter",
-        "Commit batches run (one group commit each).",
-        |s| s.batches as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_commit_batch_ops_total",
-        "counter",
-        "Requests covered by commit batches.",
-        |s| s.batch_ops as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_store_len",
-        "gauge",
-        "Records currently in the backing store.",
-        |s| s.store_len as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_queue_depth",
-        "gauge",
-        "Requests queued on the shard channel.",
-        |s| s.queue_depth as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_recovery_seconds",
-        "gauge",
-        "Wall time of the last startup recovery.",
-        |s| s.recovery_us as f64 / 1e6,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_recovery_replayed",
-        "gauge",
-        "WAL records replayed by the last startup recovery.",
-        |s| s.recovery_replayed as f64,
-    );
-    family(
-        &mut e,
-        &shards,
-        "p4lru_recovery_torn",
-        "gauge",
-        "1 if the last recovery skipped a torn final WAL record.",
-        |s| s.recovery_torn as f64,
-    );
+    ShardSnapshot::families(&mut e, &shards, Some(("shard", |s| s.shard.to_string())));
 
     e.meta(
         "p4lru_request_seconds",
@@ -633,32 +213,34 @@ pub fn render_prometheus_full(
                 &tracer.stage_snapshot(stage),
             );
         }
-        e.meta(
+        e.scalar(
             "p4lru_traced_requests_total",
             "counter",
             "Requests whose lifecycle trace completed.",
-        )
-        .sample(
-            "p4lru_traced_requests_total",
-            &[],
             tracer.finished_count() as f64,
         );
-        e.meta(
+        e.scalar(
             "p4lru_slow_ops_total",
             "counter",
             "Traced requests past the slow-op threshold.",
-        )
-        .sample("p4lru_slow_ops_total", &[], tracer.slow_op_count() as f64);
+            tracer.slow_op_count() as f64,
+        );
     }
 
-    if let Some(t) = tier {
-        tier_families(&mut e, t);
-    }
     if let Some(c) = conns {
-        conn_families(&mut e, c);
+        ConnSnapshot::families(
+            &mut e,
+            std::slice::from_ref(c),
+            Some(("frontend", |c| c.frontend.clone())),
+        );
     }
+    // No loops, no families: an absent family reads better than an empty one.
     if !reactor.is_empty() {
-        reactor_families(&mut e, reactor);
+        ReactorLoopSnapshot::families(
+            &mut e,
+            reactor,
+            Some(("io_thread", |l| l.io_thread.to_string())),
+        );
     }
     if let Some(c) = cluster {
         cluster_families(&mut e, c);
@@ -772,6 +354,7 @@ impl StatsSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::LatencySummary;
     use p4lru_obs::trace::{OpKind, Stage};
     use p4lru_obs::ObsConfig;
 
@@ -816,7 +399,7 @@ mod tests {
     #[test]
     fn prometheus_document_covers_counters_gauges_and_histograms() {
         let (metrics, tracer) = sources();
-        let text = render_prometheus(&metrics, &tracer);
+        let text = render_prometheus(&metrics, &tracer, None, &[], None);
         assert!(text.contains("# TYPE p4lru_hits_total counter"));
         assert!(text.contains("p4lru_hits_total{shard=\"0\"} 1\n"));
         assert!(text.contains("p4lru_hits_total{shard=\"1\"} 0\n"));
@@ -840,7 +423,7 @@ mod tests {
             enabled: false,
             ..ObsConfig::default()
         });
-        let text = render_prometheus(&metrics, &tracer);
+        let text = render_prometheus(&metrics, &tracer, None, &[], None);
         assert!(!text.contains("p4lru_stage_seconds"));
         assert!(!text.contains("p4lru_traced_requests_total"));
         assert!(text.contains("p4lru_hits_total{shard=\"0\"} 1\n"));
@@ -865,7 +448,9 @@ mod tests {
             offload_ratio: 0.0,
         }
         .with_ratios();
-        let text = render_prometheus_with_tier(&metrics, &tracer, Some(&tier));
+        let mut e = Expo::new();
+        tier_families(&mut e, &tier);
+        let text = render_prometheus(&metrics, &tracer, None, &[], None) + &e.finish();
         assert!(text.contains("# TYPE p4lru_tier_hits_total counter"));
         assert!(text.contains("p4lru_tier_hits_total 70\n"));
         assert!(text.contains("p4lru_tier_requests_total 120\n"));
@@ -877,7 +462,7 @@ mod tests {
         // The server families are still there, untouched.
         assert!(text.contains("p4lru_hits_total{shard=\"0\"} 1\n"));
         // And the plain renderer emits no tier families at all.
-        assert!(!render_prometheus(&metrics, &tracer).contains("p4lru_tier_"));
+        assert!(!render_prometheus(&metrics, &tracer, None, &[], None).contains("p4lru_tier_"));
     }
 
     #[test]
@@ -907,7 +492,7 @@ mod tests {
                 connections: 5,
             },
         ];
-        let text = render_prometheus_full(&metrics, &tracer, None, Some(&conns), &loops, None);
+        let text = render_prometheus(&metrics, &tracer, Some(&conns), &loops, None);
         assert!(text.contains("# TYPE p4lru_connections gauge"));
         assert!(text.contains("p4lru_connections{frontend=\"reactor\"} 11\n"));
         assert!(text.contains("p4lru_connections_total{frontend=\"reactor\"} 13\n"));
@@ -920,7 +505,7 @@ mod tests {
         // The shard families are still there, untouched.
         assert!(text.contains("p4lru_hits_total{shard=\"0\"} 1\n"));
         // And without the sections, none of the families appear.
-        let bare = render_prometheus(&metrics, &tracer);
+        let bare = render_prometheus(&metrics, &tracer, None, &[], None);
         assert!(!bare.contains("p4lru_connections"));
         assert!(!bare.contains("p4lru_reactor_"));
     }
@@ -952,7 +537,7 @@ mod tests {
             pull_rtt: LatencySummary::from_hist(&pull_rtt),
             batch_apply: LatencySummary::empty(),
         };
-        let text = render_prometheus_full(&metrics, &tracer, None, None, &[], Some(&cluster));
+        let text = render_prometheus(&metrics, &tracer, None, &[], Some(&cluster));
         assert!(text.contains("# TYPE p4lru_cluster_role gauge"));
         assert!(text.contains("p4lru_cluster_role{role=\"primary\"} 1\n"));
         assert!(text.contains("p4lru_cluster_role{role=\"follower\"} 0\n"));
@@ -978,7 +563,7 @@ mod tests {
         assert!(text.contains("p4lru_repl_pull_rtt_seconds_count 4\n"));
         assert!(text.contains("p4lru_repl_batch_apply_seconds_count 0\n"));
         // Absent on a standalone server.
-        let bare = render_prometheus(&metrics, &tracer);
+        let bare = render_prometheus(&metrics, &tracer, None, &[], None);
         assert!(!bare.contains("p4lru_cluster_"));
         assert!(!bare.contains("p4lru_repl_"));
     }

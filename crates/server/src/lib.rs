@@ -42,10 +42,7 @@ pub mod server;
 pub mod shard;
 
 pub use client::Client;
-pub use expose::{
-    build_report, render_prometheus, render_prometheus_full, render_prometheus_with_tier,
-    tier_families, StatsSampler,
-};
+pub use expose::{build_report, render_prometheus, tier_families, StatsSampler};
 pub use metrics::{
     ClusterSnapshot, ConnCounters, ConnSnapshot, LatencySummary, ReactorLoopSnapshot, ShardMetrics,
     ShardSnapshot, StageSummary, StatsReport, TierSnapshot,

@@ -1,111 +1,153 @@
-//! Per-shard metrics: lock-free atomic counters readable by any thread
-//! (STATS never has to queue behind the shard's request channel), per-op
-//! server-side latency histograms fed by the span tracer, plus a
-//! log₂-bucketed latency histogram for the load generator's client side.
+//! Every metric set of the serving stack, one [`metric_set!`] table each:
+//! the lock-free atomic counters readable by any thread (STATS never has to
+//! queue behind a shard's request channel), the snapshot structs STATS
+//! carries, the cross-shard totals fold and the `/metrics` families all
+//! come from the same rows. The families that do not fit a row — label
+//! pairs, per-level and per-shard vectors, histograms, derived ratios —
+//! are plain `Expo` code in [`crate::expose`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use p4lru_obs::hist::HistSnapshot;
+use p4lru_obs::metric_set;
 use p4lru_obs::trace::{OpKind, NUM_OPS};
 use p4lru_obs::AtomicHistogram;
 use serde::{Deserialize, Serialize};
 
-/// Atomic hit/miss/slow-path counters owned by one shard, shared via `Arc`
-/// with whoever serves STATS.
-#[derive(Debug, Default)]
-pub struct ShardMetrics {
-    /// GETs answered from the front cache (address was cached).
-    pub hits: AtomicU64,
-    /// GETs that walked the backing index (key present, address not cached).
-    pub misses: AtomicU64,
-    /// GETs for keys the backing store does not hold.
-    pub absent: AtomicU64,
-    /// SETs applied.
-    pub sets: AtomicU64,
-    /// DELs applied (whether or not the key existed).
-    pub dels: AtomicU64,
-    /// Cache entries evicted while installing a new address.
-    pub evictions: AtomicU64,
-    /// Total B+Tree nodes visited on slow paths (misses and new-key SETs).
-    pub index_visits: AtomicU64,
-    /// Current B+Tree height of the backing index (gauge — the per-lookup
-    /// cost a cached address lets the shard skip).
-    pub index_height: AtomicU64,
-    /// Index lookups answered by the B+Tree's descent cache (~1 node visit
-    /// instead of a full walk) since the shard was built.
-    pub index_descent_hits: AtomicU64,
-    /// Records currently in the backing store (gauge, not a counter).
-    pub store_len: AtomicU64,
-    /// WAL records appended (0 when the shard runs without durability).
-    pub wal_appends: AtomicU64,
-    /// WAL fsyncs issued (group commit: one fsync can cover many appends).
-    pub wal_fsyncs: AtomicU64,
-    /// Total nanoseconds spent in WAL fsyncs.
-    pub wal_fsync_ns: AtomicU64,
-    /// Slowest single WAL fsync, nanoseconds.
-    pub wal_fsync_max_ns: AtomicU64,
-    /// Snapshots sealed since startup.
-    pub snapshots: AtomicU64,
-    /// WAL records replayed by the last recovery.
-    pub recovery_replayed: AtomicU64,
-    /// Microseconds the last recovery took (0 when the shard started fresh).
-    pub recovery_us: AtomicU64,
-    /// 1 if the last recovery skipped a torn/corrupt final WAL record.
-    pub recovery_torn: AtomicU64,
-    /// Requests currently queued on this shard's channel (gauge: connection
-    /// handlers increment on dispatch, the shard loop decrements on
-    /// dequeue). Pipelining is what makes this exceed the connection count.
-    pub queue_depth: AtomicU64,
-    /// Commit batches the shard loop has run (one commit — at most one
-    /// fsync — per batch).
-    pub batches: AtomicU64,
-    /// Requests covered by those batches (`batch_ops / batches` = mean
-    /// batch depth per fsync, the number group commit amortizes by).
-    pub batch_ops: AtomicU64,
-    /// Deepest single commit batch seen.
-    pub batch_max: AtomicU64,
-    /// Server-side end-to-end latency (decode → flush) per op-type, fed by
-    /// the span tracer when a traced request's response hits the wire.
-    /// Indexed by `OpKind as usize`.
-    pub op_latency: [AtomicHistogram; NUM_OPS],
+/// A relaxed add: a statistic publishes no other data.
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.fetch_add(by, Ordering::Relaxed);
+}
+
+/// `num / den`, reading 0 while nothing has been counted.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+metric_set! {
+    atomics
+    /// Atomic hit/miss/slow-path counters owned by one shard, shared via
+    /// `Arc` with whoever serves STATS.
+    #[derive(Debug, Default)]
+    pub struct ShardMetrics {
+        /// Server-side end-to-end latency (decode → flush) per op-type, fed
+        /// by the span tracer when a traced request's response hits the
+        /// wire. Indexed by `OpKind as usize`.
+        pub op_latency: [AtomicHistogram; NUM_OPS],
+    }
+
+    snapshot
+    /// A point-in-time copy of one shard's counters, as served by STATS.
+    #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+    pub struct ShardSnapshot {
+        /// Shard index (in totals: the shard count).
+        pub shard: u64,
+        /// Total GETs (= hits + misses + absent).
+        pub gets: u64,
+        /// hits / gets (0 when no GETs yet).
+        pub hit_rate: f64,
+        /// Mean requests per commit batch (`batch_ops / batches`): the
+        /// number group commit amortizes one fsync by.
+        pub batch_mean: f64,
+        /// Server-side GET latency (decode → flush), traced requests only.
+        pub get_latency: LatencySummary,
+        /// Server-side SET latency (decode → flush), traced requests only.
+        pub set_latency: LatencySummary,
+        /// Server-side DEL latency (decode → flush), traced requests only.
+        pub del_latency: LatencySummary,
+    }
+
+    rows {
+        hits: Sum, counter, "p4lru_hits_total", "GETs answered from the front cache.";
+        /// The key is present; its address was not cached.
+        misses: Sum, counter, "p4lru_misses_total", "GETs that walked the backing index.";
+        absent: Sum, counter, "p4lru_absent_total", "GETs for keys not in the backing store.";
+        sets: Sum, counter, "p4lru_sets_total", "SETs applied.";
+        /// Counted whether or not the key existed.
+        dels: Sum, counter, "p4lru_dels_total", "DELs applied.";
+        evictions: Sum, counter, "p4lru_evictions_total", "Front-cache entries evicted.";
+        /// Slow paths are misses and new-key SETs.
+        index_visits: Sum, counter, "p4lru_index_visits_total",
+            "B+Tree nodes visited on slow paths.";
+        /// The per-lookup cost a cached address lets the shard skip. Max
+        /// across shards: the indexes are siblings, not stacked, so "how
+        /// deep is a miss" is the tallest one.
+        index_height: Max, gauge, "p4lru_index_height",
+            "Current B+Tree height of the backing index.";
+        /// A descent-cache hit costs ~1 node visit instead of a full walk.
+        index_descent_hits: Sum, counter, "p4lru_index_descent_hits_total",
+            "Index lookups answered by the B+Tree descent cache.";
+        /// 0 when the shard runs without durability.
+        wal_appends: Sum, counter, "p4lru_wal_appends_total", "WAL records appended.";
+        wal_fsyncs: Sum, counter, "p4lru_wal_fsyncs_total", "WAL fsyncs issued (group commit).";
+        wal_fsync_ns: Sum, counter, "p4lru_wal_fsync_seconds_total" / 1e9,
+            "Total time spent in WAL fsyncs.";
+        wal_fsync_max_ns: Max, gauge, "p4lru_wal_fsync_max_seconds" / 1e9,
+            "Slowest single WAL fsync since startup.";
+        snapshots: Sum, counter, "p4lru_snapshots_total", "Snapshots sealed since startup.";
+        /// At most one fsync per batch.
+        batches: Sum, counter, "p4lru_commit_batches_total",
+            "Commit batches run (one group commit each).";
+        batch_ops: Sum, counter, "p4lru_commit_batch_ops_total",
+            "Requests covered by commit batches.";
+        batch_max: Max, gauge, "p4lru_commit_batch_max",
+            "Deepest single commit batch since startup.";
+        store_len: Sum, gauge, "p4lru_store_len", "Records currently in the backing store.";
+        /// Connection drivers increment on dispatch, the shard loop decrements
+        /// on dequeue (saturating — see `queue_pop`). Pipelining is what makes
+        /// this exceed the connection count.
+        queue_depth: Sum, gauge, "p4lru_queue_depth", "Requests queued on the shard channel.";
+        /// 0 when the shard started fresh. Max across shards, not the sum:
+        /// shards recover independently (in parallel at startup), so the
+        /// slowest shard is the recovery wall time and a sum would inflate
+        /// it by the shard count.
+        recovery_us: Max, gauge, "p4lru_recovery_seconds" / 1e6,
+            "Wall time of the last startup recovery.";
+        recovery_replayed: Sum, gauge, "p4lru_recovery_replayed",
+            "WAL records replayed by the last startup recovery.";
+        /// Stays a Sum: each shard contributes 0 or 1, making the total the
+        /// count of torn shards.
+        recovery_torn: Sum, gauge, "p4lru_recovery_torn",
+            "1 if the last recovery skipped a torn final WAL record.";
+    }
 }
 
 impl ShardMetrics {
-    fn bump(counter: &AtomicU64, by: u64) {
-        counter.fetch_add(by, Ordering::Relaxed);
-    }
-
     /// Records a cache hit.
     pub fn hit(&self) {
-        Self::bump(&self.hits, 1);
+        bump(&self.hits, 1);
     }
 
     /// Records a cache miss that cost `index_visits` node visits.
     pub fn miss(&self, index_visits: usize) {
-        Self::bump(&self.misses, 1);
-        Self::bump(&self.index_visits, index_visits as u64);
+        bump(&self.misses, 1);
+        bump(&self.index_visits, index_visits as u64);
     }
 
     /// Records a GET for an absent key.
     pub fn absent(&self) {
-        Self::bump(&self.absent, 1);
+        bump(&self.absent, 1);
     }
 
     /// Records a SET that cost `index_visits` node visits (0 when the key
     /// already existed and its address was reused in place).
     pub fn set(&self, index_visits: usize) {
-        Self::bump(&self.sets, 1);
-        Self::bump(&self.index_visits, index_visits as u64);
+        bump(&self.sets, 1);
+        bump(&self.index_visits, index_visits as u64);
     }
 
     /// Records a DEL.
     pub fn del(&self) {
-        Self::bump(&self.dels, 1);
+        bump(&self.dels, 1);
     }
 
     /// Records a cache eviction.
     pub fn eviction(&self) {
-        Self::bump(&self.evictions, 1);
+        bump(&self.evictions, 1);
     }
 
     /// Updates the backing-store size gauge.
@@ -124,32 +166,32 @@ impl ShardMetrics {
 
     /// Records one WAL append.
     pub fn wal_append(&self) {
-        Self::bump(&self.wal_appends, 1);
+        bump(&self.wal_appends, 1);
     }
 
     /// Records one WAL fsync and how long it took.
     pub fn wal_fsync(&self, took: std::time::Duration) {
         let ns = took.as_nanos() as u64;
-        Self::bump(&self.wal_fsyncs, 1);
-        Self::bump(&self.wal_fsync_ns, ns);
+        bump(&self.wal_fsyncs, 1);
+        bump(&self.wal_fsync_ns, ns);
         self.wal_fsync_max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
     /// Records one sealed snapshot.
     pub fn snapshot_taken(&self) {
-        Self::bump(&self.snapshots, 1);
+        bump(&self.snapshots, 1);
     }
 
-    /// Records a request enqueued on the shard channel (handler side).
+    /// Records a request enqueued on the shard channel (connection side).
     pub fn queue_push(&self) {
-        Self::bump(&self.queue_depth, 1);
+        bump(&self.queue_depth, 1);
     }
 
     /// Records a request dequeued by the shard loop. The decrement
     /// saturates at zero: `queue_depth` is a gauge assembled from two
-    /// unsynchronized counters (handlers push, the shard loop pops), and a
-    /// pop observed before its matching push must read as a transient 0 in
-    /// STATS, never wrap to ~`u64::MAX`.
+    /// unsynchronized counters (connections push, the shard loop pops), and
+    /// a pop observed before its matching push must read as a transient 0
+    /// in STATS, never wrap to ~`u64::MAX`.
     pub fn queue_pop(&self) {
         let prev = self
             .queue_depth
@@ -167,8 +209,8 @@ impl ShardMetrics {
 
     /// Records one commit batch of `len` requests (one group commit).
     pub fn batch_committed(&self, len: usize) {
-        Self::bump(&self.batches, 1);
-        Self::bump(&self.batch_ops, len as u64);
+        bump(&self.batches, 1);
+        bump(&self.batch_ops, len as u64);
         self.batch_max.fetch_max(len as u64, Ordering::Relaxed);
     }
 
@@ -185,57 +227,30 @@ impl ShardMetrics {
     /// is not read under a lock, matching what a data-plane register dump
     /// would give).
     pub fn snapshot(&self, shard: usize) -> ShardSnapshot {
-        let hits = self.hits.load(Ordering::Relaxed);
-        let misses = self.misses.load(Ordering::Relaxed);
-        let absent = self.absent.load(Ordering::Relaxed);
-        let gets = hits + misses + absent;
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batch_ops = self.batch_ops.load(Ordering::Relaxed);
-        ShardSnapshot {
+        let latency =
+            |op: OpKind| LatencySummary::from_hist(&self.op_latency[op as usize].snapshot());
+        self.load(ShardSnapshot {
             shard: shard as u64,
-            gets,
-            hits,
-            misses,
-            absent,
-            sets: self.sets.load(Ordering::Relaxed),
-            dels: self.dels.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            index_visits: self.index_visits.load(Ordering::Relaxed),
-            index_height: self.index_height.load(Ordering::Relaxed),
-            index_descent_hits: self.index_descent_hits.load(Ordering::Relaxed),
-            hit_rate: if gets == 0 {
-                0.0
-            } else {
-                hits as f64 / gets as f64
-            },
-            store_len: self.store_len.load(Ordering::Relaxed),
-            wal_appends: self.wal_appends.load(Ordering::Relaxed),
-            wal_fsyncs: self.wal_fsyncs.load(Ordering::Relaxed),
-            wal_fsync_ns: self.wal_fsync_ns.load(Ordering::Relaxed),
-            wal_fsync_max_ns: self.wal_fsync_max_ns.load(Ordering::Relaxed),
-            snapshots: self.snapshots.load(Ordering::Relaxed),
-            recovery_replayed: self.recovery_replayed.load(Ordering::Relaxed),
-            recovery_us: self.recovery_us.load(Ordering::Relaxed),
-            recovery_torn: self.recovery_torn.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            batches,
-            batch_ops,
-            batch_max: self.batch_max.load(Ordering::Relaxed),
-            batch_mean: if batches == 0 {
-                0.0
-            } else {
-                batch_ops as f64 / batches as f64
-            },
-            get_latency: LatencySummary::from_hist(
-                &self.op_latency[OpKind::Get as usize].snapshot(),
-            ),
-            set_latency: LatencySummary::from_hist(
-                &self.op_latency[OpKind::Set as usize].snapshot(),
-            ),
-            del_latency: LatencySummary::from_hist(
-                &self.op_latency[OpKind::Del as usize].snapshot(),
-            ),
-        }
+            get_latency: latency(OpKind::Get),
+            set_latency: latency(OpKind::Set),
+            del_latency: latency(OpKind::Del),
+            ..ShardSnapshot::default()
+        })
+        .with_derived()
+    }
+}
+
+impl ShardSnapshot {
+    /// Recomputes the derived fields (`gets`, `hit_rate`, `batch_mean`)
+    /// from the raw counters — for one shard or for folded totals.
+    fn with_derived(mut self) -> Self {
+        self.gets = self
+            .hits
+            .saturating_add(self.misses)
+            .saturating_add(self.absent);
+        self.hit_rate = ratio(self.hits, self.gets);
+        self.batch_mean = ratio(self.batch_ops, self.batches);
+        self
     }
 }
 
@@ -330,207 +345,245 @@ impl StageSummary {
     }
 }
 
-/// A point-in-time copy of one shard's counters, as served by STATS.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ShardSnapshot {
-    /// Shard index.
-    pub shard: u64,
-    /// Total GETs (= hits + misses + absent).
-    pub gets: u64,
-    /// GETs answered from the front cache.
-    pub hits: u64,
-    /// GETs that walked the backing index.
-    pub misses: u64,
-    /// GETs for keys not in the backing store.
-    pub absent: u64,
-    /// SETs applied.
-    pub sets: u64,
-    /// DELs applied.
-    pub dels: u64,
-    /// Cache evictions.
-    pub evictions: u64,
-    /// Total index nodes visited on slow paths.
-    pub index_visits: u64,
-    /// Current B+Tree height of this shard's backing index. In totals this
-    /// is the **max** across shards (the indexes are siblings, not stacked;
-    /// "how deep is a miss" is the tallest one).
-    pub index_height: u64,
-    /// Index lookups answered by the B+Tree's descent cache.
-    pub index_descent_hits: u64,
-    /// hits / gets (0 when no GETs yet).
-    pub hit_rate: f64,
-    /// Records currently in the backing store.
-    pub store_len: u64,
-    /// WAL records appended (0 without durability).
-    pub wal_appends: u64,
-    /// WAL fsyncs issued.
-    pub wal_fsyncs: u64,
-    /// Total nanoseconds spent in WAL fsyncs.
-    pub wal_fsync_ns: u64,
-    /// Slowest single WAL fsync, nanoseconds (max across shards in totals).
-    pub wal_fsync_max_ns: u64,
-    /// Snapshots sealed since startup.
-    pub snapshots: u64,
-    /// WAL records replayed by the last startup recovery.
-    pub recovery_replayed: u64,
-    /// Microseconds the last startup recovery took. In totals this is the
-    /// **max** across shards, not the sum: shards recover independently (in
-    /// parallel at startup), so the slowest shard is the recovery wall time
-    /// and a sum would misread it.
-    pub recovery_us: u64,
-    /// 1 if this shard's last recovery skipped a torn/corrupt final WAL
-    /// record. In totals this is the **count** of such shards (a plain sum
-    /// of the 0/1 flags).
-    pub recovery_torn: u64,
-    /// Requests queued on the shard channel at snapshot time (gauge).
-    pub queue_depth: u64,
-    /// Commit batches run (one group commit — at most one fsync — each).
-    pub batches: u64,
-    /// Requests covered by those batches.
-    pub batch_ops: u64,
-    /// Deepest single commit batch.
-    pub batch_max: u64,
-    /// Mean requests per commit batch (`batch_ops / batches`).
-    pub batch_mean: f64,
-    /// Server-side GET latency (decode → flush), traced requests only.
-    pub get_latency: LatencySummary,
-    /// Server-side SET latency (decode → flush), traced requests only.
-    pub set_latency: LatencySummary,
-    /// Server-side DEL latency (decode → flush), traced requests only.
-    pub del_latency: LatencySummary,
+/// Most series levels a switch tier can configure (the paper deploys 4; the
+/// fixed bound keeps per-level hit counters allocation-free on the hot
+/// path).
+pub const MAX_LEVELS: usize = 8;
+
+metric_set! {
+    atomics
+    /// Atomic counters of one in-network switch tier (`crates/tier`), under
+    /// the same discipline as [`ShardMetrics`]. They live here, beside
+    /// their snapshot, so the tier's table is declared once; `p4lru_tier`
+    /// re-exports them.
+    #[derive(Debug, Default)]
+    pub struct TierCounters {
+        /// Hits by series level (index 0 = front array).
+        pub level_hits: [AtomicU64; MAX_LEVELS],
+    }
+
+    snapshot
+    /// Counters of a switch tier fronting the server, as carried by STATS:
+    /// the gateway/proxy fetches the server's report and attaches its own
+    /// section via [`StatsReport::with_tier`], so one report covers both
+    /// tiers.
+    #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+    pub struct TierSnapshot {
+        /// Switch-tier hits broken down by series level (index 0 = front).
+        pub level_hits: Vec<u64>,
+        /// GETs forwarded to the server (switch misses: gets − hits).
+        pub misses: u64,
+        /// hits / gets (0 when no GETs yet).
+        pub hit_rate: f64,
+        /// hits / (gets + sets + dels): the fraction of all client requests
+        /// the server never saw — the paper's offload claim.
+        pub offload_ratio: f64,
+    }
+
+    rows {
+        /// GETs that consulted the switch tier. (`gets`, `sets` and `dels`
+        /// are served summed, as `p4lru_tier_requests_total`.)
+        gets: Sum, stats_only;
+        hits: Sum, counter, "p4lru_tier_hits_total",
+            "GETs answered entirely at the switch tier.",
+            then crate::expose::tier_level_hits;
+        /// SETs routed through the tier (always forwarded).
+        sets: Sum, stats_only;
+        /// DELs routed through the tier (always forwarded).
+        dels: Sum, stats_only;
+        forwarded: Sum, counter, "p4lru_tier_forwarded_total",
+            "Requests forwarded to the server (misses plus all writes).";
+        invalidations: Sum, counter, "p4lru_tier_invalidations_total",
+            "Switch entries expelled by invalidate-before-forward.";
+        inserts: Sum, counter, "p4lru_tier_inserts_total",
+            "Miss replies admitted into the switch tier.";
+        evictions: Sum, counter, "p4lru_tier_evictions_total",
+            "Entries pushed out of the last series level.";
+        /// The epoch guard: the invalidation raced the server round-trip
+        /// (DESIGN.md §11).
+        stale_drops: Sum, counter, "p4lru_tier_stale_drops_total",
+            "Miss replies not admitted because an invalidation raced them.";
+    }
 }
 
-/// Counters of an in-network switch tier fronting the server (the two-tier
-/// deployment of `crates/tier`). Lives here so STATS can carry one report
-/// covering both tiers: the gateway/proxy fetches the server's report and
-/// attaches its own section via [`StatsReport::with_tier`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TierSnapshot {
-    /// GETs that consulted the switch tier.
-    pub gets: u64,
-    /// GETs answered entirely at the switch (never reached the server).
-    pub hits: u64,
-    /// Switch-tier hits broken down by series level (index 0 = front).
-    pub level_hits: Vec<u64>,
-    /// GETs forwarded to the server (switch misses).
-    pub misses: u64,
-    /// SETs routed through the tier (always forwarded).
-    pub sets: u64,
-    /// DELs routed through the tier (always forwarded).
-    pub dels: u64,
-    /// Requests of any kind forwarded to the server.
-    pub forwarded: u64,
-    /// Switch entries expelled by the invalidate-before-forward rule.
-    pub invalidations: u64,
-    /// Miss replies admitted into the switch tier.
-    pub inserts: u64,
-    /// Entries pushed out of the last series level by admissions.
-    pub evictions: u64,
-    /// Miss replies *not* admitted because an invalidation raced the
-    /// round-trip (the epoch guard — see DESIGN.md §11).
-    pub stale_drops: u64,
-    /// hits / gets (0 when no GETs yet).
-    pub hit_rate: f64,
-    /// hits / (gets + sets + dels): the fraction of all client requests the
-    /// server never saw — the paper's offload claim.
-    pub offload_ratio: f64,
+impl TierCounters {
+    /// Records a GET reaching the tier.
+    pub fn get(&self) {
+        bump(&self.gets, 1);
+    }
+
+    /// Records a switch hit at `level`.
+    pub fn hit(&self, level: usize) {
+        bump(&self.hits, 1);
+        if let Some(c) = self.level_hits.get(level) {
+            bump(c, 1);
+        }
+    }
+
+    /// Records a SET reaching the tier.
+    pub fn set(&self) {
+        bump(&self.sets, 1);
+    }
+
+    /// Records a DEL reaching the tier.
+    pub fn del(&self) {
+        bump(&self.dels, 1);
+    }
+
+    /// Records a request forwarded to the server.
+    pub fn forward(&self) {
+        bump(&self.forwarded, 1);
+    }
+
+    /// Records an entry expelled by invalidation.
+    pub fn invalidation(&self) {
+        bump(&self.invalidations, 1);
+    }
+
+    /// Records a miss reply admitted into the switch.
+    pub fn insert(&self) {
+        bump(&self.inserts, 1);
+    }
+
+    /// Records an entry expelled from the last level.
+    pub fn eviction(&self) {
+        bump(&self.evictions, 1);
+    }
+
+    /// Records a miss reply dropped by the epoch guard.
+    pub fn stale_drop(&self) {
+        bump(&self.stale_drops, 1);
+    }
+
+    /// A point-in-time [`TierSnapshot`] with `levels` per-level entries and
+    /// the derived fields filled in.
+    pub fn snapshot(&self, levels: usize) -> TierSnapshot {
+        let mut snap = self.load(TierSnapshot {
+            level_hits: self.level_hits[..levels.min(MAX_LEVELS)]
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect(),
+            ..TierSnapshot::default()
+        });
+        snap.misses = snap.gets.saturating_sub(snap.hits);
+        snap.with_ratios()
+    }
 }
 
 impl TierSnapshot {
     /// Recomputes the derived ratios from the raw counters.
     pub fn with_ratios(mut self) -> Self {
-        self.hit_rate = if self.gets == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.gets as f64
-        };
+        self.hit_rate = ratio(self.hits, self.gets);
         let requests = self.gets + self.sets + self.dels;
-        self.offload_ratio = if requests == 0 {
-            0.0
-        } else {
-            self.hits as f64 / requests as f64
-        };
+        self.offload_ratio = ratio(self.hits, requests);
         self
     }
 }
 
-/// Replication/cluster counters, as carried by STATS and `/metrics` when
-/// the server runs with replication configured (`--repl-addr`/`--follow`).
-///
-/// Built by `ReplState::snapshot()`; `None` on a standalone server. The
-/// `watermarks` vector is per-shard: on a primary it is the follower's
-/// durable sequence as reported by its pulls, on a follower it is the local
-/// applied sequence. `role` can flip `follower` → `primary` exactly once
-/// (promote-on-failure); `promotions` counts that flip.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct ClusterSnapshot {
-    /// `primary` or `follower` (current role — may have been promoted).
-    pub role: String,
-    /// Whether mutation acks wait for the replicated watermark.
-    pub ack_mode: bool,
-    /// The primary this node follows (empty on a born-primary node).
-    pub primary_addr: String,
-    /// Follower→primary promotions (0 or 1).
-    pub promotions: u64,
-    /// PULL requests served by the replication listener.
-    pub pulls_served: u64,
-    /// WAL records shipped to followers.
-    pub records_shipped: u64,
-    /// WAL bytes shipped to followers.
-    pub bytes_shipped: u64,
-    /// Snapshots shipped for catch-up (history pruned past the cursor).
-    pub snapshots_shipped: u64,
-    /// Replicated WAL records applied locally (follower side).
-    pub records_applied: u64,
-    /// Shipped snapshots installed locally (follower side).
-    pub snapshots_installed: u64,
-    /// Malformed/mismatched pull exchanges rejected (either side).
-    pub pull_rejects: u64,
-    /// Ack-mode batches that timed out waiting for the watermark.
-    pub ack_timeouts: u64,
-    /// Per-shard replication watermark (see type docs).
-    pub watermarks: Vec<u64>,
-    /// Per-shard replication lag in sequence numbers as observed by the
-    /// follower's pull loop (zero on a primary and once caught up).
-    #[serde(default)]
-    pub lag_seqs: Vec<u64>,
-    /// Estimated lag in WAL bytes (`lag_seqs` total times the average
-    /// record size of the last shipment).
-    #[serde(default)]
-    pub lag_bytes: u64,
-    /// Milliseconds since the last completed pull round trip (0 until the
-    /// first pull, and on a primary).
-    #[serde(default)]
-    pub pull_age_ms: u64,
-    /// Round-trip time of PULL exchanges (follower side).
-    #[serde(default)]
-    pub pull_rtt: LatencySummary,
-    /// Durable-apply time of shipped batches through the shard channel.
-    #[serde(default)]
-    pub batch_apply: LatencySummary,
+metric_set! {
+    atomics
+    /// The replication counters of `ReplState`.
+    #[derive(Debug, Default)]
+    pub(crate) struct ReplCounters {}
+
+    snapshot
+    /// Replication/cluster counters, as carried by STATS and `/metrics` when
+    /// the server runs with replication configured
+    /// (`--repl-addr`/`--follow`).
+    ///
+    /// Built by `ReplState::snapshot()`; `None` on a standalone server. The
+    /// `watermarks` vector is per-shard: on a primary it is the follower's
+    /// durable sequence as reported by its pulls, on a follower it is the
+    /// local applied sequence. `role` can flip `follower` → `primary`
+    /// exactly once (promote-on-failure); `promotions` counts that flip.
+    #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+    pub struct ClusterSnapshot {
+        /// `primary` or `follower` (current role — may have been promoted).
+        pub role: String,
+        /// Whether mutation acks wait for the replicated watermark.
+        pub ack_mode: bool,
+        /// The primary this node follows (empty on a born-primary node).
+        pub primary_addr: String,
+        /// Per-shard replication watermark (see type docs).
+        pub watermarks: Vec<u64>,
+        /// Per-shard replication lag in sequence numbers as observed by the
+        /// follower's pull loop (zero on a primary and once caught up).
+        #[serde(default)]
+        pub lag_seqs: Vec<u64>,
+        /// Estimated lag in WAL bytes (`lag_seqs` total times the average
+        /// record size of the last shipment).
+        #[serde(default)]
+        pub lag_bytes: u64,
+        /// Milliseconds since the last completed pull round trip (0 until
+        /// the first pull, and on a primary).
+        #[serde(default)]
+        pub pull_age_ms: u64,
+        /// Round-trip time of PULL exchanges (follower side).
+        #[serde(default)]
+        pub pull_rtt: LatencySummary,
+        /// Durable-apply time of shipped batches through the shard channel.
+        #[serde(default)]
+        pub batch_apply: LatencySummary,
+    }
+
+    rows {
+        /// 0 or 1: a node is promoted at most once.
+        promotions: Sum, counter, "p4lru_cluster_promotions_total",
+            "Follower-to-primary promotions (failover events).";
+        pulls_served: Sum, counter, "p4lru_cluster_pulls_served_total",
+            "Replication PULL requests served to followers.";
+        records_shipped: Sum, counter, "p4lru_cluster_records_shipped_total",
+            "WAL records shipped to followers.";
+        bytes_shipped: Sum, counter, "p4lru_cluster_bytes_shipped_total",
+            "WAL bytes shipped to followers.";
+        /// Shipped when history was pruned past the follower's cursor.
+        snapshots_shipped: Sum, counter, "p4lru_cluster_snapshots_shipped_total",
+            "Snapshots shipped for follower catch-up.";
+        records_applied: Sum, counter, "p4lru_cluster_records_applied_total",
+            "Replicated WAL records applied locally.";
+        snapshots_installed: Sum, counter, "p4lru_cluster_snapshots_installed_total",
+            "Shipped snapshots installed locally.";
+        /// Counted on whichever side detected the mismatch.
+        pull_rejects: Sum, counter, "p4lru_cluster_pull_rejects_total",
+            "Malformed or mismatched pull exchanges rejected.";
+        ack_timeouts: Sum, counter, "p4lru_cluster_ack_timeouts_total",
+            "Ack-mode batches that timed out awaiting replication.";
+    }
 }
 
-/// Connection accounting shared by the accept loop and both front-ends.
-///
-/// `current` is a gauge (opened minus closed); the two totals are
-/// monotone counters. The accept loop bumps `rejected` when `--max-conns`
-/// turns a connection away, so a saturated server is visible in STATS and
-/// `/metrics` rather than silent.
-#[derive(Debug, Default)]
-pub struct ConnCounters {
-    /// Connections currently open (gauge).
-    pub current: AtomicU64,
-    /// Connections accepted since startup.
-    pub accepted: AtomicU64,
-    /// Connections rejected at the `--max-conns` accept limit.
-    pub rejected: AtomicU64,
+metric_set! {
+    atomics
+    /// Connection accounting shared by the accept loop and the reactor's
+    /// connection drivers. The accept loop bumps `rejected_total` when
+    /// `--max-conns` turns a connection away, so a saturated server is
+    /// visible in STATS and `/metrics` rather than silent.
+    #[derive(Debug, Default)]
+    pub struct ConnCounters {}
+
+    snapshot
+    /// Connection accounting as carried by STATS.
+    #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+    pub struct ConnSnapshot {
+        /// The front-end that owns the connections (`reactor`); the
+        /// `frontend` label of the `/metrics` families.
+        pub frontend: String,
+    }
+
+    rows {
+        /// Opened minus closed (saturating — see `closed`).
+        current: Sum, gauge, "p4lru_connections", "Connections currently in service.";
+        accepted_total: Sum, counter, "p4lru_connections_total",
+            "Connections accepted since startup.";
+        rejected_total: Sum, counter, "p4lru_conn_rejected_total",
+            "Connections rejected at the --max-conns accept limit.";
+    }
 }
 
 impl ConnCounters {
     /// Records an accepted connection entering service.
     pub fn opened(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        self.current.fetch_add(1, Ordering::Relaxed);
+        bump(&self.accepted_total, 1);
+        bump(&self.current, 1);
     }
 
     /// Records a connection leaving service. Saturates at zero for the
@@ -546,61 +599,54 @@ impl ConnCounters {
 
     /// Records a connection turned away at the accept limit.
     pub fn rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
+        bump(&self.rejected_total, 1);
     }
 
     /// A point-in-time copy, labeled with the front-end that owns the
-    /// connections (`threads` or `reactor`).
+    /// connections.
     pub fn snapshot(&self, frontend: &str) -> ConnSnapshot {
-        ConnSnapshot {
+        self.load(ConnSnapshot {
             frontend: frontend.to_string(),
-            current: self.current.load(Ordering::Relaxed),
-            accepted_total: self.accepted.load(Ordering::Relaxed),
-            rejected_total: self.rejected.load(Ordering::Relaxed),
-        }
+            ..ConnSnapshot::default()
+        })
     }
 }
 
-/// Connection accounting as carried by STATS.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct ConnSnapshot {
-    /// Which front-end owns the connections (`threads` or `reactor`).
-    pub frontend: String,
-    /// Connections currently open.
-    pub current: u64,
-    /// Connections accepted since startup.
-    pub accepted_total: u64,
-    /// Connections rejected at the accept limit since startup.
-    pub rejected_total: u64,
+metric_set! {
+    snapshot
+    /// One reactor I/O thread's loop counters, as carried by STATS. There
+    /// is no atomics half: the live counters are `p4lru_reactor`'s own
+    /// (that crate sits below the server and knows nothing of STATS), and
+    /// the server copies them over per report.
+    #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+    pub struct ReactorLoopSnapshot {
+        /// I/O thread index.
+        pub io_thread: u64,
+    }
+
+    rows {
+        turns: Sum, counter, "p4lru_reactor_turns_total",
+            "Reactor loop turns (one epoll_wait harvest each).";
+        events: Sum, counter, "p4lru_reactor_events_total",
+            "Socket readiness events harvested by the reactor.";
+        wakeups: Sum, counter, "p4lru_reactor_wakeups_total",
+            "Eventfd wakeups (coalesced shard-reply signals).";
+        messages: Sum, counter, "p4lru_reactor_messages_total",
+            "Messages (shard replies) delivered to connection drivers.";
+        connections: Sum, gauge, "p4lru_reactor_connections",
+            "Connections currently owned by each reactor I/O thread.";
+    }
 }
 
-/// One reactor I/O thread's loop counters, as carried by STATS (empty for
-/// the thread-per-connection front-end).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct ReactorLoopSnapshot {
-    /// I/O thread index.
-    pub io_thread: u64,
-    /// Loop turns (each harvesting a batch of events).
-    pub turns: u64,
-    /// Socket readiness events harvested.
-    pub events: u64,
-    /// Eventfd wakeups (coalesced cross-thread message signals).
-    pub wakeups: u64,
-    /// Messages (shard replies) delivered to drivers.
-    pub messages: u64,
-    /// Connections currently owned by this thread.
-    pub connections: u64,
-}
-
-/// The STATS payload: one snapshot per shard, their sum, and (when the
-/// server traces requests) per-lifecycle-stage duration summaries.
+/// The STATS payload: one snapshot per shard, their totals, and the
+/// sections whoever built the report attached.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StatsReport {
     /// Per-shard snapshots, in shard order.
     pub shards: Vec<ShardSnapshot>,
-    /// Counters summed across shards (`shard` is the shard count;
-    /// `recovery_us`, `wal_fsync_max_ns`, and `batch_max` take the max —
-    /// see the field docs).
+    /// The shards folded row by row (`shard` is the shard count; each
+    /// field's `Sum`/`Max` rule is on its row of the [`ShardSnapshot`]
+    /// table).
     pub totals: ShardSnapshot,
     /// Per-stage duration summaries from the span tracer, in pipeline
     /// order. Empty when tracing is off (or the report predates it).
@@ -611,8 +657,8 @@ pub struct StatsReport {
     /// Connection accounting (all-zero with an empty `frontend` when the
     /// report was built from shard counters alone, as in unit tests).
     pub conns: ConnSnapshot,
-    /// Per-io-thread reactor loop counters; empty under the threaded
-    /// front-end.
+    /// Per-io-thread reactor loop counters (empty when the report was
+    /// built from shard counters alone, or merged by the router).
     pub reactor: Vec<ReactorLoopSnapshot>,
     /// Replication/cluster counters; `None` (serialized as `null`) on a
     /// standalone server.
@@ -620,77 +666,23 @@ pub struct StatsReport {
 }
 
 impl StatsReport {
-    /// Builds the report from per-shard snapshots.
+    /// Builds the report from per-shard snapshots. The shards may come off
+    /// the network (the router and `cluster_top` re-fold peers' reports),
+    /// so every addition on the way to `totals` saturates.
     pub fn from_shards(shards: Vec<ShardSnapshot>) -> Self {
         let mut totals = ShardSnapshot {
             shard: shards.len() as u64,
-            gets: 0,
-            hits: 0,
-            misses: 0,
-            absent: 0,
-            sets: 0,
-            dels: 0,
-            evictions: 0,
-            index_visits: 0,
-            index_height: 0,
-            index_descent_hits: 0,
-            hit_rate: 0.0,
-            store_len: 0,
-            wal_appends: 0,
-            wal_fsyncs: 0,
-            wal_fsync_ns: 0,
-            wal_fsync_max_ns: 0,
-            snapshots: 0,
-            recovery_replayed: 0,
-            recovery_us: 0,
-            recovery_torn: 0,
-            queue_depth: 0,
-            batches: 0,
-            batch_ops: 0,
-            batch_max: 0,
-            batch_mean: 0.0,
             get_latency: LatencySummary::merged(shards.iter().map(|s| &s.get_latency)),
             set_latency: LatencySummary::merged(shards.iter().map(|s| &s.set_latency)),
             del_latency: LatencySummary::merged(shards.iter().map(|s| &s.del_latency)),
+            ..ShardSnapshot::default()
         };
         for s in &shards {
-            totals.gets += s.gets;
-            totals.hits += s.hits;
-            totals.misses += s.misses;
-            totals.absent += s.absent;
-            totals.sets += s.sets;
-            totals.dels += s.dels;
-            totals.evictions += s.evictions;
-            totals.index_visits += s.index_visits;
-            totals.index_height = totals.index_height.max(s.index_height);
-            totals.index_descent_hits += s.index_descent_hits;
-            totals.store_len += s.store_len;
-            totals.wal_appends += s.wal_appends;
-            totals.wal_fsyncs += s.wal_fsyncs;
-            totals.wal_fsync_ns += s.wal_fsync_ns;
-            totals.wal_fsync_max_ns = totals.wal_fsync_max_ns.max(s.wal_fsync_max_ns);
-            totals.snapshots += s.snapshots;
-            totals.recovery_replayed += s.recovery_replayed;
-            // Shards recover independently (in parallel at startup), so the
-            // slowest one is the recovery wall time; summing would inflate
-            // it by the shard count. `recovery_torn` stays a sum: each
-            // shard contributes 0 or 1, making the total a shard count.
-            totals.recovery_us = totals.recovery_us.max(s.recovery_us);
-            totals.recovery_torn += s.recovery_torn;
-            totals.queue_depth += s.queue_depth;
-            totals.batches += s.batches;
-            totals.batch_ops += s.batch_ops;
-            totals.batch_max = totals.batch_max.max(s.batch_max);
-        }
-        if totals.gets > 0 {
-            totals.hit_rate = totals.hits as f64 / totals.gets as f64;
-        }
-        if totals.batches > 0 {
-            totals.batch_mean = totals.batch_ops as f64 / totals.batches as f64;
+            totals.fold(s);
         }
         Self {
             shards,
-            totals,
+            totals: totals.with_derived(),
             stages: Vec::new(),
             tier: None,
             conns: ConnSnapshot::default(),
@@ -831,6 +823,41 @@ mod tests {
         let json = serde_json::to_string(&report).unwrap();
         let back: StatsReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
+    }
+
+    #[test]
+    fn folding_peer_supplied_shards_saturates_instead_of_overflowing() {
+        // What the router or `cluster_top` may decode from a corrupt or
+        // hostile node: every counter and every bucket at the ceiling.
+        let mut hostile = ShardMetrics::default().snapshot(0);
+        let full = LatencySummary {
+            count: u64::MAX,
+            sum_ns: u64::MAX,
+            buckets: vec![u64::MAX; 64],
+            ..LatencySummary::empty()
+        };
+        hostile.get_latency = full.clone();
+        hostile.set_latency = full;
+        hostile.fold(&ShardSnapshot {
+            hits: u64::MAX,
+            misses: u64::MAX,
+            absent: u64::MAX,
+            sets: u64::MAX,
+            wal_fsync_ns: u64::MAX,
+            wal_fsync_max_ns: u64::MAX,
+            batches: u64::MAX,
+            batch_ops: u64::MAX,
+            ..ShardSnapshot::default()
+        });
+        let mut other = hostile.clone();
+        other.shard = 1;
+        let report = StatsReport::from_shards(vec![hostile, other]);
+        assert_eq!(report.totals.hits, u64::MAX);
+        assert_eq!(report.totals.gets, u64::MAX, "derived sum saturates too");
+        assert_eq!(report.totals.wal_fsync_max_ns, u64::MAX);
+        assert_eq!(report.totals.get_latency.count, u64::MAX);
+        assert_eq!(report.totals.get_latency.sum_ns, u64::MAX);
+        assert!(report.totals.hit_rate <= 1.0);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use p4lru_durable::reader::{decode_batch, read_log_from, ReadOutcome};
 use p4lru_durable::snapshot::list_snapshots;
 use p4lru_obs::{AtomicHistogram, RequestTrace};
 
-use crate::metrics::{ClusterSnapshot, LatencySummary, ShardMetrics};
+use crate::metrics::{ClusterSnapshot, LatencySummary, ReplCounters, ShardMetrics};
 use crate::server::{Reply, ReplySink, ShardOp, ShardReply, ShardRequest};
 
 /// Replication configuration, hung off
@@ -328,15 +328,8 @@ pub struct ReplState {
     gates: Vec<WatermarkGate>,
     /// The primary this node follows (empty string on a born-primary).
     pub primary_addr: String,
-    promotions: AtomicU64,
-    pulls_served: AtomicU64,
-    records_shipped: AtomicU64,
-    bytes_shipped: AtomicU64,
-    snapshots_shipped: AtomicU64,
-    records_applied: AtomicU64,
-    snapshots_installed: AtomicU64,
-    pull_rejects: AtomicU64,
-    ack_timeouts: AtomicU64,
+    /// The table-declared counters (the `ClusterSnapshot` rows).
+    counters: ReplCounters,
     /// Per-shard replication lag in sequence numbers, as last observed by
     /// the follower's pull loop (always zero on a primary): the shipped
     /// `last_seq` minus the applied cursor at shipment time, held through
@@ -384,15 +377,7 @@ impl ReplState {
             ack_timeout,
             gates,
             primary_addr,
-            promotions: AtomicU64::new(0),
-            pulls_served: AtomicU64::new(0),
-            records_shipped: AtomicU64::new(0),
-            bytes_shipped: AtomicU64::new(0),
-            snapshots_shipped: AtomicU64::new(0),
-            records_applied: AtomicU64::new(0),
-            snapshots_installed: AtomicU64::new(0),
-            pull_rejects: AtomicU64::new(0),
-            ack_timeouts: AtomicU64::new(0),
+            counters: ReplCounters::default(),
             lag_seqs: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             avg_record_bytes: AtomicU64::new(0),
             last_pull_ms: AtomicU64::new(u64::MAX),
@@ -423,7 +408,7 @@ impl ReplState {
             )
             .is_ok();
         if flipped {
-            self.promotions.fetch_add(1, Ordering::Relaxed);
+            self.counters.promotions.fetch_add(1, Ordering::Relaxed);
         }
         flipped
     }
@@ -452,7 +437,7 @@ impl ReplState {
         while *cur < target {
             let now = Instant::now();
             if now >= deadline {
-                self.ack_timeouts.fetch_add(1, Ordering::Relaxed);
+                self.counters.ack_timeouts.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
             let (next, _) = gate
@@ -520,7 +505,7 @@ impl ReplState {
             u64::MAX => 0,
             at => (self.started.elapsed().as_millis() as u64).saturating_sub(at),
         };
-        ClusterSnapshot {
+        self.counters.load(ClusterSnapshot {
             lag_seqs,
             lag_bytes,
             pull_age_ms,
@@ -529,30 +514,26 @@ impl ReplState {
             role: self.role().name().to_string(),
             ack_mode: self.ack_mode,
             primary_addr: self.primary_addr.clone(),
-            promotions: self.promotions.load(Ordering::Relaxed),
-            pulls_served: self.pulls_served.load(Ordering::Relaxed),
-            records_shipped: self.records_shipped.load(Ordering::Relaxed),
-            bytes_shipped: self.bytes_shipped.load(Ordering::Relaxed),
-            snapshots_shipped: self.snapshots_shipped.load(Ordering::Relaxed),
-            records_applied: self.records_applied.load(Ordering::Relaxed),
-            snapshots_installed: self.snapshots_installed.load(Ordering::Relaxed),
-            pull_rejects: self.pull_rejects.load(Ordering::Relaxed),
-            ack_timeouts: self.ack_timeouts.load(Ordering::Relaxed),
             watermarks: self.watermarks(),
-        }
+            ..ClusterSnapshot::default()
+        })
     }
 
     /// Records a shipment rejected by follower-side validation.
     pub(crate) fn pull_reject(&self) {
-        self.pull_rejects.fetch_add(1, Ordering::Relaxed);
+        self.counters.pull_rejects.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_applied(&self, n: u64) {
-        self.records_applied.fetch_add(n, Ordering::Relaxed);
+        self.counters
+            .records_applied
+            .fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn snapshot_installed(&self) {
-        self.snapshots_installed.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .snapshots_installed
+            .fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -575,15 +556,16 @@ fn serve_pull(ctx: &ReplServer, req: &PullRequest) -> PullResponse {
         return PullResponse::Err(format!("no shard {shard} (this node has {})", ctx.shards));
     }
     ctx.state.advance_watermark(shard, req.durable_seq);
-    ctx.state.pulls_served.fetch_add(1, Ordering::Relaxed);
+    let counters = &ctx.state.counters;
+    counters.pulls_served.fetch_add(1, Ordering::Relaxed);
     let dir = crate::server::shard_dir(&ctx.root, shard);
     let max = req.max_bytes.min(PULL_MAX_BYTES) as usize;
     match read_log_from(&dir, req.from_seq.max(1), max) {
         Ok(ReadOutcome::Records(batch)) => {
-            ctx.state
+            counters
                 .records_shipped
                 .fetch_add(batch.count, Ordering::Relaxed);
-            ctx.state
+            counters
                 .bytes_shipped
                 .fetch_add(batch.bytes.len() as u64, Ordering::Relaxed);
             PullResponse::Records {
@@ -594,8 +576,8 @@ fn serve_pull(ctx: &ReplServer, req: &PullRequest) -> PullResponse {
         }
         Ok(ReadOutcome::SnapshotNeeded { .. }) => match newest_snapshot(&dir) {
             Ok((seq, bytes)) => {
-                ctx.state.snapshots_shipped.fetch_add(1, Ordering::Relaxed);
-                ctx.state
+                counters.snapshots_shipped.fetch_add(1, Ordering::Relaxed);
+                counters
                     .bytes_shipped
                     .fetch_add(bytes.len() as u64, Ordering::Relaxed);
                 PullResponse::Snapshot { seq, bytes }

@@ -41,7 +41,7 @@ use p4lru_obs::trace::Stage;
 use p4lru_obs::{MetricsHttp, ObsConfig, OpKind, Periodic, RequestTrace, SpanContext, Tracer};
 use p4lru_reactor::{LoopStats, Mailbox, Reactor};
 
-use crate::expose::{build_report, render_prometheus_full, StatsSampler};
+use crate::expose::{build_report, render_prometheus, StatsSampler};
 use crate::metrics::{ConnCounters, ReactorLoopSnapshot, ShardMetrics, StatsReport};
 use crate::protocol::{encode_value, write_frame, FrameWriter, Request, Response};
 use crate::reactor_front::ReactorConn;
@@ -290,10 +290,9 @@ impl Ctx {
 
     /// The same counters as Prometheus text.
     fn prometheus(&self) -> String {
-        render_prometheus_full(
+        render_prometheus(
             &self.metrics,
             &self.tracer,
-            None,
             Some(&self.conns.snapshot(FRONTEND)),
             &reactor_snapshots(&self.reactor),
             self.repl.as_deref().map(ReplState::snapshot).as_ref(),

@@ -1,122 +1,11 @@
-//! Lock-free tier counters, shared between the request path and whoever
-//! serves STATS or `/metrics` — the same discipline as the server's
-//! [`p4lru_server::ShardMetrics`]: individual counters are exact, the set
-//! is read without a lock (a register dump, not a transaction).
+//! The tier's lock-free counters, shared between the request path and
+//! whoever serves STATS or `/metrics`. They are declared in
+//! [`p4lru_server::metrics`], in the same table as the
+//! [`TierSnapshot`](p4lru_server::TierSnapshot) STATS carries and the
+//! `p4lru_tier_*` families, so a tier counter is one row there plus its
+//! bump site in this crate.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use p4lru_server::TierSnapshot;
-
-/// Most series levels a deployment can configure (the paper deploys 4; the
-/// fixed bound keeps per-level hit counters allocation-free on the hot
-/// path).
-pub const MAX_LEVELS: usize = 8;
-
-/// Atomic counters of one switch tier.
-#[derive(Debug, Default)]
-pub struct TierCounters {
-    /// GETs that consulted the switch tier.
-    pub gets: AtomicU64,
-    /// GETs answered entirely at the switch.
-    pub hits: AtomicU64,
-    /// Hits by series level (index 0 = front array).
-    pub level_hits: [AtomicU64; MAX_LEVELS],
-    /// SETs routed through the tier.
-    pub sets: AtomicU64,
-    /// DELs routed through the tier.
-    pub dels: AtomicU64,
-    /// Requests of any kind forwarded to the server.
-    pub forwarded: AtomicU64,
-    /// Switch entries expelled by invalidate-before-forward.
-    pub invalidations: AtomicU64,
-    /// Miss replies admitted into the switch.
-    pub inserts: AtomicU64,
-    /// Entries pushed out of the last series level by admissions.
-    pub evictions: AtomicU64,
-    /// Miss replies dropped by the epoch guard (an invalidation raced the
-    /// server round-trip).
-    pub stale_drops: AtomicU64,
-}
-
-impl TierCounters {
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a GET reaching the tier.
-    pub fn get(&self) {
-        Self::bump(&self.gets);
-    }
-
-    /// Records a switch hit at `level`.
-    pub fn hit(&self, level: usize) {
-        Self::bump(&self.hits);
-        if let Some(c) = self.level_hits.get(level) {
-            Self::bump(c);
-        }
-    }
-
-    /// Records a SET reaching the tier.
-    pub fn set(&self) {
-        Self::bump(&self.sets);
-    }
-
-    /// Records a DEL reaching the tier.
-    pub fn del(&self) {
-        Self::bump(&self.dels);
-    }
-
-    /// Records a request forwarded to the server.
-    pub fn forward(&self) {
-        Self::bump(&self.forwarded);
-    }
-
-    /// Records an entry expelled by invalidation.
-    pub fn invalidation(&self) {
-        Self::bump(&self.invalidations);
-    }
-
-    /// Records a miss reply admitted into the switch.
-    pub fn insert(&self) {
-        Self::bump(&self.inserts);
-    }
-
-    /// Records an entry expelled from the last level.
-    pub fn eviction(&self) {
-        Self::bump(&self.evictions);
-    }
-
-    /// Records a miss reply dropped by the epoch guard.
-    pub fn stale_drop(&self) {
-        Self::bump(&self.stale_drops);
-    }
-
-    /// A point-in-time [`TierSnapshot`] with `levels` per-level entries and
-    /// the derived ratios filled in.
-    pub fn snapshot(&self, levels: usize) -> TierSnapshot {
-        let gets = self.gets.load(Ordering::Relaxed);
-        let hits = self.hits.load(Ordering::Relaxed);
-        TierSnapshot {
-            gets,
-            hits,
-            level_hits: self.level_hits[..levels.min(MAX_LEVELS)]
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            misses: gets.saturating_sub(hits),
-            sets: self.sets.load(Ordering::Relaxed),
-            dels: self.dels.load(Ordering::Relaxed),
-            forwarded: self.forwarded.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            stale_drops: self.stale_drops.load(Ordering::Relaxed),
-            hit_rate: 0.0,
-            offload_ratio: 0.0,
-        }
-        .with_ratios()
-    }
-}
+pub use p4lru_server::metrics::{TierCounters, MAX_LEVELS};
 
 #[cfg(test)]
 mod tests {
