@@ -16,7 +16,7 @@
 //! per-slot request/error/flip/probe families from the same state.
 //!
 //! The router is also a trace hop: it forwards a client's in-band
-//! [`SpanContext`] upstream (hop +1) or originates one for every
+//! [`p4lru_obs::SpanContext`] upstream (hop +1) or originates one for every
 //! `--trace-every`-th untraced request, and prints a `ROUTER trace=…`
 //! breakdown (queue + upstream RTT) when a request crosses
 //! `--slow-op-us` — grep the trace id to join it with serverd's
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use p4lru_cluster::{
     router_families, ClusterClient, ClusterHealth, ClusterSpec, ProbeConfig, Prober, RetryPolicy,
 };
-use p4lru_obs::{Expo, HopKind, HopTrace, MetricsHttp, SpanContext, TraceIdGen};
+use p4lru_obs::{Expo, HopKind, HopTrace, MetricsHttp, SpanSampler};
 use p4lru_server::metrics::StatsReport;
 use p4lru_server::protocol::{FrameReader, FrameWriter, Request, Response};
 
@@ -130,6 +130,9 @@ fn parse_args() -> Result<RouterConfig, String> {
     })
 }
 
+/// How often a connection blocked in a read wakes to check the running flag.
+const POLL_INTERVAL: Duration = Duration::from_millis(250);
+
 /// Merges per-node reports into one: shards concatenated with node-offset
 /// ids, totals re-derived. Tier/conn/reactor/cluster sections are
 /// per-node concerns and stay out of the merged view.
@@ -151,35 +154,13 @@ struct Shared {
     retry: RetryPolicy,
     running: AtomicBool,
     health: Arc<ClusterHealth>,
-    trace_ids: TraceIdGen,
-    trace_every: u64,
-    /// Sampling clock for span origination (1 in `trace_every`).
-    traced: std::sync::atomic::AtomicU64,
+    sampler: SpanSampler,
     slow_ns: u64,
-}
-
-impl Shared {
-    /// The span to send upstream for this request: the client's own
-    /// context forwarded one hop further, or (for 1 in `trace_every`
-    /// untraced requests) a freshly originated one.
-    fn span_for(&self, incoming: Option<SpanContext>) -> Option<SpanContext> {
-        if let Some(span) = incoming {
-            return Some(span.next_hop());
-        }
-        if self.trace_every == 0 {
-            return None;
-        }
-        let n = self.traced.fetch_add(1, Ordering::Relaxed);
-        if self.trace_every == 1 || n.is_multiple_of(self.trace_every) {
-            Some(SpanContext::originate(self.trace_ids.next_id()))
-        } else {
-            None
-        }
-    }
 }
 
 fn serve_conn(stream: TcpStream, shared: &Shared) -> io::Result<bool> {
     stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(POLL_INTERVAL))?;
     let mut reader = FrameReader::new(stream.try_clone()?);
     let mut writer = FrameWriter::new(stream);
     let mut cluster =
@@ -187,8 +168,20 @@ fn serve_conn(stream: TcpStream, shared: &Shared) -> io::Result<bool> {
     let mut frame = Vec::new();
     let mut payload = Vec::new();
     while shared.running.load(Ordering::SeqCst) {
-        if !reader.read_frame(&mut frame)? {
-            return Ok(true); // clean disconnect
+        match reader.read_frame(&mut frame) {
+            Ok(true) => {}
+            Ok(false) => return Ok(true), // clean disconnect
+            // An idle connection: wake to re-check the running flag (the
+            // reader resumes a partly read frame where it left off).
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                continue
+            }
+            Err(e) => return Err(e),
         }
         let received = Instant::now();
         let incoming = reader.take_span();
@@ -203,7 +196,7 @@ fn serve_conn(stream: TcpStream, shared: &Shared) -> io::Result<bool> {
         };
         let span = match request {
             Request::Get { .. } | Request::Set { .. } | Request::Del { .. } => {
-                shared.span_for(incoming)
+                shared.sampler.span_for(incoming)
             }
             _ => None,
         };
@@ -315,9 +308,7 @@ fn main() -> ExitCode {
         retry: config.retry,
         running: AtomicBool::new(true),
         health,
-        trace_ids: TraceIdGen::new(),
-        trace_every: config.trace_every,
-        traced: std::sync::atomic::AtomicU64::new(0),
+        sampler: SpanSampler::new(config.trace_every),
         slow_ns: config.slow_op_us.saturating_mul(1_000),
     });
     let mut workers = Vec::new();

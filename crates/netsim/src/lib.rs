@@ -13,21 +13,17 @@
 //! * [`queue`] — FIFO multi-server pools (database threads, control-plane
 //!   lookup) and closed-loop client drivers;
 //! * [`link`] — store-and-forward links (rate + propagation + FIFO queue);
-//! * [`hop`] — the client→switch→server latency model of the two-tier
-//!   deployment (hit-at-switch vs forward-to-server pricing);
 //! * [`stats`] — online moments, exact percentiles, windowed rates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod hop;
 pub mod link;
 pub mod queue;
 pub mod stats;
 
 pub use engine::Engine;
-pub use hop::SwitchHop;
 pub use link::Link;
 pub use queue::{ClosedLoop, ServerPool};
 pub use stats::{OnlineStats, Percentiles, WindowedRate};

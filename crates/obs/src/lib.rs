@@ -53,5 +53,5 @@ pub use expo::Expo;
 pub use hist::{AtomicHistogram, HistSnapshot};
 pub use http::MetricsHttp;
 pub use sampler::Periodic;
-pub use span::{HopKind, HopTrace, SpanContext, TraceIdGen, SPAN_BYTES};
+pub use span::{HopKind, HopTrace, SpanContext, SpanSampler, TraceIdGen, SPAN_BYTES};
 pub use trace::{FinishedTrace, ObsConfig, OpKind, RequestTrace, Stage, TraceRing, Tracer};

@@ -141,6 +141,43 @@ impl TraceIdGen {
     }
 }
 
+/// Decides which span a forwarding hop (router, tier) works under: a
+/// client's own context always propagates, and 1 in `every` untraced
+/// requests gets a freshly originated one.
+#[derive(Debug)]
+pub struct SpanSampler {
+    ids: TraceIdGen,
+    every: u64,
+    /// Untraced requests seen so far (the sampling clock).
+    seen: AtomicU64,
+}
+
+impl SpanSampler {
+    /// A sampler originating a trace for 1 in `every` untraced requests
+    /// (0 never originates).
+    pub fn new(every: u64) -> Self {
+        Self {
+            ids: TraceIdGen::new(),
+            every,
+            seen: AtomicU64::new(0),
+        }
+    }
+
+    /// The span for this request: `incoming` advanced one hop, or a new
+    /// trace when the sampling clock says so.
+    pub fn span_for(&self, incoming: Option<SpanContext>) -> Option<SpanContext> {
+        if let Some(span) = incoming {
+            return Some(span.next_hop());
+        }
+        if self.every == 0 {
+            return None;
+        }
+        let n = self.seen.fetch_add(1, Ordering::Relaxed);
+        n.is_multiple_of(self.every)
+            .then(|| SpanContext::originate(self.ids.next_id()))
+    }
+}
+
 /// The role a hop plays in the request path (label in breakdowns).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HopKind {
@@ -284,6 +321,25 @@ mod tests {
             assert_ne!(id, 0);
             assert!(seen.insert(id), "duplicate trace id {id:#x}");
         }
+    }
+
+    #[test]
+    fn sampler_forwards_incoming_spans_and_originates_one_in_n() {
+        let incoming = SpanContext::originate(9);
+        let originated = |every: u64| {
+            let sampler = SpanSampler::new(every);
+            // An incoming span advances one hop, whatever the rate, and
+            // leaves the sampling clock alone.
+            assert_eq!(sampler.span_for(Some(incoming)), Some(incoming.next_hop()));
+            (0..70).filter(|_| sampler.span_for(None).is_some()).count()
+        };
+        assert_eq!(originated(0), 0);
+        assert_eq!(originated(1), 70);
+        assert_eq!(originated(7), 10);
+        let sampler = SpanSampler::new(3);
+        let pattern: Vec<bool> = (0..6).map(|_| sampler.span_for(None).is_some()).collect();
+        assert_eq!(pattern, [true, false, false, true, false, false]);
+        assert_eq!(SpanSampler::new(1).span_for(None).map(|s| s.hop), Some(0));
     }
 
     #[test]

@@ -7,31 +7,25 @@
 //!
 //! * [`switch`] — the switch model: a [`p4lru_lruindex::SeriesIndex`]
 //!   mapping keys to 48-bit slot addresses plus a register-file value
-//!   store, with the two coherence rules (invalidate-before-forward,
-//!   epoch-guarded admission) that keep it consistent with the server.
+//!   store, and the tier's one front end: the sans-IO step pair
+//!   [`SwitchTier::begin`] / [`SwitchTier::finish`] that applies the three
+//!   coherence rules (invalidate-before-forward, epoch-guarded admission,
+//!   invalidate-again-on-ack) around an upstream round-trip someone else
+//!   performs.
 //! * [`counters`] — lock-free tier counters feeding the STATS `tier`
 //!   section and the `p4lru_tier_*` Prometheus families.
-//! * [`gateway`] — [`TierGateway`], the single-connection driver: switch
-//!   hits are served locally under a [`p4lru_netsim::SwitchHop`] latency
-//!   model, misses and writes ride the real client to serverd.
-//!   [`DirectDriver`] is the server-only baseline charged the same wire.
-//! * [`proxy`] — `p4lru_tierd`: the same logic as a standalone TCP daemon
-//!   speaking the serverd protocol, so unmodified clients get the two-tier
-//!   deployment by pointing at the proxy.
-//! * [`mod@bench`] — the two-tier vs server-only comparison harness behind
-//!   `tier_bench` and the CI smoke.
+//! * [`proxy`] — `p4lru_tierd`: sockets, threads and one lock around
+//!   `begin`/`finish`, speaking the serverd protocol on both sides, so
+//!   unmodified clients get the two-tier deployment by pointing at the
+//!   proxy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod counters;
-pub mod gateway;
 pub mod proxy;
 pub mod switch;
 
-pub use bench::{DeploymentResult, TierBenchConfig, Workload};
 pub use counters::TierCounters;
-pub use gateway::{DirectDriver, GatewayConfig, TierGateway};
 pub use proxy::{ProxyConfig, TierProxy};
-pub use switch::{SwitchTier, SwitchTierConfig};
+pub use switch::{Step, SwitchTier, SwitchTierConfig};

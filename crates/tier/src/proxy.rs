@@ -7,26 +7,24 @@
 //! the switch tier (index + value store) is shared across connections under
 //! one mutex, the way all ports of one switch share the same register file.
 //!
-//! The lock is *not* held across the upstream round-trip: a GET miss reads
-//! the epoch, releases the tier, forwards, and re-acquires to admit — the
-//! epoch guard ([`crate::switch::SwitchTier::admit`]) rejects the admission
-//! if any connection invalidated in between, which is what makes the
-//! multi-connection proxy obey the same coherence contract as the
-//! single-threaded gateway.
+//! This module owns sockets, threads and the lock, and none of the tier's
+//! policy: a request is [`SwitchTier::begin`] under the lock, the upstream
+//! round-trip with the lock released, and [`SwitchTier::finish`] under the
+//! lock again. What keeps the tiers coherent while other connections run
+//! in the gap is written in [`crate::switch`], once.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use p4lru_obs::{HopKind, HopTrace, MetricsHttp, SpanContext, TraceIdGen};
-use p4lru_server::shard::record_from_bytes;
+use p4lru_obs::{HopKind, HopTrace, MetricsHttp, SpanContext, SpanSampler};
 use p4lru_server::{tier_families, Client, FrameReader, FrameWriter, Request, Response};
 
 use crate::counters::TierCounters;
-use crate::switch::{SwitchTier, SwitchTierConfig};
+use crate::switch::{Step, SwitchTier, SwitchTierConfig};
 
 /// How often blocked reads wake to check the running flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(250);
@@ -76,41 +74,14 @@ struct Shared {
     shutdown_upstream: bool,
     running: Arc<AtomicBool>,
     local_addr: SocketAddr,
-    trace_ids: TraceIdGen,
-    /// Sampling clock for span origination (1 in `trace_every`).
-    traced: AtomicU64,
-    trace_every: u64,
+    sampler: SpanSampler,
     slow_ns: u64,
 }
 
 impl Shared {
-    /// The span this hop works under: the client's own context advanced
-    /// one hop, or (for 1 in `trace_every` untraced data requests) a
-    /// freshly originated one.
-    fn span_for(&self, incoming: Option<SpanContext>) -> Option<SpanContext> {
-        if let Some(span) = incoming {
-            return Some(span.next_hop());
-        }
-        if self.trace_every == 0 {
-            return None;
-        }
-        let n = self.traced.fetch_add(1, Ordering::Relaxed);
-        if self.trace_every == 1 || n.is_multiple_of(self.trace_every) {
-            Some(SpanContext::originate(self.trace_ids.next_id()))
-        } else {
-            None
-        }
-    }
-
-    /// Expels the switch copy of `key` and bumps the admission epoch. A
-    /// SET/DEL calls this twice (coherence rules 1 and 3 in
-    /// [`crate::switch`]): before forwarding, and again once the upstream
-    /// answered — whatever it answered, since a write that errored may
-    /// still have been applied. The second call is what catches a GET that
-    /// missed after the first, was served the old value upstream ahead of
-    /// the write, and admitted it under the still-current epoch.
-    fn invalidate(&self, key: u64) {
-        self.switch.lock().expect("switch poisoned").invalidate(key);
+    /// The switch, locked. Never held across an upstream round-trip.
+    fn switch(&self) -> MutexGuard<'_, SwitchTier> {
+        self.switch.lock().expect("switch poisoned")
     }
 }
 
@@ -146,9 +117,7 @@ impl TierProxy {
             shutdown_upstream: config.shutdown_upstream,
             running: Arc::clone(&running),
             local_addr,
-            trace_ids: TraceIdGen::new(),
-            traced: AtomicU64::new(0),
-            trace_every: config.trace_every,
+            sampler: SpanSampler::new(config.trace_every),
             slow_ns: config.slow_op_us.saturating_mul(1_000),
         });
         let metrics_http = match &config.metrics_addr {
@@ -194,6 +163,12 @@ impl TierProxy {
     /// The tier's counters.
     pub fn counters(&self) -> &Arc<TierCounters> {
         &self.shared.counters
+    }
+
+    /// [`SwitchTier::check_invariants`] on the live switch (tests,
+    /// diagnostics).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.shared.switch().check_invariants()
     }
 
     /// Blocks until a client sends SHUTDOWN, then tears down.
@@ -295,7 +270,7 @@ fn proxy_connection(stream: TcpStream, shared: &Arc<Shared>) {
         let stop = matches!(request, Request::Shutdown);
         let span = match request {
             Request::Get { .. } | Request::Set { .. } | Request::Del { .. } => {
-                shared.span_for(reader.take_span())
+                shared.sampler.span_for(reader.take_span())
             }
             _ => None,
         };
@@ -344,54 +319,19 @@ fn serve(
     upstream: &mut Client,
 ) -> Response {
     match *request {
-        Request::Get { key } => {
-            shared.counters.get();
-            let epoch = {
-                let mut switch = shared.switch.lock().expect("switch poisoned");
-                if let Some((_level, record)) = switch.lookup(key) {
-                    return Response::Value(record.to_vec());
-                }
-                switch.epoch()
+        Request::Get { .. } | Request::Set { .. } | Request::Del { .. } => {
+            let begun = shared.switch().begin(request);
+            let epoch = match begun {
+                Step::Reply(response) => return response,
+                Step::Forward { epoch } => epoch,
             };
-            shared.counters.forward();
             upstream.set_next_span(span);
-            match upstream.get(key) {
-                Ok(Some(value)) => {
-                    shared.switch.lock().expect("switch poisoned").admit(
-                        key,
-                        record_from_bytes(&value),
-                        epoch,
-                    );
-                    Response::Value(value)
-                }
-                Ok(None) => Response::NotFound,
-                Err(e) => Response::Err(format!("upstream GET failed: {e}")),
-            }
-        }
-        Request::Set { key, ref value } => {
-            shared.counters.set();
-            shared.invalidate(key);
-            shared.counters.forward();
-            upstream.set_next_span(span);
-            let result = upstream.set(key, value);
-            shared.invalidate(key);
-            match result {
-                Ok(()) => Response::Ok,
-                Err(e) => Response::Err(format!("upstream SET failed: {e}")),
-            }
-        }
-        Request::Del { key } => {
-            shared.counters.del();
-            shared.invalidate(key);
-            shared.counters.forward();
-            upstream.set_next_span(span);
-            let result = upstream.del(key);
-            shared.invalidate(key);
-            match result {
-                Ok(true) => Response::Ok,
-                Ok(false) => Response::NotFound,
-                Err(e) => Response::Err(format!("upstream DEL failed: {e}")),
-            }
+            let response = upstream
+                .send(request)
+                .and_then(|()| upstream.recv())
+                .unwrap_or_else(|e| Response::Err(format!("upstream request failed: {e}")));
+            shared.switch().finish(request, epoch, &response);
+            response
         }
         Request::Stats => match upstream.stats() {
             Ok(report) => {

@@ -1,5 +1,6 @@
 //! The switch tier: the LruIndex series index paired with a register-backed
-//! value store.
+//! value store, and the per-request protocol that keeps it coherent with
+//! the server behind it.
 //!
 //! On a Tofino, the series-connected P4LRU arrays track *which* keys are
 //! cached and *where* (a 48-bit slot address); the values themselves live
@@ -8,28 +9,35 @@
 //! addresses, and a flat `Vec<Record>` plays the register file, with a
 //! free-list recycling slots as index evictions release them.
 //!
-//! Coherence with the server tier rests on three rules (DESIGN.md §11):
+//! A request crosses the tier in two sans-IO steps, [`SwitchTier::begin`]
+//! before the upstream round trip and [`SwitchTier::finish`] after it.
+//! Whoever owns the sockets (today `p4lru_tierd`'s connection threads, and
+//! the tests' in-memory upstreams) calls the pair and nothing else, so the
+//! three coherence rules (DESIGN.md §11) are written exactly once, here:
 //!
-//! 1. **Invalidate-before-forward** — every SET/DEL expels the switch copy
-//!    *before* being forwarded, so a later GET cannot hit stale data.
-//! 2. **Epoch-guarded admission** — a GET miss records the tier's epoch
-//!    before its server round-trip; the fetched value is admitted only if
-//!    no invalidation bumped the epoch in between. Without the guard, a
-//!    concurrent writer could slip a SET between the server read and the
-//!    admission, re-installing the overwritten value.
-//! 3. **Invalidate-again-on-ack** — once the server answers a SET/DEL, and
-//!    before the client is answered, the key is invalidated a second time.
-//!    A GET that missed after rule 1's invalidation, was applied upstream
-//!    *ahead of* the write and admitted the old value under a still-current
-//!    epoch is expelled; one still in flight fails rule 2's guard. Needed
-//!    only where GETs and writes race on separate upstream connections
-//!    (the proxy); the single-connection gateway cannot interleave them.
+//! 1. **Invalidate-before-forward** (`begin`) — every SET/DEL expels the
+//!    switch copy *before* being forwarded, so a later GET cannot hit
+//!    stale data.
+//! 2. **Epoch-guarded admission** (`begin` hands out the epoch, `finish`
+//!    checks it) — a GET miss records the tier's epoch before its server
+//!    round-trip; the fetched value is admitted only if no invalidation
+//!    bumped the epoch in between. Without the guard, a concurrent writer
+//!    could slip a SET between the server read and the admission,
+//!    re-installing the overwritten value.
+//! 3. **Invalidate-again-on-ack** (`finish`) — once the server answers a
+//!    SET/DEL, and before the client is answered, the key is invalidated a
+//!    second time. A GET that missed after rule 1's invalidation, was
+//!    applied upstream *ahead of* the write and admitted the old value
+//!    under a still-current epoch is expelled; one still in flight fails
+//!    rule 2's guard.
 
 use std::sync::Arc;
 
 use p4lru_core::dfa::Dfa3;
 use p4lru_kvstore::Record;
 use p4lru_lruindex::{QueryHit, ReplyOutcome, SeriesIndex};
+use p4lru_server::shard::record_from_bytes;
+use p4lru_server::{Request, Response};
 
 use crate::counters::TierCounters;
 
@@ -56,6 +64,19 @@ impl Default for SwitchTierConfig {
     }
 }
 
+/// What [`SwitchTier::begin`] decided for one request.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// Answered at the switch; nothing goes upstream.
+    Reply(Response),
+    /// Forward the request upstream, then hand its answer and this epoch
+    /// to [`SwitchTier::finish`] before answering the client.
+    Forward {
+        /// The invalidation epoch the request was begun under.
+        epoch: u64,
+    },
+}
+
 /// The in-network front cache of a two-tier deployment.
 pub struct SwitchTier {
     index: SeriesIndex<3, Dfa3>,
@@ -66,7 +87,6 @@ pub struct SwitchTier {
     /// Bumped by every invalidation; guards miss-reply admission.
     epoch: u64,
     counters: Arc<TierCounters>,
-    levels: usize,
 }
 
 impl SwitchTier {
@@ -85,7 +105,6 @@ impl SwitchTier {
             free: (0..capacity as u64).rev().collect(),
             epoch: 0,
             counters,
-            levels: config.levels,
         }
     }
 
@@ -104,14 +123,54 @@ impl SwitchTier {
         self.len() == 0
     }
 
-    /// Series levels configured.
-    pub fn levels(&self) -> usize {
-        self.levels
-    }
-
     /// The shared counter block.
     pub fn counters(&self) -> &Arc<TierCounters> {
         &self.counters
+    }
+
+    /// The first half of a request's trip through the tier, run before
+    /// anything is sent upstream. A GET is looked up and a hit answered on
+    /// the spot; a SET/DEL expels the switch copy (rule 1). Everything not
+    /// answered here is to be forwarded, and [`Self::finish`] called with
+    /// the upstream's answer. Only GET/SET/DEL are the tier's business: any
+    /// other request is forwarded untouched and uncounted.
+    pub fn begin(&mut self, request: &Request) -> Step {
+        match *request {
+            Request::Get { key } => {
+                self.counters.get();
+                if let Some((_level, record)) = self.lookup(key) {
+                    return Step::Reply(Response::Value(record.to_vec()));
+                }
+            }
+            Request::Set { key, .. } => {
+                self.counters.set();
+                self.invalidate(key);
+            }
+            Request::Del { key } => {
+                self.counters.del();
+                self.invalidate(key);
+            }
+            _ => return Step::Forward { epoch: self.epoch },
+        }
+        self.counters.forward();
+        Step::Forward { epoch: self.epoch }
+    }
+
+    /// The second half: the upstream answered a request [`Self::begin`]
+    /// forwarded under `epoch`, and the client has not been answered yet.
+    /// A GET's value is admitted behind the epoch guard (rule 2). A SET/DEL
+    /// invalidates its key again (rule 3) whatever the answer was — a write
+    /// that errored may still have been applied.
+    pub fn finish(&mut self, request: &Request, epoch: u64, response: &Response) {
+        match (request, response) {
+            (&Request::Get { key }, Response::Value(value)) => {
+                self.admit(key, record_from_bytes(value), epoch);
+            }
+            (&Request::Set { key, .. } | &Request::Del { key }, _) => {
+                self.invalidate(key);
+            }
+            _ => {}
+        }
     }
 
     /// The current invalidation epoch. A GET records this before its server
@@ -268,6 +327,82 @@ mod tests {
         assert_eq!(t.lookup(9), None);
         assert_eq!(t.counters().snapshot(3).stale_drops, 1);
         t.check_invariants().unwrap();
+    }
+
+    fn get(key: u64) -> Request {
+        Request::Get { key }
+    }
+
+    fn set(key: u64) -> Request {
+        Request::Set {
+            key,
+            value: b"new".to_vec(),
+        }
+    }
+
+    /// Begins a request that must miss and returns its epoch.
+    fn forwarded(t: &mut SwitchTier, request: &Request) -> u64 {
+        match t.begin(request) {
+            Step::Forward { epoch } => epoch,
+            Step::Reply(response) => panic!("{request:?} answered at the switch: {response:?}"),
+        }
+    }
+
+    #[test]
+    fn a_forwarded_get_is_admitted_and_hits_until_a_write_begins() {
+        let mut t = tier(4096);
+        let epoch = forwarded(&mut t, &get(42));
+        t.finish(&get(42), epoch, &Response::Value(b"short".to_vec()));
+        assert_eq!(
+            t.begin(&get(42)),
+            Step::Reply(Response::Value(record_from_bytes(b"short").to_vec())),
+            "the switch serves the server's padded record image"
+        );
+        // NOT_FOUND and errors admit nothing.
+        let epoch = forwarded(&mut t, &get(43));
+        t.finish(&get(43), epoch, &Response::NotFound);
+        t.finish(&get(43), epoch, &Response::Err("busy".to_owned()));
+        forwarded(&mut t, &get(43));
+        let snap = t.counters().snapshot(3);
+        assert_eq!((snap.gets, snap.hits, snap.forwarded), (4, 1, 3));
+        // Anything but GET/SET/DEL passes through untouched and uncounted.
+        assert_eq!(t.begin(&Request::Ping), Step::Forward { epoch });
+        assert_eq!(t.counters().snapshot(3).forwarded, 3);
+        // Rule 1: a write expels the copy before it is even forwarded.
+        forwarded(&mut t, &Request::Del { key: 42 });
+        forwarded(&mut t, &get(42));
+        let snap = t.counters().snapshot(3);
+        assert_eq!((snap.dels, snap.invalidations), (1, 1));
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn rule_2_a_write_between_a_miss_and_its_admission_wins() {
+        let mut t = tier(4096);
+        let epoch = forwarded(&mut t, &get(7));
+        // A SET of another key entirely, begun and acked in the gap: the
+        // epoch is the whole tier's, so the late reply is still dropped.
+        let set_epoch = forwarded(&mut t, &set(8));
+        t.finish(&set(8), set_epoch, &Response::Ok);
+        t.finish(&get(7), epoch, &Response::Value(vec![1]));
+        forwarded(&mut t, &get(7));
+        assert_eq!(t.counters().snapshot(3).stale_drops, 1);
+    }
+
+    #[test]
+    fn rule_3_a_write_ack_expels_what_a_racing_get_admitted() {
+        for answer in [Response::Ok, Response::Err("timed out".to_owned())] {
+            let mut t = tier(4096);
+            let set_epoch = forwarded(&mut t, &set(9));
+            // The GET misses after rule 1, reads the old value upstream
+            // ahead of the SET, and admits it under a still-current epoch.
+            let epoch = forwarded(&mut t, &get(9));
+            t.finish(&get(9), epoch, &Response::Value(vec![1]));
+            assert!(matches!(t.begin(&get(9)), Step::Reply(_)));
+            t.finish(&set(9), set_epoch, &answer);
+            forwarded(&mut t, &get(9));
+            t.check_invariants().unwrap();
+        }
     }
 
     #[test]

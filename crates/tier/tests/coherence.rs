@@ -3,9 +3,12 @@
 //! The contract under test: once a SET or DEL has been acknowledged, no
 //! later GET may observe the overwritten value — the switch copy must have
 //! been expelled before the write was forwarded, and no stale in-flight
-//! miss reply may sneak back in afterwards. Random interleavings of
-//! GET/SET/DEL run through a [`TierGateway`] against a sequential model;
-//! any stale read surfaces as a model mismatch at an exact operation index.
+//! miss reply may sneak back in afterwards. Random sequences of
+//! GET/SET/DEL run from an ordinary [`Client`] through an in-process
+//! [`TierProxy`] — the code `p4lru_tierd` runs — against a sequential
+//! model; any stale read surfaces as a model mismatch at an exact
+//! operation index. (Concurrent interleavings are root
+//! `tests/tier_coherence.rs`'s job.)
 
 use std::collections::HashMap;
 
@@ -13,8 +16,9 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use p4lru_kvstore::db::record_for;
+use p4lru_server::client::Client;
 use p4lru_server::server::{Server, ServerConfig};
-use p4lru_tier::{GatewayConfig, SwitchTierConfig, TierGateway};
+use p4lru_tier::{ProxyConfig, SwitchTierConfig, TierProxy};
 
 const ITEMS: u64 = 120;
 
@@ -28,19 +32,17 @@ fn tiny_server() -> Server {
     .expect("server spawns")
 }
 
-fn tiny_gateway(server: &Server, memory_bytes: usize) -> TierGateway {
-    TierGateway::connect(
-        server.local_addr(),
-        &GatewayConfig {
-            switch: SwitchTierConfig {
-                levels: 3,
-                memory_bytes,
-                seed: 0xC0E7,
-            },
-            ..GatewayConfig::default()
+fn tiny_proxy(server: &Server, memory_bytes: usize) -> TierProxy {
+    TierProxy::spawn(&ProxyConfig {
+        upstream: server.local_addr().to_string(),
+        switch: SwitchTierConfig {
+            levels: 3,
+            memory_bytes,
+            seed: 0xC0E7,
         },
-    )
-    .expect("gateway connects")
+        ..ProxyConfig::default()
+    })
+    .expect("proxy spawns")
 }
 
 /// Both tiers store fixed 64-byte records: a SET pads (or truncates).
@@ -67,7 +69,8 @@ proptest! {
         memory_bytes in 600usize..6_000,
     ) {
         let server = tiny_server();
-        let mut gateway = tiny_gateway(&server, memory_bytes);
+        let proxy = tiny_proxy(&server, memory_bytes);
+        let mut client = Client::connect(proxy.local_addr()).expect("client connects");
         let mut model = populated_model();
 
         for (i, &(kind, key, fill, len)) in raw.iter().enumerate() {
@@ -75,7 +78,7 @@ proptest! {
                 // GETs twice as likely as each write kind: the stale window
                 // only shows up when reads follow writes closely.
                 0 | 1 => {
-                    let got = gateway.get(key).expect("GET io");
+                    let got = client.get(key).expect("GET io");
                     let want = model.get(&key).cloned();
                     prop_assert_eq!(
                         got, want,
@@ -84,11 +87,11 @@ proptest! {
                 }
                 2 => {
                     let value = vec![fill; len];
-                    gateway.set(key, &value).expect("SET io");
+                    client.set(key, &value).expect("SET io");
                     model.insert(key, pad64(&value));
                 }
                 _ => {
-                    let existed = gateway.del(key).expect("DEL io");
+                    let existed = client.del(key).expect("DEL io");
                     prop_assert_eq!(
                         existed,
                         model.remove(&key).is_some(),
@@ -100,56 +103,21 @@ proptest! {
 
         // Immediately after every write, its key must read back fresh.
         for &(kind, key, ..) in raw.iter().filter(|&&(k, ..)| k >= 2) {
-            let got = gateway.get(key).expect("GET io");
+            let got = client.get(key).expect("GET io");
             let want = model.get(&key).cloned();
             prop_assert_eq!(got, want, "post-run GET of key {key} ({kind})");
         }
 
-        gateway.switch().check_invariants().expect("tier invariants");
-        let snap = gateway.counters().snapshot(3);
+        proxy.check_invariants().expect("tier invariants");
+        let snap = proxy.counters().snapshot(3);
         prop_assert!(
             snap.forwarded >= snap.sets + snap.dels,
             "every write must reach the server (forwarded {}, writes {})",
             snap.forwarded, snap.sets + snap.dels
         );
         prop_assert_eq!(snap.gets, snap.hits + snap.misses);
+        drop(client);
+        proxy.shutdown();
         server.shutdown();
     }
-}
-
-/// A focused regression for the exact interleaving the epoch guard exists
-/// for: GET misses and records the epoch, a SET invalidates (and is acked)
-/// before the miss reply is admitted — the reply must be dropped and the
-/// next GET must see the SET's value.
-#[test]
-fn write_between_miss_and_admission_wins() {
-    let server = tiny_server();
-    let mut gateway = tiny_gateway(&server, 4_096);
-    let key = 7;
-
-    // Reproduce the gateway's miss path by hand, with the SET in the gap.
-    let epoch = gateway.switch().epoch();
-    let stale = record_for(key);
-    gateway.set(key, b"fresh").unwrap();
-    // The "in-flight reply" carrying the pre-SET value arrives late:
-    assert!(
-        !gateway_admit(&mut gateway, key, stale, epoch),
-        "stale reply admitted past an acknowledged SET"
-    );
-    assert_eq!(
-        gateway.get(key).unwrap(),
-        Some(pad64(b"fresh")),
-        "GET after SET ack served the expelled value"
-    );
-    assert_eq!(gateway.counters().snapshot(3).stale_drops, 1);
-    server.shutdown();
-}
-
-fn gateway_admit(
-    gateway: &mut TierGateway,
-    key: u64,
-    record: p4lru_kvstore::Record,
-    epoch: u64,
-) -> bool {
-    gateway.switch_mut().admit(key, record, epoch)
 }

@@ -2,18 +2,12 @@
 //!
 //! A static Zipf workload flatters any cache once it is warm; the cases
 //! that separate recency-tracking (LRU) from frequency or static placement
-//! are the ones where popularity *moves*:
-//!
-//! * [`HotFlipConfig`] — Zipf-skewed traffic whose hot set rotates every
-//!   `flip_every` operations. Each phase shifts the popularity ranking by a
-//!   golden-ratio stride before the usual rank→key scramble, so successive
-//!   hot sets are nearly disjoint. An LRU tier re-converges within one
-//!   cache-fill of the flip; a frequency-biased or static tier keeps
-//!   serving yesterday's celebrities.
-//! * [`ScanConfig`] — a sequential sweep over the whole key space, the
-//!   classic LRU-adversarial pattern: with more keys than cache entries
-//!   every reference is a capacity miss, bounding the tier's hit rate from
-//!   below and the offload claim from above.
+//! are the ones where popularity *moves*. [`HotFlipConfig`] is Zipf-skewed
+//! traffic whose hot set rotates every `flip_every` operations. Each phase
+//! shifts the popularity ranking by a golden-ratio stride before the usual
+//! rank→key scramble, so successive hot sets are nearly disjoint. An LRU
+//! tier re-converges within one cache-fill of the flip; a frequency-biased
+//! or static tier keeps serving yesterday's celebrities.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -119,72 +113,6 @@ impl Iterator for HotFlipStream {
     }
 }
 
-/// A sequential scan over the key space (LRU's worst case).
-#[derive(Clone, Debug)]
-pub struct ScanConfig {
-    /// Number of items in the database.
-    pub items: u64,
-    /// Fraction of reads (the remainder are updates).
-    pub read_fraction: f64,
-    /// RNG seed (drives only the read/update coin).
-    pub seed: u64,
-}
-
-impl Default for ScanConfig {
-    fn default() -> Self {
-        Self {
-            items: 100_000,
-            read_fraction: 0.95,
-            seed: 0x5CA7,
-        }
-    }
-}
-
-impl ScanConfig {
-    /// An infinite deterministic operation stream sweeping `0..items`
-    /// repeatedly.
-    ///
-    /// # Panics
-    /// Panics if `items == 0`.
-    pub fn stream(&self) -> ScanStream {
-        assert!(self.items > 0, "scan needs a non-empty key space");
-        ScanStream {
-            rng: SmallRng::seed_from_u64(self.seed),
-            read_fraction: self.read_fraction,
-            items: self.items,
-            next_key: 0,
-        }
-    }
-
-    /// Generates `ops` operations eagerly.
-    pub fn generate(&self, ops: usize) -> Vec<Op> {
-        self.stream().take(ops).collect()
-    }
-}
-
-/// Iterator of sequential-scan operations.
-#[derive(Clone, Debug)]
-pub struct ScanStream {
-    rng: SmallRng,
-    read_fraction: f64,
-    items: u64,
-    next_key: u64,
-}
-
-impl Iterator for ScanStream {
-    type Item = Op;
-
-    fn next(&mut self) -> Option<Op> {
-        let key = self.next_key;
-        self.next_key = (self.next_key + 1) % self.items;
-        Some(if self.rng.gen::<f64>() < self.read_fraction {
-            Op::Read(key)
-        } else {
-            Op::Update(key)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,29 +182,5 @@ mod tests {
             s.next();
         }
         assert_eq!(s.phase(), 1);
-    }
-
-    #[test]
-    fn scan_sweeps_sequentially_and_wraps() {
-        let cfg = ScanConfig {
-            items: 5,
-            read_fraction: 1.0,
-            ..Default::default()
-        };
-        let keys: Vec<u64> = cfg.generate(12).iter().map(|o| o.key()).collect();
-        assert_eq!(keys, vec![0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1]);
-    }
-
-    #[test]
-    fn scan_mixes_updates() {
-        let cfg = ScanConfig {
-            items: 100,
-            read_fraction: 0.9,
-            ..Default::default()
-        };
-        let ops = cfg.generate(10_000);
-        let updates = ops.iter().filter(|o| matches!(o, Op::Update(_))).count();
-        let frac = updates as f64 / ops.len() as f64;
-        assert!((frac - 0.1).abs() < 0.02, "update fraction {frac}");
     }
 }

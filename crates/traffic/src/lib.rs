@@ -21,10 +21,10 @@
 //!    ([`caida::CaidaConfig::segments`]).
 //!
 //! [`ycsb`] provides the Zipf(α = 0.9) key-request workload used for the
-//! LruIndex experiments, [`adversarial`] the hot-key-flip and sequential
-//! scan patterns used to stress the two-tier deployment, and [`stats`]
-//! computes the trace statistics used to calibrate the generator against
-//! the paper's quoted numbers.
+//! LruIndex experiments, [`adversarial`] the hot-key-flip pattern used to
+//! stress the two-tier deployment, and [`stats`] computes the trace
+//! statistics used to calibrate the generator against the paper's quoted
+//! numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +36,7 @@ pub mod stats;
 pub mod ycsb;
 pub mod zipf;
 
-pub use adversarial::{HotFlipConfig, ScanConfig};
+pub use adversarial::HotFlipConfig;
 pub use caida::{CaidaConfig, Trace};
 pub use packet::{FiveTuple, Packet};
 pub use zipf::Zipf;
