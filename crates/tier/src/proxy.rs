@@ -7,11 +7,25 @@
 //! the switch tier (index + value store) is shared across connections under
 //! one mutex, the way all ports of one switch share the same register file.
 //!
+//! A connection is served in *turns*. A turn blocks for one frame, takes
+//! with it every further GET/SET/DEL frame that has already arrived (up to
+//! [`TURN_CAP`]), and crosses the tier as a unit: every request is begun in
+//! wire order under one hold of the lock, the ones the switch could not
+//! answer are queued on the upstream connection and sent with one flush,
+//! their answers are read back in order with the lock released, every
+//! request is finished under one more hold, and the replies go out in wire
+//! order with one flush. A closed-loop client's turn is one request; a
+//! pipelining client's is as long as its burst, and the serverd behind it
+//! sees that burst as a batch. STATS, PING, SHUTDOWN and frames that do
+//! not decode end a turn and are answered by themselves.
+//!
 //! This module owns sockets, threads and the lock, and none of the tier's
-//! policy: a request is [`SwitchTier::begin`] under the lock, the upstream
-//! round-trip with the lock released, and [`SwitchTier::finish`] under the
-//! lock again. What keeps the tiers coherent while other connections run
-//! in the gap is written in [`crate::switch`], once.
+//! policy: a turn is [`SwitchTier::begin_turn`] under the lock, the
+//! upstream exchange with the lock released, and
+//! [`SwitchTier::finish_turn`] under the lock again. What keeps the tiers
+//! coherent while other connections run in the gap — and why a turn's
+//! begins must not be interleaved with them — is written in
+//! [`crate::switch`], once.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -28,6 +42,12 @@ use crate::switch::{Step, SwitchTier, SwitchTierConfig};
 
 /// How often blocked reads wake to check the running flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(250);
+
+/// The most requests one turn takes. It bounds how long a turn holds the
+/// switch (tens of microseconds at this size) and how far a connection's
+/// first reply waits on its last request's upstream answer; a longer burst
+/// is simply served as several turns.
+pub const TURN_CAP: usize = 64;
 
 /// Proxy configuration.
 #[derive(Clone, Debug)]
@@ -225,9 +245,14 @@ fn accept_loop(
     }
 }
 
-/// Serves one downstream connection, closed-loop: read a frame, answer it,
-/// repeat. (The pipelined fan-out lives in serverd; the proxy's job is the
-/// tier logic, and its hit path never blocks on the upstream anyway.)
+/// Serves one downstream connection in turns. A turn blocks for one frame,
+/// then takes every GET/SET/DEL frame the reader already holds (up to
+/// [`TURN_CAP`]) and serves them as one [`SwitchTier::begin_turn`] /
+/// [`SwitchTier::finish_turn`] around one pipelined upstream exchange. A
+/// client with one request in flight gets turns of one; a pipelining client
+/// pays the tier's lock and the upstream's syscalls once per burst. Anything
+/// else — STATS, PING, SHUTDOWN, a frame that does not decode — ends the
+/// turn and is answered by itself, after it, so replies stay in wire order.
 fn proxy_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
@@ -241,6 +266,8 @@ fn proxy_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let mut writer = FrameWriter::new(write_half);
     let mut frame = Vec::new();
     let mut out = Vec::new();
+    let mut requests = Vec::new();
+    let mut spans = Vec::new();
     loop {
         match reader.read_frame(&mut frame) {
             Ok(true) => {}
@@ -258,33 +285,56 @@ fn proxy_connection(stream: TcpStream, shared: &Arc<Shared>) {
             }
             Err(_) => return,
         }
-        let request = match Request::decode(&frame) {
-            Ok(request) => request,
-            Err(e) => {
-                if respond(&mut writer, &mut out, &Response::Err(e.to_string())).is_err() {
-                    return;
+        // Whether the connection outlives this turn: not past a frame the
+        // reader refuses, nor past an upstream failure.
+        let mut open = true;
+        // The decoded frame that ended the turn, to be answered by itself.
+        let mut alone = None;
+        requests.clear();
+        spans.clear();
+        loop {
+            match Request::decode(&frame) {
+                Ok(request @ (Request::Get { .. } | Request::Set { .. } | Request::Del { .. })) => {
+                    spans.push(shared.sampler.span_for(reader.take_span()));
+                    requests.push(request);
                 }
-                continue;
+                other => {
+                    alone = Some(other);
+                    break;
+                }
             }
-        };
-        let stop = matches!(request, Request::Shutdown);
-        let span = match request {
-            Request::Get { .. } | Request::Set { .. } | Request::Del { .. } => {
-                shared.sampler.span_for(reader.take_span())
+            if requests.len() == TURN_CAP || !reader.has_buffered_frame() {
+                break;
             }
-            _ => None,
-        };
-        let started = Instant::now();
-        let response = serve(&request, span, shared, &mut upstream);
-        if let Some(ctx) = span {
-            let total = started.elapsed().as_nanos() as u64;
-            if total >= shared.slow_ns {
-                let mut hop = HopTrace::new(ctx, HopKind::Tier);
-                hop.segment("serve", total);
-                println!("[p4lru_tierd] slow op: {}", hop.breakdown());
+            // A buffered frame never touches the socket: this is the next
+            // request, or the error of a header the reader will not accept.
+            if !matches!(reader.read_frame(&mut frame), Ok(true)) {
+                open = false;
+                break;
             }
         }
-        if respond(&mut writer, &mut out, &response).is_err() {
+        if !requests.is_empty() {
+            open &= serve_turn(
+                &requests,
+                &spans,
+                shared,
+                &mut upstream,
+                &mut writer,
+                &mut out,
+            );
+        }
+        let stop = matches!(alone, Some(Ok(Request::Shutdown)));
+        if let Some(decoded) = alone {
+            let response = match decoded {
+                Ok(request) => serve_alone(&request, shared, &mut upstream),
+                Err(e) => Response::Err(e.to_string()),
+            };
+            response.encode(&mut out);
+            if writer.write_frame(&out).is_err() {
+                return;
+            }
+        }
+        if writer.flush().is_err() || !open {
             return;
         }
         if stop {
@@ -298,41 +348,75 @@ fn proxy_connection(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-fn respond(
-    writer: &mut FrameWriter<TcpStream>,
-    out: &mut Vec<u8>,
-    response: &Response,
-) -> io::Result<()> {
-    response.encode(out);
-    writer.write_frame(out)?;
-    writer.flush()
-}
-
-/// The tier logic for one request. Upstream failures surface as protocol
-/// `Err` responses rather than dropped connections. `span` (this hop's
-/// trace context) rides upstream on forwarded requests only — a switch hit
-/// never leaves the tier, which the trace shows as a missing SERVER hop.
-fn serve(
-    request: &Request,
-    span: Option<SpanContext>,
+/// One turn of GET/SET/DEL requests: begin them all under one hold of the
+/// switch, exchange the forwards with the upstream in one pipelined round
+/// trip with the switch released, finish them all under one hold, and write
+/// every reply in wire order. `spans` (this hop's trace contexts) ride
+/// upstream on forwarded requests only — a switch hit never leaves the
+/// tier, which the trace shows as a missing SERVER hop.
+///
+/// Returns whether the connection may go on. An upstream I/O failure
+/// answers every forward it left unanswered `Err`, in wire order — their
+/// `finish` still runs — and then ends the connection with its upstream
+/// client, so that a late upstream byte can never be paired with another
+/// request.
+fn serve_turn(
+    requests: &[Request],
+    spans: &[Option<SpanContext>],
     shared: &Shared,
     upstream: &mut Client,
-) -> Response {
-    match *request {
-        Request::Get { .. } | Request::Set { .. } | Request::Del { .. } => {
-            let begun = shared.switch().begin(request);
-            let epoch = match begun {
-                Step::Reply(response) => return response,
-                Step::Forward { epoch } => epoch,
-            };
-            upstream.set_next_span(span);
-            let response = upstream
-                .send(request)
-                .and_then(|()| upstream.recv())
-                .unwrap_or_else(|e| Response::Err(format!("upstream request failed: {e}")));
-            shared.switch().finish(request, epoch, &response);
-            response
+    writer: &mut FrameWriter<TcpStream>,
+    out: &mut Vec<u8>,
+) -> bool {
+    let started = Instant::now();
+    let steps = shared.switch().begin_turn(requests);
+    let mut forwards = 0;
+    let mut sent = Ok(());
+    for ((request, span), step) in requests.iter().zip(spans).zip(&steps) {
+        if matches!(step, Step::Forward { .. }) {
+            forwards += 1;
+            upstream.set_next_span(*span);
+            sent = sent.and_then(|()| upstream.send(request));
         }
+    }
+    let mut failure = sent
+        .and_then(|()| upstream.flush())
+        .err()
+        .map(|e| e.to_string());
+    let answers: Vec<Response> = (0..forwards)
+        .map(|_| {
+            if failure.is_none() {
+                match upstream.recv() {
+                    Ok(answer) => return answer,
+                    Err(e) => failure = Some(e.to_string()),
+                }
+            }
+            let why = failure.as_deref().expect("set on the way here");
+            Response::Err(format!("upstream request failed: {why}"))
+        })
+        .collect();
+    let replies = shared.switch().finish_turn(requests, steps, answers);
+    let total = started.elapsed().as_nanos() as u64;
+    if total >= shared.slow_ns {
+        for ctx in spans.iter().flatten() {
+            let mut hop = HopTrace::new(*ctx, HopKind::Tier);
+            hop.segment("serve", total);
+            println!("[p4lru_tierd] slow op: {}", hop.breakdown());
+        }
+    }
+    let mut written = Ok(());
+    for reply in &replies {
+        reply.encode(out);
+        written = written.and_then(|()| writer.write_frame(out));
+    }
+    // Flushed here, not with whatever ended the turn: a STATS behind it
+    // takes an upstream round trip of its own.
+    written.and_then(|()| writer.flush()).is_ok() && failure.is_none()
+}
+
+/// The requests that are not the tier's business, one at a time.
+fn serve_alone(request: &Request, shared: &Shared, upstream: &mut Client) -> Response {
+    match *request {
         Request::Stats => match upstream.stats() {
             Ok(report) => {
                 let report = report.with_tier(shared.counters.snapshot(shared.levels));
@@ -347,5 +431,8 @@ fn serve(
         // A PING probes the *proxy* — it answers from its own front door,
         // the way serverd answers inline without a shard dispatch.
         Request::Ping => Response::Pong,
+        Request::Get { .. } | Request::Set { .. } | Request::Del { .. } => {
+            unreachable!("GET/SET/DEL are served in turns")
+        }
     }
 }

@@ -10,30 +10,52 @@
 //! free-list recycling slots as index evictions release them.
 //!
 //! A request crosses the tier in two sans-IO steps, [`SwitchTier::begin`]
-//! before the upstream round trip and [`SwitchTier::finish`] after it.
-//! Whoever owns the sockets (today `p4lru_tierd`'s connection threads, and
-//! the tests' in-memory upstreams) calls the pair and nothing else, so the
-//! three coherence rules (DESIGN.md §11) are written exactly once, here:
+//! before the upstream round trip and [`SwitchTier::finish`] after it, and
+//! a connection's pipelined burst crosses it as one *turn* of them,
+//! [`SwitchTier::begin_turn`] / [`SwitchTier::finish_turn`]. Whoever owns
+//! the sockets (`p4lru_tierd`'s connection threads, the tests' in-memory
+//! upstreams, the interleaving explorer) calls those and nothing else, so
+//! the three coherence rules (DESIGN.md §11) are written exactly once, here:
 //!
 //! 1. **Invalidate-before-forward** (`begin`) — every SET/DEL expels the
 //!    switch copy *before* being forwarded, so a later GET cannot hit
 //!    stale data.
-//! 2. **Epoch-guarded admission** (`begin` hands out the epoch, `finish`
-//!    checks it) — a GET miss records the tier's epoch before its server
-//!    round-trip; the fetched value is admitted only if no invalidation
-//!    bumped the epoch in between. Without the guard, a concurrent writer
-//!    could slip a SET between the server read and the admission,
-//!    re-installing the overwritten value.
+//! 2. **Stamp-guarded admission** (`begin` hands out the epoch, `finish`
+//!    checks it) — `epoch` is a clock that every invalidation advances, and
+//!    each invalidation writes the advanced clock into the stamp of its
+//!    key's *partition* (a fixed power-of-two table keyed by the tier's
+//!    seed). A GET miss records the clock before its server round-trip;
+//!    the fetched value is admitted unless its partition's stamp is now
+//!    **newer** than that. Without the guard, a concurrent writer could
+//!    slip a SET between the server read and the admission, re-installing
+//!    the overwritten value. The test is `>`, not `!=`: a stamp at or
+//!    below the recorded clock is an invalidation that was over before the
+//!    GET began, which the GET's own lookup already saw. The stamp is
+//!    written for keys the switch does not hold too — the danger is
+//!    precisely the reply in flight for a key that was never admitted. A
+//!    write to another key of the same partition drops the reply as well
+//!    (conservative, and counted as a stale drop); a write anywhere else
+//!    no longer does, which is what lets many requests be in flight.
 //! 3. **Invalidate-again-on-ack** (`finish`) — once the server answers a
 //!    SET/DEL, and before the client is answered, the key is invalidated a
 //!    second time. A GET that missed after rule 1's invalidation, was
 //!    applied upstream *ahead of* the write and admitted the old value
-//!    under a still-current epoch is expelled; one still in flight fails
-//!    rule 2's guard.
+//!    under a still-unstamped partition is expelled; one still in flight
+//!    fails rule 2's guard.
+//!
+//! A turn adds one more promise, read-your-writes inside a pipelined
+//! burst: `SET k`, `GET k` sent back to back must read the SET. It holds
+//! because a turn's begins run in wire order with nothing in between —
+//! `begin_turn` takes the whole burst under one `&mut self` — so the GET
+//! misses behind its own SET's invalidation and follows it up the same
+//! FIFO upstream connection. Begun one by one, another connection's
+//! admission could land between the two and the GET would hit the old
+//! value (root `tests/tier_coherence.rs` shows exactly that schedule).
 
 use std::sync::Arc;
 
 use p4lru_core::dfa::Dfa3;
+use p4lru_core::hashing::hash_u64;
 use p4lru_kvstore::Record;
 use p4lru_lruindex::{QueryHit, ReplyOutcome, SeriesIndex};
 use p4lru_server::shard::record_from_bytes;
@@ -64,6 +86,12 @@ impl Default for SwitchTierConfig {
     }
 }
 
+/// log2 of the number of invalidation stamps. A forwarded GET is dropped
+/// for every stamp written while it is in flight, at 1 in `2^PARTITION_BITS`
+/// each; 8 KiB of stamps keeps that under a percent with a few dozen
+/// requests in flight at a 5 % write share.
+const PARTITION_BITS: u32 = 10;
+
 /// What [`SwitchTier::begin`] decided for one request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Step {
@@ -72,7 +100,7 @@ pub enum Step {
     /// Forward the request upstream, then hand its answer and this epoch
     /// to [`SwitchTier::finish`] before answering the client.
     Forward {
-        /// The invalidation epoch the request was begun under.
+        /// The invalidation clock the request was begun at.
         epoch: u64,
     },
 }
@@ -80,12 +108,18 @@ pub enum Step {
 /// The in-network front cache of a two-tier deployment.
 pub struct SwitchTier {
     index: SeriesIndex<3, Dfa3>,
-    /// The register-file value store, one slot per index entry.
+    /// The register-file value store, one slot per index entry and one over.
     slots: Vec<Record>,
     /// Free slot addresses (every address not currently held by the index).
     free: Vec<u64>,
-    /// Bumped by every invalidation; guards miss-reply admission.
+    /// The invalidation clock: bumped by every invalidation, handed out by
+    /// [`Self::begin`].
     epoch: u64,
+    /// Per partition, the clock of its latest invalidation; guards
+    /// miss-reply admission.
+    invalidated_at: Box<[u64]>,
+    /// Seed of the key → partition hash.
+    seed: u64,
     counters: Arc<TierCounters>,
 }
 
@@ -98,19 +132,29 @@ impl SwitchTier {
     /// Builds the tier around an existing (shared) counter block.
     pub fn with_counters(config: &SwitchTierConfig, counters: Arc<TierCounters>) -> Self {
         let index = SeriesIndex::new(config.levels, config.memory_bytes, config.seed, "P4LRU3");
-        let capacity = p4lru_lruindex::IndexCache::capacity(&index);
+        // One slot more than the index has entries: an admission takes its
+        // slot before the insert that, in a full index, frees the evictee's.
+        let slots = p4lru_lruindex::IndexCache::capacity(&index) + 1;
         Self {
             index,
-            slots: vec![[0u8; p4lru_kvstore::VALUE_SIZE]; capacity],
-            free: (0..capacity as u64).rev().collect(),
+            slots: vec![[0u8; p4lru_kvstore::VALUE_SIZE]; slots],
+            free: (0..slots as u64).rev().collect(),
             epoch: 0,
+            invalidated_at: vec![0; 1 << PARTITION_BITS].into_boxed_slice(),
+            seed: config.seed,
             counters,
         }
     }
 
-    /// Entry capacity (index entries = value slots).
+    /// Which invalidation stamp guards `key`.
+    fn partition(&self, key: u64) -> usize {
+        (hash_u64(self.seed, key) >> (u64::BITS - PARTITION_BITS)) as usize
+    }
+
+    /// Entry capacity (that of the index; the value store has a slot to
+    /// spare).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.slots.len() - 1
     }
 
     /// Cached entries right now.
@@ -157,8 +201,8 @@ impl SwitchTier {
     }
 
     /// The second half: the upstream answered a request [`Self::begin`]
-    /// forwarded under `epoch`, and the client has not been answered yet.
-    /// A GET's value is admitted behind the epoch guard (rule 2). A SET/DEL
+    /// forwarded at `epoch`, and the client has not been answered yet.
+    /// A GET's value is admitted behind the stamp guard (rule 2). A SET/DEL
     /// invalidates its key again (rule 3) whatever the answer was — a write
     /// that errored may still have been applied.
     pub fn finish(&mut self, request: &Request, epoch: u64, response: &Response) {
@@ -173,8 +217,45 @@ impl SwitchTier {
         }
     }
 
-    /// The current invalidation epoch. A GET records this before its server
-    /// round-trip and hands it back to [`Self::admit`].
+    /// One connection's turn, first half: begins every request of a
+    /// pipelined burst in wire order, with no other connection's step in
+    /// between (the caller holds the tier for the whole call). The requests
+    /// that came back [`Step::Forward`] go upstream in this order on one
+    /// FIFO connection; their answers go to [`Self::finish_turn`].
+    pub fn begin_turn(&mut self, requests: &[Request]) -> Vec<Step> {
+        requests.iter().map(|request| self.begin(request)).collect()
+    }
+
+    /// One connection's turn, second half: `answers` holds the upstream's
+    /// answer to each forwarded request of the turn, in wire order. Finishes
+    /// them in that order and returns the turn's replies, switch hits and
+    /// upstream answers merged back into wire order. A forward the upstream
+    /// never answered is handed in as the `Err` the client will get: its
+    /// `finish` still runs, because a write that errored may have been
+    /// applied (rule 3).
+    pub fn finish_turn(
+        &mut self,
+        requests: &[Request],
+        steps: Vec<Step>,
+        answers: impl IntoIterator<Item = Response>,
+    ) -> Vec<Response> {
+        let mut answers = answers.into_iter();
+        requests
+            .iter()
+            .zip(steps)
+            .map(|(request, step)| match step {
+                Step::Reply(response) => response,
+                Step::Forward { epoch } => {
+                    let answer = answers.next().expect("one answer per forwarded request");
+                    self.finish(request, epoch, &answer);
+                    answer
+                }
+            })
+            .collect()
+    }
+
+    /// The invalidation clock right now. A GET records this before its
+    /// server round-trip and hands it back to [`Self::admit`].
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -197,11 +278,12 @@ impl SwitchTier {
         Some((level, record))
     }
 
-    /// Admits a miss reply fetched from the server, unless an invalidation
-    /// happened since `epoch` was read (the guard drops the reply exactly
-    /// as the switch drops a reply whose `cached_flag` went stale).
+    /// Admits a miss reply fetched from the server, unless the key's
+    /// partition was invalidated after `epoch` was read (the guard drops the
+    /// reply exactly as the switch drops a reply whose `cached_flag` went
+    /// stale).
     pub fn admit(&mut self, key: u64, record: Record, epoch: u64) -> bool {
-        if epoch != self.epoch {
+        if self.invalidated_at[self.partition(key)] > epoch {
             self.counters.stale_drop();
             return false;
         }
@@ -219,7 +301,7 @@ impl SwitchTier {
         let slot = self
             .free
             .pop()
-            .expect("value store is sized to the index capacity");
+            .expect("the value store outsizes the index by a slot");
         self.slots[slot as usize] = record;
         match self.index.admit(QueryHit::Miss, key, slot) {
             ReplyOutcome::InsertedFresh { expelled } => {
@@ -236,12 +318,14 @@ impl SwitchTier {
         true
     }
 
-    /// Expels the switch copy of a key (invalidate-before-forward) and bumps
-    /// the epoch. The epoch bumps even when the key is not cached: an
-    /// in-flight miss reply for that key may still be on its way back, and
-    /// admitting it would resurrect the overwritten value.
+    /// Expels the switch copy of a key (invalidate-before-forward), bumps
+    /// the clock and stamps the key's partition with it. The stamp is
+    /// written even when the key is not cached: an in-flight miss reply for
+    /// that key may still be on its way back, and admitting it would
+    /// resurrect the overwritten value.
     pub fn invalidate(&mut self, key: u64) -> bool {
         self.epoch += 1;
+        self.invalidated_at[self.partition(key)] = self.epoch;
         match self.index.invalidate(key) {
             Some((_level, addr)) => {
                 self.free.push(addr);
@@ -376,17 +460,67 @@ mod tests {
         t.check_invariants().unwrap();
     }
 
+    /// The first key past `of` whose partition is (or is not) `of`'s.
+    fn key_by_partition(t: &SwitchTier, of: u64, same: bool) -> u64 {
+        (of + 1..)
+            .find(|&key| (t.partition(key) == t.partition(of)) == same)
+            .expect("some key lands either way")
+    }
+
     #[test]
     fn rule_2_a_write_between_a_miss_and_its_admission_wins() {
         let mut t = tier(4096);
-        let epoch = forwarded(&mut t, &get(7));
-        // A SET of another key entirely, begun and acked in the gap: the
-        // epoch is the whole tier's, so the late reply is still dropped.
-        let set_epoch = forwarded(&mut t, &set(8));
-        t.finish(&set(8), set_epoch, &Response::Ok);
-        t.finish(&get(7), epoch, &Response::Value(vec![1]));
-        forwarded(&mut t, &get(7));
+        let neighbour = key_by_partition(&t, 7, true);
+        let stranger = key_by_partition(&t, 7, false);
+        // A SET begun and acked between a GET's miss and its reply drops the
+        // reply if it wrote the GET's key, or (conservatively) another key
+        // of its partition; a write anywhere else leaves it alone.
+        for (written, dropped) in [(7, true), (neighbour, true), (stranger, false)] {
+            let drops_before = t.counters().snapshot(3).stale_drops;
+            let epoch = forwarded(&mut t, &get(7));
+            let set_epoch = forwarded(&mut t, &set(written));
+            t.finish(&set(written), set_epoch, &Response::Ok);
+            t.finish(&get(7), epoch, &Response::Value(vec![1]));
+            assert_eq!(
+                matches!(t.begin(&get(7)), Step::Forward { .. }),
+                dropped,
+                "GET of 7 after a racing SET of {written}"
+            );
+            assert_eq!(
+                t.counters().snapshot(3).stale_drops - drops_before,
+                u64::from(dropped)
+            );
+        }
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_turn_reads_its_own_writes_and_answers_in_wire_order() {
+        let mut t = tier(4096);
+        let epoch = t.epoch();
+        t.admit(5, record(1), epoch);
+        let turn = [get(5), set(5), get(5), Request::Del { key: 6 }, get(6)];
+        let steps = t.begin_turn(&turn);
+        assert!(matches!(steps[0], Step::Reply(_)), "cached before the SET");
+        assert!(
+            steps[1..].iter().all(|s| matches!(s, Step::Forward { .. })),
+            "the GET behind its own turn's SET misses: {steps:?}"
+        );
+        // One answer per forward, merged back around the hit.
+        let answers = [
+            Response::Ok,
+            Response::Value(vec![2]),
+            Response::Err("upstream request failed: gone".to_owned()),
+            Response::NotFound,
+        ];
+        let replies = t.finish_turn(&turn, steps, answers.clone());
+        assert_eq!(replies[0], Response::Value(record(1).to_vec()));
+        assert_eq!(replies[1..], answers);
+        // Rule 3 ran for both writes, the errored DEL included: the value
+        // fetched behind the SET was dropped, and nothing is cached.
+        assert!(t.is_empty());
         assert_eq!(t.counters().snapshot(3).stale_drops, 1);
+        t.check_invariants().unwrap();
     }
 
     #[test]
@@ -435,6 +569,32 @@ mod tests {
         }
         assert!(t.is_empty());
         t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_completely_full_index_still_admits() {
+        let mut t = tier(180);
+        let mut key = 0;
+        while t.len() < t.capacity() {
+            let epoch = t.epoch();
+            assert!(t.admit(key, record(key as u8), epoch));
+            // An evictee lands on the tail of a deeper unit; only a hit
+            // moves it up and lets the unit take another.
+            for cached in 0..=key {
+                t.lookup(cached);
+            }
+            key += 1;
+            assert!(key < 10_000, "the index never filled");
+        }
+        // No entry is free, so each admission evicts: its slot is taken
+        // before the evictee's comes back.
+        for key in key..key + 50 {
+            let epoch = t.epoch();
+            assert!(t.admit(key, record(key as u8), epoch));
+            assert_eq!(t.lookup(key).unwrap().1, record(key as u8));
+            assert_eq!(t.len(), t.capacity());
+            t.check_invariants().unwrap();
+        }
     }
 
     #[test]
