@@ -7,8 +7,9 @@
 //! survive failure. This crate supplies that missing reliability for the
 //! software deployment:
 //!
-//! * [`wal`] — a segmented, CRC-checksummed write-ahead log with buffered
-//!   appends and explicit fsync boundaries (the group-commit hook);
+//! * [`wal`] — a segmented, CRC-checksummed write-ahead log split into an
+//!   in-memory append buffer and a file sink with explicit fsync boundaries
+//!   (the group-commit hook), so appends never wait on the disk;
 //! * [`record`] — the WAL record format (length + CRC framing around
 //!   SET/DEL payloads);
 //! * [`snapshot`] — crash-atomic point-in-time snapshots of a shard's
@@ -50,7 +51,7 @@ pub use failpoint::{FailMode, FailpointFile};
 pub use reader::{ReadBatch, ReadOutcome};
 pub use record::{WalOp, WalRecord};
 pub use recover::Recovery;
-pub use shardlog::ShardLog;
+pub use shardlog::{LogCommit, ShardLog};
 pub use wal::DEFAULT_SEGMENT_BYTES;
 
 /// When acknowledged writes are fsynced.

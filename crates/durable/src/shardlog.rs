@@ -1,20 +1,26 @@
 //! The per-shard durability engine: WAL + snapshots + recovery, behind the
 //! handful of calls a shard's request loop needs.
 //!
-//! The intended discipline (enforced by `p4lru-server`'s shard loop):
+//! The intended discipline (enforced by `p4lru-server`'s commit gate):
 //!
-//! 1. For each mutation in a batch: [`ShardLog::append_set`] /
-//!    [`ShardLog::append_del`] *before* applying it in memory.
-//! 2. After the batch: [`ShardLog::commit`] — the sync policy decides
-//!    whether this fsyncs. Replies are released only after `commit`
-//!    returns, so under [`SyncPolicy::Always`] every acknowledged write is
-//!    durable (group commit: one fsync covers the whole batch).
+//! 1. For each mutation: [`ShardLog::append_set`] / [`ShardLog::append_del`]
+//!    *before* applying it in memory. An append only encodes the record
+//!    into the in-memory [`WalBuffer`]; it never touches the disk.
+//! 2. Then commit: [`ShardLog::begin_commit`] cuts everything appended so
+//!    far into a [`LogCommit`], and [`LogCommit::run`] writes it and applies
+//!    the sync policy — under [`SyncPolicy::Always`] one fsync covers the
+//!    whole cut (group commit). The cut needs `&mut ShardLog`, the run does
+//!    not, so a server cuts under its shard lock and runs on its commit
+//!    thread while appends go on. Replies are released only after the run
+//!    returns, so under `Always` every acknowledged write is durable.
+//!    [`ShardLog::commit`] is the two steps back to back.
 //! 3. When [`ShardLog::should_snapshot`] turns true, call
 //!    [`ShardLog::snapshot`] with the store; the log rotates, seals a
 //!    snapshot, and prunes segments the snapshot made redundant.
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use p4lru_kvstore::{Database, Record};
@@ -22,25 +28,125 @@ use p4lru_kvstore::{Database, Record};
 use crate::record::WalOp;
 use crate::recover::{recover, Recovery};
 use crate::snapshot::write_snapshot;
-use crate::wal::Wal;
+use crate::wal::{WalBuffer, WalChunk, WalFile};
 use crate::{DurabilityConfig, SyncPolicy};
 
 /// One shard's durability engine.
 #[derive(Debug)]
 pub struct ShardLog {
     dir: PathBuf,
-    wal: Wal,
-    config: DurabilityConfig,
-    unsynced: u64,
+    buffer: WalBuffer,
+    sink: Arc<Mutex<LogSink>>,
+    snapshot_every: u64,
     appends_since_snapshot: u64,
-    last_sync: Instant,
-    // Span hooks for the server's request tracer: when the last append /
-    // physical fsync completed. `None` until the first one happens.
+    // Span hook for the server's request tracer: when the last append
+    // happened. `None` until the first one.
     last_append_at: Option<Instant>,
+}
+
+/// The file half of a shard's log and the sync policy's state. Cuts are
+/// run against it one at a time, in the order they were cut.
+#[derive(Debug)]
+struct LogSink {
+    file: WalFile,
+    sync: SyncPolicy,
+    commit_latency: Duration,
+    /// Records written to the file since its last fsync.
+    unsynced: u64,
+    last_sync: Instant,
+    // Span hook: when the last physical fsync completed.
     last_sync_at: Option<Instant>,
 }
 
+impl LogSink {
+    fn new(file: WalFile, config: &DurabilityConfig) -> Arc<Mutex<LogSink>> {
+        Arc::new(Mutex::new(LogSink {
+            file,
+            sync: config.sync,
+            commit_latency: config.commit_latency,
+            unsynced: 0,
+            last_sync: Instant::now(),
+            last_sync_at: None,
+        }))
+    }
+
+    /// Writes `chunk` and applies the sync policy. Returns the fsync
+    /// duration if one happened, `None` if the policy deferred it.
+    fn commit(&mut self, chunk: &WalChunk) -> io::Result<Option<Duration>> {
+        self.file.write(chunk)?;
+        self.unsynced += chunk.records();
+        if self.unsynced == 0 {
+            return Ok(None);
+        }
+        let due = match self.sync {
+            SyncPolicy::Always => true,
+            SyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
+            SyncPolicy::Interval(window) => self.last_sync.elapsed() >= window,
+        };
+        if !due {
+            return Ok(None);
+        }
+        self.sync().map(Some)
+    }
+
+    /// Unconditionally fsyncs everything written so far. With a modeled
+    /// [`DurabilityConfig::commit_latency`], the sleep lands here — after
+    /// the real fsync, inside the reported duration — so group commit,
+    /// metrics, and ack timing all see the modeled device.
+    fn sync(&mut self) -> io::Result<Duration> {
+        let mut took = self.file.sync()?;
+        if !self.commit_latency.is_zero() {
+            std::thread::sleep(self.commit_latency);
+            took += self.commit_latency;
+        }
+        self.unsynced = 0;
+        self.last_sync = Instant::now();
+        self.last_sync_at = Some(self.last_sync);
+        Ok(took)
+    }
+}
+
+fn lock(sink: &Mutex<LogSink>) -> MutexGuard<'_, LogSink> {
+    sink.lock().expect("WAL sink poisoned by a panicked commit")
+}
+
+/// Every record a [`ShardLog`] had appended when [`ShardLog::begin_commit`]
+/// cut them, on its way to the disk. Running it needs no access to the log
+/// it was cut from.
+#[derive(Debug)]
+#[must_use = "a cut commit reaches the disk only when run"]
+pub struct LogCommit {
+    chunk: WalChunk,
+    sink: Arc<Mutex<LogSink>>,
+}
+
+impl LogCommit {
+    /// Sequence number of the last record the commit covers.
+    pub fn last_seq(&self) -> u64 {
+        self.chunk.last_seq()
+    }
+
+    /// Writes the cut records and applies the sync policy. Returns the
+    /// fsync duration if one happened, `None` if the policy deferred it.
+    /// Run cuts in the order they were made: one cut before its predecessor
+    /// is refused.
+    pub fn run(self) -> io::Result<Option<Duration>> {
+        lock(&self.sink).commit(&self.chunk)
+    }
+}
+
 impl ShardLog {
+    fn open(dir: &Path, file: WalFile, next_seq: u64, config: &DurabilityConfig) -> Self {
+        Self {
+            dir: dir.to_path_buf(),
+            buffer: WalBuffer::new(next_seq),
+            sink: LogSink::new(file, config),
+            snapshot_every: config.snapshot_every,
+            appends_since_snapshot: 0,
+            last_append_at: None,
+        }
+    }
+
     /// Initializes a *fresh* shard directory: seals a snapshot of `db` at
     /// sequence 0 (so the initial population survives a crash that happens
     /// before the first WAL-driven snapshot) and opens the WAL at sequence
@@ -48,17 +154,8 @@ impl ShardLog {
     pub fn init_fresh(dir: &Path, db: &Database, config: &DurabilityConfig) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         write_snapshot(dir, 0, db)?;
-        let wal = Wal::create(dir, 1, config.segment_bytes)?;
-        Ok(Self {
-            dir: dir.to_path_buf(),
-            wal,
-            config: config.clone(),
-            unsynced: 0,
-            appends_since_snapshot: 0,
-            last_sync: Instant::now(),
-            last_append_at: None,
-            last_sync_at: None,
-        })
+        let file = WalFile::create(dir, 1, config.segment_bytes)?;
+        Ok(Self::open(dir, file, 1, config))
     }
 
     /// Recovers an existing shard directory and positions the WAL to append
@@ -68,20 +165,9 @@ impl ShardLog {
         let recovery = recover(dir)?;
         // Always start a new segment: old segments are never appended to, so
         // a sealed segment is immutable from here on.
-        let wal = Wal::create(dir, recovery.last_seq + 1, config.segment_bytes)?;
-        Ok((
-            Self {
-                dir: dir.to_path_buf(),
-                wal,
-                config: config.clone(),
-                unsynced: 0,
-                appends_since_snapshot: 0,
-                last_sync: Instant::now(),
-                last_append_at: None,
-                last_sync_at: None,
-            },
-            recovery,
-        ))
+        let next_seq = recovery.last_seq + 1;
+        let file = WalFile::create(dir, next_seq, config.segment_bytes)?;
+        Ok((Self::open(dir, file, next_seq, config), recovery))
     }
 
     /// The shard directory this log writes to.
@@ -91,17 +177,22 @@ impl ShardLog {
 
     /// Sequence number of the last appended record.
     pub fn last_seq(&self) -> u64 {
-        self.wal.last_seq()
+        self.buffer.last_seq()
+    }
+
+    /// Whether records were appended since the last cut.
+    pub fn has_buffered(&self) -> bool {
+        !self.buffer.is_empty()
     }
 
     /// Appends a SET, returning its sequence number (not yet durable).
     pub fn append_set(&mut self, key: u64, record: Record) -> io::Result<u64> {
-        self.append(&WalOp::Set { key, record })
+        Ok(self.append(&WalOp::Set { key, record }))
     }
 
     /// Appends a DEL, returning its sequence number (not yet durable).
     pub fn append_del(&mut self, key: u64) -> io::Result<u64> {
-        self.append(&WalOp::Del { key })
+        Ok(self.append(&WalOp::Del { key }))
     }
 
     /// Appends a record *shipped from a primary* (replication). The shipped
@@ -109,7 +200,7 @@ impl ShardLog {
     /// gap is rejected before anything is written, so a bad shipment cannot
     /// damage the follower's log.
     pub fn append_replicated(&mut self, seq: u64, op: &WalOp) -> io::Result<u64> {
-        let expected = self.wal.last_seq() + 1;
+        let expected = self.buffer.next_seq();
         if seq != expected {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -118,7 +209,7 @@ impl ShardLog {
                 ),
             ));
         }
-        self.append(op)
+        Ok(self.append(op))
     }
 
     /// Replaces this shard's entire durable state with a snapshot *shipped
@@ -131,55 +222,49 @@ impl ShardLog {
     /// and WAL position all survive.
     pub fn reset_to_snapshot(&mut self, seq: u64, bytes: &[u8]) -> io::Result<Vec<(u64, Record)>> {
         let entries = crate::snapshot::install_snapshot_bytes(&self.dir, seq, bytes)?;
+        let mut sink = lock(&self.sink);
         for segment in crate::wal::list_segments(&self.dir)? {
             std::fs::remove_file(&segment.path)?;
         }
         crate::wal::fsync_dir(&self.dir)?;
-        self.wal = Wal::create(&self.dir, seq + 1, self.config.segment_bytes)?;
-        self.unsynced = 0;
+        sink.file.restart(seq + 1)?;
+        sink.unsynced = 0;
+        self.buffer = WalBuffer::new(seq + 1);
         self.appends_since_snapshot = 0;
         Ok(entries)
     }
 
-    fn append(&mut self, op: &WalOp) -> io::Result<u64> {
-        let seq = self.wal.append(op)?;
-        self.unsynced += 1;
+    fn append(&mut self, op: &WalOp) -> u64 {
+        let seq = self.buffer.append(op);
         self.appends_since_snapshot += 1;
         self.last_append_at = Some(Instant::now());
-        Ok(seq)
+        seq
     }
 
-    /// Applies the sync policy at a batch boundary. Returns the fsync
-    /// duration if one happened, `None` if the policy deferred it.
+    /// Cuts every record appended so far into a commit that can run without
+    /// this log (step 2 of the module docs).
+    pub fn begin_commit(&mut self) -> LogCommit {
+        LogCommit {
+            chunk: self.buffer.take(),
+            sink: Arc::clone(&self.sink),
+        }
+    }
+
+    /// Cuts and runs a commit: writes what was appended and applies the sync
+    /// policy. Returns the fsync duration if one happened, `None` if the
+    /// policy deferred it.
     pub fn commit(&mut self) -> io::Result<Option<Duration>> {
-        if self.unsynced == 0 {
-            return Ok(None);
-        }
-        let due = match self.config.sync {
-            SyncPolicy::Always => true,
-            SyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
-            SyncPolicy::Interval(window) => self.last_sync.elapsed() >= window,
-        };
-        if !due {
-            return Ok(None);
-        }
-        self.sync().map(Some)
+        self.begin_commit().run()
     }
 
-    /// Unconditionally fsyncs everything appended so far. With a modeled
-    /// [`DurabilityConfig::commit_latency`], the sleep lands here — after
-    /// the real fsync, inside the reported duration — so group commit,
-    /// metrics, and ack timing all see the modeled device.
+    /// Unconditionally writes and fsyncs everything appended so far. With a
+    /// modeled [`DurabilityConfig::commit_latency`], the reported duration
+    /// includes it.
     pub fn sync(&mut self) -> io::Result<Duration> {
-        let mut took = self.wal.sync()?;
-        if !self.config.commit_latency.is_zero() {
-            std::thread::sleep(self.config.commit_latency);
-            took += self.config.commit_latency;
-        }
-        self.unsynced = 0;
-        self.last_sync = Instant::now();
-        self.last_sync_at = Some(self.last_sync);
-        Ok(took)
+        let chunk = self.buffer.take();
+        let mut sink = lock(&self.sink);
+        sink.file.write(&chunk)?;
+        sink.sync()
     }
 
     /// When the last WAL record was appended (buffered, not yet durable),
@@ -195,12 +280,12 @@ impl ShardLog {
     /// a baseline), this reports only real fsyncs — the tracer's `fsync`
     /// span hook.
     pub fn last_sync_at(&self) -> Option<Instant> {
-        self.last_sync_at
+        lock(&self.sink).last_sync_at
     }
 
     /// Whether enough appends have accumulated to be worth a snapshot.
     pub fn should_snapshot(&self) -> bool {
-        self.config.snapshot_every > 0 && self.appends_since_snapshot >= self.config.snapshot_every
+        self.snapshot_every > 0 && self.appends_since_snapshot >= self.snapshot_every
     }
 
     /// Seals a snapshot of `db` at the current tail of the log and prunes
@@ -212,11 +297,14 @@ impl ShardLog {
     /// between any two steps recovers from the previous snapshot plus the
     /// still-present segments.
     pub fn snapshot(&mut self, db: &Database) -> io::Result<u64> {
-        self.sync()?;
-        let seq = self.wal.last_seq();
-        self.wal.rotate()?;
+        let chunk = self.buffer.take();
+        let seq = chunk.last_seq();
+        let mut sink = lock(&self.sink);
+        sink.file.write(&chunk)?;
+        sink.sync()?;
+        sink.file.rotate()?;
         write_snapshot(&self.dir, seq, db)?;
-        self.wal.prune_segments(seq + 1)?;
+        sink.file.prune_segments(seq + 1)?;
         self.appends_since_snapshot = 0;
         Ok(seq)
     }
@@ -275,6 +363,33 @@ mod tests {
         log.append_set(1, record_for(1)).unwrap();
         assert!(log.commit().unwrap().is_some());
         assert!(log.commit().unwrap().is_none(), "nothing new to sync");
+    }
+
+    #[test]
+    fn a_cut_commit_runs_while_the_next_batch_appends() {
+        let tmp = TempDir::new("slog-overlap");
+        let cfg = config(SyncPolicy::Always);
+        let mut log = ShardLog::init_fresh(tmp.path(), &Database::default(), &cfg).unwrap();
+        log.append_set(1, record_for(1)).unwrap();
+        let first = log.begin_commit();
+        assert!(!log.has_buffered(), "the cut took every appended record");
+        // Batch n+1 accumulates while batch n is on its way to the disk.
+        log.append_set(2, record_for(2)).unwrap();
+        let second = log.begin_commit();
+        let runner = std::thread::spawn(move || {
+            let synced = first.run().unwrap().is_some();
+            (synced, second.run().unwrap().is_some())
+        });
+        log.append_del(1).unwrap();
+        assert!(log.has_buffered());
+        assert_eq!(runner.join().unwrap(), (true, true));
+        log.commit().unwrap();
+        drop(log);
+
+        let (_log, recovery) = ShardLog::recover(tmp.path(), &cfg).unwrap();
+        assert_eq!(recovery.replayed, 3);
+        assert!(recovery.db.lookup_by_key(1).is_none());
+        assert!(recovery.db.lookup_by_key(2).is_some());
     }
 
     #[test]

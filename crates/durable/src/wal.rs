@@ -6,8 +6,12 @@
 //! rollover happens only at a sync boundary, so every sealed segment is
 //! fully fsynced — a crash can tear only the active segment's tail.
 //!
-//! Appends buffer in the writer and reach the OS on [`Wal::sync`] (or when
-//! the buffer spills); `sync` is the fsync boundary the sync policy drives.
+//! The log has two halves so that appending never waits on the disk:
+//! a [`WalBuffer`] encodes records in memory under dense sequence numbers,
+//! and a [`WalFile`] writes the [`WalChunk`]s cut from it to the active
+//! segment and fsyncs them. A server keeps the buffer under its shard's lock
+//! and the file on its commit thread; [`Wal`] pairs the two for callers
+//! that append and sync on one thread.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -124,41 +128,24 @@ pub fn fsync_dir(dir: &Path) -> io::Result<()> {
     }
 }
 
-/// The append side of the log: one active segment, buffered writes, explicit
-/// sync.
+/// The append half of the log: records encoded in memory under dense
+/// sequence numbers until [`WalBuffer::take`] cuts them off as a chunk.
 #[derive(Debug)]
-pub struct Wal {
-    dir: PathBuf,
-    file: File,
-    seg_first_seq: u64,
-    seg_written: u64,
+pub struct WalBuffer {
+    /// Sequence number of the first record in `bytes`.
+    first_seq: u64,
     next_seq: u64,
-    segment_bytes: u64,
-    buf: Vec<u8>,
+    bytes: Vec<u8>,
 }
 
-impl Wal {
-    /// Starts a fresh active segment whose first record will be `next_seq`.
-    ///
-    /// An existing file of the same name is truncated: recovery has already
-    /// established that no durable record at or past `next_seq` exists.
-    pub fn create(dir: &Path, next_seq: u64, segment_bytes: u64) -> io::Result<Wal> {
-        let path = dir.join(segment_file_name(next_seq));
-        let file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        fsync_dir(dir)?;
-        Ok(Wal {
-            dir: dir.to_path_buf(),
-            file,
-            seg_first_seq: next_seq,
-            seg_written: 0,
+impl WalBuffer {
+    /// An empty buffer whose first append will get `next_seq`.
+    pub fn new(next_seq: u64) -> WalBuffer {
+        WalBuffer {
+            first_seq: next_seq,
             next_seq,
-            segment_bytes: segment_bytes.max(1),
-            buf: Vec::new(),
-        })
+            bytes: Vec::new(),
+        }
     }
 
     /// The sequence number the next append will get.
@@ -166,11 +153,95 @@ impl Wal {
         self.next_seq
     }
 
-    /// Sequence number of the last appended record (`None` before the first
-    /// append of the log's lifetime — i.e. when `next_seq` is still 1 — or,
-    /// more generally, the predecessor of [`Wal::next_seq`]).
+    /// Sequence number of the last appended record (the predecessor of
+    /// [`WalBuffer::next_seq`]; 0 before a fresh log's first append).
     pub fn last_seq(&self) -> u64 {
         self.next_seq - 1
+    }
+
+    /// Whether every appended record has been cut into a chunk.
+    pub fn is_empty(&self) -> bool {
+        self.first_seq == self.next_seq
+    }
+
+    /// Encodes one op, returning its sequence number. The record is durable
+    /// only once a [`WalFile`] has written and synced the chunk holding it.
+    pub fn append(&mut self, op: &WalOp) -> u64 {
+        let seq = self.next_seq;
+        record::encode_into(&mut self.bytes, seq, op);
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Cuts every record appended since the last `take` into a chunk,
+    /// leaving the buffer empty.
+    pub fn take(&mut self) -> WalChunk {
+        let chunk = WalChunk {
+            first_seq: self.first_seq,
+            next_seq: self.next_seq,
+            bytes: std::mem::take(&mut self.bytes),
+        };
+        self.first_seq = self.next_seq;
+        chunk
+    }
+}
+
+/// A dense run of encoded records cut from a [`WalBuffer`]: the unit a
+/// [`WalFile`] writes.
+#[derive(Debug)]
+pub struct WalChunk {
+    first_seq: u64,
+    next_seq: u64,
+    bytes: Vec<u8>,
+}
+
+impl WalChunk {
+    /// How many records the chunk holds.
+    pub fn records(&self) -> u64 {
+        self.next_seq - self.first_seq
+    }
+
+    /// Sequence number of the chunk's last record (of the buffer's last
+    /// record before the cut, when the chunk is empty).
+    pub fn last_seq(&self) -> u64 {
+        self.next_seq - 1
+    }
+}
+
+/// The file half of the log: one active segment, written a chunk at a time,
+/// explicit sync.
+#[derive(Debug)]
+pub struct WalFile {
+    dir: PathBuf,
+    file: File,
+    seg_first_seq: u64,
+    seg_written: u64,
+    /// Sequence number the next written record must have.
+    next_seq: u64,
+    segment_bytes: u64,
+}
+
+impl WalFile {
+    /// Starts a fresh active segment whose first record will be `next_seq`.
+    ///
+    /// An existing file of the same name is truncated: recovery has already
+    /// established that no durable record at or past `next_seq` exists.
+    pub fn create(dir: &Path, next_seq: u64, segment_bytes: u64) -> io::Result<WalFile> {
+        let path = dir.join(segment_file_name(next_seq));
+        let file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)?;
+        fsync_dir(dir)?;
+        Ok(WalFile {
+            dir: dir.to_path_buf(),
+            file,
+            seg_first_seq: next_seq,
+            seg_written: 0,
+            next_seq,
+            segment_bytes: segment_bytes.max(1),
+        })
     }
 
     /// First sequence number of the active segment.
@@ -178,32 +249,32 @@ impl Wal {
         self.seg_first_seq
     }
 
-    /// Appends one op, returning its sequence number. The record is buffered;
-    /// it is durable only after the next [`Wal::sync`].
-    pub fn append(&mut self, op: &WalOp) -> io::Result<u64> {
-        let seq = self.next_seq;
-        record::encode_into(&mut self.buf, seq, op);
-        self.next_seq += 1;
-        // Keep the buffer bounded even if the caller syncs rarely.
-        if self.buf.len() >= 1 << 16 {
-            self.write_out()?;
+    /// Hands `chunk` to the OS, appended to the active segment. A chunk that
+    /// does not continue the log where the file left off is refused before
+    /// any byte is written, so chunks written out of order cannot corrupt
+    /// it.
+    pub fn write(&mut self, chunk: &WalChunk) -> io::Result<()> {
+        if chunk.records() == 0 {
+            return Ok(());
         }
-        Ok(seq)
-    }
-
-    fn write_out(&mut self) -> io::Result<()> {
-        if !self.buf.is_empty() {
-            self.file.write_all(&self.buf)?;
-            self.seg_written += self.buf.len() as u64;
-            self.buf.clear();
+        if chunk.first_seq != self.next_seq {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "WAL chunk starting at seq {} does not continue the log (expected {})",
+                    chunk.first_seq, self.next_seq
+                ),
+            ));
         }
+        self.file.write_all(&chunk.bytes)?;
+        self.seg_written += chunk.bytes.len() as u64;
+        self.next_seq = chunk.next_seq;
         Ok(())
     }
 
-    /// Flushes buffered records and fsyncs the active segment, then rotates
-    /// it if it outgrew the segment size. Returns how long the fsync took.
+    /// Fsyncs the active segment, then rotates it if it outgrew the segment
+    /// size. Returns how long the fsync took.
     pub fn sync(&mut self) -> io::Result<Duration> {
-        self.write_out()?;
         let begin = Instant::now();
         self.file.sync_data()?;
         let took = begin.elapsed();
@@ -214,10 +285,16 @@ impl Wal {
     }
 
     /// Seals the active segment (callers must have synced) and starts a new
-    /// one at `next_seq`.
+    /// one at the next sequence number.
     pub fn rotate(&mut self) -> io::Result<()> {
-        let fresh = Wal::create(&self.dir, self.next_seq, self.segment_bytes)?;
-        *self = fresh;
+        self.restart(self.next_seq)
+    }
+
+    /// Leaves the active segment as it is and starts a new one whose first
+    /// record will be `next_seq` (a rotation, or a log reset to a shipped
+    /// snapshot once the caller removed the old segments).
+    pub fn restart(&mut self, next_seq: u64) -> io::Result<()> {
+        *self = WalFile::create(&self.dir, next_seq, self.segment_bytes)?;
         Ok(())
     }
 
@@ -244,6 +321,47 @@ impl Wal {
             fsync_dir(&self.dir)?;
         }
         Ok(removed)
+    }
+}
+
+/// A [`WalBuffer`] and a [`WalFile`] driven from one thread: appends reach
+/// the file at [`Wal::sync`], or once 64 KiB are buffered.
+#[derive(Debug)]
+pub struct Wal {
+    buffer: WalBuffer,
+    file: WalFile,
+}
+
+impl Wal {
+    /// Starts a fresh active segment whose first record will be `next_seq`
+    /// (see [`WalFile::create`]).
+    pub fn create(dir: &Path, next_seq: u64, segment_bytes: u64) -> io::Result<Wal> {
+        Ok(Wal {
+            buffer: WalBuffer::new(next_seq),
+            file: WalFile::create(dir, next_seq, segment_bytes)?,
+        })
+    }
+
+    /// The sequence number the next append will get.
+    pub fn next_seq(&self) -> u64 {
+        self.buffer.next_seq()
+    }
+
+    /// Appends one op, returning its sequence number. The record is durable
+    /// only after the next [`Wal::sync`].
+    pub fn append(&mut self, op: &WalOp) -> io::Result<u64> {
+        let seq = self.buffer.append(op);
+        // Keep the buffer bounded even if the caller syncs rarely.
+        if self.buffer.bytes.len() >= 1 << 16 {
+            self.file.write(&self.buffer.take())?;
+        }
+        Ok(seq)
+    }
+
+    /// Writes the buffered records and fsyncs them (see [`WalFile::sync`]).
+    pub fn sync(&mut self) -> io::Result<Duration> {
+        self.file.write(&self.buffer.take())?;
+        self.file.sync()
     }
 }
 
@@ -300,16 +418,49 @@ mod tests {
     #[test]
     fn prune_keeps_the_active_segment() {
         let tmp = TempDir::new("wal-prune");
-        let mut wal = Wal::create(tmp.path(), 1, 8).unwrap();
+        let mut buffer = WalBuffer::new(1);
+        let mut file = WalFile::create(tmp.path(), 1, 8).unwrap();
         for key in 0..4 {
-            wal.append(&del(key)).unwrap();
-            wal.sync().unwrap();
+            buffer.append(&del(key));
+            file.write(&buffer.take()).unwrap();
+            file.sync().unwrap();
         }
-        let removed = wal.prune_segments(wal.next_seq()).unwrap();
+        let removed = file.prune_segments(buffer.next_seq()).unwrap();
         assert_eq!(removed, 4);
         let segments = list_segments(tmp.path()).unwrap();
         assert_eq!(segments.len(), 1);
-        assert_eq!(segments[0].first_seq, wal.active_first_seq());
+        assert_eq!(segments[0].first_seq, file.active_first_seq());
+    }
+
+    #[test]
+    fn appends_continue_while_a_cut_chunk_is_written() {
+        let tmp = TempDir::new("wal-split");
+        let mut buffer = WalBuffer::new(1);
+        let mut file = WalFile::create(tmp.path(), 1, DEFAULT_SEGMENT_BYTES).unwrap();
+        buffer.append(&del(1));
+        buffer.append(&del(2));
+        let first = buffer.take();
+        assert!(buffer.is_empty());
+        assert_eq!((first.records(), first.last_seq()), (2, 2));
+        // The next batch accumulates while the first one is on its way out.
+        buffer.append(&del(3));
+        let second = buffer.take();
+        assert_eq!(buffer.take().records(), 0, "nothing left to cut");
+
+        // Out of order is refused without writing a byte; in order lands.
+        let err = file.write(&second).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        file.write(&first).unwrap();
+        file.write(&second).unwrap();
+        file.sync().unwrap();
+        let segment = &list_segments(tmp.path()).unwrap()[0];
+        let seqs: Vec<u64> = scan_segment(&segment.path)
+            .unwrap()
+            .records
+            .iter()
+            .map(|r| r.seq)
+            .collect();
+        assert_eq!(seqs, vec![1, 2, 3]);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! A [`RequestTrace`] is a fixed-size array of nanosecond timestamps — one
 //! per [`Stage`] — relative to the [`Tracer`]'s epoch (the server's start
-//! instant). It rides along with the request: the connection handler stamps
-//! the front-of-pipe stages, the shard thread stamps the middle, and the
-//! handler stamps the tail when the response leaves on the wire. Stamping
+//! instant). It rides along with the request: the event loop serving the
+//! connection stamps the stages it runs (all of them, for a reply answered
+//! on the loop), a commit thread stamps `fsync` when it releases a reply it
+//! held, and the loop stamps the tail when the response leaves on the wire. Stamping
 //! is one `Instant::now()` plus an array store; for an untraced request the
 //! stamp is a single predictable branch.
 //!
@@ -50,7 +51,7 @@ pub enum Stage {
     Decode = 0,
     /// Shard routing decided and the request dispatched.
     Route = 1,
-    /// Dequeued by the shard thread (duration = shard-queue wait).
+    /// The shard's lock taken (duration = wait for the shard).
     Queue = 2,
     /// WAL record appended (buffered; GETs and volatile servers skip this).
     WalAppend = 3,

@@ -16,10 +16,11 @@
 //!
 //! The request path is pipelined (DESIGN.md §9): connections carry up to a
 //! configurable window of in-flight requests over buffered framed I/O
-//! ([`protocol::FrameReader`]/[`protocol::FrameWriter`]), shards reply out
-//! of order over one long-lived per-connection channel, and the handler
-//! reorders by sequence number so the wire always sees responses in request
-//! order.
+//! ([`protocol::FrameReader`]/[`protocol::FrameWriter`]), the reactor loop
+//! that reads a request applies it to its shard in place, a reply that must
+//! wait for an fsync comes back from the shard's commit thread through the
+//! connection's mailbox, and the handler reorders by sequence number so the
+//! wire always sees responses in request order.
 //!
 //! Observability (DESIGN.md §10): every request carries a
 //! [`p4lru_obs::RequestTrace`] stamped at eight lifecycle stages, feeding
@@ -31,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod commit;
 pub mod expose;
 pub mod loadgen;
 pub mod metrics;

@@ -438,10 +438,15 @@ mod tests {
 
     #[test]
     fn pipelined_run_completes_and_batches() {
+        // Write-only on a durable server: every reply waits at the commit
+        // gate, so every op is counted in exactly one commit batch.
+        let root = std::env::temp_dir().join(format!("p4lru-loadgen-batch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
         let server = Server::spawn(&ServerConfig {
             items: 2_000,
             units_per_shard: 256,
             shards: 2,
+            data_dir: Some(root.clone()),
             ..ServerConfig::default()
         })
         .unwrap();
@@ -450,6 +455,7 @@ mod tests {
             threads: 2,
             seconds: 0.3,
             items: 2_000,
+            read_fraction: 0.0,
             pipeline: 8,
             ..LoadgenConfig::default()
         };
@@ -474,5 +480,6 @@ mod tests {
             stats.totals.batch_max
         );
         assert_eq!(stats.totals.queue_depth, 0, "drained at shutdown");
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -1,6 +1,6 @@
 //! Every metric set of the serving stack, one [`metric_set!`] table each:
 //! the lock-free atomic counters readable by any thread (STATS never has to
-//! queue behind a shard's request channel), the snapshot structs STATS
+//! take a shard's lock), the snapshot structs STATS
 //! carries, the cross-shard totals fold and the `/metrics` families all
 //! come from the same rows. The families that do not fit a row — label
 //! pairs, per-level and per-shard vectors, histograms, derived ratios —
@@ -50,8 +50,9 @@ metric_set! {
         pub gets: u64,
         /// hits / gets (0 when no GETs yet).
         pub hit_rate: f64,
-        /// Mean requests per commit batch (`batch_ops / batches`): the
-        /// number group commit amortizes one fsync by.
+        /// Mean replies released per commit (`batch_ops / batches`): the
+        /// number group commit amortizes one fsync by. Volatile shards
+        /// never commit.
         pub batch_mean: f64,
         /// Server-side GET latency (decode → flush), traced requests only.
         pub get_latency: LatencySummary,
@@ -97,10 +98,12 @@ metric_set! {
         batch_max: Max, gauge, "p4lru_commit_batch_max",
             "Deepest single commit batch since startup.";
         store_len: Sum, gauge, "p4lru_store_len", "Records currently in the backing store.";
-        /// Connection drivers increment on dispatch, the shard loop decrements
-        /// on dequeue (saturating — see `queue_pop`). Pipelining is what makes
-        /// this exceed the connection count.
-        queue_depth: Sum, gauge, "p4lru_queue_depth", "Requests queued on the shard channel.";
+        /// A reactor loop increments when it holds a reply at the commit
+        /// gate, the commit thread decrements on release (saturating — see
+        /// `queue_pop`). Pipelining is what makes this exceed the
+        /// connection count.
+        queue_depth: Sum, gauge, "p4lru_queue_depth",
+            "Replies held at the commit gate until the commit that covers them.";
         /// 0 when the shard started fresh. Max across shards, not the sum:
         /// shards recover independently (in parallel at startup), so the
         /// slowest shard is the recovery wall time and a sum would inflate
@@ -182,16 +185,16 @@ impl ShardMetrics {
         bump(&self.snapshots, 1);
     }
 
-    /// Records a request enqueued on the shard channel (connection side).
+    /// Records a reply held at the commit gate.
     pub fn queue_push(&self) {
         bump(&self.queue_depth, 1);
     }
 
-    /// Records a request dequeued by the shard loop. The decrement
+    /// Records a held reply released by the commit thread. The decrement
     /// saturates at zero: `queue_depth` is a gauge assembled from two
-    /// unsynchronized counters (connections push, the shard loop pops), and
-    /// a pop observed before its matching push must read as a transient 0
-    /// in STATS, never wrap to ~`u64::MAX`.
+    /// relaxed counters (loops push, the commit thread pops), and a pop
+    /// observed before its matching push must read as a transient 0 in
+    /// STATS, never wrap to ~`u64::MAX`.
     pub fn queue_pop(&self) {
         let prev = self
             .queue_depth
@@ -399,8 +402,8 @@ metric_set! {
             "Miss replies admitted into the switch tier.";
         evictions: Sum, counter, "p4lru_tier_evictions_total",
             "Entries pushed out of the last series level.";
-        /// The epoch guard: the invalidation raced the server round-trip
-        /// (DESIGN.md §11).
+        /// The per-partition invalidation stamp: an invalidation in the
+        /// key's partition raced the server round-trip (DESIGN.md §11).
         stale_drops: Sum, counter, "p4lru_tier_stale_drops_total",
             "Miss replies not admitted because an invalidation raced them.";
     }
@@ -450,7 +453,7 @@ impl TierCounters {
         bump(&self.evictions, 1);
     }
 
-    /// Records a miss reply dropped by the epoch guard.
+    /// Records a miss reply dropped by its partition's invalidation stamp.
     pub fn stale_drop(&self) {
         bump(&self.stale_drops, 1);
     }
@@ -521,7 +524,7 @@ metric_set! {
         /// Round-trip time of PULL exchanges (follower side).
         #[serde(default)]
         pub pull_rtt: LatencySummary,
-        /// Durable-apply time of shipped batches through the shard channel.
+        /// Durable-apply time of shipped batches, commit gate included.
         #[serde(default)]
         pub batch_apply: LatencySummary,
     }

@@ -2,17 +2,20 @@
 //! pipelined pump (DESIGN.md §9) as a nonblocking state machine on the
 //! reactor's event loops (DESIGN.md §12).
 //!
-//! The driver never blocks — not on the socket for the next request, not
-//! for the next shard answer. It returns to its event loop and is re-driven
-//! by whichever event lands first: socket readiness (edge-triggered), a
-//! shard reply posted to the connection's [`Mailbox`], or nothing at all if
-//! the connection is idle. The
-//! edge-triggered contract is honored by construction: every `drive` call
-//! retries the buffered flush until `WouldBlock` and reads frames until
-//! `WouldBlock` or the pipeline window fills. A full window with bytes
-//! still in the kernel buffer is safe to park on — a window is only full
-//! when requests are in flight, and each of their replies arrives as a
-//! mailbox message that re-drives the connection back into the read loop.
+//! The driver never blocks — not on the socket for the next request, not on
+//! a disk. It applies each request it reads to its shard itself, parks the
+//! answer, and writes what is next in order before reading on; it returns
+//! to its event loop when the socket runs dry, and is re-driven by
+//! whichever event lands first: socket readiness (edge-triggered), a reply
+//! a commit gate released into the connection's [`Mailbox`], or nothing at
+//! all if the connection is idle. The edge-triggered contract is honored by
+//! construction: every `drive` call retries the buffered flush until
+//! `WouldBlock` and reads frames until `WouldBlock` or the pipeline window
+//! fills. A full window with bytes still in the kernel buffer is safe to
+//! park on — replies answered on the loop are written before the next read,
+//! so a window stays full only behind a reply held at a commit gate, and
+//! that reply arrives as a mailbox message that re-drives the connection
+//! back into the read loop.
 
 use std::collections::VecDeque;
 use std::io;
@@ -23,7 +26,7 @@ use std::sync::Arc;
 use p4lru_reactor::{Ctl, Driver, Mailbox, Ready, SharedStream, Status};
 
 use crate::protocol::{FrameReader, FrameWriter};
-use crate::server::{complete_flushed, serve, Conn, Ctx, Reply, ReplySink, ShardSenders};
+use crate::server::{complete_flushed, serve, Conn, Ctx, Reply, ReplySink};
 
 /// Read-buffer bytes per connection. Deliberately far below
 /// [`FrameReader`]'s default: the reactor exists to hold tens of thousands
@@ -41,7 +44,6 @@ pub(crate) struct ReactorConn {
     writer: FrameWriter<SharedStream>,
     conn: Conn,
     ctx: Arc<Ctx>,
-    senders: ShardSenders,
     /// Reused frame-decode scratch buffer.
     frame: Vec<u8>,
 }
@@ -56,7 +58,6 @@ impl ReactorConn {
         stream: TcpStream,
         mailbox: Mailbox<Reply>,
         ctx: Arc<Ctx>,
-        senders: ShardSenders,
     ) -> io::Result<ReactorConn> {
         stream.set_nodelay(true)?;
         let read_half = SharedStream::new(stream);
@@ -66,7 +67,6 @@ impl ReactorConn {
             writer: FrameWriter::with_capacity(write_half, WRITE_BUF),
             conn: Conn::new(ReplySink::Mail(mailbox)),
             ctx,
-            senders,
             frame: Vec::new(),
         })
     }
@@ -106,7 +106,6 @@ impl ReactorConn {
                         &self.frame,
                         self.reader.take_span(),
                         &self.ctx,
-                        &self.senders,
                         &mut self.conn,
                     );
                     served += 1;
@@ -127,17 +126,22 @@ impl Driver for ReactorConn {
         for (seq, reply, trace) in msgs.drain(..) {
             self.conn.park(seq, reply, trace);
         }
-        // Keep pumping while progress is being made: inline responses
-        // (STATS, SHUTDOWN, protocol errors) park during the read phase and
-        // must reach the write phase of a following turn without waiting
-        // for another event.
-        loop {
+        // Keep pumping while progress is being made: replies answered on
+        // the loop park during the read phase and must reach the write
+        // phase of a following turn without waiting for another event.
+        let status = loop {
             match self.pump(ctl) {
-                Ok(0) => return Status::Continue,
+                Ok(0) => break Status::Continue,
                 Ok(_) => {}
-                Err(status) => return status,
+                Err(status) => break status,
             }
+        };
+        // Whatever this turn held at a commit gate, even on a connection
+        // that is closing, must reach a commit.
+        for shard in self.conn.to_wake.drain(..) {
+            self.ctx.shards[shard].wake();
         }
+        status
     }
 }
 

@@ -9,8 +9,8 @@
 //! follower                         primary
 //!    | PULL {shard, from_seq, durable_seq} |
 //!    |------------------------------------>|  reads shard-NNN/wal-*.log
-//!    |       RECORDS {first..last, bytes}  |  (never touches the shard
-//!    |<------------------------------------|   thread: files are the API)
+//!    |       RECORDS {first..last, bytes}  |  (never locks a shard:
+//!    |<------------------------------------|   files are the API)
 //!    |  ...decode, validate, apply...      |
 //! ```
 //!
@@ -35,17 +35,18 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use p4lru_durable::reader::{decode_batch, read_log_from, ReadOutcome};
 use p4lru_durable::snapshot::list_snapshots;
-use p4lru_obs::{AtomicHistogram, RequestTrace};
+use p4lru_obs::{AtomicHistogram, RequestTrace, Tracer};
 
-use crate::metrics::{ClusterSnapshot, LatencySummary, ReplCounters, ShardMetrics};
-use crate::server::{Reply, ReplySink, ShardOp, ShardReply, ShardRequest};
+use crate::commit::ShardCell;
+use crate::metrics::{ClusterSnapshot, LatencySummary, ReplCounters};
+use crate::server::{Ctx, Reply, ReplySink, ShardOp, ShardReply};
 
 /// Replication configuration, hung off
 /// [`crate::server::ServerConfig::repl`]. Any combination is legal: a
@@ -309,7 +310,7 @@ const ROLE_FOLLOWER: u8 = 1;
 
 /// Per-shard watermark gate. On a primary this is the follower's durable
 /// seq (advanced by the replication listener as PULLs arrive; awaited by
-/// the shard loop under `--replicate ack`). On a follower it mirrors the
+/// the shard's commit thread under `--replicate ack`). On a follower it mirrors the
 /// local applied seq, purely for observability.
 #[derive(Debug, Default)]
 struct WatermarkGate {
@@ -485,8 +486,8 @@ impl ReplState {
             .store(self.started.elapsed().as_millis() as u64, Ordering::Relaxed);
     }
 
-    /// Records how long one shipped batch took to apply through the shard
-    /// channel (includes the commit gate — this is durable-apply time).
+    /// Records how long one shipped batch took to apply, commit gate
+    /// included (this is durable-apply time).
     pub(crate) fn record_batch_apply(&self, took: Duration) {
         self.batch_apply.record_ns(took.as_nanos() as u64);
     }
@@ -539,7 +540,7 @@ impl ReplState {
 
 /// What the replication listener needs: the data-dir layout (it serves
 /// pulls straight from the shard directories — the WAL files *are* the
-/// replication API, so shard threads are never interrupted) and the shared
+/// replication API, so shards are never locked for a pull) and the shared
 /// state whose watermarks it advances.
 pub(crate) struct ReplServer {
     pub(crate) root: PathBuf,
@@ -678,63 +679,49 @@ pub(crate) struct FollowerConfig {
     pub(crate) failover: Duration,
 }
 
-enum ApplyErr {
-    /// The shard thread refused the shipment (seq gap, WAL failure). The
-    /// cursor stays put; the connection is dropped and the next pull
-    /// retries from the durable position.
-    Rejected(String),
-    /// The shard channel is gone: the server is shutting down.
-    ShardGone,
-}
-
-/// Ships one replication op through the shard channel and waits for the
-/// shard's post-apply sequence (released only after the batch commit, so
-/// acking it back to the primary as "durable" is honest).
+/// Applies one replication op under the shard's lock and waits at its
+/// commit gate for the shard's post-apply sequence (released only after
+/// the commit covering it, so acking it back to the primary as "durable"
+/// is honest). An `Err` is the shard refusing the shipment (seq gap,
+/// snapshot failure, WAL failure): the cursor stays put, the connection is
+/// dropped, and the next pull retries from the durable position.
 fn apply_to_shard(
-    sender: &Sender<ShardRequest>,
-    metrics: &ShardMetrics,
+    cell: &ShardCell,
+    tracer: &Tracer,
     sink: &ReplySink,
     rx: &Receiver<Reply>,
     op: ShardOp,
-) -> Result<u64, ApplyErr> {
-    metrics.queue_push();
-    let req = ShardRequest {
-        op,
-        seq: 0,
-        trace: RequestTrace::disabled(),
-        reply: sink.clone(),
-    };
-    if sender.send(req).is_err() {
-        metrics.queue_pop();
-        return Err(ApplyErr::ShardGone);
-    }
-    match rx.recv() {
-        Ok((_, ShardReply::Seq(seq), _)) => Ok(seq),
-        Ok((_, ShardReply::Other(crate::protocol::Response::Err(msg)), _)) => {
-            Err(ApplyErr::Rejected(msg))
+) -> Result<u64, String> {
+    let reply = match cell.apply(op, 0, RequestTrace::disabled(), sink, tracer) {
+        Some((reply, _)) => reply,
+        None => {
+            cell.wake();
+            rx.recv().expect("the puller holds its own reply sender").1
         }
-        Ok(_) => Err(ApplyErr::Rejected("unexpected shard reply".to_owned())),
-        Err(_) => Err(ApplyErr::ShardGone),
+    };
+    match reply {
+        ShardReply::Seq(seq) => Ok(seq),
+        ShardReply::Other(crate::protocol::Response::Err(msg)) => Err(msg),
+        _ => Err("unexpected shard reply".to_owned()),
     }
 }
 
 /// The follower's pull loop: one thread tailing every shard of the
-/// primary over a single connection, applying shipments through the
-/// normal shard channels (so replicated writes ride the same batched
-/// group-commit path as client writes), and promoting itself once the
-/// primary has been unreachable for the failover window.
+/// primary over a single connection, applying shipments through the same
+/// shard locks and commit gates as client writes (so replicated writes
+/// ride the same group commit), and promoting itself once the primary has
+/// been unreachable for the failover window.
 ///
 /// `cursors[shard]` is the highest sequence this node has durably applied
-/// — initialized from recovery, advanced only after the shard loop's
-/// commit gate released the apply.
+/// — initialized from recovery, advanced only after the shard's commit
+/// gate released the apply.
 pub(crate) fn follower_pull_loop(
     cfg: &FollowerConfig,
-    senders: &[Sender<ShardRequest>],
-    metrics: &[Arc<ShardMetrics>],
+    ctx: &Ctx,
     state: &Arc<ReplState>,
-    running: &Arc<AtomicBool>,
     mut cursors: Vec<u64>,
 ) {
+    let running = &ctx.running;
     let (tx, rx) = mpsc::channel();
     let sink = ReplySink::Chan(tx);
     let mut last_contact = Instant::now();
@@ -779,7 +766,7 @@ pub(crate) fn follower_pull_loop(
                 return;
             }
             let mut progressed = false;
-            for shard in 0..cursors.len() {
+            for (shard, cell) in ctx.shards.iter().enumerate() {
                 let req = PullRequest {
                     shard: shard as u32,
                     from_seq: cursors[shard] + 1,
@@ -839,8 +826,8 @@ pub(crate) fn follower_pull_loop(
                         let n = records.len() as u64;
                         let apply_started = Instant::now();
                         match apply_to_shard(
-                            &senders[shard],
-                            &metrics[shard],
+                            cell,
+                            &ctx.tracer,
                             &sink,
                             &rx,
                             ShardOp::ReplApply(records),
@@ -859,7 +846,7 @@ pub(crate) fn follower_pull_loop(
                                 state.record_applied(n);
                                 progressed = true;
                             }
-                            Err(ApplyErr::Rejected(msg)) => {
+                            Err(msg) => {
                                 eprintln!(
                                     "[p4lru-server] shard {shard} rejected a replicated \
                                      batch: {msg}"
@@ -867,13 +854,12 @@ pub(crate) fn follower_pull_loop(
                                 state.pull_reject();
                                 break 'conn;
                             }
-                            Err(ApplyErr::ShardGone) => return,
                         }
                     }
                     PullResponse::Snapshot { seq, bytes } => {
                         match apply_to_shard(
-                            &senders[shard],
-                            &metrics[shard],
+                            cell,
+                            &ctx.tracer,
                             &sink,
                             &rx,
                             ShardOp::ReplSnapshot { seq, bytes },
@@ -884,7 +870,7 @@ pub(crate) fn follower_pull_loop(
                                 state.snapshot_installed();
                                 progressed = true;
                             }
-                            Err(ApplyErr::Rejected(msg)) => {
+                            Err(msg) => {
                                 eprintln!(
                                     "[p4lru-server] shard {shard} rejected a shipped \
                                      snapshot: {msg}"
@@ -892,7 +878,6 @@ pub(crate) fn follower_pull_loop(
                                 state.pull_reject();
                                 break 'conn;
                             }
-                            Err(ApplyErr::ShardGone) => return,
                         }
                     }
                     PullResponse::UpToDate => state.set_lag(shard, 0),

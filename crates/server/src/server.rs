@@ -1,21 +1,23 @@
-//! The TCP server: shard-per-thread engines behind an accept loop.
+//! The TCP server: shards run to completion on the reactor loops behind an
+//! accept loop.
 //!
-//! Each shard thread exclusively owns one [`Shard`] (cache + store slice)
-//! and drains an mpsc request channel — the software rendering of "one
-//! pipeline owns its registers", which is what lets the P4LRU arrays stay
-//! lock-free (see the thread-safety notes on
-//! [`p4lru_core::array::LruArray`]). Connections are nonblocking drivers on
-//! a fixed pool of reactor event loops ([`crate::reactor_front`], DESIGN.md
-//! §12), each running a pipelined pump (DESIGN.md §9): buffered framed I/O,
-//! up to [`ServerConfig::pipeline_window`] requests in flight per
-//! connection, one long-lived reply mailbox per connection carrying
-//! `(seq, reply)` pairs back from the shards, and a reorder buffer that puts
-//! responses on the wire in request order no matter which shard finished
-//! first. STATS reads the shards' atomic counters directly, so it never
-//! queues behind the data path.
+//! Connections are nonblocking drivers on a fixed pool of reactor event
+//! loops ([`crate::reactor_front`], DESIGN.md §12), each running a pipelined
+//! pump (DESIGN.md §9): buffered framed I/O, up to
+//! [`ServerConfig::pipeline_window`] requests in flight per connection, and
+//! a reorder buffer that puts responses on the wire in request order. The
+//! loop that reads a GET/SET/DEL applies it itself, under the key's shard
+//! lock — one [`Shard`] (cache + store slice) per lock, the software
+//! rendering of "the stage that owns the registers does the packet's work
+//! in its own pass", which is what lets the P4LRU arrays stay lock-free
+//! inside (see the thread-safety notes on [`p4lru_core::array::LruArray`]).
+//! Only a reply that must wait for an fsync leaves the loop: it is held at
+//! the shard's commit gate ([`crate::commit`]) and comes back through the
+//! connection's mailbox once the commit thread has synced it. STATS reads
+//! the shards' atomic counters directly, so it never waits on a shard.
 //!
 //! Observability (DESIGN.md §10) rides the same paths: every request
-//! carries a [`p4lru_obs::RequestTrace`] that the I/O and shard threads
+//! carries a [`p4lru_obs::RequestTrace`] that the loop and the commit thread
 //! stamp at each lifecycle stage (decode → route → queue → wal-append →
 //! apply → fsync/commit-gate → reorder → flush); completed traces feed the
 //! per-shard per-op latency histograms, the tracer's stage histograms, and
@@ -28,7 +30,7 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -41,6 +43,7 @@ use p4lru_obs::trace::Stage;
 use p4lru_obs::{MetricsHttp, ObsConfig, OpKind, Periodic, RequestTrace, SpanContext, Tracer};
 use p4lru_reactor::{LoopStats, Mailbox, Reactor};
 
+use crate::commit::ShardCell;
 use crate::expose::{build_report, render_prometheus, StatsSampler};
 use crate::metrics::{ConnCounters, ReactorLoopSnapshot, ShardMetrics, StatsReport};
 use crate::protocol::{encode_value, write_frame, FrameWriter, Request, Response};
@@ -78,7 +81,7 @@ pub fn shard_of(key: u64, shards: usize) -> usize {
 pub struct ServerConfig {
     /// Listen address; port 0 picks a free port (tests do this).
     pub addr: String,
-    /// Number of shards (= shard threads).
+    /// Number of shards (each behind its own lock).
     pub shards: usize,
     /// Records to pre-populate, keyed `0..items` (the YCSB key space).
     pub items: u64,
@@ -168,7 +171,7 @@ pub(crate) enum ShardOp {
     Del(u64),
     /// A dense, pre-validated run of replicated WAL records from the
     /// follower's pull loop. Replies with [`ShardReply::Seq`] — the
-    /// shard's post-apply sequence — once the batch commit released it.
+    /// shard's post-apply sequence — once the commit gate released it.
     ReplApply(Vec<p4lru_durable::WalRecord>),
     /// A full snapshot shipped by the primary (catch-up past pruned
     /// history); replaces the shard's durable and in-memory state.
@@ -207,18 +210,18 @@ impl ShardReply {
     }
 }
 
-/// What rides back on a connection's reply channel: the request's sequence
-/// number, the shard's answer, and the request's lifecycle trace (stamped
-/// through queue/wal-append/apply/fsync by the shard loop; the pump adds
-/// reorder/flush).
+/// What a commit thread posts back for a reply it held at the gate: the
+/// request's sequence number, the shard's answer, and the request's
+/// lifecycle trace (stamped through queue/wal-append/apply by the loop that
+/// applied it and fsync by the commit thread; the pump adds reorder/flush).
 pub(crate) type Reply = (u64, ShardReply, RequestTrace);
 
-/// Where a shard posts a finished reply. Two variants because there are two
-/// real callers: every client connection is a reactor driver and takes a
-/// [`Mailbox`] whose post also wakes the owning event loop, while the
-/// follower pull loop ([`crate::repl`]) is a plain thread that blocks on an
-/// mpsc channel for its replication ops. Shards are indifferent: both ends
-/// are just `send`.
+/// Where a commit thread posts a held reply. Two variants because there
+/// are two real callers: every client connection is a reactor driver and
+/// takes a [`Mailbox`] whose post also wakes the owning event loop, while
+/// the follower pull loop ([`crate::repl`]) is a plain thread that blocks
+/// on an mpsc channel for its replication ops. The gate is indifferent:
+/// both ends are just `send`.
 #[derive(Clone)]
 pub(crate) enum ReplySink {
     /// The follower pull loop's mpsc channel.
@@ -240,23 +243,11 @@ impl ReplySink {
     }
 }
 
-pub(crate) struct ShardRequest {
-    pub(crate) op: ShardOp,
-    /// Position in the connection's request order; echoed back so the pump
-    /// can reorder replies that raced across shards.
-    pub(crate) seq: u64,
-    /// This request's lifecycle trace (decode/route stamped by dispatch).
-    pub(crate) trace: RequestTrace,
-    /// The connection's long-lived reply sink (one per connection, not per
-    /// request — dispatch allocates nothing).
-    pub(crate) reply: ReplySink,
-}
-
 /// What the accept loop hands every connection driver, and what STATS and
-/// `/metrics` render from. The shard senders deliberately live outside it
-/// ([`ShardSenders`]): the shard threads exit when the last sender drops,
-/// and this outlives them to serve the final report.
+/// `/metrics` render from.
 pub(crate) struct Ctx {
+    /// The shards, in routing order; every reactor loop applies ops to them.
+    pub(crate) shards: Vec<ShardCell>,
     pub(crate) metrics: Vec<Arc<ShardMetrics>>,
     pub(crate) tracer: Arc<Tracer>,
     pub(crate) log_slow: bool,
@@ -300,10 +291,6 @@ impl Ctx {
     }
 }
 
-/// One sender per shard, shared by every connection driver (one `Arc`
-/// clone per connection, not one `Sender` clone per shard).
-pub(crate) type ShardSenders = Arc<[Sender<ShardRequest>]>;
-
 /// Maps the reactor's live per-loop counters into the STATS/`/metrics`
 /// snapshot shape.
 fn reactor_snapshots(reactor: &Reactor<Reply>) -> Vec<ReactorLoopSnapshot> {
@@ -326,7 +313,8 @@ fn reactor_snapshots(reactor: &Reactor<Reply>) -> Vec<ReactorLoopSnapshot> {
 pub struct Server {
     ctx: Arc<Ctx>,
     accept: Option<JoinHandle<()>>,
-    shard_handles: Vec<JoinHandle<()>>,
+    /// One commit thread per durable shard.
+    commit_threads: Vec<JoinHandle<()>>,
     metrics_http: Option<MetricsHttp>,
     sampler: Option<Periodic>,
     start_mode: StartMode,
@@ -465,8 +453,8 @@ fn build_shards(config: &ServerConfig) -> io::Result<(Vec<Shard>, StartMode)> {
 impl Server {
     /// Builds the shards, populates them with `items` records (key `k` gets
     /// the deterministic [`record_for`]`(k)`) or recovers them from
-    /// `data_dir`, binds the listener, and spawns the shard and accept
-    /// threads.
+    /// `data_dir`, binds the listener, and spawns the reactor loops, the
+    /// accept thread and one commit thread per durable shard.
     pub fn spawn(config: &ServerConfig) -> io::Result<Server> {
         assert!(config.shards >= 1, "need at least one shard");
         assert!(config.pipeline_window >= 1, "window admits one request");
@@ -480,9 +468,8 @@ impl Server {
         let metrics: Vec<Arc<ShardMetrics>> = shards.iter().map(Shard::metrics).collect();
         let tracer = Arc::new(Tracer::new(&config.obs));
 
-        // Replication state is built before the shards move into their
-        // threads: a follower's cursors and watermarks start at whatever
-        // each shard durably recovered.
+        // A follower's cursors and watermarks start at whatever each shard
+        // durably recovered.
         let init_seqs: Vec<u64> = shards.iter().map(Shard::last_seq).collect();
         let repl_state = config.repl.as_ref().map(|rc| {
             let role = if rc.follow.is_some() {
@@ -500,28 +487,9 @@ impl Server {
             ))
         });
 
-        let mut senders = Vec::with_capacity(config.shards);
-        let mut shard_handles = Vec::with_capacity(config.shards);
-        for (i, mut shard) in shards.into_iter().enumerate() {
-            let (tx, rx): (Sender<ShardRequest>, Receiver<ShardRequest>) = mpsc::channel();
-            senders.push(tx);
-            let tracer = Arc::clone(&tracer);
-            let repl = repl_state.clone();
-            shard_handles.push(
-                thread::Builder::new()
-                    .name(format!("p4lru-shard-{i}"))
-                    .spawn(move || shard_loop(&mut shard, i, &rx, &tracer, repl.as_deref()))?,
-            );
-        }
-
-        // Every clone of these is owned by a thread `teardown` joins (the
-        // accept loop and its connection drivers, the follower puller), so
-        // the shard channels close — and the shard threads exit — exactly
-        // when the last producer is gone.
-        let senders: ShardSenders = senders.into();
-
         let listener = TcpListener::bind(&config.addr)?;
         let ctx = Arc::new(Ctx {
+            shards: shards.into_iter().map(ShardCell::new).collect(),
             metrics,
             tracer,
             log_slow: config.log_slow,
@@ -532,13 +500,26 @@ impl Server {
             reactor: Reactor::spawn(config.io_threads, "p4lru-reactor")?,
             repl: repl_state,
         });
+        let mut commit_threads = Vec::new();
+        for i in 0..ctx.shards.len() {
+            if !ctx.shards[i].is_durable() {
+                continue;
+            }
+            let ctx = Arc::clone(&ctx);
+            commit_threads.push(
+                thread::Builder::new()
+                    .name(format!("p4lru-commit-{i}"))
+                    .spawn(move || {
+                        ctx.shards[i].commit_loop(i, &ctx.tracer, ctx.repl.as_deref())
+                    })?,
+            );
+        }
         let accept = {
             let ctx = Arc::clone(&ctx);
-            let senders = Arc::clone(&senders);
             let max_conns = config.max_conns;
             thread::Builder::new()
                 .name("p4lru-accept".to_owned())
-                .spawn(move || accept_loop(&listener, &ctx, &senders, max_conns))?
+                .spawn(move || accept_loop(&listener, &ctx, max_conns))?
         };
 
         // Replication threads: the listener serves WAL pulls straight from
@@ -567,22 +548,12 @@ impl Server {
                     pull_interval: rc.pull_interval,
                     failover: rc.failover,
                 };
-                let senders = Arc::clone(&senders);
                 let ctx = Arc::clone(&ctx);
                 let state = Arc::clone(state);
                 puller = Some(
                     thread::Builder::new()
                         .name("p4lru-repl-pull".to_owned())
-                        .spawn(move || {
-                            follower_pull_loop(
-                                &cfg,
-                                &senders,
-                                &ctx.metrics,
-                                &state,
-                                &ctx.running,
-                                init_seqs,
-                            )
-                        })?,
+                        .spawn(move || follower_pull_loop(&cfg, &ctx, &state, init_seqs))?,
                 );
             }
         }
@@ -621,7 +592,7 @@ impl Server {
         Ok(Server {
             ctx,
             accept: Some(accept),
-            shard_handles,
+            commit_threads,
             metrics_http,
             sampler,
             start_mode,
@@ -694,14 +665,13 @@ impl Server {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        // The reactor's event loops own their connection drivers (which hold
-        // shard senders); stopping them drops the last connections before
-        // the shard channels are declared closed.
+        // Stopping the event loops drops the last connections: no new op
+        // reaches a shard from a client after this.
         self.ctx.reactor.shutdown();
-        // Replication threads hold shard senders too, so they must exit
-        // before the shard channels can close. The puller notices
-        // `running` within its bounded read timeout; the repl accept
-        // thread blocks in `accept` and needs a wake-up connection.
+        // The puller applies ops too, and waits at the commit gates, so it
+        // must exit before the commit threads do. It notices `running`
+        // within its bounded read timeout; the repl accept thread blocks in
+        // `accept` and needs a wake-up connection.
         if let Some(puller) = self.puller.take() {
             let _ = puller.join();
         }
@@ -711,9 +681,12 @@ impl Server {
             }
             let _ = accept.join();
         }
-        // Shard threads exit once every sender is gone, which the joins
-        // above guarantee.
-        for h in self.shard_handles.drain(..) {
+        // Each commit thread releases whatever is still held, flushes its
+        // WAL, and exits.
+        for cell in &self.ctx.shards {
+            cell.close();
+        }
+        for h in self.commit_threads.drain(..) {
             let _ = h.join();
         }
         // Everything is drained; the sampler's final JSONL line and any
@@ -721,149 +694,6 @@ impl Server {
         self.sampler = None;
         self.metrics_http = None;
     }
-}
-
-/// Most requests one fsync is allowed to cover (group commit). Large enough
-/// to amortize the sync across a busy batch, small enough to bound the ack
-/// latency the last request in a batch pays.
-const MAX_BATCH: usize = 128;
-
-fn apply(shard: &mut Shard, op: ShardOp) -> ShardReply {
-    match op {
-        ShardOp::Get(key) => match shard.get(key) {
-            Some(record) => ShardReply::Record(record),
-            None => ShardReply::NotFound,
-        },
-        ShardOp::Set(key, record) => match shard.set(key, record) {
-            Ok(()) => ShardReply::Ok,
-            Err(e) => ShardReply::Other(Response::Err(format!("wal append failed: {e}"))),
-        },
-        ShardOp::Del(key) => match shard.del(key) {
-            Ok(true) => ShardReply::Ok,
-            Ok(false) => ShardReply::NotFound,
-            Err(e) => ShardReply::Other(Response::Err(format!("wal append failed: {e}"))),
-        },
-        ShardOp::ReplApply(records) => {
-            // Stale records (already applied — re-delivery after a dropped
-            // ack) are skipped; a genuine gap or WAL failure rejects the
-            // rest of the run. Either way the reply carries the shard's
-            // actual position so the puller's cursor resynchronizes.
-            for rec in &records {
-                if let Err(e) = shard.apply_replicated(rec) {
-                    return ShardReply::Other(Response::Err(format!(
-                        "replicated apply stopped at seq {}: {e}",
-                        rec.seq
-                    )));
-                }
-            }
-            ShardReply::Seq(shard.last_seq())
-        }
-        ShardOp::ReplSnapshot { seq, bytes } => match shard.install_shipped_snapshot(seq, &bytes) {
-            Ok(()) => ShardReply::Seq(shard.last_seq()),
-            Err(e) => ShardReply::Other(Response::Err(format!("snapshot install failed: {e}"))),
-        },
-    }
-}
-
-/// One dequeued request, applied and stamped: `queue` at dequeue,
-/// `wal_append` at the instant the durability engine buffered the record
-/// (mutations on a durable shard only — the engine's span hook, not a
-/// second clock read on the request path), `apply` when the in-memory
-/// mutation finished.
-fn apply_traced(
-    shard: &mut Shard,
-    tracer: &Tracer,
-    mut req: ShardRequest,
-) -> (ReplySink, u64, ShardReply, RequestTrace, bool) {
-    tracer.stamp(&mut req.trace, Stage::Queue);
-    let mutation = !matches!(req.op, ShardOp::Get(_));
-    let reply = apply(shard, req.op);
-    if mutation {
-        if let Some(at) = shard.last_wal_append_at() {
-            tracer.stamp_at(&mut req.trace, Stage::WalAppend, at);
-        }
-    }
-    tracer.stamp(&mut req.trace, Stage::Apply);
-    (req.reply, req.seq, reply, req.trace, mutation)
-}
-
-/// Drains the request channel in batches: apply every request in the batch,
-/// run one commit (so a single fsync covers all of them under
-/// `sync=always`), and only then release the replies — the group-commit
-/// discipline that makes "acknowledged" mean "durable". Pipelined
-/// connections are what make these batches deep: a closed-loop client
-/// contributes at most one request per batch, a `--pipeline 32` client up
-/// to its whole window.
-fn shard_loop(
-    shard: &mut Shard,
-    shard_idx: usize,
-    rx: &Receiver<ShardRequest>,
-    tracer: &Tracer,
-    repl: Option<&ReplState>,
-) {
-    let metrics = shard.metrics();
-    let mut batch: Vec<(ReplySink, u64, ShardReply, RequestTrace, bool)> =
-        Vec::with_capacity(MAX_BATCH);
-    while let Ok(req) = rx.recv() {
-        metrics.queue_pop();
-        batch.push(apply_traced(shard, tracer, req));
-        // Opportunistically fold in whatever else is already queued.
-        while batch.len() < MAX_BATCH {
-            match rx.try_recv() {
-                Ok(req) => {
-                    metrics.queue_pop();
-                    batch.push(apply_traced(shard, tracer, req));
-                }
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => break,
-            }
-        }
-        match shard.commit_batch(batch.len()) {
-            Err(e) => {
-                // The batch's appends may not have reached disk: none of
-                // these requests may be acknowledged as succeeding.
-                let msg = format!("wal commit failed: {e}");
-                for (_, _, reply, _, _) in &mut batch {
-                    *reply = ShardReply::Other(Response::Err(msg.clone()));
-                }
-            }
-            Ok(()) => {
-                // `--replicate ack`: a primary holds the batch's mutation
-                // acks until the follower's durable watermark covers it.
-                // On timeout the mutations get an error instead of an ack
-                // — they are locally durable but their replication is
-                // unconfirmed, and an un-acked write may exist after
-                // failover (the same one-sided contract a kill -9 leaves
-                // for in-flight ops).
-                if let Some(state) = repl {
-                    let gated = state.ack_mode
-                        && state.role() == Role::Primary
-                        && batch.iter().any(|(_, _, _, _, m)| *m);
-                    if gated && !state.wait_watermark(shard_idx, shard.last_seq()) {
-                        let msg = "replication ack timeout: write is durable locally \
-                                   but unconfirmed on the follower"
-                            .to_owned();
-                        for (_, _, reply, _, mutation) in &mut batch {
-                            if *mutation {
-                                *reply = ShardReply::Other(Response::Err(msg.clone()));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // The commit gate: whether or not the sync policy issued a physical
-        // fsync for this batch, this is when the batch's acknowledgements
-        // were released (the latency the client pays for group commit). One
-        // batch, one instant, every trace.
-        let gate = std::time::Instant::now();
-        for (reply, seq, response, mut trace, _) in batch.drain(..) {
-            tracer.stamp_at(&mut trace, Stage::Fsync, gate);
-            // A vanished connection (client hung up mid-request) is not an error.
-            reply.send((seq, response, trace));
-        }
-    }
-    // Clean shutdown: push any policy-deferred appends to disk.
-    let _ = shard.flush();
 }
 
 /// Tells a connection past the `max_conns` limit why it is being dropped:
@@ -877,7 +707,7 @@ fn reject_connection(stream: TcpStream, max_conns: usize) {
     let _ = write_frame(&mut stream, &out);
 }
 
-fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>, senders: &ShardSenders, max_conns: usize) {
+fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>, max_conns: usize) {
     loop {
         let (stream, _) = match listener.accept() {
             Ok(pair) => pair,
@@ -898,13 +728,12 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>, senders: &ShardSenders, m
         }
         ctx.conns.opened();
         let conn_ctx = Arc::clone(ctx);
-        let conn_senders = Arc::clone(senders);
         // `register` only errs before the driver exists (reactor
         // stopping / fd registration failed) — the stream just drops.
         if ctx
             .reactor
             .register(stream, move |stream, mailbox| {
-                ReactorConn::new(stream, mailbox, conn_ctx, conn_senders)
+                ReactorConn::new(stream, mailbox, conn_ctx)
                     .map(|c| Box::new(c) as Box<dyn p4lru_reactor::Driver<Msg = Reply>>)
             })
             .is_err()
@@ -915,20 +744,23 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>, senders: &ShardSenders, m
 }
 
 /// Per-connection pump state: sequence counters, the reorder buffer, and
-/// the one reply sink every shard sends back on — everything about a
-/// connection except its socket, which [`ReactorConn`] wraps around it.
+/// the one reply sink the commit gates post held replies to — everything
+/// about a connection except its socket, which [`ReactorConn`] wraps around
+/// it.
 pub(crate) struct Conn {
     /// Sequence number the next parsed request gets.
     next_seq: u64,
     /// Sequence number of the next response to put on the wire.
     next_write: u64,
-    /// Replies that arrived ahead of `next_write` (cross-shard races), plus
-    /// inline responses (STATS, protocol errors) parked behind in-flight
-    /// shard work. The common in-order reply skips this map entirely.
+    /// Replies waiting for their turn on the wire: everything answered on
+    /// the loop, parked behind any reply still held at a commit gate.
     parked: BTreeMap<u64, (ShardReply, RequestTrace)>,
-    /// The connection's reply sink; clones ride inside [`ShardRequest`]s
-    /// instead of a fresh channel per request.
+    /// The connection's reply sink; a held reply carries a clone instead
+    /// of a fresh channel per request.
     sink: ReplySink,
+    /// Shards this turn held a reply at, whose commit threads the driver
+    /// wakes once the turn's reads are applied ([`crate::commit::ShardCell::wake`]).
+    pub(crate) to_wake: Vec<usize>,
     /// Set once a SHUTDOWN request is parsed: its sequence number. No
     /// further requests are read; the pump drains, writes the final OK,
     /// then stops the server.
@@ -948,6 +780,7 @@ impl Conn {
             next_write: 0,
             parked: BTreeMap::new(),
             sink,
+            to_wake: Vec::new(),
             shutdown_at: None,
             out: Vec::new(),
             unflushed: Vec::new(),
@@ -958,8 +791,8 @@ impl Conn {
         self.next_seq - self.next_write
     }
 
-    /// Accepts one reply from a shard (or an inline response) into the
-    /// reorder buffer.
+    /// Accepts one reply (applied on the loop, released by a commit gate,
+    /// or answered without a shard) into the reorder buffer.
     pub(crate) fn park(&mut self, seq: u64, reply: ShardReply, trace: RequestTrace) {
         self.parked.insert(seq, (reply, trace));
     }
@@ -967,8 +800,8 @@ impl Conn {
     /// Writes every response that is next in request order into the write
     /// buffer, stamping each trace's `reorder` stage as it leaves the
     /// buffer. The in-order case (`seq == next_write` just parked) costs
-    /// one BTreeMap round-trip at most; responses behind a straggler shard
-    /// stay parked — for them `reorder` measures the cross-shard wait.
+    /// one BTreeMap round-trip at most; responses behind a reply held at a
+    /// commit gate stay parked — for them `reorder` measures that wait.
     pub(crate) fn write_ready<W: Write>(
         &mut self,
         writer: &mut FrameWriter<W>,
@@ -1016,20 +849,15 @@ pub(crate) fn complete_flushed(conn: &mut Conn, ctx: &Ctx) {
     }
 }
 
-/// Parses and dispatches one request frame under the connection's next
-/// sequence number. Keyed requests go to their shard; STATS, SHUTDOWN,
-/// and PING (and malformed frames) resolve inline but park behind any
-/// in-flight shard replies so the wire stays in request order. `span` is
-/// the in-band trace context the frame carried, if any — it attaches to
-/// the request's (sampled) trace so the server's eight stages land in
-/// the same trace the upstream hop originated.
-pub(crate) fn serve(
-    frame: &[u8],
-    span: Option<SpanContext>,
-    ctx: &Ctx,
-    senders: &[Sender<ShardRequest>],
-    conn: &mut Conn,
-) {
+/// Parses and serves one request frame under the connection's next
+/// sequence number. Keyed requests are applied to their shard right here,
+/// on the calling loop; STATS, SHUTDOWN, and PING (and malformed frames)
+/// need no shard. Every answer parks in the reorder buffer, behind any
+/// reply still held at a commit gate, so the wire stays in request order.
+/// `span` is the in-band trace context the frame carried, if any — it
+/// attaches to the request's (sampled) trace so the server's eight stages
+/// land in the same trace the upstream hop originated.
+pub(crate) fn serve(frame: &[u8], span: Option<SpanContext>, ctx: &Ctx, conn: &mut Conn) {
     let seq = conn.next_seq;
     conn.next_seq += 1;
     let request = match Request::decode(frame) {
@@ -1070,10 +898,10 @@ pub(crate) fn serve(
             }
         }
     }
-    let op = match request {
-        Request::Get { key } => ShardOp::Get(key),
-        Request::Set { key, value } => ShardOp::Set(key, record_from_bytes(&value)),
-        Request::Del { key } => ShardOp::Del(key),
+    let (key, op) = match request {
+        Request::Get { key } => (key, ShardOp::Get(key)),
+        Request::Set { key, value } => (key, ShardOp::Set(key, record_from_bytes(&value))),
+        Request::Del { key } => (key, ShardOp::Del(key)),
         Request::Stats => {
             let report = ctx.report();
             let response = match serde_json::to_string(&report) {
@@ -1099,7 +927,7 @@ pub(crate) fn serve(
             return;
         }
     };
-    let shard = shard_of(op_key(&op), senders.len());
+    let shard = shard_of(key, ctx.shards.len());
     let mut trace = ctx
         .tracer
         .start(kind.expect("keyed ops always have a kind"), shard as u32);
@@ -1107,36 +935,13 @@ pub(crate) fn serve(
         ctx.tracer.attach_span(&mut trace, span);
     }
     // `decode` is the trace's time origin; `route` closes out the
-    // decode+route work this thread did before handing off to the shard.
+    // decode+route work before the shard's lock is taken.
     ctx.tracer.stamp(&mut trace, Stage::Decode);
     ctx.tracer.stamp(&mut trace, Stage::Route);
-    ctx.metrics[shard].queue_push();
-    if senders[shard]
-        .send(ShardRequest {
-            op,
-            seq,
-            trace,
-            reply: conn.sink.clone(),
-        })
-        .is_err()
-    {
-        ctx.metrics[shard].queue_pop();
-        conn.park(
-            seq,
-            ShardReply::Other(Response::Err("shard unavailable".to_owned())),
-            RequestTrace::disabled(),
-        );
-    }
-}
-
-fn op_key(op: &ShardOp) -> u64 {
-    match op {
-        ShardOp::Get(key) | ShardOp::Set(key, _) | ShardOp::Del(key) => *key,
-        // Replication ops come from the follower pull loop already addressed
-        // to a shard; they never pass through key routing.
-        ShardOp::ReplApply(_) | ShardOp::ReplSnapshot { .. } => {
-            unreachable!("replication ops are routed by shard index, not key")
-        }
+    match ctx.shards[shard].apply(op, seq, trace, &conn.sink, &ctx.tracer) {
+        Some((reply, trace)) => conn.park(seq, reply, trace),
+        None if !conn.to_wake.contains(&shard) => conn.to_wake.push(shard),
+        None => {}
     }
 }
 

@@ -12,19 +12,23 @@
 //! 48-bit *address*, not its value: a hit skips the index walk and reads
 //! the slab directly.
 //!
-//! A shard is single-threaded by construction — the server gives each shard
-//! thread exclusive ownership, mirroring how one pipeline owns its
-//! registers — so the cache needs no interior locking (see the thread-safety
-//! notes on [`p4lru_core::array::LruArray`]).
+//! A shard is single-threaded by construction — `&mut self` on every
+//! operation; the server keeps each shard behind one mutex that the reactor
+//! loop serving a request takes for the op's duration, mirroring how one
+//! pipeline stage owns its registers for a packet's pass — so the cache
+//! needs no interior locking (see the thread-safety notes on
+//! [`p4lru_core::array::LruArray`]).
 //!
 //! With durability enabled (DESIGN.md §8), every SET/DEL appends to the
-//! shard's write-ahead log *before* mutating the in-memory store, and the
-//! server's request loop withholds acknowledgements until [`Shard::commit`]
+//! shard's in-memory WAL buffer *before* mutating the in-memory store, and
+//! the server withholds acknowledgements until a commit covering the append
 //! has applied the sync policy — so under `sync=always` no acknowledged
-//! write can be lost to a crash. Pipelined connections (DESIGN.md §9) are
-//! what make the batches between commits deep: [`Shard::commit_batch`]
-//! records each batch's size so STATS can report how much one fsync is
-//! actually amortizing.
+//! write can be lost to a crash. The commit is cut under the lock
+//! ([`Shard::begin_commit`]) and run without it, on the shard's commit
+//! thread, so appends never wait on the disk; [`Shard::commit`] does both
+//! in place for single-threaded callers, and [`Shard::commit_batch`]
+//! records a batch's size so STATS can report how much one fsync is
+//! amortizing.
 
 use std::io;
 use std::path::Path;
@@ -32,7 +36,7 @@ use std::sync::Arc;
 
 use p4lru_core::array::P4Lru3Array;
 use p4lru_core::unit::Outcome;
-use p4lru_durable::{DurabilityConfig, Recovery, ShardLog, WalOp, WalRecord};
+use p4lru_durable::{DurabilityConfig, LogCommit, Recovery, ShardLog, WalOp, WalRecord};
 use p4lru_kvstore::slab::Record;
 use p4lru_kvstore::{Addr48, Database, VALUE_SIZE};
 
@@ -221,8 +225,9 @@ impl Shard {
 
     /// [`Shard::commit`] plus batch accounting: records `batch_len` in the
     /// batch-size histogram counters (STATS `batches`/`batch_mean`/
-    /// `batch_max`) next to the fsync it amortizes. The shard loop calls
-    /// this once per drained batch — pipelined connections are what make
+    /// `batch_max`) next to the fsync it amortizes, for callers that commit
+    /// a batch in place (the server's commit thread counts its own batches
+    /// as it releases them) — pipelined connections are what make
     /// `batch_len` grow past 1, and the ratio `batch_ops / batches` is the
     /// direct measure of how much group commit is actually grouping.
     pub fn commit_batch(&mut self, batch_len: usize) -> io::Result<()> {
@@ -231,8 +236,9 @@ impl Shard {
     }
 
     /// Batch boundary: applies the sync policy to pending WAL appends and
-    /// seals a snapshot when the cadence says so. The server must call this
-    /// before releasing the batch's acknowledgements.
+    /// seals a snapshot when the cadence says so. A caller must run this (or
+    /// a [`Shard::begin_commit`] cut) before releasing the batch's
+    /// acknowledgements.
     pub fn commit(&mut self) -> io::Result<()> {
         let Some(log) = &mut self.log else {
             return Ok(());
@@ -249,6 +255,24 @@ impl Shard {
             self.db.optimize_index();
         }
         Ok(())
+    }
+
+    /// Cuts a commit of every WAL record appended so far, to run without
+    /// access to the shard (`None` without durability); whoever runs it
+    /// counts its fsync. Snapshots are not cut: when
+    /// [`Shard::snapshot_due`], commit in place instead.
+    pub(crate) fn begin_commit(&mut self) -> Option<LogCommit> {
+        self.log.as_mut().map(ShardLog::begin_commit)
+    }
+
+    /// Whether the next [`Shard::commit`] seals a snapshot.
+    pub(crate) fn snapshot_due(&self) -> bool {
+        self.log.as_ref().is_some_and(ShardLog::should_snapshot)
+    }
+
+    /// Whether WAL records were appended since the last commit cut.
+    pub(crate) fn has_buffered(&self) -> bool {
+        self.log.as_ref().is_some_and(ShardLog::has_buffered)
     }
 
     /// Forces everything appended so far to disk (clean shutdown).
@@ -332,7 +356,7 @@ impl Shard {
 
     /// When this shard's WAL last appended a record (`None` without
     /// durability or before the first append) — the tracer's `wal_append`
-    /// span hook, read by the shard loop right after a mutation so the
+    /// span hook, read by the server right after a mutation so the
     /// stamp reflects when the buffered write actually happened.
     pub fn last_wal_append_at(&self) -> Option<std::time::Instant> {
         self.log.as_ref().and_then(|log| log.last_append_at())
@@ -549,7 +573,7 @@ mod tests {
         assert!(shard.apply_replicated(&set(9, 102)).is_err());
         assert_eq!(shard.last_seq(), 3, "a refused record appends nothing");
 
-        // The replicated history is durable: the shard loop commits each
+        // The replicated history is durable: the commit gate commits each
         // applied batch, and recovery replays it.
         shard.commit().unwrap();
         drop(shard);

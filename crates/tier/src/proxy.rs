@@ -395,7 +395,19 @@ fn serve_turn(
             Response::Err(format!("upstream request failed: {why}"))
         })
         .collect();
-    let replies = shared.switch().finish_turn(requests, steps, answers);
+    // A turn the switch answered whole has nothing to finish: its replies
+    // are the steps themselves, and the switch is not taken a second time.
+    let replies = if forwards == 0 {
+        steps
+            .into_iter()
+            .map(|step| match step {
+                Step::Reply(response) => response,
+                Step::Forward { .. } => unreachable!("a turn without forwards"),
+            })
+            .collect()
+    } else {
+        shared.switch().finish_turn(requests, steps, answers)
+    };
     let total = started.elapsed().as_nanos() as u64;
     if total >= shared.slow_ns {
         for ctx in spans.iter().flatten() {
