@@ -38,6 +38,7 @@
 //! Deletion rebalances by borrowing from or merging with siblings; the root
 //! collapses when it loses its last separator.
 
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
 
 use crate::key::{be_prefix, head_at, shared_prefix_bytes, IndexKey};
@@ -55,6 +56,10 @@ const INLINE_BUCKET_CAP: usize = INLINE_BUCKETS / 2;
 /// Access-mix bit marking a range/scan touch (drops hash mode on the next
 /// mutation of the leaf).
 const SCAN_FLAG: u8 = 0x80;
+/// Keys [`BPlusTree::lookup_run`] walks down together: enough independent
+/// misses to keep a core's fill buffers busy, few enough that the cursors
+/// live on the stack.
+const RUN_WIDTH: usize = 16;
 
 /// Bits of the structural epoch packed into the descent-cache word; the
 /// remaining bits hold `leaf + 1` (0 = empty cache).
@@ -696,6 +701,82 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
             }
         }
         self.lookup_cold(key, rank)
+    }
+
+    /// Looks up every key of `keys`, replacing `out`'s contents with each
+    /// key's value in key order — what [`Self::lookup`] returns per key,
+    /// at `height` visits each, but with the keys descending together.
+    ///
+    /// One key's walk is a chain of dependent cache misses (node, head
+    /// array, child or entry array, then the next node). The run walks
+    /// level by level instead: at each level it first touches every key's
+    /// node, head array and child or entry array with loads that depend on
+    /// nothing but that key's own node index, so the misses of up to
+    /// `RUN_WIDTH` (16) keys are in flight at once, and only then steps each
+    /// key through its already-fetched node. The descent cache is left
+    /// pointing at the run's last leaf.
+    pub fn lookup_run(&self, keys: &[K], out: &mut Vec<Option<V>>)
+    where
+        V: Copy,
+    {
+        out.clear();
+        for chunk in keys.chunks(RUN_WIDTH) {
+            let mut cursors = [self.root; RUN_WIDTH];
+            let cursors = &mut cursors[..chunk.len()];
+            // Every leaf sits at depth `height`, so the keys change levels
+            // in lockstep.
+            for _ in 1..self.height {
+                for (&node, key) in cursors.iter().zip(chunk) {
+                    self.touch(node, key);
+                }
+                for (node, key) in cursors.iter_mut().zip(chunk) {
+                    let Node::Inner(inner) = &self.nodes[*node as usize] else {
+                        unreachable!("a leaf above the tree's height");
+                    };
+                    *node = inner.children[inner.child_for(key, key.rank64())];
+                }
+            }
+            for (&node, key) in cursors.iter().zip(chunk) {
+                self.touch(node, key);
+            }
+            for (&node, key) in cursors.iter().zip(chunk) {
+                let Node::Leaf(leaf) = &self.nodes[node as usize] else {
+                    unreachable!("an inner node at the tree's height");
+                };
+                leaf.note_point();
+                out.push(leaf.find(key, key.rank64()).map(|i| leaf.entries[i].1));
+            }
+            if let Some(&last) = cursors.last() {
+                self.cache_store(last);
+            }
+        }
+    }
+
+    /// Starts the loads `key`'s step through `node` will make: the node
+    /// itself, every cache line of its head array, and its child array
+    /// (inner) or its bucket byte or first entry (leaf). The values are
+    /// discarded; only the cache fills matter.
+    fn touch(&self, node: u32, key: &K) {
+        const LINE_U32S: usize = 16;
+        let heads = match &self.nodes[node as usize] {
+            Node::Inner(inner) => {
+                for child in inner.children.iter().step_by(LINE_U32S) {
+                    black_box(*child);
+                }
+                &inner.heads
+            }
+            Node::Leaf(leaf) => {
+                if leaf.hash {
+                    black_box(leaf.buckets[(key.hash64() as usize) & (INLINE_BUCKETS - 1)]);
+                } else if let Some((k, _)) = leaf.entries.first() {
+                    black_box(k.rank64());
+                }
+                &leaf.heads
+            }
+        };
+        for head in heads.iter().step_by(LINE_U32S) {
+            black_box(*head);
+        }
     }
 
     /// Plain lookup (descent-cache-aware).
@@ -1643,6 +1724,29 @@ mod tests {
             Node::Inner(_) => panic!("single-leaf tree expected"),
         }
         t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn lookup_run_reads_armed_hash_leaves() {
+        let mut t = BPlusTree::from_sorted(8, (0..200u64).map(|k| (k * 3, k)));
+        for _ in 0..(FLIP_STREAK + 2) {
+            for k in 0..200u64 {
+                t.get(&(k * 3));
+            }
+        }
+        t.apply_adaptation();
+        assert!(t.height() > 2);
+        assert!(
+            t.nodes
+                .iter()
+                .all(|n| matches!(n, Node::Inner(_)) || matches!(n, Node::Leaf(l) if l.hash)),
+            "every leaf armed"
+        );
+        let probes: Vec<u64> = (0..620).rev().collect();
+        let mut out = Vec::new();
+        t.lookup_run(&probes, &mut out);
+        let want: Vec<Option<u64>> = probes.iter().map(|k| t.lookup(k).0.copied()).collect();
+        assert_eq!(out, want);
     }
 
     #[test]

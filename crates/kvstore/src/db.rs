@@ -157,6 +157,21 @@ impl Database {
         })
     }
 
+    /// Resolves a run of keys to their record addresses with one
+    /// interleaved index descent ([`BPlusTree::lookup_run`]), replacing
+    /// `out`'s contents with one entry per key, in key order. Each found
+    /// record is touched as well, so the copies that follow read lines
+    /// already on their way (both ends: the slab does not line-align its
+    /// records). A run costs `index_height` visits per key and does not
+    /// consult the descent cache.
+    pub fn resolve_run(&self, keys: &[u64], out: &mut Vec<Option<Addr48>>) {
+        self.index.lookup_run(keys, out);
+        for addr in out.iter().flatten() {
+            let record = self.store.get(*addr);
+            std::hint::black_box((record[0], record[VALUE_SIZE - 1]));
+        }
+    }
+
     /// Direct read by cached address (the fast path a cache hit takes).
     pub fn lookup_by_addr(&self, addr: Addr48) -> &Record {
         self.store.get(addr)

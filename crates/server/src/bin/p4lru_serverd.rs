@@ -25,7 +25,7 @@ USAGE: p4lru_serverd [OPTIONS]
 
 OPTIONS:
   --addr <host:port>    listen address       [default: 127.0.0.1:4190]
-  --shards <n>          shard threads        [default: 4]
+  --shards <n>          shards (one lock each) [default: 4]
   --items <n>           pre-populated keys   [default: 100000]
   --units <n>           cache units/shard    [default: 4096]
   --seed <n>            cache hash seed      [default: 0x9412C0DE]

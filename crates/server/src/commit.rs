@@ -3,9 +3,10 @@
 //! commit covers waits — for that commit (DESIGN.md §8, §9).
 //!
 //! Every shard sits in a [`ShardCell`] behind one mutex. A loop applies a
-//! GET/SET/DEL under that lock and, when nothing it did or read is waiting
-//! on the disk, parks the reply in the connection's reorder buffer in the
-//! same `drive`: no channel, no thread hand-off, no wake-up. A durable
+//! SET/DEL, or a run of GETs ([`GetRun`]), under that lock and, when
+//! nothing it did or read is waiting on the disk, parks the reply in the
+//! connection's reorder buffer in the same `drive`: no channel, no thread
+//! hand-off, no wake-up. A durable
 //! shard's SET/DEL only appends to the in-memory WAL buffer, and its reply
 //! is *held* in the cell. So is any reply applied while the shard holds
 //! appended records that no finished commit covers — a GET's included — so
@@ -37,6 +38,28 @@ use crate::shard::Shard;
 /// connection's request order, the answer, its trace, and whether the op
 /// was a mutation (the `--replicate ack` wait gates only those).
 type Held = (ReplySink, u64, ShardReply, RequestTrace, bool);
+
+/// A connection's GETs for one shard, gathered while it reads a burst and
+/// applied as one [`ShardCell::apply_gets`] run (DESIGN.md §9).
+#[derive(Default)]
+pub(crate) struct GetRun {
+    keys: Vec<u64>,
+    seqs: Vec<u64>,
+    traces: Vec<RequestTrace>,
+}
+
+impl GetRun {
+    /// Appends the GET of `key` that has sequence number `seq`.
+    pub(crate) fn push(&mut self, key: u64, seq: u64, trace: RequestTrace) {
+        self.keys.push(key);
+        self.seqs.push(seq);
+        self.traces.push(trace);
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+}
 
 /// One shard as the reactor loops, the follower puller and the shard's
 /// commit thread share it.
@@ -85,7 +108,8 @@ impl ShardCell {
         self.lock().shard.is_durable()
     }
 
-    /// Applies `op` on the calling thread under the shard's lock, stamping
+    /// Applies a mutation or replication `op` on the calling thread under
+    /// the shard's lock (GETs take [`ShardCell::apply_gets`]), stamping
     /// `queue` (lock acquired), `wal_append` and `apply`. Returns the reply
     /// when it may leave now; `None` when it is held at the gate, to arrive
     /// through `sink` as `(seq, reply, trace)` once the commit covering the
@@ -100,22 +124,60 @@ impl ShardCell {
         sink: &ReplySink,
         tracer: &Tracer,
     ) -> Option<(ShardReply, RequestTrace)> {
-        let mutation = !matches!(op, ShardOp::Get(_));
         let mut st = self.lock();
         tracer.stamp(&mut trace, Stage::Queue);
         let reply = apply_op(&mut st.shard, op);
-        if mutation {
-            if let Some(at) = st.shard.last_wal_append_at() {
-                tracer.stamp_at(&mut trace, Stage::WalAppend, at);
-            }
+        if let Some(at) = st.shard.last_wal_append_at() {
+            tracer.stamp_at(&mut trace, Stage::WalAppend, at);
         }
         tracer.stamp(&mut trace, Stage::Apply);
         if !st.committing && !st.shard.has_buffered() {
             return Some((reply, trace));
         }
         self.metrics.queue_push();
-        st.held.push((sink.clone(), seq, reply, trace, mutation));
+        st.held.push((sink.clone(), seq, reply, trace, true));
         None
+    }
+
+    /// Applies a connection's run of GETs for this shard under one hold
+    /// of the lock ([`Shard::get_run`]), stamping `queue` (lock acquired)
+    /// and `apply` per request. The gate rule is [`ShardCell::apply`]'s:
+    /// while a commit is running or the shard holds appended records no
+    /// commit covers, every reply of the run is held; otherwise each goes
+    /// to `ready` as `(seq, reply, trace)`, in run order. Returns whether
+    /// the run was held, in which case the caller wakes the commit thread
+    /// ([`ShardCell::wake`]) once its turn is applied. Leaves `run` empty.
+    pub(crate) fn apply_gets(
+        &self,
+        run: &mut GetRun,
+        sink: &ReplySink,
+        tracer: &Tracer,
+        mut ready: impl FnMut(u64, ShardReply, RequestTrace),
+    ) -> bool {
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        for trace in &mut run.traces {
+            tracer.stamp(trace, Stage::Queue);
+        }
+        // A GET appends nothing, so the rule cannot change mid-run.
+        let hold = st.committing || st.shard.has_buffered();
+        let mut requests = run.seqs.drain(..).zip(run.traces.drain(..));
+        st.shard.get_run(&run.keys, |record| {
+            let (seq, mut trace) = requests.next().expect("one reply per key");
+            tracer.stamp(&mut trace, Stage::Apply);
+            let reply = match record {
+                Some(record) => ShardReply::Record(record),
+                None => ShardReply::NotFound,
+            };
+            if hold {
+                self.metrics.queue_push();
+                st.held.push((sink.clone(), seq, reply, trace, false));
+            } else {
+                ready(seq, reply, trace);
+            }
+        });
+        run.keys.clear();
+        hold
     }
 
     /// Asks the commit thread to commit what is held. A loop calls this
@@ -245,10 +307,6 @@ impl ShardCell {
 
 fn apply_op(shard: &mut Shard, op: ShardOp) -> ShardReply {
     match op {
-        ShardOp::Get(key) => match shard.get(key) {
-            Some(record) => ShardReply::Record(record),
-            None => ShardReply::NotFound,
-        },
         ShardOp::Set(key, record) => match shard.set(key, record) {
             Ok(()) => ShardReply::Ok,
             Err(e) => ShardReply::Other(Response::Err(format!("wal append failed: {e}"))),

@@ -82,6 +82,12 @@ metric_set! {
         /// A descent-cache hit costs ~1 node visit instead of a full walk.
         index_descent_hits: Sum, counter, "p4lru_index_descent_hits_total",
             "Index lookups answered by the B+Tree descent cache.";
+        /// A GET run resolves its front-cache misses together when it has
+        /// two or more; keys per run is `index_run_keys / index_runs`.
+        index_runs: Sum, counter, "p4lru_index_runs_total",
+            "GET runs whose front-cache misses shared one interleaved B+Tree descent.";
+        index_run_keys: Sum, counter, "p4lru_index_run_keys_total",
+            "Keys resolved by interleaved B+Tree descents.";
         /// 0 when the shard runs without durability.
         wal_appends: Sum, counter, "p4lru_wal_appends_total", "WAL records appended.";
         wal_fsyncs: Sum, counter, "p4lru_wal_fsyncs_total", "WAL fsyncs issued (group commit).";
@@ -129,6 +135,12 @@ impl ShardMetrics {
     pub fn miss(&self, index_visits: usize) {
         bump(&self.misses, 1);
         bump(&self.index_visits, index_visits as u64);
+    }
+
+    /// Records one interleaved index descent that resolved `keys` keys.
+    pub fn index_run(&self, keys: usize) {
+        bump(&self.index_runs, 1);
+        bump(&self.index_run_keys, keys as u64);
     }
 
     /// Records a GET for an absent key.

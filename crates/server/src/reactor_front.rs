@@ -3,9 +3,11 @@
 //! reactor's event loops (DESIGN.md §12).
 //!
 //! The driver never blocks — not on the socket for the next request, not on
-//! a disk. It applies each request it reads to its shard itself, parks the
-//! answer, and writes what is next in order before reading on; it returns
-//! to its event loop when the socket runs dry, and is re-driven by
+//! a disk. It applies the requests it reads to their shards itself — a
+//! burst's GETs as one run per shard, applied at the burst's next other
+//! frame or once the frames one socket read delivered are parsed — parks
+//! the answers, and writes what is next in order before reading on; it
+//! returns to its event loop when the socket runs dry, and is re-driven by
 //! whichever event lands first: socket readiness (edge-triggered), a reply
 //! a commit gate released into the connection's [`Mailbox`], or nothing at
 //! all if the connection is idle. The edge-triggered contract is honored by
@@ -26,7 +28,7 @@ use std::sync::Arc;
 use p4lru_reactor::{Ctl, Driver, Mailbox, Ready, SharedStream, Status};
 
 use crate::protocol::{FrameReader, FrameWriter};
-use crate::server::{complete_flushed, serve, Conn, Ctx, Reply, ReplySink};
+use crate::server::{apply_runs, complete_flushed, serve, Conn, Ctx, Reply, ReplySink};
 
 /// Read-buffer bytes per connection. Deliberately far below
 /// [`FrameReader`]'s default: the reactor exists to hold tens of thousands
@@ -65,7 +67,7 @@ impl ReactorConn {
         Ok(ReactorConn {
             reader: FrameReader::with_capacity(read_half, READ_BUF),
             writer: FrameWriter::with_capacity(write_half, WRITE_BUF),
-            conn: Conn::new(ReplySink::Mail(mailbox)),
+            conn: Conn::new(ReplySink::Mail(mailbox), ctx.shards.len()),
             ctx,
             frame: Vec::new(),
         })
@@ -100,6 +102,12 @@ impl ReactorConn {
         let mut served = 0;
         while self.conn.outstanding() < self.ctx.pipeline_window && self.conn.shutdown_at.is_none()
         {
+            if !self.reader.has_buffered_frame() {
+                // Every frame one socket read delivered is parsed: apply
+                // the burst's GET runs before reading again, so a lone GET
+                // is not answered one (empty) read later.
+                apply_runs(&self.ctx, &mut self.conn);
+            }
             match self.reader.read_frame(&mut self.frame) {
                 Ok(true) => {
                     serve(
@@ -115,6 +123,8 @@ impl ReactorConn {
                 Err(_) => return Err(Status::Close),
             }
         }
+        // A full window stops reading with the last burst's runs pending.
+        apply_runs(&self.ctx, &mut self.conn);
         Ok(served)
     }
 }

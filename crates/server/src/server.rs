@@ -6,8 +6,9 @@
 //! pump (DESIGN.md §9): buffered framed I/O, up to
 //! [`ServerConfig::pipeline_window`] requests in flight per connection, and
 //! a reorder buffer that puts responses on the wire in request order. The
-//! loop that reads a GET/SET/DEL applies it itself, under the key's shard
-//! lock — one [`Shard`] (cache + store slice) per lock, the software
+//! loop that reads a GET/SET/DEL applies it itself (a burst's GETs as one
+//! run per shard), under the key's shard lock — one [`Shard`] (cache +
+//! store slice) per lock, the software
 //! rendering of "the stage that owns the registers does the packet's work
 //! in its own pass", which is what lets the P4LRU arrays stay lock-free
 //! inside (see the thread-safety notes on [`p4lru_core::array::LruArray`]).
@@ -43,7 +44,7 @@ use p4lru_obs::trace::Stage;
 use p4lru_obs::{MetricsHttp, ObsConfig, OpKind, Periodic, RequestTrace, SpanContext, Tracer};
 use p4lru_reactor::{LoopStats, Mailbox, Reactor};
 
-use crate::commit::ShardCell;
+use crate::commit::{GetRun, ShardCell};
 use crate::expose::{build_report, render_prometheus, StatsSampler};
 use crate::metrics::{ConnCounters, ReactorLoopSnapshot, ShardMetrics, StatsReport};
 use crate::protocol::{encode_value, write_frame, FrameWriter, Request, Response};
@@ -165,8 +166,9 @@ pub enum StartMode {
     Recovered,
 }
 
+/// A request [`ShardCell::apply`] runs on its own; GETs travel in runs
+/// instead ([`GetRun`]).
 pub(crate) enum ShardOp {
-    Get(u64),
     Set(u64, Record),
     Del(u64),
     /// A dense, pre-validated run of replicated WAL records from the
@@ -758,6 +760,9 @@ pub(crate) struct Conn {
     /// The connection's reply sink; a held reply carries a clone instead
     /// of a fresh channel per request.
     sink: ReplySink,
+    /// The GETs read since the last non-GET frame, one run per shard,
+    /// applied by [`apply_runs`].
+    runs: Vec<GetRun>,
     /// Shards this turn held a reply at, whose commit threads the driver
     /// wakes once the turn's reads are applied ([`crate::commit::ShardCell::wake`]).
     pub(crate) to_wake: Vec<usize>,
@@ -774,12 +779,13 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub(crate) fn new(sink: ReplySink) -> Conn {
+    pub(crate) fn new(sink: ReplySink, shards: usize) -> Conn {
         Conn {
             next_seq: 0,
             next_write: 0,
             parked: BTreeMap::new(),
             sink,
+            runs: (0..shards).map(|_| GetRun::default()).collect(),
             to_wake: Vec::new(),
             shutdown_at: None,
             out: Vec::new(),
@@ -850,7 +856,10 @@ pub(crate) fn complete_flushed(conn: &mut Conn, ctx: &Ctx) {
 }
 
 /// Parses and serves one request frame under the connection's next
-/// sequence number. Keyed requests are applied to their shard right here,
+/// sequence number. A GET joins the connection's pending run for its
+/// shard; any other frame first applies every pending run
+/// ([`apply_runs`]), so within a burst a key is still read and written in
+/// request order. SET and DEL are then applied to their shard right here,
 /// on the calling loop; STATS, SHUTDOWN, and PING (and malformed frames)
 /// need no shard. Every answer parks in the reorder buffer, behind any
 /// reply still held at a commit gate, so the wire stays in request order.
@@ -860,7 +869,15 @@ pub(crate) fn complete_flushed(conn: &mut Conn, ctx: &Ctx) {
 pub(crate) fn serve(frame: &[u8], span: Option<SpanContext>, ctx: &Ctx, conn: &mut Conn) {
     let seq = conn.next_seq;
     conn.next_seq += 1;
-    let request = match Request::decode(frame) {
+    let request = Request::decode(frame);
+    if let Ok(Request::Get { key }) = request {
+        let shard = shard_of(key, ctx.shards.len());
+        let trace = start_trace(ctx, OpKind::Get, shard, span);
+        conn.runs[shard].push(key, seq, trace);
+        return;
+    }
+    apply_runs(ctx, conn);
+    let request = match request {
         Ok(request) => request,
         Err(e) => {
             conn.park(
@@ -871,19 +888,10 @@ pub(crate) fn serve(frame: &[u8], span: Option<SpanContext>, ctx: &Ctx, conn: &m
             return;
         }
     };
-    let kind = match &request {
-        Request::Get { .. } => Some(OpKind::Get),
-        Request::Set { .. } => Some(OpKind::Set),
-        Request::Del { .. } => Some(OpKind::Del),
-        // Control-plane requests (STATS, SHUTDOWN, PING) are not traced:
-        // they skip the shard pipeline, so their stage stamps would be
-        // noise — and PING must stay the cheapest possible round trip.
-        Request::Stats | Request::Shutdown | Request::Ping => None,
-    };
     // A follower's store is a replica of the primary's WAL: client writes
     // would fork the history, so they bounce with a redirect hint. Reads
     // stay open (the replica lags, but serves).
-    if matches!(kind, Some(OpKind::Set) | Some(OpKind::Del)) {
+    if matches!(request, Request::Set { .. } | Request::Del { .. }) {
         if let Some(repl) = ctx.repl.as_deref() {
             if repl.role() == Role::Follower {
                 conn.park(
@@ -898,10 +906,17 @@ pub(crate) fn serve(frame: &[u8], span: Option<SpanContext>, ctx: &Ctx, conn: &m
             }
         }
     }
-    let (key, op) = match request {
-        Request::Get { key } => (key, ShardOp::Get(key)),
-        Request::Set { key, value } => (key, ShardOp::Set(key, record_from_bytes(&value))),
-        Request::Del { key } => (key, ShardOp::Del(key)),
+    // Control-plane requests (STATS, SHUTDOWN, PING) are not traced: they
+    // skip the shard pipeline, so their stage stamps would be noise — and
+    // PING must stay the cheapest possible round trip.
+    let (key, kind, op) = match request {
+        Request::Get { .. } => unreachable!("GETs join a run above"),
+        Request::Set { key, value } => (
+            key,
+            OpKind::Set,
+            ShardOp::Set(key, record_from_bytes(&value)),
+        ),
+        Request::Del { key } => (key, OpKind::Del, ShardOp::Del(key)),
         Request::Stats => {
             let report = ctx.report();
             let response = match serde_json::to_string(&report) {
@@ -928,20 +943,56 @@ pub(crate) fn serve(frame: &[u8], span: Option<SpanContext>, ctx: &Ctx, conn: &m
         }
     };
     let shard = shard_of(key, ctx.shards.len());
-    let mut trace = ctx
-        .tracer
-        .start(kind.expect("keyed ops always have a kind"), shard as u32);
+    let trace = start_trace(ctx, kind, shard, span);
+    match ctx.shards[shard].apply(op, seq, trace, &conn.sink, &ctx.tracer) {
+        Some((reply, trace)) => conn.park(seq, reply, trace),
+        None => wake_later(&mut conn.to_wake, shard),
+    }
+}
+
+/// Starts a keyed request's trace. `decode` is the trace's time origin;
+/// `route` closes out the decode+route work before the shard's lock is
+/// taken.
+fn start_trace(ctx: &Ctx, kind: OpKind, shard: usize, span: Option<SpanContext>) -> RequestTrace {
+    let mut trace = ctx.tracer.start(kind, shard as u32);
     if let Some(span) = span {
         ctx.tracer.attach_span(&mut trace, span);
     }
-    // `decode` is the trace's time origin; `route` closes out the
-    // decode+route work before the shard's lock is taken.
     ctx.tracer.stamp(&mut trace, Stage::Decode);
     ctx.tracer.stamp(&mut trace, Stage::Route);
-    match ctx.shards[shard].apply(op, seq, trace, &conn.sink, &ctx.tracer) {
-        Some((reply, trace)) => conn.park(seq, reply, trace),
-        None if !conn.to_wake.contains(&shard) => conn.to_wake.push(shard),
-        None => {}
+    trace
+}
+
+/// Applies every pending GET run of the connection, one
+/// [`ShardCell::apply_gets`] per shard, parking the replies that may leave
+/// now. [`serve`] calls this before any frame that is not a GET, and the
+/// pump once it has parsed every frame one socket read delivered (and when
+/// the window fills), in the same `drive` that read the run.
+pub(crate) fn apply_runs(ctx: &Ctx, conn: &mut Conn) {
+    let Conn {
+        runs,
+        parked,
+        sink,
+        to_wake,
+        ..
+    } = conn;
+    for (shard, run) in runs.iter_mut().enumerate() {
+        if run.is_empty() {
+            continue;
+        }
+        let held = ctx.shards[shard].apply_gets(run, sink, &ctx.tracer, |seq, reply, trace| {
+            parked.insert(seq, (reply, trace));
+        });
+        if held {
+            wake_later(to_wake, shard);
+        }
+    }
+}
+
+/// Notes that a reply was held at `shard`'s commit gate this turn.
+fn wake_later(to_wake: &mut Vec<usize>, shard: usize) {
+    if !to_wake.contains(&shard) {
+        to_wake.push(shard);
     }
 }
 

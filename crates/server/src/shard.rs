@@ -50,6 +50,11 @@ pub struct Shard {
     db: Database,
     metrics: Arc<ShardMetrics>,
     log: Option<ShardLog>,
+    /// [`Shard::get_run`]'s buffers, reused run to run: each key's first
+    /// cache probe, the keys that missed it, and their resolved addresses.
+    probed: Vec<Option<Addr48>>,
+    missed: Vec<u64>,
+    resolved: Vec<Option<Addr48>>,
 }
 
 fn overwrite(slot: &mut Addr48, addr: Addr48) {
@@ -65,6 +70,9 @@ impl Shard {
             db: Database::default(),
             metrics: Arc::new(ShardMetrics::default()),
             log: None,
+            probed: Vec::new(),
+            missed: Vec::new(),
+            resolved: Vec::new(),
         }
     }
 
@@ -105,6 +113,9 @@ impl Shard {
             db,
             metrics: Arc::new(ShardMetrics::default()),
             log: Some(log),
+            probed: Vec::new(),
+            missed: Vec::new(),
+            resolved: Vec::new(),
         };
         for key in replayed_keys {
             // Deleted keys are simply absent by now; survivors get their
@@ -125,6 +136,11 @@ impl Shard {
     /// The shard's metrics handle (share with the STATS path).
     pub fn metrics(&self) -> Arc<ShardMetrics> {
         Arc::clone(&self.metrics)
+    }
+
+    /// The front cache, read-only (inspection and tests).
+    pub fn cache(&self) -> &P4Lru3Array<u64, Addr48> {
+        &self.cache
     }
 
     /// Front-cache capacity in entries.
@@ -151,31 +167,102 @@ impl Shard {
         self.sync_index_stats();
     }
 
-    /// Reads `key`. A cache hit reads the slab directly by cached address
-    /// and refreshes the entry's recency; a miss walks the index and
-    /// installs the address.
+    /// Reads `key`: [`Shard::get_run`] over a run of one.
     pub fn get(&mut self, key: u64) -> Option<Record> {
-        if let Some(&addr) = self.cache.get(&key) {
-            let record = *self.db.lookup_by_addr(addr);
-            self.cache.update(key, addr, overwrite);
-            self.metrics.hit();
-            return Some(record);
-        }
-        let out = match self.db.lookup_by_key(key) {
-            Some(found) => {
-                let (addr, visits) = (found.addr, found.index_visits);
-                let record = *found.record;
-                self.metrics.miss(visits);
-                self.install(key, addr);
-                Some(record)
-            }
-            None => {
-                self.metrics.absent();
-                None
-            }
-        };
-        self.sync_index_stats();
+        let mut out = None;
+        self.get_run(&[key], |record| out = record);
         out
+    }
+
+    /// Reads a run of keys, calling `reply` once per key, in key order,
+    /// with exactly what [`Shard::get`] would return for that key had the
+    /// run been served one key at a time — and leaving the cache, its
+    /// DFA states and the hit/miss/absent/eviction counters as that would.
+    ///
+    /// A cache hit reads the slab directly by cached address and refreshes
+    /// the entry's recency; a miss walks the index and installs the
+    /// address. The run first probes the cache for every key, then
+    /// resolves the keys that missed with one interleaved index descent
+    /// ([`Database::resolve_run`]) when there are two or more, and then
+    /// applies the keys in order. A probe stays exact until the run's
+    /// first install (a hit's refresh never changes which keys are
+    /// cached); after it, each key is probed again, because the install
+    /// may have evicted it or cached an earlier duplicate. A GET never
+    /// changes the index, so the resolved addresses stay valid throughout;
+    /// a key that hit at first and is evicted mid-run walks alone.
+    pub fn get_run(&mut self, keys: &[u64], mut reply: impl FnMut(Option<Record>)) {
+        let Self {
+            cache,
+            db,
+            metrics,
+            probed,
+            missed,
+            resolved,
+            ..
+        } = self;
+        probed.clear();
+        probed.extend(keys.iter().map(|key| cache.get(key).copied()));
+        missed.clear();
+        missed.extend(
+            keys.iter()
+                .zip(probed.iter())
+                .filter(|(_, probe)| probe.is_none())
+                .map(|(&key, _)| key),
+        );
+        resolved.clear();
+        if missed.len() >= 2 {
+            db.resolve_run(missed, resolved);
+            metrics.index_run(missed.len());
+        }
+        let mut resolved = resolved.iter();
+        let mut installed = false;
+        let mut walked = false;
+        for (&key, &probe) in keys.iter().zip(probed.iter()) {
+            let hit = if installed {
+                cache.get(&key).copied()
+            } else {
+                probe
+            };
+            // With two or more first-probe misses, `resolved` holds one
+            // answer for each of them, in run order.
+            let run_addr = if probe.is_none() {
+                resolved.next().copied()
+            } else {
+                None
+            };
+            if let Some(addr) = hit {
+                let record = *db.lookup_by_addr(addr);
+                cache.update(key, addr, overwrite);
+                metrics.hit();
+                reply(Some(record));
+                continue;
+            }
+            walked = true;
+            let found = match run_addr {
+                Some(addr) => addr.map(|addr| (addr, db.index_height())),
+                None => db
+                    .lookup_by_key(key)
+                    .map(|found| (found.addr, found.index_visits)),
+            };
+            match found {
+                Some((addr, visits)) => {
+                    let record = *db.lookup_by_addr(addr);
+                    metrics.miss(visits);
+                    if let Outcome::Evicted { .. } = cache.update(key, addr, overwrite) {
+                        metrics.eviction();
+                    }
+                    installed = true;
+                    reply(Some(record));
+                }
+                None => {
+                    metrics.absent();
+                    reply(None);
+                }
+            }
+        }
+        if walked {
+            self.sync_index_stats();
+        }
     }
 
     /// Write-through SET: the WAL (when durable) sees the record first, then

@@ -38,6 +38,7 @@ fn shards() -> Vec<Arc<ShardMetrics>> {
     let a = ShardMetrics::default();
     repeat(7, || a.hit());
     repeat(3, || a.miss(4));
+    a.index_run(2);
     repeat(2, || a.absent());
     repeat(5, || a.set(2));
     a.del();
@@ -60,6 +61,7 @@ fn shards() -> Vec<Arc<ShardMetrics>> {
     let b = ShardMetrics::default();
     repeat(11, || b.hit());
     b.miss(5);
+    repeat(2, || b.index_run(6));
     repeat(4, || b.set(0));
     repeat(2, || b.del());
     b.eviction();
