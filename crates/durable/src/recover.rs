@@ -60,12 +60,13 @@ fn corrupt(msg: impl Into<String>) -> io::Error {
 /// writes.
 pub fn recover(dir: &Path) -> io::Result<Recovery> {
     let begin = Instant::now();
+    // The snapshot's records stream straight into a bulk build: snapshots
+    // are written from `Database::iter` (ascending keys), so the index is
+    // built bottom-up with full leaves; an unsorted file goes through the
+    // build's sort instead.
     let snap = snapshot::load_latest(dir)?;
-    let snapshot_entries = snap.entries.len() as u64;
-    // Snapshots are written from `Database::iter` (ascending keys), so the
-    // index is bulk-loaded bottom-up instead of one descent per entry; the
-    // constructor falls back to insert-order replay if the file is unsorted.
-    let mut db = Database::from_sorted_entries(snap.entries);
+    let snapshot_entries = snap.db.len() as u64;
+    let mut db = snap.db;
 
     let segments = wal::list_segments(dir)?;
     let mut last_seq = snap.seq;
@@ -136,8 +137,8 @@ pub fn recover(dir: &Path) -> io::Result<Recovery> {
 mod tests {
     use super::*;
     use crate::record::WalOp;
-    use crate::testutil::TempDir;
-    use crate::wal::{Wal, DEFAULT_SEGMENT_BYTES};
+    use crate::testutil::{reference_snapshot, reference_wal, TempDir};
+    use crate::wal::{segment_file_name, Wal, DEFAULT_SEGMENT_BYTES};
     use p4lru_kvstore::db::record_for;
 
     fn set(key: u64) -> WalOp {
@@ -263,5 +264,53 @@ mod tests {
         let e = recover(tmp.path()).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
         assert!(e.to_string().contains("not the final segment"), "{e}");
+    }
+
+    #[test]
+    fn a_data_dir_from_the_reference_encoders_recovers_unchanged() {
+        let tmp = TempDir::new("rec-reference");
+        let entries: Vec<_> = (0..200u64).map(|k| (k * 3, record_for(k))).collect();
+        std::fs::write(
+            tmp.path().join(snapshot::snapshot_file_name(4)),
+            reference_snapshot(4, entries.len() as u64, &entries),
+        )
+        .unwrap();
+        let ops = [(5, set(1000)), (6, WalOp::Del { key: 9 }), (7, set(3))];
+        std::fs::write(tmp.path().join(segment_file_name(5)), reference_wal(&ops)).unwrap();
+
+        let mut model = std::collections::BTreeMap::from_iter(entries);
+        model.insert(1000, record_for(1000));
+        model.remove(&9);
+        model.insert(3, record_for(3));
+        let r = recover(tmp.path()).unwrap();
+        assert_eq!((r.snapshot_seq, r.snapshot_entries), (4, 200));
+        assert_eq!((r.replayed, r.last_seq, r.torn_tail), (3, 7, false));
+        let got: Vec<_> = r.db.iter().map(|(k, r)| (k, *r)).collect();
+        assert_eq!(got, Vec::from_iter(model));
+    }
+
+    #[test]
+    fn an_unsorted_snapshot_recovers_through_the_fallback() {
+        let tmp = TempDir::new("rec-unsorted");
+        let entries: Vec<_> = [900u64, 5, 70, 6, 5, 1]
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k, record_for(i as u64)))
+            .collect();
+        std::fs::write(
+            tmp.path().join(snapshot::snapshot_file_name(2)),
+            reference_snapshot(2, entries.len() as u64, &entries),
+        )
+        .unwrap();
+        let r = recover(tmp.path()).unwrap();
+        assert_eq!(r.snapshot_seq, 2);
+        let got: Vec<_> = r.db.iter().map(|(k, r)| (k, *r)).collect();
+        // Sorted, and the later of key 5's two records wins.
+        let want = [(1, 5), (5, 4), (6, 3), (70, 2), (900, 0)]
+            .map(|(k, i)| (k, record_for(i)))
+            .to_vec();
+        assert_eq!(got, want);
+        assert_eq!(r.snapshot_entries, 5);
+        assert!(r.db.lookup_by_key(70).is_some());
     }
 }

@@ -215,13 +215,13 @@ impl ShardLog {
     /// Replaces this shard's entire durable state with a snapshot *shipped
     /// from a primary* (catch-up for a follower too far behind to tail the
     /// log). Validates and installs the snapshot atomically, deletes every
-    /// WAL segment, and reopens the log at `seq + 1`. Returns the decoded
-    /// entries so the caller can rebuild its in-memory store.
+    /// WAL segment, and reopens the log at `seq + 1`. Returns the store
+    /// built from the snapshot, for the caller to swap in.
     ///
     /// On a validation failure nothing changes: the old snapshot, segments,
     /// and WAL position all survive.
-    pub fn reset_to_snapshot(&mut self, seq: u64, bytes: &[u8]) -> io::Result<Vec<(u64, Record)>> {
-        let entries = crate::snapshot::install_snapshot_bytes(&self.dir, seq, bytes)?;
+    pub fn reset_to_snapshot(&mut self, seq: u64, bytes: &[u8]) -> io::Result<Database> {
+        let db = crate::snapshot::install_snapshot_bytes(&self.dir, seq, bytes)?;
         let mut sink = lock(&self.sink);
         for segment in crate::wal::list_segments(&self.dir)? {
             std::fs::remove_file(&segment.path)?;
@@ -231,7 +231,7 @@ impl ShardLog {
         sink.unsynced = 0;
         self.buffer = WalBuffer::new(seq + 1);
         self.appends_since_snapshot = 0;
-        Ok(entries)
+        Ok(db)
     }
 
     fn append(&mut self, op: &WalOp) -> u64 {

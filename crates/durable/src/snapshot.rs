@@ -18,10 +18,10 @@
 //! either the old snapshot or the new one, never a half-written hybrid.
 
 use std::fs::{self, File};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use p4lru_kvstore::{Database, Record, VALUE_SIZE};
+use p4lru_kvstore::{Database, DatabaseBuilder, VALUE_SIZE};
 
 use crate::crc::{crc32, Crc32};
 
@@ -29,6 +29,13 @@ const MAGIC: &[u8; 8] = b"P4LRSNAP";
 const VERSION: u32 = 1;
 const PREFIX: &str = "snap-";
 const SUFFIX: &str = ".snap";
+/// `version`, `seq` and `count`: the body's fields before its records.
+const FIELDS_BYTES: usize = 4 + 8 + 8;
+/// One encoded `(key, record)` entry.
+const ENTRY_BYTES: usize = 8 + VALUE_SIZE;
+/// The writer's buffer: each full buffer is checksummed and written in
+/// one piece.
+const WRITE_BUFFER_BYTES: usize = 1 << 20;
 
 /// The file name of the snapshot sealed at `seq`.
 pub fn snapshot_file_name(seq: u64) -> String {
@@ -39,17 +46,29 @@ fn err(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// A writer that checksums what it writes (so the CRC is computed in one
-/// streaming pass, without materializing the body).
-struct ChecksummedWriter<W: Write> {
-    inner: W,
+/// The checksummed part of a snapshot on its way to the file: bytes gather
+/// in one buffer, and each full buffer is folded into the CRC and written
+/// with one call.
+struct BodyWriter {
+    file: File,
+    buf: Vec<u8>,
     crc: Crc32,
 }
 
-impl<W: Write> ChecksummedWriter<W> {
-    fn write(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.crc.update(bytes);
-        self.inner.write_all(bytes)
+impl BodyWriter {
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        if self.buf.len() + bytes.len() > self.buf.capacity() {
+            self.drain()?;
+        }
+        self.buf.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn drain(&mut self) -> io::Result<()> {
+        self.crc.update(&self.buf);
+        self.file.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(())
     }
 }
 
@@ -62,24 +81,24 @@ pub fn write_snapshot(dir: &Path, seq: u64, db: &Database) -> io::Result<PathBuf
     let tmp = dir.join(format!("{PREFIX}{seq:020}.tmp"));
     let path = dir.join(snapshot_file_name(seq));
     {
-        let file = File::create(&tmp)?;
-        let mut w = ChecksummedWriter {
-            inner: BufWriter::new(file),
+        let mut file = File::create(&tmp)?;
+        file.write_all(MAGIC)?; // magic is outside the CRC
+        let mut w = BodyWriter {
+            file,
+            buf: Vec::with_capacity(WRITE_BUFFER_BYTES),
             crc: Crc32::new(),
         };
-        w.inner.write_all(MAGIC)?; // magic is outside the CRC
-        w.write(&VERSION.to_le_bytes())?;
-        w.write(&seq.to_le_bytes())?;
-        w.write(&(db.len() as u64).to_le_bytes())?;
+        w.put(&VERSION.to_le_bytes())?;
+        w.put(&seq.to_le_bytes())?;
+        w.put(&(db.len() as u64).to_le_bytes())?;
         for (key, record) in db.iter() {
-            w.write(&key.to_le_bytes())?;
-            w.write(record)?;
+            w.put(&key.to_le_bytes())?;
+            w.put(record)?;
         }
+        w.drain()?;
         let crc = w.crc.finish();
-        let mut inner = w.inner;
-        inner.write_all(&crc.to_le_bytes())?;
-        inner.flush()?;
-        inner.get_ref().sync_all()?;
+        w.file.write_all(&crc.to_le_bytes())?;
+        w.file.sync_all()?;
     }
     fs::rename(&tmp, &path)?;
     crate::wal::fsync_dir(dir)?;
@@ -117,137 +136,137 @@ pub fn list_snapshots(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(found)
 }
 
-/// A loaded snapshot: the sealed sequence number and the store contents.
+/// A loaded snapshot: the sealed sequence number and the store it holds.
 #[derive(Clone, Debug)]
 pub struct LoadedSnapshot {
     /// WAL sequence number the snapshot covers.
     pub seq: u64,
-    /// Every `(key, record)` pair, in key order.
-    pub entries: Vec<(u64, Record)>,
+    /// The store, bulk-built from the snapshot's records.
+    pub db: Database,
     /// Snapshot files that failed validation and were skipped.
     pub invalid_skipped: u64,
 }
 
 /// Loads the newest snapshot that validates, falling back to older ones.
 ///
-/// With no (valid) snapshot at all, returns `seq: 0` and no entries — the
-/// state before any WAL record.
+/// With no (valid) snapshot at all, returns `seq: 0` and an empty store —
+/// the state before any WAL record.
 pub fn load_latest(dir: &Path) -> io::Result<LoadedSnapshot> {
     let mut invalid_skipped = 0;
     for (seq, path) in list_snapshots(dir)?.into_iter().rev() {
-        match read_snapshot(&path) {
-            Ok((file_seq, entries)) => {
-                if file_seq != seq {
-                    return Err(err(format!(
-                        "snapshot {} declares seq {file_seq} but is named for {seq}",
-                        path.display()
-                    )));
-                }
-                return Ok(LoadedSnapshot {
-                    seq,
-                    entries,
-                    invalid_skipped,
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                invalid_skipped += 1;
-            }
-            Err(e) => return Err(e),
+        let bytes = fs::read(&path)?;
+        let Ok(snapshot) = Validated::parse(&bytes) else {
+            invalid_skipped += 1;
+            continue;
+        };
+        if snapshot.seq != seq {
+            return Err(err(format!(
+                "snapshot {} declares seq {} but is named for {seq}",
+                path.display(),
+                snapshot.seq
+            )));
         }
+        return Ok(LoadedSnapshot {
+            seq,
+            db: snapshot.build(),
+            invalid_skipped,
+        });
     }
     Ok(LoadedSnapshot {
         seq: 0,
-        entries: Vec::new(),
+        db: Database::default(),
         invalid_skipped,
     })
 }
 
 /// Installs a snapshot *shipped from another node* (replication catch-up):
-/// writes `bytes` crash-atomically (tmp, fsync, rename, dir fsync) and
-/// returns the decoded entries so the caller can rebuild its store without
-/// re-reading the file.
+/// validates `bytes` where they lie, writes them crash-atomically (tmp,
+/// fsync, rename, dir fsync), and returns the store built from the same
+/// validated records, so the caller never re-reads the file.
 ///
-/// The bytes are validated **before** the rename — magic, version, CRC, and
-/// that the file's sealed seq matches the `seq` it was shipped as — so a
-/// corrupt or mislabeled shipment never becomes a loadable snapshot file:
-/// the tmp file is removed and the existing state is untouched.
-pub fn install_snapshot_bytes(
-    dir: &Path,
-    seq: u64,
-    bytes: &[u8],
-) -> io::Result<Vec<(u64, Record)>> {
+/// The bytes are validated **before** anything is written — magic,
+/// version, CRC, entry count, and that the sealed seq matches the `seq`
+/// they were shipped as — so a corrupt or mislabeled shipment never
+/// becomes a loadable snapshot file and the existing state is untouched.
+pub fn install_snapshot_bytes(dir: &Path, seq: u64, bytes: &[u8]) -> io::Result<Database> {
+    let snapshot = Validated::parse(bytes)?;
+    if snapshot.seq != seq {
+        return Err(err(format!(
+            "shipped snapshot declares seq {} but was sent as {seq}",
+            snapshot.seq
+        )));
+    }
     let tmp = dir.join(format!("{PREFIX}{seq:020}.tmp"));
     {
         let mut file = File::create(&tmp)?;
         file.write_all(bytes)?;
         file.sync_all()?;
     }
-    let validated = read_snapshot(&tmp).and_then(|(file_seq, entries)| {
-        if file_seq == seq {
-            Ok(entries)
-        } else {
-            Err(err(format!(
-                "shipped snapshot declares seq {file_seq} but was sent as {seq}"
-            )))
-        }
-    });
-    let entries = match validated {
-        Ok(entries) => entries,
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
-        }
-    };
-    let path = dir.join(snapshot_file_name(seq));
-    fs::rename(&tmp, &path)?;
+    fs::rename(&tmp, dir.join(snapshot_file_name(seq)))?;
     crate::wal::fsync_dir(dir)?;
     prune_older_snapshots(dir, seq)?;
-    Ok(entries)
+    Ok(snapshot.build())
 }
 
-fn read_snapshot(path: &Path) -> io::Result<(u64, Vec<(u64, Record)>)> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < MAGIC.len() + 4 + 8 + 8 + 4 {
-        return Err(err("snapshot file is too short"));
+/// A snapshot file's bytes after validation: the sealed seq and the
+/// encoded records, still in the buffer they were read or shipped in.
+struct Validated<'a> {
+    seq: u64,
+    records: &'a [u8],
+}
+
+impl<'a> Validated<'a> {
+    /// Checks magic, CRC, version, and that the declared entry count is
+    /// exactly what the record bytes hold — with checked arithmetic, and
+    /// without sizing anything from the count.
+    fn parse(bytes: &'a [u8]) -> io::Result<Self> {
+        if bytes.len() < MAGIC.len() + FIELDS_BYTES + 4 {
+            return Err(err("snapshot file is too short"));
+        }
+        let Some(rest) = bytes.strip_prefix(MAGIC) else {
+            return Err(err("snapshot magic mismatch"));
+        };
+        let (body, crc) = rest.split_at(rest.len() - 4);
+        if crc32(body) != u32::from_le_bytes(crc.try_into().expect("4 bytes")) {
+            return Err(err("snapshot CRC mismatch"));
+        }
+        let (fields, records) = body.split_at(FIELDS_BYTES);
+        let version = u32::from_le_bytes(fields[0..4].try_into().expect("4 bytes"));
+        if version != VERSION {
+            return Err(err(format!("unsupported snapshot version {version}")));
+        }
+        let seq = u64::from_le_bytes(fields[4..12].try_into().expect("8 bytes"));
+        let count = u64::from_le_bytes(fields[12..20].try_into().expect("8 bytes"));
+        if count.checked_mul(ENTRY_BYTES as u64) != Some(records.len() as u64) {
+            return Err(err(format!(
+                "snapshot declares {count} entries but holds {} bytes of records",
+                records.len()
+            )));
+        }
+        Ok(Self { seq, records })
     }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err(err("snapshot magic mismatch"));
+
+    /// Streams the records into a bulk build of the store.
+    fn build(&self) -> Database {
+        let entries = self.records.chunks_exact(ENTRY_BYTES);
+        let mut builder = DatabaseBuilder::with_capacity(entries.len());
+        for entry in entries {
+            let (key, record) = entry.split_at(8);
+            builder.push(
+                u64::from_le_bytes(key.try_into().expect("8 bytes")),
+                record.try_into().expect("record bytes"),
+            );
+        }
+        builder.finish()
     }
-    let body = &bytes[MAGIC.len()..bytes.len() - 4];
-    let stored_crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    if crc32(body) != stored_crc {
-        return Err(err("snapshot CRC mismatch"));
-    }
-    let version = u32::from_le_bytes(body[0..4].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(err(format!("unsupported snapshot version {version}")));
-    }
-    let seq = u64::from_le_bytes(body[4..12].try_into().expect("8 bytes"));
-    let count = u64::from_le_bytes(body[12..20].try_into().expect("8 bytes")) as usize;
-    let entry_bytes = 8 + VALUE_SIZE;
-    let records = &body[20..];
-    if records.len() != count * entry_bytes {
-        return Err(err(format!(
-            "snapshot declares {count} entries but holds {} bytes of records",
-            records.len()
-        )));
-    }
-    let mut entries = Vec::with_capacity(count);
-    for chunk in records.chunks_exact(entry_bytes) {
-        let key = u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes"));
-        let mut record = [0u8; VALUE_SIZE];
-        record.copy_from_slice(&chunk[8..]);
-        entries.push((key, record));
-    }
-    Ok((seq, entries))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::TempDir;
+    use crate::testutil::{reference_snapshot, TempDir};
     use p4lru_kvstore::db::record_for;
+    use p4lru_kvstore::Record;
 
     fn sample_db(items: u64) -> Database {
         let mut db = Database::default();
@@ -265,9 +284,9 @@ mod tests {
         let loaded = load_latest(tmp.path()).unwrap();
         assert_eq!(loaded.seq, 42);
         assert_eq!(loaded.invalid_skipped, 0);
-        assert_eq!(loaded.entries.len(), 100);
-        for (key, record) in &loaded.entries {
-            assert_eq!(db.lookup_by_key(*key).unwrap().record, record);
+        assert_eq!(loaded.db.len(), 100);
+        for (key, record) in loaded.db.iter() {
+            assert_eq!(db.lookup_by_key(key).unwrap().record, record);
         }
     }
 
@@ -276,7 +295,7 @@ mod tests {
         let tmp = TempDir::new("snap-empty");
         let loaded = load_latest(tmp.path()).unwrap();
         assert_eq!(loaded.seq, 0);
-        assert!(loaded.entries.is_empty());
+        assert!(loaded.db.is_empty());
     }
 
     #[test]
@@ -287,7 +306,7 @@ mod tests {
         assert_eq!(list_snapshots(tmp.path()).unwrap().len(), 1, "older pruned");
         let loaded = load_latest(tmp.path()).unwrap();
         assert_eq!(loaded.seq, 20);
-        assert_eq!(loaded.entries.len(), 9);
+        assert_eq!(loaded.db.len(), 9);
     }
 
     #[test]
@@ -305,7 +324,7 @@ mod tests {
 
         let loaded = load_latest(tmp.path()).unwrap();
         assert_eq!(loaded.seq, 10);
-        assert_eq!(loaded.entries.len(), 5);
+        assert_eq!(loaded.db.len(), 5);
         assert_eq!(loaded.invalid_skipped, 1);
     }
 
@@ -324,6 +343,80 @@ mod tests {
         write_snapshot(tmp.path(), 1, &Database::default()).unwrap();
         let loaded = load_latest(tmp.path()).unwrap();
         assert_eq!(loaded.seq, 1);
-        assert!(loaded.entries.is_empty());
+        assert!(loaded.db.is_empty());
+    }
+
+    fn entries_of(db: &Database) -> Vec<(u64, Record)> {
+        db.iter().map(|(k, r)| (k, *r)).collect()
+    }
+
+    /// `count = honest + 2^61`: `count * 72` wraps to the honest byte
+    /// length, so an unchecked size test passes and the count is a lie.
+    fn wrapping_count_snapshot(seq: u64) -> Vec<u8> {
+        let entries = entries_of(&sample_db(9));
+        reference_snapshot(seq, entries.len() as u64 + (1 << 61), &entries)
+    }
+
+    #[test]
+    fn files_from_the_reference_encoder_load_unchanged() {
+        let tmp = TempDir::new("snap-reference");
+        let db = sample_db(300);
+        let written = write_snapshot(tmp.path(), 7, &db).unwrap();
+        let entries = entries_of(&db);
+        let reference = reference_snapshot(7, entries.len() as u64, &entries);
+        assert_eq!(
+            fs::read(written).unwrap(),
+            reference,
+            "byte-identical format"
+        );
+        let loaded = load_latest(tmp.path()).unwrap();
+        assert_eq!(entries_of(&loaded.db), entries);
+    }
+
+    #[test]
+    fn a_count_that_wraps_the_size_check_is_skipped_as_invalid() {
+        let tmp = TempDir::new("snap-wrapcount");
+        write_snapshot(tmp.path(), 10, &sample_db(5)).unwrap();
+        fs::write(
+            tmp.path().join(snapshot_file_name(20)),
+            wrapping_count_snapshot(20),
+        )
+        .unwrap();
+        let loaded = load_latest(tmp.path()).unwrap();
+        assert_eq!(loaded.seq, 10);
+        assert_eq!(loaded.invalid_skipped, 1);
+        assert_eq!(loaded.db.len(), 5);
+    }
+
+    #[test]
+    fn a_bad_shipment_is_refused_and_leaves_the_old_state() {
+        let tmp = TempDir::new("snap-badship");
+        write_snapshot(tmp.path(), 10, &sample_db(5)).unwrap();
+        let before = list_snapshots(tmp.path()).unwrap();
+        let good = fs::read(&before[0].1).unwrap();
+        let mut flipped = good.clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x01;
+        for (seq, bytes) in [
+            (30, wrapping_count_snapshot(30)),
+            (30, flipped),
+            (30, good.clone()), // mislabeled: sealed at 10, sent as 30
+            (30, good[..good.len() - 1].to_vec()),
+            (30, Vec::new()),
+        ] {
+            let e = install_snapshot_bytes(tmp.path(), seq, &bytes).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+            assert_eq!(list_snapshots(tmp.path()).unwrap(), before);
+            let names: Vec<_> = fs::read_dir(tmp.path())
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            assert_eq!(names.len(), 1, "nothing written: {names:?}");
+        }
+        let loaded = load_latest(tmp.path()).unwrap();
+        assert_eq!((loaded.seq, loaded.db.len()), (10, 5));
+        // The honest shipment still installs.
+        let db = install_snapshot_bytes(tmp.path(), 10, &good).unwrap();
+        assert_eq!(entries_of(&db), entries_of(&sample_db(5)));
     }
 }

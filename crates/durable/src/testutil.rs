@@ -1,7 +1,13 @@
-//! Test-only scratch directories (no tempfile crate in the offline build).
+//! Test-only scratch directories (no tempfile crate in the offline build)
+//! and reference encoders for files written by earlier builds.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use p4lru_kvstore::Record;
+
+use crate::crc::crc32_bytewise;
+use crate::record::WalOp;
 
 static NEXT: AtomicU64 = AtomicU64::new(0);
 
@@ -30,4 +36,46 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.path);
     }
+}
+
+/// A snapshot file as earlier builds encoded it, checksummed by the
+/// reference byte-at-a-time CRC. `count` is written as given, so a test
+/// can make the header disagree with the records it carries.
+pub fn reference_snapshot(seq: u64, count: u64, entries: &[(u64, Record)]) -> Vec<u8> {
+    let mut body = Vec::new();
+    body.extend_from_slice(&1u32.to_le_bytes());
+    body.extend_from_slice(&seq.to_le_bytes());
+    body.extend_from_slice(&count.to_le_bytes());
+    for (key, record) in entries {
+        body.extend_from_slice(&key.to_le_bytes());
+        body.extend_from_slice(record);
+    }
+    let mut file = b"P4LRSNAP".to_vec();
+    file.extend_from_slice(&body);
+    file.extend_from_slice(&crc32_bytewise(&body).to_le_bytes());
+    file
+}
+
+/// WAL records `(seq, op)` as earlier builds encoded them, checksummed by
+/// the reference byte-at-a-time CRC.
+pub fn reference_wal(records: &[(u64, WalOp)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (seq, op) in records {
+        let mut payload = seq.to_le_bytes().to_vec();
+        match op {
+            WalOp::Set { key, record } => {
+                payload.push(0x01);
+                payload.extend_from_slice(&key.to_le_bytes());
+                payload.extend_from_slice(record);
+            }
+            WalOp::Del { key } => {
+                payload.push(0x02);
+                payload.extend_from_slice(&key.to_le_bytes());
+            }
+        }
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32_bytewise(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+    }
+    out
 }

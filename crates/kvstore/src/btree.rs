@@ -479,8 +479,8 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
     }
 
     /// Builds the tree bottom-up from strictly ascending `(key, value)`
-    /// entries: full leaves, no per-key descent. `Database::populate`,
-    /// `from_entries`, and snapshot recovery use this.
+    /// entries: full leaves, no per-key descent. A [`SortedLoad`] run to
+    /// completion — the streaming form `Database`'s bulk build drives.
     ///
     /// # Panics
     /// Panics if `max_keys < 3` or the keys are not strictly ascending.
@@ -488,105 +488,11 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
     where
         I: IntoIterator<Item = (K, V)>,
     {
-        assert!(max_keys >= 3, "max_keys must be at least 3");
-        let min_keys = max_keys / 2;
-
-        // Chunk into full leaves.
-        let mut leaf_entries: Vec<Vec<(K, V)>> = Vec::new();
-        let mut cur: Vec<(K, V)> = Vec::with_capacity(max_keys);
-        let mut len = 0usize;
+        let mut load = SortedLoad::new(max_keys);
         for (k, v) in entries {
-            let prev = cur.last().or_else(|| {
-                leaf_entries
-                    .last()
-                    .map(|l| l.last().expect("flushed leaves are non-empty"))
-            });
-            if let Some((p, _)) = prev {
-                assert!(*p < k, "from_sorted requires strictly ascending keys");
-            }
-            cur.push((k, v));
-            len += 1;
-            if cur.len() == max_keys {
-                leaf_entries.push(std::mem::take(&mut cur));
-                cur.reserve(max_keys);
-            }
+            load.push(k, v);
         }
-        if !cur.is_empty() {
-            leaf_entries.push(cur);
-        }
-
-        let mut tree = Self {
-            nodes: Vec::with_capacity(leaf_entries.len().max(1) * 2),
-            free: Vec::new(),
-            root: 0,
-            len,
-            max_keys,
-            height: 1,
-            epoch: 0,
-            cache: AtomicU64::new(0),
-            descent_hits: AtomicU64::new(0),
-        };
-        if leaf_entries.is_empty() {
-            tree.nodes.push(Node::Leaf(Leaf::empty()));
-            return tree;
-        }
-
-        // Fix an underfull tail leaf by rebalancing the last two.
-        let tail = leaf_entries.len() - 1;
-        if leaf_entries.len() > 1 && leaf_entries[tail].len() < min_keys {
-            let take = (max_keys + leaf_entries[tail].len()).div_ceil(2);
-            let moved = leaf_entries[tail - 1].split_off(take);
-            let old = std::mem::replace(&mut leaf_entries[tail], moved);
-            leaf_entries[tail].extend(old);
-        }
-
-        // Allocate leaves, remembering each node's lowest key as the
-        // separator material for the level above.
-        let mut level: Vec<(K, u32)> = leaf_entries
-            .into_iter()
-            .map(|es| {
-                let low = es[0].0.clone();
-                let idx = tree.nodes.len() as u32;
-                tree.nodes.push(Node::Leaf(Leaf::from_sorted_parts(es)));
-                (low, idx)
-            })
-            .collect();
-
-        // Build inner levels until one node remains.
-        let fanout = max_keys + 1;
-        while level.len() > 1 {
-            let mut sizes: Vec<usize> = Vec::new();
-            let mut remaining = level.len();
-            while remaining > 0 {
-                let s = remaining.min(fanout);
-                sizes.push(s);
-                remaining -= s;
-            }
-            // An underfull tail group steals children from its left
-            // neighbour (non-root inner nodes need ≥ min_keys separators).
-            let t = sizes.len() - 1;
-            if sizes.len() > 1 && sizes[t] < min_keys + 1 {
-                let total = sizes[t - 1] + sizes[t];
-                sizes[t - 1] = total.div_ceil(2);
-                sizes[t] = total - sizes[t - 1];
-            }
-            let mut next: Vec<(K, u32)> = Vec::with_capacity(sizes.len());
-            let mut it = level.into_iter();
-            for s in sizes {
-                let group: Vec<(K, u32)> = it.by_ref().take(s).collect();
-                let low = group[0].0.clone();
-                let keys: Vec<K> = group[1..].iter().map(|(k, _)| k.clone()).collect();
-                let children: Vec<u32> = group.iter().map(|&(_, c)| c).collect();
-                let idx = tree.nodes.len() as u32;
-                tree.nodes
-                    .push(Node::Inner(Inner::from_parts(keys, children)));
-                next.push((low, idx));
-            }
-            level = next;
-            tree.height += 1;
-        }
-        tree.root = level[0].1;
-        tree
+        load.finish()
     }
 
     /// Number of stored keys.
@@ -1328,6 +1234,140 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                 Ok(depth.expect("internal has children") + 1)
             }
         }
+    }
+}
+
+/// A [`BPlusTree`] bulk load in progress: strictly ascending entries go
+/// straight into leaves, and each leaf is placed in the arena as soon as it
+/// fills. Only the newest full leaf is held back, so [`Self::finish`] can
+/// rebalance it with an underfull tail; the level above needs one
+/// `(low key, node)` pair per leaf.
+#[derive(Debug)]
+pub(crate) struct SortedLoad<K, V> {
+    tree: BPlusTree<K, V>,
+    /// The newest full leaf, not yet placed.
+    held: Vec<(K, V)>,
+    /// The leaf being filled.
+    cur: Vec<(K, V)>,
+    /// Every placed leaf's lowest key and node index.
+    leaves: Vec<(K, u32)>,
+}
+
+impl<K: IndexKey, V> SortedLoad<K, V> {
+    /// An empty load into leaves of `max_keys` entries.
+    ///
+    /// # Panics
+    /// Panics if `max_keys < 3`.
+    pub(crate) fn new(max_keys: usize) -> Self {
+        let mut tree = BPlusTree::new(max_keys);
+        tree.nodes.clear();
+        Self {
+            tree,
+            held: Vec::new(),
+            cur: Vec::with_capacity(max_keys),
+            leaves: Vec::new(),
+        }
+    }
+
+    /// The largest key pushed so far.
+    pub(crate) fn last_key(&self) -> Option<&K> {
+        // Once a leaf is placed, `held` is never empty again.
+        self.cur.last().or(self.held.last()).map(|(k, _)| k)
+    }
+
+    /// Appends an entry.
+    ///
+    /// # Panics
+    /// Panics unless `key` is above every key pushed so far.
+    pub(crate) fn push(&mut self, key: K, value: V) {
+        if let Some(last) = self.last_key() {
+            assert!(*last < key, "from_sorted requires strictly ascending keys");
+        }
+        self.cur.push((key, value));
+        self.tree.len += 1;
+        if self.cur.len() == self.tree.max_keys {
+            let full = std::mem::replace(&mut self.cur, Vec::with_capacity(self.tree.max_keys));
+            let ready = std::mem::replace(&mut self.held, full);
+            if !ready.is_empty() {
+                self.place(ready);
+            }
+        }
+    }
+
+    fn place(&mut self, entries: Vec<(K, V)>) {
+        let low = entries[0].0.clone();
+        let idx = self.tree.nodes.len() as u32;
+        self.tree
+            .nodes
+            .push(Node::Leaf(Leaf::from_sorted_parts(entries)));
+        self.leaves.push((low, idx));
+    }
+
+    /// Places the last leaves and stacks inner levels until one node
+    /// remains.
+    pub(crate) fn finish(mut self) -> BPlusTree<K, V> {
+        let max_keys = self.tree.max_keys;
+        let min_keys = self.tree.min_keys();
+        let mut held = std::mem::take(&mut self.held);
+        let mut cur = std::mem::take(&mut self.cur);
+        // Fix an underfull tail leaf by rebalancing it with the full one
+        // before it.
+        if !held.is_empty() && !cur.is_empty() && cur.len() < min_keys {
+            let take = (max_keys + cur.len()).div_ceil(2);
+            let moved = held.split_off(take);
+            let old = std::mem::replace(&mut cur, moved);
+            cur.extend(old);
+        }
+        for entries in [held, cur] {
+            if !entries.is_empty() {
+                self.place(entries);
+            }
+        }
+        let Self {
+            mut tree,
+            leaves: mut level,
+            ..
+        } = self;
+        if level.is_empty() {
+            tree.nodes.push(Node::Leaf(Leaf::empty()));
+            return tree;
+        }
+
+        // Build inner levels until one node remains.
+        let fanout = max_keys + 1;
+        while level.len() > 1 {
+            let mut sizes: Vec<usize> = Vec::new();
+            let mut remaining = level.len();
+            while remaining > 0 {
+                let s = remaining.min(fanout);
+                sizes.push(s);
+                remaining -= s;
+            }
+            // An underfull tail group steals children from its left
+            // neighbour (non-root inner nodes need ≥ min_keys separators).
+            let t = sizes.len() - 1;
+            if sizes.len() > 1 && sizes[t] < min_keys + 1 {
+                let total = sizes[t - 1] + sizes[t];
+                sizes[t - 1] = total.div_ceil(2);
+                sizes[t] = total - sizes[t - 1];
+            }
+            let mut next: Vec<(K, u32)> = Vec::with_capacity(sizes.len());
+            let mut it = level.into_iter();
+            for s in sizes {
+                let group: Vec<(K, u32)> = it.by_ref().take(s).collect();
+                let low = group[0].0.clone();
+                let keys: Vec<K> = group[1..].iter().map(|(k, _)| k.clone()).collect();
+                let children: Vec<u32> = group.iter().map(|&(_, c)| c).collect();
+                let idx = tree.nodes.len() as u32;
+                tree.nodes
+                    .push(Node::Inner(Inner::from_parts(keys, children)));
+                next.push((low, idx));
+            }
+            level = next;
+            tree.height += 1;
+        }
+        tree.root = level[0].1;
+        tree
     }
 }
 

@@ -1,7 +1,7 @@
 //! The assembled database: B+Tree index over the slab store, plus the
 //! service-time model used by the LruIndex throughput experiments.
 
-use crate::btree::BPlusTree;
+use crate::btree::{BPlusTree, SortedLoad};
 use crate::slab::{Addr48, Record, SlabStore, VALUE_SIZE};
 
 /// Default B+Tree fan-out used across the workspace. 64 keys per node keeps
@@ -78,10 +78,10 @@ impl Database {
     }
 
     /// Builds a database with `items` records keyed `0..items`, each record
-    /// derived deterministically from its key. Keys are already sorted, so
-    /// the index is bulk-loaded bottom-up with full leaves.
+    /// derived deterministically from its key, in one [`DatabaseBuilder`]
+    /// pass (full leaves, no per-key descent).
     pub fn populate(items: u64) -> Self {
-        Self::from_sorted_entries((0..items).map(|key| (key, record_for(key))))
+        Self::from_entries((0..items).map(|key| (key, record_for(key))))
     }
 
     /// Number of records.
@@ -188,41 +188,26 @@ impl Database {
             .map(|(key, addr)| (*key, self.store.get(*addr)))
     }
 
-    /// Builds a database from `(key, record)` pairs (deserialization hook —
-    /// the slab assigns fresh addresses, so only the contents round-trip,
-    /// not the physical layout). Later duplicates win, matching an
-    /// insert-loop replay. Sorts once, then bulk-loads the index.
+    /// Builds a database from `(key, record)` pairs in one
+    /// [`DatabaseBuilder`] pass (deserialization hook — the slab assigns
+    /// fresh addresses, so only the contents round-trip, not the physical
+    /// layout). Ascending keys stream straight into full leaves; any other
+    /// order is sorted once at the end, and later duplicates win, matching
+    /// an insert-loop replay.
     pub fn from_entries(entries: impl IntoIterator<Item = (u64, Record)>) -> Self {
-        let mut entries: Vec<(u64, Record)> = entries.into_iter().collect();
-        entries.sort_by_key(|&(k, _)| k);
-        // Keep the *last* record per key: scan reversed so the survivor of
-        // each duplicate run is the latest entry, then restore order.
-        entries.reverse();
-        entries.dedup_by_key(|&mut (k, _)| k);
-        entries.reverse();
-        Self::from_sorted_entries(entries)
+        let entries = entries.into_iter();
+        let mut builder = DatabaseBuilder::with_capacity(entries.size_hint().0);
+        for (key, record) in entries {
+            builder.push(key, record);
+        }
+        builder.finish()
     }
 
-    /// Builds a database from `(key, record)` pairs already in strictly
-    /// ascending key order — the snapshot-recovery fast path (snapshots are
-    /// written from [`Self::iter`], which is ordered). The index is built
-    /// bottom-up with full leaves instead of one descent per key. Falls
-    /// back to [`Self::from_entries`] if the input turns out unsorted
-    /// (defensive: snapshot files cross a serialization boundary).
+    /// [`Self::from_entries`], named for callers whose input is already in
+    /// ascending key order (snapshots are written from [`Self::iter`]).
+    /// Unsorted input still builds the same database, through the sort.
     pub fn from_sorted_entries(entries: impl IntoIterator<Item = (u64, Record)>) -> Self {
-        let entries: Vec<(u64, Record)> = entries.into_iter().collect();
-        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Self::from_entries(entries);
-        }
-        let mut store = SlabStore::new();
-        let pairs: Vec<(u64, Addr48)> = entries
-            .into_iter()
-            .map(|(key, record)| (key, store.insert(record)))
-            .collect();
-        Self {
-            index: BPlusTree::from_sorted(DEFAULT_MAX_KEYS, pairs),
-            store,
-        }
+        Self::from_entries(entries)
     }
 
     /// Removes `key`.
@@ -245,6 +230,102 @@ impl Database {
     /// Service time of a request that must walk the index.
     pub fn service_ns_unindexed(&self) -> u64 {
         REQUEST_OVERHEAD_NS + self.index_height() as u64 * NODE_VISIT_NS + RECORD_READ_NS
+    }
+}
+
+/// The one way a [`Database`] is built in bulk (fresh population, snapshot
+/// recovery, a shipped snapshot): records are pushed one at a time, each
+/// goes straight into the slab, and its `(key, address)` straight into the
+/// index's bottom-up load, which places full leaves as they fill — no
+/// intermediate copy of the records or of the pairs.
+///
+/// Keys pushed in strictly ascending order never leave that path. The
+/// first key at or below its predecessor switches the build to collecting
+/// `(key, address)` pairs, which [`Self::finish`] sorts and deduplicates
+/// (the last push of a key wins, as in an insert loop) before loading them.
+///
+/// ```
+/// use p4lru_kvstore::db::{record_for, DatabaseBuilder};
+///
+/// let mut builder = DatabaseBuilder::new();
+/// for key in (0..1000).filter(|k| k % 3 == 0) {
+///     builder.push(key, record_for(key));
+/// }
+/// let db = builder.finish();
+/// assert_eq!(db.len(), 334);
+/// assert_eq!(db.lookup_by_key(999).unwrap().record, &record_for(999));
+/// ```
+#[derive(Debug)]
+pub struct DatabaseBuilder {
+    store: SlabStore,
+    index: SortedLoad<u64, Addr48>,
+    /// Every pair pushed so far, once a key arrived out of order.
+    unsorted: Option<Vec<(u64, Addr48)>>,
+}
+
+impl Default for DatabaseBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl DatabaseBuilder {
+    /// An empty build.
+    pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// An empty build with slab room for `records` records (a hint; more
+    /// may be pushed).
+    pub fn with_capacity(records: usize) -> Self {
+        Self {
+            store: SlabStore::with_capacity(records),
+            index: SortedLoad::new(DEFAULT_MAX_KEYS),
+            unsorted: None,
+        }
+    }
+
+    /// Adds a record.
+    pub fn push(&mut self, key: u64, record: Record) {
+        let addr = self.store.insert(record);
+        if let Some(pairs) = &mut self.unsorted {
+            pairs.push((key, addr));
+        } else if self.index.last_key().is_some_and(|&last| key <= last) {
+            let loaded = std::mem::replace(&mut self.index, SortedLoad::new(DEFAULT_MAX_KEYS));
+            let mut pairs: Vec<(u64, Addr48)> =
+                loaded.finish().iter().map(|(k, a)| (*k, *a)).collect();
+            pairs.push((key, addr));
+            self.unsorted = Some(pairs);
+        } else {
+            self.index.push(key, addr);
+        }
+    }
+
+    /// The database built from every pushed record.
+    pub fn finish(self) -> Database {
+        let Self {
+            mut store,
+            index,
+            unsorted,
+        } = self;
+        let index = match unsorted {
+            None => index.finish(),
+            Some(mut pairs) => {
+                // Stable: a key's pushes stay in push order, so keeping the
+                // last of each run keeps the latest record.
+                pairs.sort_by_key(|&(key, _)| key);
+                pairs.dedup_by(|later, kept| {
+                    if later.0 != kept.0 {
+                        return false;
+                    }
+                    std::mem::swap(&mut later.1, &mut kept.1);
+                    store.remove(later.1);
+                    true
+                });
+                BPlusTree::from_sorted(DEFAULT_MAX_KEYS, pairs)
+            }
+        };
+        Database { index, store }
     }
 }
 

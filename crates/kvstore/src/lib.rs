@@ -18,7 +18,8 @@
 //! * [`slab`] — a slab store of fixed 64-byte records addressed by
 //!   [`slab::Addr48`] (the paper's 48-bit index, 64-byte values);
 //! * [`db`] — the two glued together, with the service-time model used by
-//!   the throughput experiments.
+//!   the throughput experiments, and [`db::DatabaseBuilder`], the one
+//!   streaming bulk build every bulk-loaded store goes through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +30,6 @@ pub mod key;
 pub mod slab;
 
 pub use btree::{BPlusTree, SlotRef};
-pub use db::Database;
+pub use db::{Database, DatabaseBuilder};
 pub use key::IndexKey;
 pub use slab::{Addr48, Record, SlabStore, VALUE_SIZE};

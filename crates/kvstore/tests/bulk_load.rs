@@ -5,7 +5,7 @@
 //! the gate on wiring `BPlusTree::from_sorted` into the population and
 //! snapshot-recovery paths.
 
-use p4lru_kvstore::db::{record_for, Database};
+use p4lru_kvstore::db::{record_for, Database, DatabaseBuilder};
 
 /// Inserts the same entries one at a time (the seed-era construction).
 fn insert_built(entries: &[(u64, [u8; 64])]) -> Database {
@@ -90,4 +90,84 @@ fn bulk_built_database_mutates_like_an_insert_built_one() {
         assert_eq!(bulk.remove(k), built.remove(k));
     }
     assert_same(&bulk, &built);
+}
+
+/// Builds with one `DatabaseBuilder` pass over `entries`, in order.
+fn stream_built(entries: &[(u64, [u8; 64])]) -> Database {
+    let mut builder = DatabaseBuilder::new();
+    for &(k, r) in entries {
+        builder.push(k, r);
+    }
+    builder.finish()
+}
+
+/// Same `iter`, and the same answer for every stored key and for the gaps
+/// and edges around them.
+fn assert_same_lookups(a: &Database, b: &Database, entries: &[(u64, [u8; 64])]) {
+    assert_same(a, b);
+    let last = entries.last().map_or(0, |&(k, _)| k);
+    let probes = entries
+        .iter()
+        .flat_map(|&(k, _)| [k, k.wrapping_sub(1), k + 1])
+        .chain([0, last + 1, u64::MAX]);
+    for key in probes {
+        let (x, y) = (a.lookup_by_key(key), b.lookup_by_key(key));
+        assert_eq!(x.map(|l| *l.record), y.map(|l| *l.record), "key {key}");
+    }
+}
+
+#[test]
+fn streaming_build_equals_insert_loop_on_dense_keys() {
+    for items in [0u64, 1, 63, 64, 65, 95, 96, 4097, 20_000] {
+        let entries: Vec<(u64, [u8; 64])> = (0..items).map(|k| (k, record_for(k))).collect();
+        let stream = stream_built(&entries);
+        let built = insert_built(&entries);
+        assert_same_lookups(&stream, &built, &entries);
+        assert!(
+            stream.index_height() <= built.index_height(),
+            "items={items}"
+        );
+    }
+}
+
+#[test]
+fn streaming_build_equals_insert_loop_on_sparse_keys() {
+    let entries: Vec<(u64, [u8; 64])> = (0..5000u64)
+        .map(|i| (i * i * 31 + (i << 40), record_for(i)))
+        .collect();
+    assert_same_lookups(&stream_built(&entries), &insert_built(&entries), &entries);
+}
+
+#[test]
+fn streaming_build_equals_insert_loop_on_a_shard_subsequence() {
+    // One shard's share of `0..items`, the way serverd routes keys: a hash
+    // picks the shard, so each shard sees an ascending key subsequence.
+    for shards in [2u64, 3, 8] {
+        for shard in 0..shards {
+            let entries: Vec<(u64, [u8; 64])> = (0..12_000u64)
+                .filter(|&k| p4lru_core::hashing::mix64(k) % shards == shard)
+                .map(|k| (k, record_for(k)))
+                .collect();
+            let stream = stream_built(&entries);
+            let built = insert_built(&entries);
+            assert_same_lookups(&stream, &built, &entries);
+        }
+    }
+}
+
+#[test]
+fn streaming_build_turns_unsorted_midway_and_keeps_the_last_duplicate() {
+    let mut entries: Vec<(u64, [u8; 64])> = (0..300u64).map(|k| (k, record_for(k))).collect();
+    entries.extend((0..100u64).map(|k| (k * 5, record_for(k + 1000))));
+    let stream = stream_built(&entries);
+    let built = insert_built(&entries);
+    assert_same_lookups(&stream, &built, &entries);
+    // Writes after the fallback reuse the slots its duplicates freed.
+    let mut stream = stream;
+    let mut built = built;
+    for k in 1000..1100u64 {
+        stream.insert(k, record_for(k));
+        built.insert(k, record_for(k));
+    }
+    assert_same(&stream, &built);
 }

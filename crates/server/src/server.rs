@@ -40,6 +40,7 @@ use p4lru_core::hashing::hash_u64;
 use p4lru_durable::DurabilityConfig;
 use p4lru_kvstore::db::record_for;
 use p4lru_kvstore::slab::Record;
+use p4lru_kvstore::DatabaseBuilder;
 use p4lru_obs::trace::Stage;
 use p4lru_obs::{MetricsHttp, ObsConfig, OpKind, Periodic, RequestTrace, SpanContext, Tracer};
 use p4lru_reactor::{LoopStats, Mailbox, Reactor};
@@ -401,14 +402,27 @@ fn wipe_partial_init(root: &Path) -> io::Result<()> {
 /// Builds every shard according to the config: in-memory, fresh-durable, or
 /// recovered from an existing data dir.
 fn build_shards(config: &ServerConfig) -> io::Result<(Vec<Shard>, StartMode)> {
+    // Each shard's keys arrive in ascending order, so every shard's store
+    // is one streaming bulk build: full leaves, no per-key descent.
     let fresh = |config: &ServerConfig| -> Vec<Shard> {
-        let mut shards: Vec<Shard> = (0..config.shards)
-            .map(|i| Shard::new(config.units_per_shard, cache_seed(config, i)))
+        let share = (config.items as usize).div_ceil(config.shards);
+        let mut builders: Vec<DatabaseBuilder> = (0..config.shards)
+            .map(|_| DatabaseBuilder::with_capacity(share))
             .collect();
         for key in 0..config.items {
-            shards[shard_of(key, config.shards)].load(key, record_for(key));
+            builders[shard_of(key, config.shards)].push(key, record_for(key));
         }
-        shards
+        builders
+            .into_iter()
+            .enumerate()
+            .map(|(i, builder)| {
+                Shard::with_db(
+                    config.units_per_shard,
+                    cache_seed(config, i),
+                    builder.finish(),
+                )
+            })
+            .collect()
     };
     let Some(root) = &config.data_dir else {
         return Ok((fresh(config), StartMode::Volatile));

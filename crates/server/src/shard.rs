@@ -65,21 +65,31 @@ impl Shard {
     /// A shard with `units` three-entry cache units, an empty store, and no
     /// durability (in-memory only).
     pub fn new(units: usize, seed: u64) -> Self {
-        Self {
+        Self::with_db(units, seed, Database::default())
+    }
+
+    /// A shard serving `db` (typically bulk-built with a
+    /// [`p4lru_kvstore::DatabaseBuilder`]) behind a cold cache of `units`
+    /// three-entry units, with no durability (in-memory only).
+    pub fn with_db(units: usize, seed: u64, db: Database) -> Self {
+        let shard = Self {
             cache: P4Lru3Array::with_seed(units, seed),
-            db: Database::default(),
+            db,
             metrics: Arc::new(ShardMetrics::default()),
             log: None,
             probed: Vec::new(),
             missed: Vec::new(),
             resolved: Vec::new(),
-        }
+        };
+        shard.metrics.store_len_set(shard.db.len());
+        shard.sync_index_stats();
+        shard
     }
 
     /// Attaches a durability engine to a freshly populated shard: seals an
     /// initial snapshot of the current store (so the population survives a
-    /// crash) and opens the WAL. Call after [`Shard::load`]-ing the initial
-    /// records and before serving traffic.
+    /// crash) and opens the WAL. Call after building or [`Shard::load`]-ing
+    /// the initial records and before serving traffic.
     pub fn enable_durability_fresh(
         &mut self,
         dir: &Path,
@@ -108,15 +118,8 @@ impl Shard {
             duration,
             ..
         } = recovery;
-        let mut shard = Self {
-            cache: P4Lru3Array::with_seed(units, seed),
-            db,
-            metrics: Arc::new(ShardMetrics::default()),
-            log: Some(log),
-            probed: Vec::new(),
-            missed: Vec::new(),
-            resolved: Vec::new(),
-        };
+        let mut shard = Self::with_db(units, seed, db);
+        shard.log = Some(log);
         for key in replayed_keys {
             // Deleted keys are simply absent by now; survivors get their
             // (fresh) slab address installed, warming the cache with what
@@ -128,7 +131,6 @@ impl Shard {
             }
         }
         shard.metrics.recovery(replayed, torn_tail, duration);
-        shard.metrics.store_len_set(shard.db.len());
         shard.sync_index_stats();
         Ok(shard)
     }
@@ -158,9 +160,15 @@ impl Shard {
         self.log.is_some()
     }
 
-    /// Bulk-loads a record without touching counters, the cache, or the WAL
+    /// Loads one record without touching counters, the cache, or the WAL
     /// (initial population — made durable by the initial snapshot that
     /// [`Shard::enable_durability_fresh`] seals afterwards).
+    ///
+    /// This is the per-key path: one insert descent per record, which
+    /// leaves the half-full leaves an ascending insert loop makes. serverd
+    /// builds its shards with [`Shard::with_db`] over a bulk build instead;
+    /// `load` is kept for tests and for the benchmark's layer walk, which
+    /// populates its shards key by key.
     pub fn load(&mut self, key: u64, record: Record) {
         self.db.insert(key, record);
         self.metrics.store_len_set(self.db.len());
@@ -418,9 +426,11 @@ impl Shard {
 
     /// Replaces this shard's entire state with a snapshot shipped from a
     /// primary (catch-up after the primary pruned the WAL history behind
-    /// this follower's cursor). The snapshot bytes are validated (magic,
-    /// CRC, sequence) and installed crash-atomically before the local WAL
-    /// is truncated; the front cache starts cold.
+    /// this follower's cursor). The snapshot bytes are validated in memory
+    /// (magic, CRC, entry count, sequence), written once and installed
+    /// crash-atomically before the local WAL is truncated, and their
+    /// records stream into a bulk build of the new store; the front cache
+    /// starts cold.
     pub fn install_shipped_snapshot(&mut self, seq: u64, bytes: &[u8]) -> io::Result<()> {
         let Some(log) = &mut self.log else {
             return Err(io::Error::new(
@@ -428,8 +438,7 @@ impl Shard {
                 "replication requires a durable shard",
             ));
         };
-        let entries = log.reset_to_snapshot(seq, bytes)?;
-        self.db = Database::from_sorted_entries(entries);
+        self.db = log.reset_to_snapshot(seq, bytes)?;
         self.cache.drain();
         self.metrics.store_len_set(self.db.len());
         self.sync_index_stats();
