@@ -12,8 +12,13 @@
 //! - **Key heads with prefix truncation.** Every node stores a contiguous
 //!   `u32` array of order-preserving *heads* — big-endian key bytes
 //!   `[skip, skip+4)` where `skip` counts the prefix bytes all keys in the
-//!   node share. Binary search runs over the flat head array; full keys are
-//!   only compared inside a run of equal heads. See [`crate::key`].
+//!   node share. The search scans the flat head array. See [`crate::key`].
+//! - **Each key stored once.** A leaf keeps no key: ranks are lossless, so
+//!   `prefix ‖ head` *is* the key once the leaf shares four or more prefix
+//!   bytes, and a parallel `u32` array of *tails* (each rank's low four
+//!   bytes) completes it below that. Equal `(prefix, head[, tail])` decides
+//!   equality; keys handed out (iteration, separators) are rebuilt with
+//!   [`IndexKey::from_rank64`]. Inner nodes still hold separator keys.
 //! - **Hash leaves.** A leaf whose recent access mix is point-lookup-heavy
 //!   arms a hash-bucket directory (open addressing over
 //!   [`IndexKey::hash64`]) so point probes skip the binary search entirely.
@@ -39,9 +44,12 @@
 //! collapses when it loses its last separator.
 
 use std::hint::black_box;
+use std::marker::PhantomData;
+use std::mem::size_of;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
 
-use crate::key::{be_prefix, head_at, shared_prefix_bytes, IndexKey};
+use crate::key::{be_prefix, compose_rank, head_at, shared_prefix_bytes, IndexKey};
 
 /// Point-lookup streak after which a leaf flips to hash mode.
 const FLIP_STREAK: u8 = 16;
@@ -68,16 +76,20 @@ const EPOCH_MASK: u64 = (1 << EPOCH_BITS) - 1;
 /// Largest leaf index the cache can remember (`leaf + 1` must fit the word).
 const MAX_CACHED_LEAF: u64 = (1 << (64 - EPOCH_BITS)) - 2;
 
-/// A leaf: sorted `(key, value)` entries plus the head array and the
-/// optional hash-bucket sidecar. Keys and values interleave in one
-/// allocation on purpose: the full-key verify and the value read land on
-/// the same cache line, where parallel `Vec<K>`/`Vec<V>` arrays cost a
-/// second miss per lookup.
+/// A leaf: each key stored once, as its encoding against the node prefix
+/// (`heads`, plus `tails` while the prefix is under four bytes), its value
+/// in the parallel `vals`, and the optional hash-bucket sidecar. A hit
+/// reads the head lines and one line of `vals`; no key copy is touched.
 #[derive(Debug)]
 struct Leaf<K, V> {
-    /// Order-preserving 4-byte heads, parallel to `entries`.
+    /// Order-preserving 4-byte heads, one per entry, ascending.
     heads: Vec<u32>,
-    entries: Vec<(K, V)>,
+    /// Each rank's low four bytes, parallel to `heads` — filled only while
+    /// `skip < 4`. With a prefix of four or more bytes `prefix ‖ head` is
+    /// the whole rank and this stays empty.
+    tails: Vec<u32>,
+    /// Values, parallel to `heads`.
+    vals: Vec<V>,
     /// Big-endian key bytes shared by every key in this node (count).
     skip: u8,
     /// The shared prefix itself, right-aligned ([`be_prefix`]).
@@ -93,18 +105,22 @@ struct Leaf<K, V> {
     /// lookup streak. Updated with relaxed atomics so `&self` readers can
     /// vote; acted on by the next `&mut self` mutation.
     mix: AtomicU8,
+    /// The key type the ranks decode to.
+    key_type: PhantomData<fn() -> K>,
 }
 
-impl<K: Clone, V: Clone> Clone for Leaf<K, V> {
+impl<K, V: Clone> Clone for Leaf<K, V> {
     fn clone(&self) -> Self {
         Self {
             heads: self.heads.clone(),
-            entries: self.entries.clone(),
+            tails: self.tails.clone(),
+            vals: self.vals.clone(),
             skip: self.skip,
             prefix: self.prefix,
             buckets: self.buckets,
             hash: self.hash,
             mix: AtomicU8::new(self.mix.load(Relaxed)),
+            key_type: PhantomData,
         }
     }
 }
@@ -125,19 +141,11 @@ enum Node<K, V> {
     Leaf(Leaf<K, V>),
 }
 
-/// Head-first search of a sorted entry array: scan the flat `u32` heads,
-/// then compare full keys only within the run of equal heads. `key_of`
-/// projects an entry to its key (`&K` for inner nodes, `&(K, V)` for
-/// leaves). `Ok(i)` = exact match at `i`; `Err(i)` = insertion point.
-fn slot_search<K: IndexKey, T>(
-    heads: &[u32],
-    entries: &[T],
-    key_of: impl Fn(&T) -> &K,
-    skip: u8,
-    prefix: u64,
-    key: &K,
-    rank: u64,
-) -> Result<usize, usize> {
+/// The head-array half of a node search: the run of slots whose head
+/// equals `rank`'s, or — when the prefix gate or the heads already decide —
+/// `Err(insertion point)`. The caller settles the run (full separator keys
+/// in inner nodes, tails in leaves that have them).
+fn head_run(heads: &[u32], skip: u8, prefix: u64, rank: u64) -> Result<Range<usize>, usize> {
     // Prefix gate: a key outside the node's shared-prefix class sorts
     // entirely before or after every key in the node (ranks are
     // order-preserving), so the heads don't even need consulting.
@@ -146,7 +154,7 @@ fn slot_search<K: IndexKey, T>(
         return Err(0);
     }
     if kp > prefix {
-        return Err(entries.len());
+        return Err(heads.len());
     }
     let h = head_at(rank, skip);
     // Lower bound by counting `< h` over the flat `u32` array. The `u32`
@@ -165,12 +173,18 @@ fn slot_search<K: IndexKey, T>(
     } else {
         heads.partition_point(|&x| x < h)
     };
-    // Full keys only within the run of equal heads (usually 0–1 long).
+    // The run of equal heads (usually 0–1 long).
     let mut hi = lo;
     while hi < heads.len() && heads[hi] == h {
         hi += 1;
     }
-    match entries[lo..hi].binary_search_by(|e| key_of(e).cmp(key)) {
+    Ok(lo..hi)
+}
+
+/// Binary search of `items[run]`, reported as an index into `items`.
+fn search_run<T: Ord>(items: &[T], run: Range<usize>, x: &T) -> Result<usize, usize> {
+    let lo = run.start;
+    match items[run].binary_search(x) {
         Ok(i) => Ok(lo + i),
         Err(i) => Err(lo + i),
     }
@@ -180,86 +194,122 @@ impl<K: IndexKey, V> Leaf<K, V> {
     fn empty() -> Self {
         Self {
             heads: Vec::new(),
-            entries: Vec::new(),
+            tails: Vec::new(),
+            vals: Vec::new(),
             skip: 0,
             prefix: 0,
             buckets: [0; INLINE_BUCKETS],
             hash: false,
             mix: AtomicU8::new(0),
+            key_type: PhantomData,
         }
     }
 
-    /// A leaf over already-sorted entries; computes heads, starts
-    /// sorted-mode.
-    fn from_sorted_parts(entries: Vec<(K, V)>) -> Self {
-        let mut leaf = Self {
-            heads: Vec::new(),
-            entries,
-            skip: 0,
-            prefix: 0,
-            buckets: [0; INLINE_BUCKETS],
-            hash: false,
-            mix: AtomicU8::new(0),
-        };
-        leaf.rebuild_meta();
+    /// A sorted-mode leaf over strictly ascending `ranks` and their values.
+    fn from_parts(ranks: &[u64], vals: Vec<V>) -> Self {
+        let mut leaf = Self::empty();
+        leaf.vals = vals;
+        leaf.encode(ranks);
         leaf
     }
 
-    fn key(&self, i: usize) -> &K {
-        &self.entries[i].0
-    }
-
     fn len(&self) -> usize {
-        self.entries.len()
+        self.vals.len()
     }
 
-    /// Recomputes `skip`/`prefix`/`heads` from the current keys.
-    fn rebuild_meta(&mut self) {
-        if self.entries.is_empty() {
+    fn is_empty(&self) -> bool {
+        self.vals.is_empty()
+    }
+
+    /// The rank stored at slot `i`, rebuilt from the prefix, its head and
+    /// (below a 4-byte prefix) its tail.
+    fn rank(&self, i: usize) -> u64 {
+        let tail = if self.skip < 4 { self.tails[i] } else { 0 };
+        compose_rank(self.prefix, self.skip, self.heads[i], tail)
+    }
+
+    /// The key stored at slot `i`.
+    fn key(&self, i: usize) -> K {
+        K::from_rank64(self.rank(i))
+    }
+
+    /// Every stored rank, ascending.
+    fn ranks(&self) -> Vec<u64> {
+        (0..self.len()).map(|i| self.rank(i)).collect()
+    }
+
+    /// Re-encodes the leaf over `ranks` (one per value): the longest
+    /// shared prefix, each head against it, and tails only while that
+    /// prefix is under four bytes (dropped otherwise).
+    fn encode(&mut self, ranks: &[u64]) {
+        debug_assert_eq!(ranks.len(), self.vals.len());
+        let (Some(&lo), Some(&hi)) = (ranks.first(), ranks.last()) else {
             self.skip = 0;
             self.prefix = 0;
             self.heads.clear();
+            self.tails.clear();
             return;
-        }
-        let lo = self.entries[0].0.rank64();
-        let hi = self.entries[self.entries.len() - 1].0.rank64();
-        self.skip = shared_prefix_bytes(lo, hi);
-        self.prefix = be_prefix(lo, self.skip);
+        };
+        let skip = shared_prefix_bytes(lo, hi);
+        self.skip = skip;
+        self.prefix = be_prefix(lo, skip);
         self.heads.clear();
-        let skip = self.skip;
-        self.heads
-            .extend(self.entries.iter().map(|(k, _)| head_at(k.rank64(), skip)));
+        self.heads.reserve_exact(ranks.len());
+        self.heads.extend(ranks.iter().map(|&r| head_at(r, skip)));
+        if skip < 4 {
+            self.tails.clear();
+            self.tails.reserve_exact(ranks.len());
+            self.tails.extend(ranks.iter().map(|&r| r as u32));
+        } else {
+            self.tails = Vec::new();
+        }
     }
 
-    fn search(&self, key: &K, rank: u64) -> Result<usize, usize> {
-        slot_search(
-            &self.heads,
-            &self.entries,
-            |e| &e.0,
-            self.skip,
-            self.prefix,
-            key,
-            rank,
-        )
+    /// Recomputes `skip`/`prefix`/`heads`/`tails` from the current keys.
+    fn rebuild_meta(&mut self) {
+        let ranks = self.ranks();
+        self.encode(&ranks);
+    }
+
+    fn search(&self, rank: u64) -> Result<usize, usize> {
+        let run = head_run(&self.heads, self.skip, self.prefix, rank)?;
+        if self.skip >= 4 {
+            // `prefix ‖ head` is the whole rank: an equal head is the key.
+            return if run.is_empty() {
+                Err(run.start)
+            } else {
+                Ok(run.start)
+            };
+        }
+        // Equal heads share the rank's top four bytes; the tails decide.
+        search_run(&self.tails, run, &(rank as u32))
     }
 
     /// Point lookup: hash probe in hash mode, head search otherwise.
     fn find(&self, key: &K, rank: u64) -> Option<usize> {
         if self.hash {
-            self.hash_find(key)
+            self.hash_find(key, rank)
         } else {
-            self.search(key, rank).ok()
+            self.search(rank).ok()
         }
     }
 
-    fn hash_find(&self, key: &K) -> Option<usize> {
+    fn hash_find(&self, key: &K, rank: u64) -> Option<usize> {
+        // Decide the prefix once; inside the class a slot matches iff its
+        // head (and tail, if the leaf keeps them) match.
+        if be_prefix(rank, self.skip) != self.prefix {
+            return None;
+        }
+        let head = head_at(rank, self.skip);
         let mut i = (key.hash64() as usize) & (INLINE_BUCKETS - 1);
         loop {
             match self.buckets[i] {
                 0 => return None,
                 s => {
                     let slot = usize::from(s) - 1;
-                    if self.entries[slot].0 == *key {
+                    if self.heads[slot] == head
+                        && (self.skip >= 4 || self.tails[slot] == rank as u32)
+                    {
                         return Some(slot);
                     }
                 }
@@ -269,12 +319,12 @@ impl<K: IndexKey, V> Leaf<K, V> {
     }
 
     /// Rebuilds and arms the inline bucket directory. The caller ensures
-    /// `entries.len() <= INLINE_BUCKET_CAP`, which keeps the load factor
-    /// ≤ 0.5 (so linear probes always terminate) and `slot + 1` in a byte.
+    /// `len() <= INLINE_BUCKET_CAP`, which keeps the load factor ≤ 0.5
+    /// (so linear probes always terminate) and `slot + 1` in a byte.
     fn rebuild_buckets(&mut self) {
         self.buckets = [0; INLINE_BUCKETS];
-        for (slot, (k, _)) in self.entries.iter().enumerate() {
-            let mut i = (k.hash64() as usize) & (INLINE_BUCKETS - 1);
+        for slot in 0..self.len() {
+            let mut i = (self.key(slot).hash64() as usize) & (INLINE_BUCKETS - 1);
             while self.buckets[i] != 0 {
                 i = (i + 1) & (INLINE_BUCKETS - 1);
             }
@@ -309,8 +359,8 @@ impl<K: IndexKey, V> Leaf<K, V> {
             self.hash = false;
             *self.mix.get_mut() = 0;
         } else if (self.hash || m >= FLIP_STREAK)
-            && !self.entries.is_empty()
-            && self.entries.len() <= INLINE_BUCKET_CAP
+            && !self.is_empty()
+            && self.len() <= INLINE_BUCKET_CAP
         {
             self.rebuild_buckets();
         } else {
@@ -319,17 +369,68 @@ impl<K: IndexKey, V> Leaf<K, V> {
         }
     }
 
-    /// Inserts at position `i`, extending the head array incrementally when
-    /// the new key shares the node prefix (the common case).
-    fn insert_entry(&mut self, i: usize, key: K, value: V) {
-        let r = key.rank64();
-        if !self.entries.is_empty() && be_prefix(r, self.skip) == self.prefix {
-            self.heads.insert(i, head_at(r, self.skip));
-            self.entries.insert(i, (key, value));
+    /// Inserts `rank → value` at position `i`, extending the head (and
+    /// tail) arrays incrementally when the new key shares the node prefix
+    /// (the common case) and re-encoding the leaf otherwise.
+    fn insert_entry(&mut self, i: usize, rank: u64, value: V) {
+        if !self.is_empty() && be_prefix(rank, self.skip) == self.prefix {
+            self.heads.insert(i, head_at(rank, self.skip));
+            if self.skip < 4 {
+                self.tails.insert(i, rank as u32);
+            }
+            self.vals.insert(i, value);
         } else {
-            self.entries.insert(i, (key, value));
+            let mut ranks = self.ranks();
+            ranks.insert(i, rank);
+            self.vals.insert(i, value);
+            self.encode(&ranks);
+        }
+    }
+
+    /// Removes slot `i`, returning its rank and value. Only the first and
+    /// last keys bound the shared prefix, so only their removal can grow
+    /// it; the leaf is re-encoded then (dropping tails once the prefix
+    /// reaches four bytes), and left as it is otherwise.
+    fn remove_entry(&mut self, i: usize) -> (u64, V) {
+        let rank = self.rank(i);
+        self.heads.remove(i);
+        if self.skip < 4 {
+            self.tails.remove(i);
+        }
+        let value = self.vals.remove(i);
+        let len = self.len();
+        if len > 0
+            && (i == 0 || i == len)
+            && shared_prefix_bytes(self.rank(0), self.rank(len - 1)) != self.skip
+        {
             self.rebuild_meta();
         }
+        (rank, value)
+    }
+
+    /// Moves slots `mid..` out, as their ranks and values, and re-encodes
+    /// what stays (its shared prefix can only grow).
+    fn split_off(&mut self, mid: usize) -> (Vec<u64>, Vec<V>) {
+        let mut ranks = self.ranks();
+        let right = ranks.split_off(mid);
+        let vals = self.vals.split_off(mid);
+        self.encode(&ranks);
+        (right, vals)
+    }
+
+    /// Appends every entry of `right`, whose keys all sort above this
+    /// leaf's.
+    fn append(&mut self, right: Self) {
+        let mut ranks = self.ranks();
+        ranks.extend(right.ranks());
+        self.vals.extend(right.vals);
+        self.encode(&ranks);
+    }
+
+    /// Heap bytes behind the leaf's arrays (capacity, not length).
+    fn heap_bytes(&self) -> usize {
+        (self.heads.capacity() + self.tails.capacity()) * size_of::<u32>()
+            + self.vals.capacity() * size_of::<V>()
     }
 }
 
@@ -366,15 +467,9 @@ impl<K: IndexKey> Inner<K> {
     /// Child index to descend into for `key`: the first separator greater
     /// than `key` bounds the child on the right.
     fn child_for(&self, key: &K, rank: u64) -> usize {
-        match slot_search(
-            &self.heads,
-            &self.keys,
-            |k| k,
-            self.skip,
-            self.prefix,
-            key,
-            rank,
-        ) {
+        match head_run(&self.heads, self.skip, self.prefix, rank)
+            .and_then(|run| search_run(&self.keys, run, key))
+        {
             Ok(i) => i + 1,
             Err(i) => i,
         }
@@ -391,6 +486,12 @@ impl<K: IndexKey> Inner<K> {
             self.rebuild_meta();
         }
         self.children.insert(i + 1, right);
+    }
+
+    /// Heap bytes behind the node's arrays (capacity, not length).
+    fn heap_bytes(&self) -> usize {
+        (self.heads.capacity() + self.children.capacity()) * size_of::<u32>()
+            + self.keys.capacity() * size_of::<K>()
     }
 }
 
@@ -516,6 +617,23 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
         self.descent_hits.load(Relaxed)
     }
 
+    /// Heap bytes the index occupies: every arena slot (in use or not) plus
+    /// every node array's capacity times its element size. A deterministic
+    /// diagnostic of the layout's bytes per key, not a resident-set figure.
+    pub fn heap_bytes(&self) -> usize {
+        let arrays: usize = self
+            .nodes
+            .iter()
+            .map(|node| match node {
+                Node::Inner(inner) => inner.heap_bytes(),
+                Node::Leaf(leaf) => leaf.heap_bytes(),
+            })
+            .sum();
+        self.nodes.capacity() * size_of::<Node<K, V>>()
+            + self.free.capacity() * size_of::<u32>()
+            + arrays
+    }
+
     fn min_keys(&self) -> usize {
         self.max_keys / 2
     }
@@ -577,7 +695,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                 Node::Leaf(leaf) => {
                     leaf.note_point();
                     self.cache_store(cur);
-                    return (leaf.find(key, rank).map(|i| &leaf.entries[i].1), visits);
+                    return (leaf.find(key, rank).map(|i| &leaf.vals[i]), visits);
                 }
             }
         }
@@ -596,13 +714,10 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                 // disjoint key ranges, so a key inside this span cannot
                 // live in any other leaf — a miss within the span is a
                 // true miss.
-                if !leaf.entries.is_empty()
-                    && *key >= *leaf.key(0)
-                    && *key <= *leaf.key(leaf.len() - 1)
-                {
+                if !leaf.is_empty() && rank >= leaf.rank(0) && rank <= leaf.rank(leaf.len() - 1) {
                     self.descent_hits.fetch_add(1, Relaxed);
                     leaf.note_point();
-                    return (leaf.find(key, rank).map(|i| &leaf.entries[i].1), 1);
+                    return (leaf.find(key, rank).map(|i| &leaf.vals[i]), 1);
                 }
             }
         }
@@ -650,7 +765,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                     unreachable!("an inner node at the tree's height");
                 };
                 leaf.note_point();
-                out.push(leaf.find(key, key.rank64()).map(|i| leaf.entries[i].1));
+                out.push(leaf.find(key, key.rank64()).map(|i| leaf.vals[i]));
             }
             if let Some(&last) = cursors.last() {
                 self.cache_store(last);
@@ -660,9 +775,12 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
 
     /// Starts the loads `key`'s step through `node` will make: the node
     /// itself, every cache line of its head array, and its child array
-    /// (inner) or its bucket byte or first entry (leaf). The values are
-    /// discarded; only the cache fills matter.
-    fn touch(&self, node: u32, key: &K) {
+    /// (inner) or its bucket byte, tails and first value (leaf). The values
+    /// are discarded; only the cache fills matter.
+    fn touch(&self, node: u32, key: &K)
+    where
+        V: Copy,
+    {
         const LINE_U32S: usize = 16;
         let heads = match &self.nodes[node as usize] {
             Node::Inner(inner) => {
@@ -674,8 +792,11 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
             Node::Leaf(leaf) => {
                 if leaf.hash {
                     black_box(leaf.buckets[(key.hash64() as usize) & (INLINE_BUCKETS - 1)]);
-                } else if let Some((k, _)) = leaf.entries.first() {
-                    black_box(k.rank64());
+                } else if let Some(&v) = leaf.vals.first() {
+                    black_box(v);
+                }
+                for tail in leaf.tails.iter().step_by(LINE_U32S) {
+                    black_box(*tail);
                 }
                 &leaf.heads
             }
@@ -726,7 +847,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
         let visits = self.height;
         match &mut self.nodes[leaf as usize] {
             Node::Leaf(l) => SlotRef {
-                value: &mut l.entries[slot].1,
+                value: &mut l.vals[slot],
                 existed,
                 visits,
             },
@@ -756,13 +877,13 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                     Node::Leaf(l) => l,
                     Node::Inner(_) => unreachable!(),
                 };
-                match leaf.search(&key, rank) {
+                match leaf.search(rank) {
                     Ok(i) => {
                         leaf.adapt();
                         (node, i, true, None)
                     }
                     Err(i) => {
-                        leaf.insert_entry(i, key, make());
+                        leaf.insert_entry(i, rank, make());
                         if leaf.len() <= max_keys {
                             leaf.adapt();
                             return (node, i, false, None);
@@ -771,15 +892,13 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                         // first key of the right half (it stays in the
                         // leaf — B+ style).
                         let mid = leaf.len() / 2;
-                        let r_entries = leaf.entries.split_off(mid);
-                        leaf.heads.truncate(mid);
-                        leaf.rebuild_meta();
+                        let (r_ranks, r_vals) = leaf.split_off(mid);
                         leaf.hash = false;
                         *leaf.mix.get_mut() = 0;
-                        let sep = r_entries[0].0.clone();
+                        let sep = K::from_rank64(r_ranks[0]);
                         let in_right = i >= mid;
                         let slot = if in_right { i - mid } else { i };
-                        let right = self.alloc(Node::Leaf(Leaf::from_sorted_parts(r_entries)));
+                        let right = self.alloc(Node::Leaf(Leaf::from_parts(&r_ranks, r_vals)));
                         let home = if in_right { right } else { node };
                         (home, slot, false, Some((sep, right)))
                     }
@@ -844,12 +963,9 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
             None => {
                 let min = self.min_keys();
                 match &mut self.nodes[node as usize] {
-                    Node::Leaf(leaf) => match leaf.search(key, rank) {
+                    Node::Leaf(leaf) => match leaf.search(rank) {
                         Ok(i) => {
-                            // A non-maximal shared prefix stays valid, so
-                            // no head rebuild on remove.
-                            leaf.heads.remove(i);
-                            let (_, v) = leaf.entries.remove(i);
+                            let (_, v) = leaf.remove_entry(i);
                             leaf.adapt();
                             (Some(v), leaf.len() < min)
                         }
@@ -939,16 +1055,13 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
         let sep_idx = sep_pos - 1;
         let is_leaf = matches!(self.nodes[child as usize], Node::Leaf(_));
         if is_leaf {
-            let (k, v) = match &mut self.nodes[left as usize] {
-                Node::Leaf(leaf) => {
-                    leaf.heads.pop();
-                    leaf.entries.pop().expect("donor non-empty")
-                }
+            let (r, v) = match &mut self.nodes[left as usize] {
+                Node::Leaf(leaf) => leaf.remove_entry(leaf.len() - 1),
                 Node::Inner(_) => unreachable!(),
             };
-            let new_sep = k.clone();
+            let new_sep = K::from_rank64(r);
             match &mut self.nodes[child as usize] {
-                Node::Leaf(leaf) => leaf.entries.insert(0, (k, v)),
+                Node::Leaf(leaf) => leaf.insert_entry(0, r, v),
                 Node::Inner(_) => unreachable!(),
             }
             match &mut self.nodes[parent as usize] {
@@ -988,19 +1101,15 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
         // Separator between child and right is parent.keys[sep_pos].
         let is_leaf = matches!(self.nodes[child as usize], Node::Leaf(_));
         if is_leaf {
-            let (k, v) = match &mut self.nodes[right as usize] {
+            let (r, v, new_sep) = match &mut self.nodes[right as usize] {
                 Node::Leaf(leaf) => {
-                    leaf.heads.remove(0);
-                    leaf.entries.remove(0)
+                    let (r, v) = leaf.remove_entry(0);
+                    (r, v, leaf.key(0))
                 }
                 Node::Inner(_) => unreachable!(),
             };
-            let new_sep = match &self.nodes[right as usize] {
-                Node::Leaf(leaf) => leaf.key(0).clone(),
-                Node::Inner(_) => unreachable!(),
-            };
             match &mut self.nodes[child as usize] {
-                Node::Leaf(leaf) => leaf.entries.push((k, v)),
+                Node::Leaf(leaf) => leaf.insert_entry(leaf.len(), r, v),
                 Node::Inner(_) => unreachable!(),
             }
             match &mut self.nodes[parent as usize] {
@@ -1049,9 +1158,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
         self.epoch += 1;
         self.free.push(right);
         match (&mut self.nodes[left as usize], right_node) {
-            (Node::Leaf(leaf), Node::Leaf(r)) => {
-                leaf.entries.extend(r.entries);
-            }
+            (Node::Leaf(leaf), Node::Leaf(r)) => leaf.append(r),
             (Node::Inner(inner), Node::Inner(r)) => {
                 inner.keys.push(sep);
                 inner.keys.extend(r.keys);
@@ -1088,7 +1195,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                     cur = inner.children[pos];
                 }
                 Node::Leaf(leaf) => {
-                    let pos = match leaf.search(start, rank) {
+                    let pos = match leaf.search(rank) {
                         Ok(i) | Err(i) => i,
                     };
                     stack.push((cur, pos));
@@ -1100,8 +1207,8 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
     }
 
     /// All `(key, value)` pairs with `start <= key < end`.
-    pub fn range<'a>(&'a self, start: &K, end: &'a K) -> impl Iterator<Item = (&'a K, &'a V)> {
-        self.iter_from(start).take_while(move |(k, _)| *k < end)
+    pub fn range<'a>(&'a self, start: &K, end: &'a K) -> impl Iterator<Item = (K, &'a V)> {
+        self.iter_from(start).take_while(move |(k, _)| k < end)
     }
 
     /// Re-evaluates every leaf's hash-mode decision now instead of waiting
@@ -1118,8 +1225,10 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
     /// Structural invariants for property tests: uniform depth, sorted keys,
     /// separator bounds, occupancy ≥ min for non-root nodes, `len`
     /// consistency — plus the slot-layout extras: head arrays matching the
-    /// keys' prefix-truncated encodings, and hash sidecars resolving every
-    /// resident key.
+    /// keys' prefix-truncated encodings, leaf tails present exactly while
+    /// the leaf prefix is under four bytes, every leaf key (rebuilt from
+    /// its prefix, head and tail) sorting strictly between its neighbours,
+    /// and hash sidecars resolving every resident key.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut count = 0usize;
         let depth = self.check_rec(self.root, None, None, true, &mut count)?;
@@ -1174,14 +1283,31 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                 if leaf.len() > self.max_keys {
                     return Err(format!("leaf {node}: overfull"));
                 }
-                if !leaf.entries.windows(2).all(|w| w[0].0 < w[1].0) {
+                if leaf.heads.len() != leaf.len() {
+                    return Err(format!("leaf {node}: head/value arity mismatch"));
+                }
+                let want_tails = if leaf.skip < 4 { leaf.len() } else { 0 };
+                if leaf.tails.len() != want_tails {
+                    return Err(format!(
+                        "leaf {node}: {} tails at skip {} over {} keys",
+                        leaf.tails.len(),
+                        leaf.skip,
+                        leaf.len()
+                    ));
+                }
+                let keys: Vec<K> = (0..leaf.len()).map(|i| leaf.key(i)).collect();
+                if !keys.windows(2).all(|w| w[0] < w[1]) {
                     return Err(format!("leaf {node}: keys unsorted"));
                 }
-                if !leaf.entries.iter().all(|(k, _)| in_bounds(k)) {
+                if !keys.iter().all(in_bounds) {
                     return Err(format!("leaf {node}: key out of separator bounds"));
                 }
-                let keys: Vec<K> = leaf.entries.iter().map(|(k, _)| k.clone()).collect();
                 Self::check_heads(node, &leaf.heads, &keys, leaf.skip, leaf.prefix)?;
+                if let Some(i) =
+                    (0..leaf.tails.len()).find(|&i| leaf.tails[i] != keys[i].rank64() as u32)
+                {
+                    return Err(format!("leaf {node}: stale tail at {i}"));
+                }
                 if leaf.hash {
                     if leaf.len() > INLINE_BUCKET_CAP {
                         return Err(format!(
@@ -1189,8 +1315,8 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                             leaf.len()
                         ));
                     }
-                    for (i, (k, _)) in leaf.entries.iter().enumerate() {
-                        if leaf.hash_find(k) != Some(i) {
+                    for (i, k) in keys.iter().enumerate() {
+                        if leaf.hash_find(k, k.rank64()) != Some(i) {
                             return Err(format!("leaf {node}: hash directory misses key {i}"));
                         }
                     }
@@ -1251,6 +1377,8 @@ pub(crate) struct SortedLoad<K, V> {
     cur: Vec<(K, V)>,
     /// Every placed leaf's lowest key and node index.
     leaves: Vec<(K, u32)>,
+    /// Scratch for the ranks of the leaf being placed.
+    ranks: Vec<u64>,
 }
 
 impl<K: IndexKey, V> SortedLoad<K, V> {
@@ -1266,6 +1394,7 @@ impl<K: IndexKey, V> SortedLoad<K, V> {
             held: Vec::new(),
             cur: Vec::with_capacity(max_keys),
             leaves: Vec::new(),
+            ranks: Vec::with_capacity(max_keys),
         }
     }
 
@@ -1297,9 +1426,15 @@ impl<K: IndexKey, V> SortedLoad<K, V> {
     fn place(&mut self, entries: Vec<(K, V)>) {
         let low = entries[0].0.clone();
         let idx = self.tree.nodes.len() as u32;
+        self.ranks.clear();
+        let mut vals = Vec::with_capacity(entries.len());
+        for (k, v) in entries {
+            self.ranks.push(k.rank64());
+            vals.push(v);
+        }
         self.tree
             .nodes
-            .push(Node::Leaf(Leaf::from_sorted_parts(entries)));
+            .push(Node::Leaf(Leaf::from_parts(&self.ranks, vals)));
         self.leaves.push((low, idx));
     }
 
@@ -1367,6 +1502,8 @@ impl<K: IndexKey, V> SortedLoad<K, V> {
             tree.height += 1;
         }
         tree.root = level[0].1;
+        // The arena grew by doubling; a bulk-built tree keeps no spare slots.
+        tree.nodes.shrink_to_fit();
         tree
     }
 }
@@ -1382,7 +1519,7 @@ pub struct Iter<'a, K, V> {
 }
 
 impl<'a, K: IndexKey, V> Iterator for Iter<'a, K, V> {
-    type Item = (&'a K, &'a V);
+    type Item = (K, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
@@ -1392,8 +1529,7 @@ impl<'a, K: IndexKey, V> Iterator for Iter<'a, K, V> {
                     if pos < leaf.len() {
                         leaf.note_scan();
                         self.stack.last_mut().expect("non-empty").1 += 1;
-                        let (k, v) = &leaf.entries[pos];
-                        return Some((k, v));
+                        return Some((leaf.key(pos), &leaf.vals[pos]));
                     }
                     self.stack.pop();
                 }
@@ -1455,7 +1591,7 @@ mod tests {
             assert_eq!(t.get(&k), Some(&k));
         }
         // In-order iteration is sorted.
-        let collected: Vec<u64> = t.iter().map(|(k, _)| *k).collect();
+        let collected: Vec<u64> = t.iter().map(|(k, _)| k).collect();
         assert_eq!(collected, (0..2000).collect::<Vec<_>>());
     }
 
@@ -1543,7 +1679,7 @@ mod tests {
             }
         }
         t.check_invariants().unwrap();
-        let got: Vec<(u64, u64)> = t.iter().map(|(k, v)| (*k, *v)).collect();
+        let got: Vec<(u64, u64)> = t.iter().map(|(k, v)| (k, *v)).collect();
         let want: Vec<(u64, u64)> = model.into_iter().collect();
         assert_eq!(got, want);
     }
@@ -1555,10 +1691,10 @@ mod tests {
             t.insert(k, k);
         }
         // Start at a present key.
-        let got: Vec<u64> = t.iter_from(&100).take(5).map(|(k, _)| *k).collect();
+        let got: Vec<u64> = t.iter_from(&100).take(5).map(|(k, _)| k).collect();
         assert_eq!(got, vec![100, 102, 104, 106, 108]);
         // Start between keys.
-        let got: Vec<u64> = t.iter_from(&101).take(3).map(|(k, _)| *k).collect();
+        let got: Vec<u64> = t.iter_from(&101).take(3).map(|(k, _)| k).collect();
         assert_eq!(got, vec![102, 104, 106]);
         // Start past the end.
         assert_eq!(t.iter_from(&10_000).count(), 0);
@@ -1572,7 +1708,7 @@ mod tests {
         for k in 0..100u64 {
             t.insert(k, k * 2);
         }
-        let got: Vec<(u64, u64)> = t.range(&10, &15).map(|(k, v)| (*k, *v)).collect();
+        let got: Vec<(u64, u64)> = t.range(&10, &15).map(|(k, v)| (k, *v)).collect();
         assert_eq!(got, vec![(10, 20), (11, 22), (12, 24), (13, 26), (14, 28)]);
         assert_eq!(t.range(&50, &50).count(), 0);
         assert_eq!(t.range(&95, &1000).count(), 5);
@@ -1590,7 +1726,7 @@ mod tests {
             model.insert(k, i);
         }
         for probe in [0u64, 17, 999, 2500, 4999, 6000] {
-            let got: Vec<u64> = t.iter_from(&probe).map(|(k, _)| *k).collect();
+            let got: Vec<u64> = t.iter_from(&probe).map(|(k, _)| k).collect();
             let want: Vec<u64> = model.range(probe..).map(|(k, _)| *k).collect();
             assert_eq!(got, want, "probe {probe}");
         }
@@ -1629,8 +1765,8 @@ mod tests {
                 built.insert(k, v);
             }
             assert_eq!(bulk.len(), built.len(), "n={n}");
-            let a: Vec<(u64, u64)> = bulk.iter().map(|(k, v)| (*k, *v)).collect();
-            let b: Vec<(u64, u64)> = built.iter().map(|(k, v)| (*k, *v)).collect();
+            let a: Vec<(u64, u64)> = bulk.iter().map(|(k, v)| (k, *v)).collect();
+            let b: Vec<(u64, u64)> = built.iter().map(|(k, v)| (k, *v)).collect();
             assert_eq!(a, b, "n={n}");
             assert!(bulk.height() <= built.height(), "n={n}: bulk is denser");
         }
@@ -1666,7 +1802,7 @@ mod tests {
             t.remove(&k);
         }
         t.check_invariants().unwrap();
-        let keys: Vec<u64> = t.iter().map(|(k, _)| *k).collect();
+        let keys: Vec<u64> = t.iter().map(|(k, _)| k).collect();
         let mut model: std::collections::BTreeSet<u64> =
             (0..2000u64).filter(|k| *k < 1000 || k % 2 == 0).collect();
         model.retain(|k| k % 3 != 0);
@@ -1797,7 +1933,7 @@ mod tests {
             t.insert(k, i64::from(k));
         }
         t.check_invariants().unwrap();
-        let got: Vec<i32> = t.iter().map(|(k, _)| *k).collect();
+        let got: Vec<i32> = t.iter().map(|(k, _)| k).collect();
         assert_eq!(got, keys, "signed keys iterate in order");
         for &k in &keys {
             assert_eq!(t.get(&k), Some(&i64::from(k)));

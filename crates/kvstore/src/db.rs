@@ -105,6 +105,12 @@ impl Database {
         self.index.descent_hits()
     }
 
+    /// Heap bytes the index occupies ([`BPlusTree::heap_bytes`]): the
+    /// per-key cost of the key → address map, records not included.
+    pub fn index_bytes(&self) -> usize {
+        self.index.heap_bytes()
+    }
+
     /// Applies any pending leaf-mode adaptations in the index now (e.g.
     /// after a snapshot scan flagged every leaf as scanned). Cheap; meant
     /// for quiescent moments like post-snapshot seal.
@@ -185,7 +191,7 @@ impl Database {
     pub fn iter(&self) -> impl Iterator<Item = (u64, &Record)> + '_ {
         self.index
             .iter()
-            .map(|(key, addr)| (*key, self.store.get(*addr)))
+            .map(|(key, addr)| (key, self.store.get(*addr)))
     }
 
     /// Builds a database from `(key, record)` pairs in one
@@ -293,7 +299,7 @@ impl DatabaseBuilder {
         } else if self.index.last_key().is_some_and(|&last| key <= last) {
             let loaded = std::mem::replace(&mut self.index, SortedLoad::new(DEFAULT_MAX_KEYS));
             let mut pairs: Vec<(u64, Addr48)> =
-                loaded.finish().iter().map(|(k, a)| (*k, *a)).collect();
+                loaded.finish().iter().map(|(k, a)| (k, *a)).collect();
             pairs.push((key, addr));
             self.unsorted = Some(pairs);
         } else {

@@ -4,8 +4,7 @@
 //! hot path. Instead every node stores a contiguous array of 4-byte *heads*
 //! derived from each key's big-endian encoding (the `head()` trick from the
 //! btree-techniques thesis): an order-preserving `u32` that a binary search
-//! can scan without touching the key storage at all. Full-key comparisons
-//! only happen inside a run of equal heads.
+//! can scan without touching the key storage at all.
 //!
 //! For that to discriminate anything on dense integer keys (the workspace
 //! reality: `u64` record ids counting up from zero, whose top four
@@ -16,20 +15,29 @@
 //! become the low key bytes — fully discriminating.
 //!
 //! [`IndexKey`] is the one hook a key type provides: [`IndexKey::rank64`],
-//! an order-preserving projection onto `u64`. Everything else (prefixes,
-//! heads, hashes for hash-mode leaves) derives from the rank. Ties in
-//! `rank64` are allowed — tied keys get equal heads and fall back to full
-//! `Ord` comparison, which is always correct, just slower.
+//! a *lossless* order-preserving projection onto `u64`, and its inverse
+//! [`IndexKey::from_rank64`]. Everything else (prefixes, heads, tails,
+//! hashes for hash-mode leaves) derives from the rank. Because the rank is
+//! the key, a leaf stores no key at all: `prefix ‖ head` is the whole rank
+//! once a leaf shares four or more prefix bytes, and a 4-byte *tail* (the
+//! rank's low bytes) completes it otherwise (`compose_rank`). Equal
+//! `(prefix, head[, tail])` means equal keys; there is no tie fallback.
 
 /// A key usable by the slot-layout B+Tree.
 ///
-/// Implementations must make [`rank64`](IndexKey::rank64) *order
-/// preserving*: `a <= b` implies `a.rank64() <= b.rank64()`. Ties are
-/// permitted (they only cost full-key comparisons), so any type can project
-/// lossily — e.g. a string type could rank by its first eight bytes.
+/// Implementations must make [`rank64`](IndexKey::rank64) a *lossless*,
+/// order-preserving projection: `a < b` iff `a.rank64() < b.rank64()`, and
+/// [`from_rank64`](IndexKey::from_rank64) inverts it
+/// (`K::from_rank64(k.rank64()) == k`). Leaves keep only the rank's bytes,
+/// so there are no ties to fall back on: a type wider than eight bytes
+/// cannot be an `IndexKey`.
 pub trait IndexKey: Ord + Clone {
-    /// An order-preserving projection of this key onto `u64`.
+    /// An order-preserving, lossless projection of this key onto `u64`.
     fn rank64(&self) -> u64;
+
+    /// The key whose [`rank64`](IndexKey::rank64) is `rank`. Only ever
+    /// called with ranks of keys of this type.
+    fn from_rank64(rank: u64) -> Self;
 
     /// The hash used by hash-mode leaves. The default is a single
     /// multiplicative (Fibonacci) hash — one multiply on the critical path
@@ -37,7 +45,6 @@ pub trait IndexKey: Ord + Clone {
     /// chain of them. Only the low 32 bits carry entropy (the mixed high
     /// half is shifted down, because bucket masks use the low bits); that
     /// is plenty for per-leaf directories of at most a few hundred slots.
-    /// Override if `rank64` is lossy for this type.
     fn hash64(&self) -> u64 {
         self.rank64().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
     }
@@ -49,6 +56,11 @@ macro_rules! unsigned_index_key {
             #[inline]
             fn rank64(&self) -> u64 {
                 *self as u64
+            }
+
+            #[inline]
+            fn from_rank64(rank: u64) -> Self {
+                rank as $t
             }
         }
     )*};
@@ -62,6 +74,11 @@ macro_rules! signed_index_key {
                 // Sign-flip the two's-complement encoding so negative keys
                 // rank below positive ones.
                 (*self as i64 as u64) ^ (1 << 63)
+            }
+
+            #[inline]
+            fn from_rank64(rank: u64) -> Self {
+                ((rank ^ (1 << 63)) as i64) as $t
             }
         }
     )*};
@@ -92,6 +109,27 @@ pub(crate) fn head_at(rank: u64, skip: u8) -> u32 {
         0
     } else {
         ((rank << (8 * u32::from(skip))) >> 32) as u32
+    }
+}
+
+/// The rank that [`be_prefix`], [`head_at`] and (for `skip < 4`) the low
+/// four bytes `tail` were cut from — their inverse. With `skip >= 4`,
+/// `prefix ‖ head` already spans all eight bytes and `tail` is ignored;
+/// with `skip < 4` the head and the tail overlap on bytes `[4, skip + 4)`,
+/// which agree for any rank they came from.
+#[inline]
+pub(crate) fn compose_rank(prefix: u64, skip: u8, head: u32, tail: u32) -> u64 {
+    match skip {
+        0 => (u64::from(head) << 32) | u64::from(tail),
+        1..=3 => {
+            let s = 8 * u32::from(skip);
+            (prefix << (64 - s)) | (u64::from(head) << (32 - s)) | u64::from(tail)
+        }
+        4..=7 => {
+            let s = 8 * u32::from(skip);
+            (prefix << (64 - s)) | (u64::from(head) >> (s - 32))
+        }
+        _ => prefix,
     }
 }
 
@@ -148,6 +186,31 @@ mod tests {
             let b = a + 0x10;
             if be_prefix(a, skip) == be_prefix(b, skip) {
                 assert!(head_at(a, skip) <= head_at(b, skip));
+            }
+        }
+    }
+
+    #[test]
+    fn from_rank64_inverts_rank64() {
+        for k in [i64::MIN, -1, 0, 1, i64::MAX] {
+            assert_eq!(i64::from_rank64(k.rank64()), k);
+        }
+        for k in [i8::MIN, -1, 0, i8::MAX] {
+            assert_eq!(i8::from_rank64(k.rank64()), k);
+        }
+        for k in [0u64, 1, u64::MAX] {
+            assert_eq!(u64::from_rank64(k.rank64()), k);
+        }
+        assert_eq!(u16::from_rank64(65535u16.rank64()), 65535);
+    }
+
+    #[test]
+    fn compose_rank_inverts_every_skip() {
+        let ranks = [0u64, 1, 0x1122_3344_5566_7788, u64::MAX, 1 << 63];
+        for &r in &ranks {
+            for skip in 0..=8u8 {
+                let back = compose_rank(be_prefix(r, skip), skip, head_at(r, skip), r as u32);
+                assert_eq!(back, r, "rank {r:#x} skip {skip}");
             }
         }
     }
