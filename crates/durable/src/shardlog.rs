@@ -54,8 +54,6 @@ struct LogSink {
     /// Records written to the file since its last fsync.
     unsynced: u64,
     last_sync: Instant,
-    // Span hook: when the last physical fsync completed.
-    last_sync_at: Option<Instant>,
 }
 
 impl LogSink {
@@ -66,7 +64,6 @@ impl LogSink {
             commit_latency: config.commit_latency,
             unsynced: 0,
             last_sync: Instant::now(),
-            last_sync_at: None,
         }))
     }
 
@@ -101,7 +98,6 @@ impl LogSink {
         }
         self.unsynced = 0;
         self.last_sync = Instant::now();
-        self.last_sync_at = Some(self.last_sync);
         Ok(took)
     }
 }
@@ -275,14 +271,6 @@ impl ShardLog {
         self.last_append_at
     }
 
-    /// When the last physical fsync completed, or `None` before the first.
-    /// Unlike `last_sync` (which starts at "now" so interval policies have
-    /// a baseline), this reports only real fsyncs — the tracer's `fsync`
-    /// span hook.
-    pub fn last_sync_at(&self) -> Option<Instant> {
-        lock(&self.sink).last_sync_at
-    }
-
     /// Whether enough appends have accumulated to be worth a snapshot.
     pub fn should_snapshot(&self) -> bool {
         self.snapshot_every > 0 && self.appends_since_snapshot >= self.snapshot_every
@@ -452,7 +440,7 @@ mod tests {
     }
 
     #[test]
-    fn span_hooks_track_append_and_sync_instants() {
+    fn append_hook_and_commit_report_track_the_fsync() {
         let tmp = TempDir::new("slog-spans");
         let mut log = ShardLog::init_fresh(
             tmp.path(),
@@ -461,27 +449,30 @@ mod tests {
         )
         .unwrap();
         assert!(log.last_append_at().is_none(), "no appends yet");
-        assert!(log.last_sync_at().is_none(), "no physical fsync yet");
+        assert!(log.commit().unwrap().is_none(), "no physical fsync yet");
 
         let before = Instant::now();
         log.append_set(1, record_for(1)).unwrap();
         let appended = log.last_append_at().expect("append stamped");
         assert!(appended >= before);
-        assert!(log.last_sync_at().is_none(), "append alone is not durable");
+        assert!(log.has_buffered(), "append alone is not durable");
 
-        log.commit().unwrap();
-        let synced = log.last_sync_at().expect("commit under Always fsyncs");
-        assert!(synced >= appended, "fsync follows the append");
+        let started = Instant::now();
+        let took = log.commit().unwrap().expect("commit under Always fsyncs");
+        assert!(
+            started.elapsed() >= took,
+            "the reported fsync ran inside the commit, after the append"
+        );
 
         log.append_set(2, record_for(2)).unwrap();
         assert!(
-            log.last_append_at().unwrap() >= synced,
+            log.last_append_at().unwrap() >= appended + took,
             "a later append moves the append stamp past the sync"
         );
     }
 
     #[test]
-    fn deferred_commit_leaves_the_sync_hook_unset() {
+    fn deferred_commit_reports_no_fsync() {
         let tmp = TempDir::new("slog-spans-defer");
         let mut log = ShardLog::init_fresh(
             tmp.path(),
@@ -490,10 +481,9 @@ mod tests {
         )
         .unwrap();
         log.append_set(1, record_for(1)).unwrap();
-        assert!(log.commit().unwrap().is_none());
         assert!(
-            log.last_sync_at().is_none(),
-            "a deferred commit must not report an fsync instant"
+            log.commit().unwrap().is_none(),
+            "a deferred commit must not report an fsync"
         );
     }
 

@@ -1,43 +1,35 @@
-//! The commit gate: a request's shard work runs to completion on the reactor
-//! loop that read it, and only a reply that reveals WAL records no finished
-//! commit covers waits — for that commit (DESIGN.md §8, §9).
-//!
-//! Every shard sits in a [`ShardCell`] behind one mutex. A loop applies a
-//! SET/DEL, or a run of GETs ([`GetRun`]), under that lock and, when
-//! nothing it did or read is waiting on the disk, parks the reply in the
-//! connection's reorder buffer in the same `drive`: no channel, no thread
-//! hand-off, no wake-up. A durable
-//! shard's SET/DEL only appends to the in-memory WAL buffer, and its reply
-//! is *held* in the cell. So is any reply applied while the shard holds
-//! appended records that no finished commit covers — a GET's included — so
-//! no client reads a value a crash could take back.
-//!
-//! Each durable shard has one commit thread, woken by a loop once per turn
-//! that held a reply at it (after the whole burst the turn read is
-//! applied, so the burst rides one fsync). In one hold of the lock it
-//! takes the held replies and cuts the WAL buffer; it writes and fsyncs the
-//! cut without the lock (the loops apply batch n+1 while batch n syncs),
-//! runs the `--replicate ack` watermark wait, and posts the replies through
-//! each connection's mailbox. A snapshot is the exception: it runs under the
-//! lock, so loops that reach that shard wait for it.
+//! The shell around each shard's commit gate (DESIGN.md §8, §9). The rule
+//! — a reply waits while its shard holds WAL records no finished commit
+//! covers — and its state live in [`crate::gate`]; this module gives them
+//! a lock, two condvars and a commit thread. A reactor loop applies
+//! requests under the shard's lock and admits their replies at the gate;
+//! the commit thread cuts under the lock, writes and fsyncs without it
+//! (the loops apply batch n+1 while batch n syncs), and releases under it.
+//! A snapshot is the exception: it runs under the lock, so loops that
+//! reach that shard wait for it.
 
-use std::io;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
+use p4lru_durable::WalRecord;
 use p4lru_obs::trace::Stage;
 use p4lru_obs::{RequestTrace, Tracer};
+use p4lru_reactor::Mailbox;
 
+use crate::gate::CommitGate;
 use crate::metrics::ShardMetrics;
 use crate::protocol::Response;
 use crate::repl::{ReplState, Role};
-use crate::server::{ReplySink, ShardOp, ShardReply};
+use crate::server::{Reply, ShardOp, ShardReply};
 use crate::shard::Shard;
 
-/// A reply waiting at the gate: where it goes, its sequence number in the
-/// connection's request order, the answer, its trace, and whether the op
-/// was a mutation (the `--replicate ack` wait gates only those).
-type Held = (ReplySink, u64, ShardReply, RequestTrace, bool);
+/// A reply held at the gate: where it goes, what it says, and whether the
+/// op was a mutation (the `--replicate ack` wait gates only those).
+struct Held {
+    mailbox: Mailbox<Reply>,
+    reply: Reply,
+    mutation: bool,
+}
 
 /// A connection's GETs for one shard, gathered while it reads a burst and
 /// applied as one [`ShardCell::apply_gets`] run (DESIGN.md §9).
@@ -65,21 +57,22 @@ impl GetRun {
 /// commit thread share it.
 pub(crate) struct ShardCell {
     state: Mutex<CellState>,
-    /// Signalled when the commit thread has work: a held reply, or teardown.
+    /// Signalled when the commit thread has work, or at teardown.
     work: Condvar,
+    /// Signalled when a cut synced while the puller waits for one.
+    synced: Condvar,
     metrics: Arc<ShardMetrics>,
 }
 
 struct CellState {
     shard: Shard,
-    held: Vec<Held>,
-    /// A cut with records in it is being written, synced or (under
-    /// `--replicate ack`) awaited without the lock.
-    committing: bool,
+    gate: CommitGate<Held>,
     /// The commit thread is parked on `work`.
     idle: bool,
     /// Teardown asked the commit thread to flush and exit.
     closing: bool,
+    /// The puller is parked on `synced`.
+    watched: bool,
 }
 
 impl ShardCell {
@@ -87,13 +80,14 @@ impl ShardCell {
         ShardCell {
             metrics: shard.metrics(),
             state: Mutex::new(CellState {
+                gate: CommitGate::new(shard.last_seq()),
                 shard,
-                held: Vec::new(),
-                committing: false,
                 idle: false,
                 closing: false,
+                watched: false,
             }),
             work: Condvar::new(),
+            synced: Condvar::new(),
         }
     }
 
@@ -108,59 +102,73 @@ impl ShardCell {
         self.lock().shard.is_durable()
     }
 
-    /// Applies a mutation or replication `op` on the calling thread under
-    /// the shard's lock (GETs take [`ShardCell::apply_gets`]), stamping
-    /// `queue` (lock acquired), `wal_append` and `apply`. Returns the reply
-    /// when it may leave now; `None` when it is held at the gate, to arrive
-    /// through `sink` as `(seq, reply, trace)` once the commit covering the
-    /// shard's appends so far has finished — after the caller, done
-    /// applying whatever else it has for this shard, calls
-    /// [`ShardCell::wake`].
+    /// Applies a SET/DEL under the shard's lock (GETs take
+    /// [`ShardCell::apply_gets`]), stamping `queue` (lock acquired),
+    /// `wal_append` and `apply`, and admits the reply ([`ShardCell::admit`]).
     pub(crate) fn apply(
         &self,
         op: ShardOp,
         seq: u64,
         mut trace: RequestTrace,
-        sink: &ReplySink,
+        mailbox: &Mailbox<Reply>,
         tracer: &Tracer,
-    ) -> Option<(ShardReply, RequestTrace)> {
-        let mut st = self.lock();
+    ) -> Option<Reply> {
+        let mut guard = self.lock();
+        let st = &mut *guard;
         tracer.stamp(&mut trace, Stage::Queue);
         let reply = apply_op(&mut st.shard, op);
         if let Some(at) = st.shard.last_wal_append_at() {
             tracer.stamp_at(&mut trace, Stage::WalAppend, at);
         }
         tracer.stamp(&mut trace, Stage::Apply);
-        if !st.committing && !st.shard.has_buffered() {
-            return Some((reply, trace));
+        let buffered = st.shard.has_buffered();
+        self.admit(&mut st.gate, buffered, mailbox, (seq, reply, trace), true)
+    }
+
+    /// Admits an applied reply at the gate: it comes back if it may leave
+    /// now, else it arrives through `mailbox` once a commit covers it —
+    /// after the caller, done with this shard for its turn, calls
+    /// [`ShardCell::wake`].
+    fn admit(
+        &self,
+        gate: &mut CommitGate<Held>,
+        buffered: bool,
+        mailbox: &Mailbox<Reply>,
+        reply: Reply,
+        mutation: bool,
+    ) -> Option<Reply> {
+        let hold = |reply| Held {
+            mailbox: mailbox.clone(),
+            reply,
+            mutation,
+        };
+        let passed = gate.admit(buffered, reply, hold);
+        if passed.is_none() {
+            self.metrics.queue_push();
         }
-        self.metrics.queue_push();
-        st.held.push((sink.clone(), seq, reply, trace, true));
-        None
+        passed
     }
 
     /// Applies a connection's run of GETs for this shard under one hold
     /// of the lock ([`Shard::get_run`]), stamping `queue` (lock acquired)
-    /// and `apply` per request. The gate rule is [`ShardCell::apply`]'s:
-    /// while a commit is running or the shard holds appended records no
-    /// commit covers, every reply of the run is held; otherwise each goes
-    /// to `ready` as `(seq, reply, trace)`, in run order. Returns whether
-    /// the run was held, in which case the caller wakes the commit thread
-    /// ([`ShardCell::wake`]) once its turn is applied. Leaves `run` empty.
+    /// and `apply` per request, and admits each reply at the gate
+    /// ([`ShardCell::admit`]). A reply that passes goes to `ready`, in run
+    /// order. Returns whether any was held. Leaves `run` empty.
     pub(crate) fn apply_gets(
         &self,
         run: &mut GetRun,
-        sink: &ReplySink,
+        mailbox: &Mailbox<Reply>,
         tracer: &Tracer,
-        mut ready: impl FnMut(u64, ShardReply, RequestTrace),
+        mut ready: impl FnMut(Reply),
     ) -> bool {
         let mut guard = self.lock();
         let st = &mut *guard;
         for trace in &mut run.traces {
             tracer.stamp(trace, Stage::Queue);
         }
-        // A GET appends nothing, so the rule cannot change mid-run.
-        let hold = st.committing || st.shard.has_buffered();
+        // A GET appends nothing, so the gate's answer cannot change mid-run.
+        let buffered = st.shard.has_buffered();
+        let mut held = false;
         let mut requests = run.seqs.drain(..).zip(run.traces.drain(..));
         st.shard.get_run(&run.keys, |record| {
             let (seq, mut trace) = requests.next().expect("one reply per key");
@@ -169,15 +177,13 @@ impl ShardCell {
                 Some(record) => ShardReply::Record(record),
                 None => ShardReply::NotFound,
             };
-            if hold {
-                self.metrics.queue_push();
-                st.held.push((sink.clone(), seq, reply, trace, false));
-            } else {
-                ready(seq, reply, trace);
+            match self.admit(&mut st.gate, buffered, mailbox, (seq, reply, trace), false) {
+                Some(reply) => ready(reply),
+                None => held = true,
             }
         });
         run.keys.clear();
-        hold
+        held
     }
 
     /// Asks the commit thread to commit what is held. A loop calls this
@@ -199,14 +205,56 @@ impl ShardCell {
         self.work.notify_one();
     }
 
-    /// A durable shard's commit thread, until [`ShardCell::close`]: takes the
-    /// held replies, commits everything appended so far, releases them.
+    /// Applies a follower's shipment under the shard's lock — the snapshot
+    /// `(seq, bytes)` ([`Shard::install_shipped_snapshot`]) or `records`
+    /// ([`Shard::apply_replicated`], skipping any already applied) — wakes
+    /// the commit thread, and waits until the gate is synced through it.
+    /// Returns the sequence number the puller may ack to the primary as
+    /// durable. An `Err` is the shard refusing the shipment or a commit
+    /// failing; the puller's cursor stays put.
+    pub(crate) fn apply_shipment(
+        &self,
+        records: &[WalRecord],
+        snapshot: Option<(u64, &[u8])>,
+    ) -> Result<u64, String> {
+        let mut st = self.lock();
+        if let Some((seq, bytes)) = snapshot {
+            st.shard
+                .install_shipped_snapshot(seq, bytes)
+                .map_err(|e| format!("snapshot install failed: {e}"))?;
+            // Written and synced by the install itself.
+            st.gate.installed(seq);
+        }
+        let refused = records
+            .iter()
+            .find_map(|rec| st.shard.apply_replicated(rec).err().map(|e| (rec.seq, e)));
+        let watch = st.gate.watch(st.shard.last_seq());
+        drop(st);
+        self.wake();
+        if let Some((seq, e)) = refused {
+            return Err(format!("replicated apply stopped at seq {seq}: {e}"));
+        }
+        let mut st = self.lock();
+        loop {
+            if let Some(outcome) = st.gate.poll(&watch, st.shard.has_buffered()) {
+                return outcome;
+            }
+            st.watched = true;
+            st = self
+                .synced
+                .wait(st)
+                .expect("shard lock poisoned by a panicked op");
+        }
+    }
+
+    /// A durable shard's commit thread, until [`ShardCell::close`]: cuts
+    /// everything appended so far with the replies held behind it, commits
+    /// the cut, and releases them.
     pub(crate) fn commit_loop(&self, shard_idx: usize, tracer: &Tracer, repl: Option<&ReplState>) {
         let mut batch: Vec<Held> = Vec::new();
         loop {
             let mut st = self.lock();
-            st.committing = false;
-            while st.held.is_empty() && !st.closing {
+            while !st.gate.has_work(st.shard.has_buffered()) && !st.closing {
                 st.idle = true;
                 st = self
                     .work
@@ -214,13 +262,20 @@ impl ShardCell {
                     .expect("shard lock poisoned by a panicked op");
             }
             st.idle = false;
-            if st.held.is_empty() {
+            let records = st.shard.has_buffered();
+            if !st.gate.has_work(records) {
                 // Clean shutdown: push any policy-deferred appends to disk.
                 let _ = st.shard.flush();
                 return;
             }
-            std::mem::swap(&mut batch, &mut st.held);
-            st.committing = st.shard.has_buffered();
+            // `--replicate ack`: a primary holds a batch's mutation acks
+            // until the follower's durable watermark covers it.
+            let cut = st.gate.cut(records);
+            let gated = repl.filter(|state| {
+                state.ack_mode
+                    && state.role() == Role::Primary
+                    && cut.iter().any(|held| held.mutation)
+            });
             let committed = if st.shard.snapshot_due() {
                 // Snapshots stop the shard (ROADMAP 3(b) owns making them
                 // incremental): sync and seal under the lock.
@@ -231,7 +286,7 @@ impl ShardCell {
                 let commit = st
                     .shard
                     .begin_commit()
-                    .expect("only a durable shard holds replies");
+                    .expect("only a durable shard has a commit thread");
                 drop(st);
                 let last_seq = commit.last_seq();
                 commit.run().map(|synced| {
@@ -241,66 +296,53 @@ impl ShardCell {
                     last_seq
                 })
             };
-            self.release(&mut batch, committed, shard_idx, tracer, repl);
-        }
-    }
-
-    /// The gate opens: one commit covered every held reply of `batch`
-    /// (through `committed`'s sequence number), so they leave — as errors
-    /// if it failed, and behind the follower's watermark under
-    /// `--replicate ack`.
-    fn release(
-        &self,
-        batch: &mut Vec<Held>,
-        committed: io::Result<u64>,
-        shard_idx: usize,
-        tracer: &Tracer,
-        repl: Option<&ReplState>,
-    ) {
-        self.metrics.batch_committed(batch.len());
-        match committed {
-            Err(e) => {
-                // The cut may not have reached disk: none of these requests
-                // may be acknowledged as succeeding.
-                let msg = format!("wal commit failed: {e}");
-                for (_, _, reply, _, _) in batch.iter_mut() {
-                    *reply = ShardReply::Other(Response::Err(msg.clone()));
-                }
+            // On timeout the mutations get an error instead of an ack —
+            // they are locally durable but their replication is
+            // unconfirmed, and an un-acked write may exist after failover
+            // (the same one-sided contract a kill -9 leaves for in-flight
+            // ops).
+            let replicated = match (gated, &committed) {
+                (Some(state), Ok(last_seq)) => state.wait_watermark(shard_idx, *last_seq),
+                _ => true,
+            };
+            let mut st = self.lock();
+            st.gate
+                .synced(committed.map_err(|e| format!("wal commit failed: {e}")));
+            let outcome = st.gate.release(&mut batch);
+            if std::mem::take(&mut st.watched) {
+                self.synced.notify_all();
             }
-            Ok(last_seq) => {
-                // `--replicate ack`: a primary holds the batch's mutation
-                // acks until the follower's durable watermark covers it. On
-                // timeout the mutations get an error instead of an ack —
-                // they are locally durable but their replication is
-                // unconfirmed, and an un-acked write may exist after
-                // failover (the same one-sided contract a kill -9 leaves
-                // for in-flight ops).
-                if let Some(state) = repl {
-                    let gated = state.ack_mode
-                        && state.role() == Role::Primary
-                        && batch.iter().any(|(_, _, _, _, m)| *m);
-                    if gated && !state.wait_watermark(shard_idx, last_seq) {
-                        let msg = "replication ack timeout: write is durable locally \
-                                   but unconfirmed on the follower"
-                            .to_owned();
-                        for (_, _, reply, _, mutation) in batch.iter_mut() {
-                            if *mutation {
-                                *reply = ShardReply::Other(Response::Err(msg.clone()));
-                            }
-                        }
-                    }
-                }
+            drop(st);
+            // A cut that releases nothing (a follower's own applies) is no batch.
+            if !batch.is_empty() {
+                self.metrics.batch_committed(batch.len());
             }
-        }
-        // Whether or not the sync policy issued a physical fsync, this is
-        // when the batch's replies were released (the latency the client
-        // pays for the gate). One batch, one instant, every trace.
-        let gate = Instant::now();
-        for (sink, seq, reply, mut trace, _) in batch.drain(..) {
-            self.metrics.queue_pop();
-            tracer.stamp_at(&mut trace, Stage::Fsync, gate);
-            // A vanished connection (client hung up mid-request) is not an error.
-            sink.send((seq, reply, trace));
+            // Whether or not the sync policy issued a physical fsync, this
+            // is when the batch's replies were released (the latency the
+            // client pays for the gate). One batch, one instant, every trace.
+            let released = Instant::now();
+            for Held {
+                mailbox,
+                reply: (seq, mut reply, mut trace),
+                mutation,
+            } in batch.drain(..)
+            {
+                if let Err(msg) = &outcome {
+                    // The cut may not have reached disk: none of these
+                    // requests may be acknowledged as succeeding.
+                    reply = ShardReply::Other(Response::Err(msg.clone()));
+                } else if mutation && !replicated {
+                    reply = ShardReply::Other(Response::Err(
+                        "replication ack timeout: write is durable locally \
+                         but unconfirmed on the follower"
+                            .to_owned(),
+                    ));
+                }
+                self.metrics.queue_pop();
+                tracer.stamp_at(&mut trace, Stage::Fsync, released);
+                // A vanished connection (client hung up mid-request) is not an error.
+                mailbox.post((seq, reply, trace));
+            }
         }
     }
 }
@@ -315,25 +357,6 @@ fn apply_op(shard: &mut Shard, op: ShardOp) -> ShardReply {
             Ok(true) => ShardReply::Ok,
             Ok(false) => ShardReply::NotFound,
             Err(e) => ShardReply::Other(Response::Err(format!("wal append failed: {e}"))),
-        },
-        ShardOp::ReplApply(records) => {
-            // Stale records (already applied — re-delivery after a dropped
-            // ack) are skipped; a genuine gap rejects the rest of the run.
-            // Either way the reply carries the shard's actual position so
-            // the puller's cursor resynchronizes.
-            for rec in &records {
-                if let Err(e) = shard.apply_replicated(rec) {
-                    return ShardReply::Other(Response::Err(format!(
-                        "replicated apply stopped at seq {}: {e}",
-                        rec.seq
-                    )));
-                }
-            }
-            ShardReply::Seq(shard.last_seq())
-        }
-        ShardOp::ReplSnapshot { seq, bytes } => match shard.install_shipped_snapshot(seq, &bytes) {
-            Ok(()) => ShardReply::Seq(shard.last_seq()),
-            Err(e) => ShardReply::Other(Response::Err(format!("snapshot install failed: {e}"))),
         },
     }
 }

@@ -34,6 +34,7 @@
 pub mod client;
 mod commit;
 pub mod expose;
+pub mod gate;
 pub mod loadgen;
 pub mod metrics;
 pub mod openloop;

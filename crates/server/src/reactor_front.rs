@@ -28,7 +28,7 @@ use std::sync::Arc;
 use p4lru_reactor::{Ctl, Driver, Mailbox, Ready, SharedStream, Status};
 
 use crate::protocol::{FrameReader, FrameWriter};
-use crate::server::{apply_runs, complete_flushed, serve, Conn, Ctx, Reply, ReplySink};
+use crate::server::{apply_runs, complete_flushed, serve, Conn, Ctx, Reply};
 
 /// Read-buffer bytes per connection. Deliberately far below
 /// [`FrameReader`]'s default: the reactor exists to hold tens of thousands
@@ -67,7 +67,7 @@ impl ReactorConn {
         Ok(ReactorConn {
             reader: FrameReader::with_capacity(read_half, READ_BUF),
             writer: FrameWriter::with_capacity(write_half, WRITE_BUF),
-            conn: Conn::new(ReplySink::Mail(mailbox), ctx.shards.len()),
+            conn: Conn::new(mailbox, ctx.shards.len()),
             ctx,
             frame: Vec::new(),
         })

@@ -35,18 +35,16 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use p4lru_durable::reader::{decode_batch, read_log_from, ReadOutcome};
 use p4lru_durable::snapshot::list_snapshots;
-use p4lru_obs::{AtomicHistogram, RequestTrace, Tracer};
+use p4lru_obs::AtomicHistogram;
 
-use crate::commit::ShardCell;
 use crate::metrics::{ClusterSnapshot, LatencySummary, ReplCounters};
-use crate::server::{Ctx, Reply, ReplySink, ShardOp, ShardReply};
+use crate::server::Ctx;
 
 /// Replication configuration, hung off
 /// [`crate::server::ServerConfig::repl`]. Any combination is legal: a
@@ -679,42 +677,16 @@ pub(crate) struct FollowerConfig {
     pub(crate) failover: Duration,
 }
 
-/// Applies one replication op under the shard's lock and waits at its
-/// commit gate for the shard's post-apply sequence (released only after
-/// the commit covering it, so acking it back to the primary as "durable"
-/// is honest). An `Err` is the shard refusing the shipment (seq gap,
-/// snapshot failure, WAL failure): the cursor stays put, the connection is
-/// dropped, and the next pull retries from the durable position.
-fn apply_to_shard(
-    cell: &ShardCell,
-    tracer: &Tracer,
-    sink: &ReplySink,
-    rx: &Receiver<Reply>,
-    op: ShardOp,
-) -> Result<u64, String> {
-    let reply = match cell.apply(op, 0, RequestTrace::disabled(), sink, tracer) {
-        Some((reply, _)) => reply,
-        None => {
-            cell.wake();
-            rx.recv().expect("the puller holds its own reply sender").1
-        }
-    };
-    match reply {
-        ShardReply::Seq(seq) => Ok(seq),
-        ShardReply::Other(crate::protocol::Response::Err(msg)) => Err(msg),
-        _ => Err("unexpected shard reply".to_owned()),
-    }
-}
-
 /// The follower's pull loop: one thread tailing every shard of the
-/// primary over a single connection, applying shipments through the same
-/// shard locks and commit gates as client writes (so replicated writes
-/// ride the same group commit), and promoting itself once the primary has
-/// been unreachable for the failover window.
+/// primary over a single connection, applying shipments under the same
+/// shard locks as client writes and waiting for the shard's commit thread
+/// to cover them (so replicated writes ride the same group commit), and
+/// promoting itself once the primary has been unreachable for the failover
+/// window.
 ///
 /// `cursors[shard]` is the highest sequence this node has durably applied
-/// — initialized from recovery, advanced only after the shard's commit
-/// gate released the apply.
+/// — initialized from recovery, advanced only once the shard's commit gate
+/// is synced through the apply ([`crate::commit::ShardCell::apply_shipment`]).
 pub(crate) fn follower_pull_loop(
     cfg: &FollowerConfig,
     ctx: &Ctx,
@@ -722,8 +694,6 @@ pub(crate) fn follower_pull_loop(
     mut cursors: Vec<u64>,
 ) {
     let running = &ctx.running;
-    let (tx, rx) = mpsc::channel();
-    let sink = ReplySink::Chan(tx);
     let mut last_contact = Instant::now();
     let mut backoff = Duration::from_millis(10);
     let mut frame = Vec::new();
@@ -791,7 +761,7 @@ pub(crate) fn follower_pull_loop(
                     }
                 };
                 last_contact = Instant::now();
-                match response {
+                let applied = match response {
                     PullResponse::Records {
                         first_seq,
                         last_seq,
@@ -823,67 +793,47 @@ pub(crate) fn follower_pull_loop(
                         // `UpToDate` (below) drains the gauge to zero.
                         state.set_lag(shard, last_seq.saturating_sub(cursors[shard]));
                         state.note_batch(records.len() as u64, bytes.len() as u64);
-                        let n = records.len() as u64;
                         let apply_started = Instant::now();
-                        match apply_to_shard(
-                            cell,
-                            &ctx.tracer,
-                            &sink,
-                            &rx,
-                            ShardOp::ReplApply(records),
-                        ) {
-                            Ok(applied) => {
-                                state.record_batch_apply(apply_started.elapsed());
-                                cursors[shard] = applied;
-                                // Deliberately no `set_lag` here: applying a
-                                // full batch proves nothing about the
-                                // primary's head (a full shipment usually
-                                // means more is waiting — that is why the
-                                // loop re-pulls immediately). The gauge
-                                // holds the last known-outstanding distance
-                                // until the primary confirms `UpToDate`.
-                                state.advance_watermark(shard, applied);
-                                state.record_applied(n);
-                                progressed = true;
-                            }
-                            Err(msg) => {
-                                eprintln!(
-                                    "[p4lru-server] shard {shard} rejected a replicated \
-                                     batch: {msg}"
-                                );
-                                state.pull_reject();
-                                break 'conn;
-                            }
+                        let applied = cell.apply_shipment(&records, None);
+                        if applied.is_ok() {
+                            state.record_batch_apply(apply_started.elapsed());
+                            state.record_applied(records.len() as u64);
                         }
+                        applied
                     }
                     PullResponse::Snapshot { seq, bytes } => {
-                        match apply_to_shard(
-                            cell,
-                            &ctx.tracer,
-                            &sink,
-                            &rx,
-                            ShardOp::ReplSnapshot { seq, bytes },
-                        ) {
-                            Ok(applied) => {
-                                cursors[shard] = applied;
-                                state.advance_watermark(shard, applied);
-                                state.snapshot_installed();
-                                progressed = true;
-                            }
-                            Err(msg) => {
-                                eprintln!(
-                                    "[p4lru-server] shard {shard} rejected a shipped \
-                                     snapshot: {msg}"
-                                );
-                                state.pull_reject();
-                                break 'conn;
-                            }
+                        let applied = cell.apply_shipment(&[], Some((seq, &bytes)));
+                        if applied.is_ok() {
+                            state.snapshot_installed();
                         }
+                        applied
                     }
-                    PullResponse::UpToDate => state.set_lag(shard, 0),
+                    PullResponse::UpToDate => {
+                        state.set_lag(shard, 0);
+                        continue;
+                    }
                     PullResponse::Err(msg) => {
                         eprintln!("[p4lru-server] pull for shard {shard} failed: {msg}");
                         state.pull_reject();
+                        continue;
+                    }
+                };
+                match applied {
+                    // Deliberately no `set_lag` here: applying a full batch
+                    // proves nothing about the primary's head (a full
+                    // shipment usually means more is waiting — that is why
+                    // the loop re-pulls immediately). The gauge holds the
+                    // last known-outstanding distance until the primary
+                    // confirms `UpToDate`.
+                    Ok(applied) => {
+                        cursors[shard] = applied;
+                        state.advance_watermark(shard, applied);
+                        progressed = true;
+                    }
+                    Err(msg) => {
+                        eprintln!("[p4lru-server] shard {shard} rejected a shipment: {msg}");
+                        state.pull_reject();
+                        break 'conn;
                     }
                 }
             }

@@ -13,7 +13,7 @@
 //! in its own pass", which is what lets the P4LRU arrays stay lock-free
 //! inside (see the thread-safety notes on [`p4lru_core::array::LruArray`]).
 //! Only a reply that must wait for an fsync leaves the loop: it is held at
-//! the shard's commit gate ([`crate::commit`]) and comes back through the
+//! the shard's commit gate ([`crate::gate`]) and comes back through the
 //! connection's mailbox once the commit thread has synced it. STATS reads
 //! the shards' atomic counters directly, so it never waits on a shard.
 //!
@@ -31,7 +31,6 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -172,18 +171,6 @@ pub enum StartMode {
 pub(crate) enum ShardOp {
     Set(u64, Record),
     Del(u64),
-    /// A dense, pre-validated run of replicated WAL records from the
-    /// follower's pull loop. Replies with [`ShardReply::Seq`] — the
-    /// shard's post-apply sequence — once the commit gate released it.
-    ReplApply(Vec<p4lru_durable::WalRecord>),
-    /// A full snapshot shipped by the primary (catch-up past pruned
-    /// history); replaces the shard's durable and in-memory state.
-    ReplSnapshot {
-        /// The snapshot's sequence number.
-        seq: u64,
-        /// The raw `P4LRSNAP` file bytes.
-        bytes: Vec<u8>,
-    },
 }
 
 /// A shard's answer, in the form the connection pump reorders and encodes.
@@ -193,10 +180,6 @@ pub(crate) enum ShardReply {
     Record(Record),
     NotFound,
     Ok,
-    /// The shard's last applied WAL sequence, after a replication op.
-    /// Never rides a client connection (repl ops come from the pull
-    /// loop's own sink), so it has no meaningful wire encoding.
-    Seq(u64),
     /// A pre-encoded response payload (STATS JSON, protocol errors); also
     /// what WAL failures come back as.
     Other(Response),
@@ -207,7 +190,7 @@ impl ShardReply {
         match self {
             ShardReply::Record(record) => encode_value(record, buf),
             ShardReply::NotFound => Response::NotFound.encode(buf),
-            ShardReply::Ok | ShardReply::Seq(_) => Response::Ok.encode(buf),
+            ShardReply::Ok => Response::Ok.encode(buf),
             ShardReply::Other(response) => response.encode(buf),
         }
     }
@@ -218,33 +201,6 @@ impl ShardReply {
 /// lifecycle trace (stamped through queue/wal-append/apply by the loop that
 /// applied it and fsync by the commit thread; the pump adds reorder/flush).
 pub(crate) type Reply = (u64, ShardReply, RequestTrace);
-
-/// Where a commit thread posts a held reply. Two variants because there
-/// are two real callers: every client connection is a reactor driver and
-/// takes a [`Mailbox`] whose post also wakes the owning event loop, while
-/// the follower pull loop ([`crate::repl`]) is a plain thread that blocks
-/// on an mpsc channel for its replication ops. The gate is indifferent:
-/// both ends are just `send`.
-#[derive(Clone)]
-pub(crate) enum ReplySink {
-    /// The follower pull loop's mpsc channel.
-    Chan(Sender<Reply>),
-    /// A client connection's reactor mailbox.
-    Mail(Mailbox<Reply>),
-}
-
-impl ReplySink {
-    /// Delivers one reply. A vanished connection (client hung up with
-    /// requests in flight) is not an error on either path.
-    pub(crate) fn send(&self, reply: Reply) {
-        match self {
-            ReplySink::Chan(tx) => {
-                let _ = tx.send(reply);
-            }
-            ReplySink::Mail(mailbox) => mailbox.post(reply),
-        }
-    }
-}
 
 /// What the accept loop hands every connection driver, and what STATS and
 /// `/metrics` render from.
@@ -760,7 +716,7 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>, max_conns: usize) {
 }
 
 /// Per-connection pump state: sequence counters, the reorder buffer, and
-/// the one reply sink the commit gates post held replies to — everything
+/// the mailbox the commit gates post held replies to — everything
 /// about a connection except its socket, which [`ReactorConn`] wraps around
 /// it.
 pub(crate) struct Conn {
@@ -771,9 +727,9 @@ pub(crate) struct Conn {
     /// Replies waiting for their turn on the wire: everything answered on
     /// the loop, parked behind any reply still held at a commit gate.
     parked: BTreeMap<u64, (ShardReply, RequestTrace)>,
-    /// The connection's reply sink; a held reply carries a clone instead
-    /// of a fresh channel per request.
-    sink: ReplySink,
+    /// The connection's reactor mailbox; a held reply carries a clone
+    /// instead of a fresh channel per request.
+    mailbox: Mailbox<Reply>,
     /// The GETs read since the last non-GET frame, one run per shard,
     /// applied by [`apply_runs`].
     runs: Vec<GetRun>,
@@ -793,12 +749,12 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub(crate) fn new(sink: ReplySink, shards: usize) -> Conn {
+    pub(crate) fn new(mailbox: Mailbox<Reply>, shards: usize) -> Conn {
         Conn {
             next_seq: 0,
             next_write: 0,
             parked: BTreeMap::new(),
-            sink,
+            mailbox,
             runs: (0..shards).map(|_| GetRun::default()).collect(),
             to_wake: Vec::new(),
             shutdown_at: None,
@@ -958,8 +914,8 @@ pub(crate) fn serve(frame: &[u8], span: Option<SpanContext>, ctx: &Ctx, conn: &m
     };
     let shard = shard_of(key, ctx.shards.len());
     let trace = start_trace(ctx, kind, shard, span);
-    match ctx.shards[shard].apply(op, seq, trace, &conn.sink, &ctx.tracer) {
-        Some((reply, trace)) => conn.park(seq, reply, trace),
+    match ctx.shards[shard].apply(op, seq, trace, &conn.mailbox, &ctx.tracer) {
+        Some((seq, reply, trace)) => conn.park(seq, reply, trace),
         None => wake_later(&mut conn.to_wake, shard),
     }
 }
@@ -986,7 +942,7 @@ pub(crate) fn apply_runs(ctx: &Ctx, conn: &mut Conn) {
     let Conn {
         runs,
         parked,
-        sink,
+        mailbox,
         to_wake,
         ..
     } = conn;
@@ -994,9 +950,10 @@ pub(crate) fn apply_runs(ctx: &Ctx, conn: &mut Conn) {
         if run.is_empty() {
             continue;
         }
-        let held = ctx.shards[shard].apply_gets(run, sink, &ctx.tracer, |seq, reply, trace| {
-            parked.insert(seq, (reply, trace));
-        });
+        let held =
+            ctx.shards[shard].apply_gets(run, mailbox, &ctx.tracer, |(seq, reply, trace)| {
+                parked.insert(seq, (reply, trace));
+            });
         if held {
             wake_later(to_wake, shard);
         }

@@ -355,8 +355,8 @@ impl Shard {
     /// Cuts a commit of every WAL record appended so far, to run without
     /// access to the shard (`None` without durability); whoever runs it
     /// counts its fsync. Snapshots are not cut: when
-    /// [`Shard::snapshot_due`], commit in place instead.
-    pub(crate) fn begin_commit(&mut self) -> Option<LogCommit> {
+    /// `Shard::snapshot_due`, commit in place instead.
+    pub fn begin_commit(&mut self) -> Option<LogCommit> {
         self.log.as_mut().map(ShardLog::begin_commit)
     }
 
@@ -366,7 +366,7 @@ impl Shard {
     }
 
     /// Whether WAL records were appended since the last commit cut.
-    pub(crate) fn has_buffered(&self) -> bool {
+    pub fn has_buffered(&self) -> bool {
         self.log.as_ref().is_some_and(ShardLog::has_buffered)
     }
 
