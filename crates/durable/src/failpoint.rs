@@ -3,8 +3,9 @@
 //! [`FailpointFile`] wraps any writer and damages the byte stream at a
 //! chosen offset — truncating it, corrupting it, or cutting a write short —
 //! so tests can manufacture exactly the on-disk states a crash or flaky
-//! disk would leave. The [`truncate_tail`] / [`flip_byte`] helpers damage
-//! files that already exist (e.g. a real WAL segment after a SIGKILL).
+//! disk would leave. The [`truncate_tail`] / [`zero_tail`] / [`flip_byte`]
+//! helpers damage files that already exist (e.g. a real WAL segment after a
+//! SIGKILL).
 
 use std::fs::OpenOptions;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -141,6 +142,19 @@ pub fn truncate_tail(path: &Path, bytes_from_end: u64) -> io::Result<u64> {
     Ok(new_len)
 }
 
+/// Zeroes every byte of `path` from offset `keep` on and keeps its length:
+/// what a crash leaves of a pre-sized WAL segment whose writes past `keep`
+/// never reached the disk. The zeros are a hole where the file system
+/// supports one. Returns the file's length.
+pub fn zero_tail(path: &Path, keep: u64) -> io::Result<u64> {
+    let file = OpenOptions::new().write(true).open(path)?;
+    let len = file.metadata()?.len();
+    file.set_len(keep.min(len))?;
+    file.set_len(len)?;
+    file.sync_all()?;
+    Ok(len)
+}
+
 /// XORs the byte `offset_from_end` bytes before the end of `path` with
 /// `0xFF` (offset 1 = the last byte).
 pub fn flip_byte(path: &Path, offset_from_end: u64) -> io::Result<()> {
@@ -212,6 +226,10 @@ mod tests {
         flip_byte(&path, 1).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"hell\x90"); // 'o' ^ 0xFF
         assert!(flip_byte(&path, 99).is_err());
+        std::fs::write(&path, b"hello world").unwrap();
+        assert_eq!(zero_tail(&path, 4).unwrap(), 11);
+        assert_eq!(std::fs::read(&path).unwrap(), b"hell\0\0\0\0\0\0\0");
+        assert_eq!(zero_tail(&path, 99).unwrap(), 11, "nothing past the end");
         assert_eq!(truncate_tail(&path, 99).unwrap(), 0);
     }
 }

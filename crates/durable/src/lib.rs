@@ -9,14 +9,16 @@
 //!
 //! * [`wal`] — a segmented, CRC-checksummed write-ahead log split into an
 //!   in-memory append buffer and a file sink with explicit fsync boundaries
-//!   (the group-commit hook), so appends never wait on the disk;
+//!   (the group-commit hook), so appends never wait on the disk; its
+//!   active segment is pre-sized, and its module docs state the
+//!   end-of-log rule every reader of a segment applies;
 //! * [`record`] — the WAL record format (length + CRC framing around
 //!   SET/DEL payloads);
 //! * [`snapshot`] — crash-atomic point-in-time snapshots of a shard's
 //!   [`p4lru_kvstore::Database`], written tmp-then-rename;
-//! * [`recover`] — snapshot load + WAL tail replay, tolerating (and
-//!   repairing) a torn final record, refusing sequence gaps and mid-log
-//!   damage;
+//! * [`recover`] — snapshot load + WAL tail replay, trimming the final
+//!   segment's zero tail and tolerating (and repairing) a torn final
+//!   record, refusing sequence gaps and mid-log damage;
 //! * [`shardlog`] — the per-shard engine tying the above together under a
 //!   [`SyncPolicy`];
 //! * [`reader`] — tailing the log as a stream (the primary side of WAL

@@ -6,9 +6,9 @@
 //! the on-disk segment files, with three possible outcomes:
 //!
 //! * a batch of contiguous encoded records starting exactly at `s`;
-//! * *snapshot needed* — records below `s`... no, records **at** `s` were
-//!   pruned into a snapshot (the follower is too far behind to catch up
-//!   from the log alone and must re-seed from the snapshot);
+//! * *snapshot needed* — the record at `s` was pruned into a snapshot (the
+//!   follower is too far behind to catch up from the log alone and must
+//!   re-seed from the snapshot);
 //! * *up to date* — nothing at or past `s` is durable yet.
 //!
 //! The batch carries the records in their on-disk encoding (length + CRC
@@ -19,16 +19,19 @@
 //! The reader only ever reads files the writer treats as immutable-once-
 //! written (appends go through the active segment's buffered tail, and a
 //! concurrent append can at worst leave a torn final record, which reads as
-//! "stop here" — exactly like crash recovery). It is safe to call from a
-//! different thread than the writer as long as both run over the same
-//! directory; the returned batch never includes a partially written record.
+//! "stop here" — exactly like crash recovery). It reads a segment a chunk
+//! at a time and stops at the final segment's first invalid record, so the
+//! active segment's pre-sized zero tail is never read. It is safe to call
+//! from a different thread than the writer as long as both run over the
+//! same directory; the returned batch never includes a partially written
+//! record.
 
 use std::io;
 use std::path::Path;
 
 use crate::record::{self, WalRecord};
 use crate::snapshot::list_snapshots;
-use crate::wal::{list_segments, scan_segment, Damage};
+use crate::wal::{list_segments, Next, SegmentReader};
 
 /// Records shipped by one [`read_log_from`] call.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,10 +70,11 @@ fn invalid(msg: String) -> io::Error {
 /// so a tiny budget cannot stall the stream).
 ///
 /// `from_seq` must be `>= 1` (sequence 0 is "before any record"). Mid-log
-/// damage or a sequence gap is an error — same contract as recovery — but a
-/// torn/corrupt *final* segment tail simply ends the batch early: those
-/// trailing bytes were never acknowledged, and the next call picks up after
-/// the writer overwrites or rotates past them.
+/// damage or a sequence gap is an error — same contract as recovery — but
+/// the final segment's first invalid record simply ends the batch: it is
+/// the active segment's zero tail, or a record being written or torn by a
+/// crash, none of it acknowledged, and the next call picks up after the
+/// writer fills or rotates past it.
 pub fn read_log_from(dir: &Path, from_seq: u64, max_bytes: usize) -> io::Result<ReadOutcome> {
     if from_seq == 0 {
         return Err(invalid("read_log_from needs from_seq >= 1".to_owned()));
@@ -101,16 +105,23 @@ pub fn read_log_from(dir: &Path, from_seq: u64, max_bytes: usize) -> io::Result<
     let mut count = 0u64;
     let mut next_expected = from_seq;
     'segments: for (i, segment) in segments[start..].iter().enumerate() {
-        let scan = scan_segment(&segment.path)?;
         let is_last = start + i == segments.len() - 1;
-        if let (Some(damage), false) = (&scan.damage, is_last) {
-            return Err(invalid(format!(
-                "segment {} is damaged ({damage:?}) but is not the final segment",
-                segment.path.display()
-            )));
-        }
-        let _ = Damage::Torn; // both damage kinds end the stream at the tail
-        for rec in &scan.records {
+        let mut reader = SegmentReader::open(&segment.path)?;
+        loop {
+            let rec = match reader.next()? {
+                Next::Record(rec) => rec,
+                Next::End => break,
+                // Where the final segment's records end, the log ends; any
+                // other segment was sealed at its last record, so bytes
+                // past it (zeros or damage) mean a lost record.
+                Next::Invalid(_) if is_last => break 'segments,
+                Next::Invalid(damage) => {
+                    return Err(invalid(format!(
+                        "segment {} is damaged ({damage:?}) but is not the final segment",
+                        segment.path.display()
+                    )));
+                }
+            };
             if rec.seq < next_expected {
                 continue; // below the requested window (partial first segment)
             }
@@ -121,7 +132,7 @@ pub fn read_log_from(dir: &Path, from_seq: u64, max_bytes: usize) -> io::Result<
                     segment.path.display()
                 )));
             }
-            encode_record(&mut bytes, rec);
+            encode_record(&mut bytes, &rec);
             count += 1;
             next_expected += 1;
             if bytes.len() >= max_bytes {
@@ -302,6 +313,30 @@ mod tests {
         // But a follower at 21 tails the (empty) active segment.
         assert_eq!(
             read_log_from(tmp.path(), 21, usize::MAX).unwrap(),
+            ReadOutcome::UpToDate
+        );
+    }
+
+    #[test]
+    fn a_presized_active_segment_ships_its_records_then_is_up_to_date() {
+        let tmp = TempDir::new("reader-presized");
+        let _log = filled_log(tmp.path(), 3);
+        let active = list_segments(tmp.path()).unwrap().pop().unwrap().path;
+        let on_disk = std::fs::read(&active).unwrap();
+        assert_eq!(on_disk.len() as u64, config().segment_bytes, "pre-sized");
+
+        let ReadOutcome::Records(batch) = read_log_from(tmp.path(), 1, usize::MAX).unwrap() else {
+            panic!("expected records");
+        };
+        assert_eq!((batch.first_seq, batch.last_seq, batch.count), (1, 3, 3));
+        let records = 3 * (record::RECORD_HEADER_BYTES + record::SET_PAYLOAD_BYTES);
+        assert_eq!(
+            batch.bytes,
+            on_disk[..records],
+            "exactly the written records"
+        );
+        assert_eq!(
+            read_log_from(tmp.path(), 4, usize::MAX).unwrap(),
             ReadOutcome::UpToDate
         );
     }

@@ -8,9 +8,12 @@
 //! 2. Sequence numbers are dense: a gap between the snapshot boundary and
 //!    the replayed records, or within them, means segments were lost and
 //!    recovery refuses to fabricate a state.
-//! 3. Only the *last* segment may end in a torn or corrupt record (rotation
-//!    happens at fsync boundaries), and recovery repairs it by truncating
-//!    the invalid tail; damage anywhere else is a hard error.
+//! 3. Only the *last* segment may end before its file does (the end-of-log
+//!    rule in [`crate::wal`]): in a zero tail, the unwritten rest of the
+//!    pre-sized active segment, or in a torn or corrupt record (rotation
+//!    happens at fsync boundaries). Recovery trims either away before a new
+//!    segment is opened; a zero tail or damage anywhere else is a hard
+//!    error.
 
 use std::io;
 use std::path::Path;
@@ -42,7 +45,8 @@ pub struct Recovery {
     /// Sequence number of the last applied op (snapshot or replay).
     pub last_seq: u64,
     /// Whether the final segment ended in a torn/corrupt record that was
-    /// skipped (and truncated away).
+    /// skipped (and truncated away). A zero tail is a clean end, not a torn
+    /// one.
     pub torn_tail: bool,
     /// Wall-clock time recovery took.
     pub duration: Duration,
@@ -54,10 +58,10 @@ fn corrupt(msg: impl Into<String>) -> io::Error {
 
 /// Rebuilds a shard's state from `dir`.
 ///
-/// Tolerates (and truncates away) a torn or corrupted record at the very
-/// tail of the newest segment — the signature of a crash mid-append — but
-/// refuses gaps or mid-log damage, which would silently lose acknowledged
-/// writes.
+/// Trims the newest segment to its records: its zero tail, and a torn or
+/// corrupted record at its very tail — the signature of a crash mid-append
+/// — which it tolerates. Refuses gaps or mid-log damage, which would
+/// silently lose acknowledged writes.
 pub fn recover(dir: &Path) -> io::Result<Recovery> {
     let begin = Instant::now();
     // The snapshot's records stream straight into a bulk build: snapshots
@@ -77,22 +81,27 @@ pub fn recover(dir: &Path) -> io::Result<Recovery> {
     for (i, segment) in segments.iter().enumerate() {
         let is_last = i + 1 == segments.len();
         let scan = wal::scan_segment(&segment.path)?;
-        if let Some(damage) = scan.damage {
+        if scan.file_len > scan.valid_len {
             if !is_last {
+                let tail = match scan.damage {
+                    Some(damage) => format!("is damaged ({damage:?})"),
+                    None => "ends in a zero tail".to_owned(),
+                };
                 return Err(corrupt(format!(
-                    "wal segment {} is damaged ({damage:?}) but is not the \
-                     final segment; refusing to skip acknowledged records",
+                    "wal segment {} {tail} but is not the final segment; \
+                     refusing to skip acknowledged records",
                     segment.path.display()
                 )));
             }
-            // Crash mid-append: drop the invalid tail so it can never be
-            // misread by a later recovery, and carry on.
+            // The active segment's unwritten zeros, or a crash mid-append:
+            // trim them so the next segment follows a sealed one and a
+            // damaged tail can never be misread by a later recovery.
             let file = std::fs::OpenOptions::new()
                 .write(true)
                 .open(&segment.path)?;
             file.set_len(scan.valid_len)?;
             file.sync_all()?;
-            torn_tail = true;
+            torn_tail = scan.damage.is_some();
         }
         for record in scan.records {
             if record.seq <= snap.seq {
@@ -225,7 +234,7 @@ mod tests {
         wal.append(&set(2)).unwrap();
         wal.sync().unwrap();
         let seg = wal::list_segments(tmp.path()).unwrap().remove(0);
-        let valid_len = std::fs::metadata(&seg.path).unwrap().len();
+        let valid_len = wal::scan_segment(&seg.path).unwrap().valid_len;
         // Simulate a crash mid-append of record 3.
         let mut bytes = std::fs::read(&seg.path).unwrap();
         bytes.extend_from_slice(&[81, 0, 0, 0, 0xAA, 0xBB]); // header fragment
@@ -244,6 +253,65 @@ mod tests {
         let r2 = recover(tmp.path()).unwrap();
         assert!(!r2.torn_tail);
         assert_eq!(r2.replayed, 2);
+    }
+
+    /// `records`, then zeros up to 4 KiB: what a crash leaves of a
+    /// pre-sized active segment.
+    fn with_zero_tail(mut records: Vec<u8>) -> Vec<u8> {
+        records.resize(4096, 0);
+        records
+    }
+
+    #[test]
+    fn records_then_a_zero_tail_are_a_clean_end() {
+        let tmp = TempDir::new("rec-zero-tail");
+        let ops = [(1, set(1)), (2, WalOp::Del { key: 1 }), (3, set(2))];
+        let records = reference_wal(&ops);
+        let path = tmp.path().join(segment_file_name(1));
+        std::fs::write(&path, with_zero_tail(records.clone())).unwrap();
+
+        let r = recover(tmp.path()).unwrap();
+        assert!(!r.torn_tail, "a zero tail is a clean end, not a torn one");
+        assert_eq!((r.replayed, r.last_seq), (3, 3));
+        assert_eq!(r.replayed_keys, vec![1, 1, 2]);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            records,
+            "trimmed to its records"
+        );
+    }
+
+    #[test]
+    fn a_torn_record_then_a_zero_tail_is_torn() {
+        let tmp = TempDir::new("rec-torn-zero-tail");
+        let whole = reference_wal(&[(1, set(1)), (2, set(2))]);
+        let mut bytes = whole.clone();
+        // Record 3 reached the disk only in part; the rest is the zero tail.
+        bytes.extend_from_slice(&reference_wal(&[(3, set(3))])[..40]);
+        let path = tmp.path().join(segment_file_name(1));
+        std::fs::write(&path, with_zero_tail(bytes)).unwrap();
+
+        let r = recover(tmp.path()).unwrap();
+        assert!(r.torn_tail);
+        assert_eq!((r.replayed, r.last_seq), (2, 2));
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            whole,
+            "truncated at the last whole record"
+        );
+    }
+
+    #[test]
+    fn a_zero_tail_in_a_sealed_segment_is_a_hard_error() {
+        let tmp = TempDir::new("rec-sealed-zero-tail");
+        let sealed = with_zero_tail(reference_wal(&[(1, set(1))]));
+        std::fs::write(tmp.path().join(segment_file_name(1)), sealed).unwrap();
+        let active = reference_wal(&[(2, set(2))]);
+        std::fs::write(tmp.path().join(segment_file_name(2)), active).unwrap();
+
+        let e = recover(tmp.path()).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("not the final segment"), "{e}");
     }
 
     #[test]

@@ -12,6 +12,26 @@
 //! segment and fsyncs them. A server keeps the buffer under its shard's lock
 //! and the file on its commit thread; [`Wal`] pairs the two for callers
 //! that append and sync on one thread.
+//!
+//! **The active segment is pre-sized.** [`WalFile::create`] truncates the
+//! file and extends it (sparse) to the segment size, so a commit writes
+//! into space the file already has and its `fdatasync` flushes the record,
+//! not a file-size change. Every path that stops writing a segment —
+//! rotation, a restart, dropping the [`WalFile`] — first trims it to the
+//! bytes its records fill and syncs it, so a sealed segment is exactly its
+//! records, as it was before segments were pre-sized.
+//!
+//! **The end-of-log rule**, which [`scan_segment`], [`crate::recover`],
+//! [`crate::reader::read_log_from`] and the crash tests all apply: a
+//! segment's records end at the first offset from which the rest of the
+//! file is zero. That is a clean end — the unwritten part of the active
+//! segment — not damage (no record starts with a zero byte: its length
+//! field is never zero). Any other invalid tail is [`Damage`]. Only the
+//! final segment may end in either; recovery trims it to its records,
+//! and damage or a zero tail in any other segment is a hard error.
+//! Data directories stay readable both ways: one written before
+//! pre-sizing has no zero tails, and older code reads a zero tail as a
+//! torn tail and trims it.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -65,7 +85,8 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<Segment>> {
     Ok(segments)
 }
 
-/// How a segment scan ended.
+/// Why a segment's records end before its file does, when the rest of the
+/// file is not zero.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Damage {
     /// The segment ends mid-record (crash mid-append).
@@ -79,40 +100,134 @@ pub enum Damage {
 pub struct SegmentScan {
     /// The valid records, in file order.
     pub records: Vec<WalRecord>,
-    /// Byte offset up to which the segment is valid.
+    /// Byte offset up to which the segment is valid: the end of its last
+    /// record.
     pub valid_len: u64,
-    /// Why the scan stopped before the end of the file, if it did.
+    /// The file's length. The bytes from `valid_len` to here are zero (a
+    /// clean end) unless `damage` says otherwise.
+    pub file_len: u64,
+    /// Why the records end early, if the bytes past them are not all zero.
     pub damage: Option<Damage>,
 }
 
-/// Scans one segment file, stopping at the first invalid record.
+/// Scans one segment file, stopping at the first invalid record and
+/// applying the end-of-log rule (module docs) to what follows it.
 pub fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
+    let mut reader = SegmentReader::open(path)?;
     let mut records = Vec::new();
-    let mut at = 0usize;
-    let mut damage = None;
-    while at < bytes.len() {
-        match record::decode(&bytes[at..]) {
-            Decoded::Record { record, consumed } => {
-                records.push(record);
-                at += consumed;
-            }
-            Decoded::Torn => {
-                damage = Some(Damage::Torn);
-                break;
-            }
-            Decoded::Corrupt => {
-                damage = Some(Damage::Corrupt);
-                break;
+    let damage = loop {
+        match reader.next()? {
+            Next::Record(record) => records.push(record),
+            Next::End => break None,
+            Next::Invalid(damage) => break (!reader.rest_is_zero()?).then_some(damage),
+        }
+    };
+    Ok(SegmentScan {
+        records,
+        valid_len: reader.valid_len(),
+        file_len: reader.file_len,
+        damage,
+    })
+}
+
+/// Bytes a [`SegmentReader`] reads per call.
+const READ_CHUNK: usize = 64 << 10;
+
+static ZEROS: [u8; 4096] = [0; 4096];
+
+fn is_zero(bytes: &[u8]) -> bool {
+    // Slice equality is a `memcmp`, fast in unoptimized builds too.
+    bytes.chunks(ZEROS.len()).all(|c| c == &ZEROS[..c.len()])
+}
+
+/// What a [`SegmentReader`] found next.
+#[derive(Debug)]
+pub(crate) enum Next {
+    /// A valid record.
+    Record(WalRecord),
+    /// The file ends right after the last record.
+    End,
+    /// The bytes after the last record are not a valid record: a zero tail
+    /// (see [`SegmentReader::rest_is_zero`]) or damage of this kind.
+    Invalid(Damage),
+}
+
+/// A segment's records in file order, read a chunk at a time, so a reader
+/// that stops at the first invalid record never reads the rest.
+#[derive(Debug)]
+pub(crate) struct SegmentReader {
+    file: File,
+    file_len: u64,
+    buf: Vec<u8>,
+    /// Offset in `buf` of the next record.
+    at: usize,
+    /// File offset of `buf[0]`.
+    base: u64,
+    eof: bool,
+}
+
+impl SegmentReader {
+    pub(crate) fn open(path: &Path) -> io::Result<SegmentReader> {
+        let file = File::open(path)?;
+        let file_len = file.metadata()?.len();
+        Ok(SegmentReader {
+            file,
+            file_len,
+            buf: Vec::new(),
+            at: 0,
+            base: 0,
+            eof: false,
+        })
+    }
+
+    /// Offset just past the last record [`SegmentReader::next`] returned.
+    pub(crate) fn valid_len(&self) -> u64 {
+        self.base + self.at as u64
+    }
+
+    pub(crate) fn next(&mut self) -> io::Result<Next> {
+        loop {
+            match record::decode(&self.buf[self.at..]) {
+                Decoded::Record { record, consumed } => {
+                    self.at += consumed;
+                    return Ok(Next::Record(record));
+                }
+                Decoded::Torn if !self.eof => self.fill()?,
+                Decoded::Torn if self.at == self.buf.len() => return Ok(Next::End),
+                Decoded::Torn => return Ok(Next::Invalid(Damage::Torn)),
+                Decoded::Corrupt => return Ok(Next::Invalid(Damage::Corrupt)),
             }
         }
     }
-    Ok(SegmentScan {
-        records,
-        valid_len: at as u64,
-        damage,
-    })
+
+    /// Whether every byte from [`SegmentReader::valid_len`] to the end of
+    /// the file is zero.
+    pub(crate) fn rest_is_zero(&mut self) -> io::Result<bool> {
+        if !is_zero(&self.buf[self.at..]) {
+            return Ok(false);
+        }
+        let mut chunk = vec![0; READ_CHUNK];
+        loop {
+            match self.file.read(&mut chunk)? {
+                0 => return Ok(true),
+                n if !is_zero(&chunk[..n]) => return Ok(false),
+                _ => {}
+            }
+        }
+    }
+
+    /// Drops the consumed bytes and reads the next chunk behind the rest.
+    fn fill(&mut self) -> io::Result<()> {
+        self.buf.drain(..self.at);
+        self.base += self.at as u64;
+        self.at = 0;
+        let kept = self.buf.len();
+        self.buf.resize(kept + READ_CHUNK, 0);
+        let n = self.file.read(&mut self.buf[kept..])?;
+        self.buf.truncate(kept + n);
+        self.eof = n == 0;
+        Ok(())
+    }
 }
 
 /// Opens `dir` itself and fsyncs it, making renames/creates in it durable.
@@ -210,6 +325,10 @@ impl WalChunk {
 
 /// The file half of the log: one active segment, written a chunk at a time,
 /// explicit sync.
+///
+/// The active segment is pre-sized (module docs); dropping a `WalFile`
+/// trims it to its records and syncs it, ignoring errors — a crash leaves
+/// the zero tail, which recovery trims.
 #[derive(Debug)]
 pub struct WalFile {
     dir: PathBuf,
@@ -221,26 +340,35 @@ pub struct WalFile {
     segment_bytes: u64,
 }
 
+/// Creates the segment whose first record will be `first_seq`, empty and
+/// pre-sized to `len` bytes.
+fn open_segment(dir: &Path, first_seq: u64, len: u64) -> io::Result<File> {
+    let file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(dir.join(segment_file_name(first_seq)))?;
+    file.set_len(len)?;
+    fsync_dir(dir)?;
+    Ok(file)
+}
+
 impl WalFile {
-    /// Starts a fresh active segment whose first record will be `next_seq`.
+    /// Starts a fresh active segment whose first record will be `next_seq`,
+    /// pre-sized to `segment_bytes`.
     ///
-    /// An existing file of the same name is truncated: recovery has already
-    /// established that no durable record at or past `next_seq` exists.
+    /// An existing file of the same name is truncated first: recovery has
+    /// already established that no durable record at or past `next_seq`
+    /// exists, and no stale byte survives under the new zero tail.
     pub fn create(dir: &Path, next_seq: u64, segment_bytes: u64) -> io::Result<WalFile> {
-        let path = dir.join(segment_file_name(next_seq));
-        let file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        fsync_dir(dir)?;
+        let segment_bytes = segment_bytes.max(1);
         Ok(WalFile {
             dir: dir.to_path_buf(),
-            file,
+            file: open_segment(dir, next_seq, segment_bytes)?,
             seg_first_seq: next_seq,
             seg_written: 0,
             next_seq,
-            segment_bytes: segment_bytes.max(1),
+            segment_bytes,
         })
     }
 
@@ -284,18 +412,29 @@ impl WalFile {
         Ok(took)
     }
 
-    /// Seals the active segment (callers must have synced) and starts a new
-    /// one at the next sequence number.
+    /// Seals the active segment and starts a new one at the next sequence
+    /// number.
     pub fn rotate(&mut self) -> io::Result<()> {
         self.restart(self.next_seq)
     }
 
-    /// Leaves the active segment as it is and starts a new one whose first
-    /// record will be `next_seq` (a rotation, or a log reset to a shipped
-    /// snapshot once the caller removed the old segments).
+    /// Seals the active segment and starts a new one whose first record
+    /// will be `next_seq` (a rotation, or a log reset to a shipped snapshot
+    /// once the caller removed the old segments).
     pub fn restart(&mut self, next_seq: u64) -> io::Result<()> {
-        *self = WalFile::create(&self.dir, next_seq, self.segment_bytes)?;
+        self.seal()?;
+        self.file = open_segment(&self.dir, next_seq, self.segment_bytes)?;
+        self.seg_first_seq = next_seq;
+        self.seg_written = 0;
+        self.next_seq = next_seq;
         Ok(())
+    }
+
+    /// Trims the active segment to its records and syncs it, so the size
+    /// is durable before any later segment exists.
+    fn seal(&self) -> io::Result<()> {
+        self.file.set_len(self.seg_written)?;
+        self.file.sync_all()
     }
 
     /// Deletes every sealed segment that holds only records before
@@ -321,6 +460,12 @@ impl WalFile {
             fsync_dir(&self.dir)?;
         }
         Ok(removed)
+    }
+}
+
+impl Drop for WalFile {
+    fn drop(&mut self) {
+        let _ = self.seal();
     }
 }
 
@@ -461,6 +606,79 @@ mod tests {
             .map(|r| r.seq)
             .collect();
         assert_eq!(seqs, vec![1, 2, 3]);
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        fs::metadata(path).unwrap().len()
+    }
+
+    /// On-disk bytes of `n` DEL records.
+    fn dels(n: u64) -> u64 {
+        n * (record::RECORD_HEADER_BYTES + record::DEL_PAYLOAD_BYTES) as u64
+    }
+
+    #[test]
+    fn a_segment_recreated_over_a_stale_file_reads_as_empty() {
+        let tmp = TempDir::new("wal-stale");
+        let mut old = Wal::create(tmp.path(), 1, 4096).unwrap();
+        for key in 0..3 {
+            old.append(&del(key)).unwrap();
+        }
+        old.sync().unwrap();
+        drop(old);
+
+        // Recovery found nothing durable at seq 1 on, so the segment is
+        // created again under the same name.
+        let _wal = Wal::create(tmp.path(), 1, 4096).unwrap();
+        let path = tmp.path().join(segment_file_name(1));
+        let scan = scan_segment(&path).unwrap();
+        assert!(
+            scan.records.is_empty(),
+            "no stale record under the zero tail"
+        );
+        assert_eq!(
+            (scan.valid_len, scan.file_len, scan.damage),
+            (0, 4096, None)
+        );
+        assert_eq!(
+            crate::reader::read_log_from(tmp.path(), 1, usize::MAX).unwrap(),
+            crate::reader::ReadOutcome::UpToDate
+        );
+    }
+
+    #[test]
+    fn rotate_restart_and_drop_trim_a_segment_to_its_records() {
+        let tmp = TempDir::new("wal-trim");
+        let path = |seq| tmp.path().join(segment_file_name(seq));
+        let mut buffer = WalBuffer::new(1);
+        let mut file = WalFile::create(tmp.path(), 1, 4096).unwrap();
+        assert_eq!(file_len(&path(1)), 4096, "the active segment is pre-sized");
+        buffer.append(&del(1));
+        buffer.append(&del(2));
+        file.write(&buffer.take()).unwrap();
+        file.sync().unwrap();
+        assert_eq!(file_len(&path(1)), 4096, "a commit does not grow the file");
+
+        file.rotate().unwrap();
+        assert_eq!(file_len(&path(1)), dels(2));
+        assert_eq!(file_len(&path(3)), 4096);
+
+        buffer.append(&del(3));
+        file.write(&buffer.take()).unwrap();
+        file.restart(10).unwrap();
+        assert_eq!(file_len(&path(3)), dels(1));
+
+        let mut buffer = WalBuffer::new(10);
+        for key in 0..4 {
+            buffer.append(&del(key));
+        }
+        file.write(&buffer.take()).unwrap();
+        drop(file);
+        assert_eq!(file_len(&path(10)), dels(4));
+        for (seq, records) in [(1, 2), (3, 1), (10, 4)] {
+            let scan = scan_segment(&path(seq)).unwrap();
+            assert_eq!((scan.records.len(), scan.damage), (records, None));
+        }
     }
 
     #[test]

@@ -14,11 +14,15 @@
 //! stateless depth-first search, each replayed from a fresh shard
 //! directory (a shard cannot be cloned).
 //!
-//! **The world is crashed after every step.** The last WAL segment is cut
-//! back to each interesting length between its synced length (as of the
+//! **The world is crashed after every step.** The WAL segment keeps each
+//! interesting length of its records between its synced length (as of the
 //! last fsync) and its written length — nothing unsynced, a torn
-//! tail one byte short of the last record, and all of it — and
-//! [`Shard::recover`] rebuilds the shard from the copy. The properties:
+//! tail one byte short of the last record, and all of it — both as lengths
+//! of the records written. The segment is pre-sized, so what follows the
+//! kept bytes is lost one of two ways: zeroed up to the pre-sized length
+//! (the size reached the disk and the writes did not), or cut off (the
+//! size change never reached the disk either). [`Shard::recover`] rebuilds
+//! the shard from each copy. The properties:
 //!
 //! * recovery succeeds and recovers a prefix of the writes applied;
 //! * **acked write lost**: every SET/DEL acked on the wire is recovered
@@ -32,19 +36,22 @@
 //!
 //! The explorer can be handed a defective commit protocol, built here on
 //! the same public gate, to show it has teeth: a GET admitted without
-//! checking for buffered records, a cut released before it has run, and
-//! `committing` cleared at the cut instead of after the sync. It must find
-//! each defect's property in the same exhaustive run that finds none in the
-//! real protocol. Shard directories live on tmpfs (`/dev/shm`) when the
-//! host has one, so fsync stays out of the budget.
+//! checking for buffered records, a cut released before it has run or
+//! before its fsync returned, and `committing` cleared at the cut instead
+//! of after the sync. It must find each defect's property in the same
+//! exhaustive run that finds none in the real protocol. Shard directories
+//! live on tmpfs (`/dev/shm`) when the host has one, so fsync stays out of
+//! the budget.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fs;
+use std::fs::{self, File, OpenOptions};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
-use p4lru::durable::failpoint::truncate_tail;
+use p4lru::durable::failpoint::{truncate_tail, zero_tail};
+use p4lru::durable::record::{DEL_PAYLOAD_BYTES, RECORD_HEADER_BYTES, SET_PAYLOAD_BYTES};
 use p4lru::durable::wal::segment_file_name;
 use p4lru::durable::{DurabilityConfig, LogCommit, SyncPolicy};
 use p4lru::kvstore::Record;
@@ -74,6 +81,9 @@ enum Protocol {
     GetSkipsBuffer,
     /// The cut is reported synced and released before it runs.
     ReleaseBeforeRun,
+    /// The cut is reported synced and released once it is written, before
+    /// its fsync returns.
+    ReleaseBeforeFsync,
     /// The cut is reported synced (clearing `committing`) right after it is
     /// taken; it runs, and its replies are released, only after that.
     ClearAtCut,
@@ -105,6 +115,7 @@ impl Protocol {
         match self {
             Protocol::Real | Protocol::GetSkipsBuffer => &[Cut, Run, Fsync, SyncedRelease],
             Protocol::ReleaseBeforeRun => &[Cut, SyncedRelease, Run, Fsync],
+            Protocol::ReleaseBeforeFsync => &[Cut, Run, SyncedRelease, Fsync],
             Protocol::ClearAtCut => &[Cut, Synced, Run, Fsync, Release],
         }
     }
@@ -163,9 +174,10 @@ type Recovered = (u64, [Option<u64>; 2]);
 type Writes = Vec<(usize, Option<u64>)>;
 
 /// Recoveries already run, by what the crashed disk held: the writes in
-/// the segment and how many of its bytes survived. Recovery is a function
-/// of the bytes, and most crashes leave bytes an earlier one left.
-type Recoveries = HashMap<(Writes, u64), Recovered>;
+/// the segment, how many of its bytes survived, and whether its pre-sized
+/// length did. Recovery is a function of the bytes, and most crashes leave
+/// bytes an earlier one left.
+type Recoveries = HashMap<(Writes, u64, bool), Recovered>;
 
 struct World<'a> {
     protocol: Protocol,
@@ -179,8 +191,8 @@ struct World<'a> {
     /// The cut taken and not yet run, and its last sequence number.
     cut: Option<LogCommit>,
     cut_seq: u64,
-    /// The WAL segment: how many writes and bytes reached it, and its
-    /// length as of the last fsync.
+    /// The WAL segment: how many writes and bytes of records reached it,
+    /// and the bytes of records as of the last fsync.
     segment: PathBuf,
     written: (usize, u64),
     synced_len: u64,
@@ -207,8 +219,34 @@ fn tag(record: &Record) -> u64 {
     u64::from_le_bytes(record[..8].try_into().expect("a record is 64 bytes"))
 }
 
-fn len(path: &Path) -> u64 {
-    fs::metadata(path).expect("the segment exists").len()
+/// The on-disk bytes of the records of `writes`.
+fn wal_bytes(writes: &[(usize, Option<u64>)]) -> u64 {
+    let payload = |value: Option<u64>| match value {
+        Some(_) => SET_PAYLOAD_BYTES,
+        None => DEL_PAYLOAD_BYTES,
+    };
+    writes
+        .iter()
+        .map(|&(_, value)| (RECORD_HEADER_BYTES + payload(value)) as u64)
+        .sum()
+}
+
+/// A sparse copy of the live segment at `from`: its first `written` bytes
+/// (its records), then a hole up to its pre-sized length. Returns that
+/// length.
+fn copy_segment(from: &Path, written: u64, to: &Path) -> u64 {
+    let mut records = Vec::new();
+    File::open(from)
+        .and_then(|file| file.take(written).read_to_end(&mut records))
+        .expect("the segment reads");
+    fs::write(to, &records).expect("the copy succeeds");
+    let len = fs::metadata(from).expect("the segment exists").len();
+    OpenOptions::new()
+        .write(true)
+        .open(to)
+        .and_then(|file| file.set_len(len))
+        .expect("the copy is pre-sized");
+    len
 }
 
 impl<'a> World<'a> {
@@ -222,8 +260,6 @@ impl<'a> World<'a> {
         shard
             .enable_durability_fresh(dir, &config())
             .expect("a fresh shard directory");
-        let segment = dir.join(segment_file_name(1));
-        let synced_len = len(&segment);
         Self {
             protocol,
             dir,
@@ -240,9 +276,9 @@ impl<'a> World<'a> {
             phase: 0,
             cut: None,
             cut_seq: 0,
-            segment,
-            written: (0, synced_len),
-            synced_len,
+            segment: dir.join(segment_file_name(1)),
+            written: (0, 0),
+            synced_len: 0,
             trace: Vec::new(),
         }
     }
@@ -342,7 +378,8 @@ impl<'a> World<'a> {
             Phase::Run => {
                 let cut = self.cut.take().expect("a cut to run");
                 cut.run().map_err(|e| format!("the commit failed: {e}"))?;
-                self.written = (self.cut_seq as usize, len(&self.segment));
+                let records = self.cut_seq as usize;
+                self.written = (records, wal_bytes(&self.writes[..records]));
                 return Ok(Did::Disk);
             }
             Phase::Fsync => {
@@ -400,33 +437,45 @@ impl<'a> World<'a> {
         }
         lens.dedup();
         for len in lens {
-            let disk = (self.writes[..records].to_vec(), len);
-            let recovered = match recoveries.get(&disk) {
-                Some(&recovered) => recovered,
-                None => {
-                    let recovered = self.recover(written - len)?;
-                    recoveries.insert(disk, recovered);
-                    recovered
-                }
-            };
-            self.check(len, recovered)?;
+            for sized in [true, false] {
+                let disk = (self.writes[..records].to_vec(), len, sized);
+                let recovered = match recoveries.get(&disk) {
+                    Some(&recovered) => recovered,
+                    None => {
+                        let recovered = self.recover(len, sized)?;
+                        recoveries.insert(disk, recovered);
+                        recovered
+                    }
+                };
+                self.check(len, recovered)?;
+            }
         }
         Ok(())
     }
 
-    /// Recovers a copy of the shard directory whose WAL segment lost its
-    /// last `cut` bytes.
-    fn recover(&self, cut: u64) -> Result<Recovered, String> {
+    /// Recovers a copy of the shard directory whose WAL segment kept only
+    /// its first `keep` bytes: the rest zeroed up to its pre-sized length
+    /// (`sized`), or cut off.
+    fn recover(&self, keep: u64, sized: bool) -> Result<Recovered, String> {
         let copy = self.dir.with_extension("crashed");
         let _ = fs::remove_dir_all(&copy);
         fs::create_dir_all(&copy).expect("a crash directory");
+        let segment = copy.join(self.segment.file_name().expect("a file"));
+        let mut presized = 0;
         for entry in fs::read_dir(self.dir).expect("the shard directory lists") {
             let path = entry.expect("a directory entry").path();
-            fs::copy(&path, copy.join(path.file_name().expect("a file")))
-                .expect("the copy succeeds");
+            if path == self.segment {
+                presized = copy_segment(&path, self.written.1, &segment);
+            } else {
+                fs::copy(&path, copy.join(path.file_name().expect("a file")))
+                    .expect("the copy succeeds");
+            }
         }
-        let segment = copy.join(self.segment.file_name().expect("a file"));
-        truncate_tail(&segment, cut).expect("the tail is cut");
+        if sized {
+            zero_tail(&segment, keep).expect("the tail is zeroed");
+        } else {
+            truncate_tail(&segment, presized - keep).expect("the tail is cut");
+        }
         let mut shard =
             Shard::recover(16, 7, &copy, &config()).map_err(|e| format!("recovery failed: {e}"))?;
         // The restarted process's gate: the dead one's replies are gone,
@@ -738,6 +787,14 @@ fn the_explorer_catches_a_batch_released_before_its_cut_ran() {
     exhaust(Protocol::ReleaseBeforeRun).unwrap_or_else(|e| panic!("{e}"));
 }
 
+/// The same exhaustive run, with each cut released before its fsync: only
+/// the crashes that keep less than the written records can tell.
+#[test]
+#[should_panic(expected = "acked write lost")]
+fn the_explorer_catches_a_batch_released_before_its_fsync() {
+    exhaust(Protocol::ReleaseBeforeFsync).unwrap_or_else(|e| panic!("{e}"));
+}
+
 /// The same exhaustive run, with `committing` cleared at the cut.
 #[test]
 #[should_panic(expected = "acked read not durable")]
@@ -748,9 +805,9 @@ fn the_explorer_catches_committing_cleared_at_the_cut() {
 /// The schedule each defect was first caught on, replayed step by step:
 /// loop 1 SETs key 0, and loop 0 GETs it at once (caught without the
 /// buffered check), or the commit thread cuts and reports the SET synced
-/// before it runs (caught releasing early), or before the GET comes
-/// (caught clearing `committing` at the cut). On each, the real protocol
-/// holds the GET, or the SET's ack, until the fsync.
+/// before it runs or before its fsync (caught releasing early), or before
+/// the GET comes (caught clearing `committing` at the cut). On each, the
+/// real protocol holds the GET, or the SET's ack, until the fsync.
 #[test]
 fn each_defect_fails_on_its_own_schedule_and_the_real_gate_passes_it() {
     let scripts = [vec![(Kind::Get, 0)], vec![(Kind::Set, 0)]];
@@ -763,6 +820,11 @@ fn each_defect_fails_on_its_own_schedule_and_the_real_gate_passes_it() {
             "acked read not durable",
         ),
         (Protocol::ReleaseBeforeRun, &[1, 1, 1], "acked write lost"),
+        (
+            Protocol::ReleaseBeforeFsync,
+            &[1, 1, 1, 1],
+            "acked write lost",
+        ),
         (
             Protocol::ClearAtCut,
             &[1, 1, 1, 0],
