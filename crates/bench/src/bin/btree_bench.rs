@@ -119,12 +119,12 @@ fn measure_size(n: u64, probe_count: usize, zipf: bool) -> f64 {
     // flips them to hash mode before the measured pass.
     let mut warm = 0u64;
     for k in 0..n {
-        warm = warm.wrapping_add(*slot_tree.lookup_hot(&k).0.expect("key exists"));
+        warm = warm.wrapping_add(slot_tree.lookup_hot(&k).0.expect("key exists"));
     }
     black_box(warm);
     slot_tree.apply_adaptation();
     time_pass(&probe_keys, |k| {
-        *slot_tree.lookup_hot(k).0.expect("key exists")
+        slot_tree.lookup_hot(k).0.expect("key exists")
     })
 }
 

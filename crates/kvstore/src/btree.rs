@@ -39,6 +39,13 @@
 //! - **Sorted bulk load.** [`BPlusTree::from_sorted`] builds the tree
 //!   bottom-up from ascending entries with full leaves — no root-to-leaf
 //!   descent per key.
+//! - **Run leaves.** A leaf holds its values as an array, or as a *run*
+//!   `(first, step)` whose value `i` is `first + i·step` ([`Progression`]).
+//!   A bulk load hands out record addresses in key order, so its leaves are
+//!   runs and cost no value bytes; a lookup computes the value from the
+//!   slot it found. Overwrites through an upsert leave a run as it is;
+//!   any other write turns it into an array first, carved from chunks the
+//!   tree owns (`ValueArrays`).
 //!
 //! Deletion rebalances by borrowing from or merging with siblings; the root
 //! collapses when it loses its last separator.
@@ -76,20 +83,177 @@ const EPOCH_MASK: u64 = (1 << EPOCH_BITS) - 1;
 /// Largest leaf index the cache can remember (`leaf + 1` must fit the word).
 const MAX_CACHED_LEAF: u64 = (1 << (64 - EPOCH_BITS)) - 2;
 
+/// A value type a leaf can hold as a run: `Copy`, with a `u64` projection
+/// in which a run's value `i` is `first + i·step`.
+pub trait Progression: Copy {
+    /// The largest projection a value can have.
+    const MAX: u64;
+    /// The value's projection, or `None` for a value that has none (a
+    /// negative integer), which only an array leaf can hold.
+    fn to_u64(self) -> Option<u64>;
+    /// The value whose projection is `x` (`x <= MAX`).
+    fn from_u64(x: u64) -> Self;
+}
+
+macro_rules! progression {
+    ($($t:ty),*) => {$(
+        impl Progression for $t {
+            const MAX: u64 = <$t>::MAX as u64;
+            fn to_u64(self) -> Option<u64> {
+                u64::try_from(self).ok()
+            }
+            fn from_u64(x: u64) -> Self {
+                x as $t
+            }
+        }
+    )*};
+}
+
+progression!(u32, u64, usize, i32, i64);
+
+impl Progression for () {
+    const MAX: u64 = 0;
+    fn to_u64(self) -> Option<u64> {
+        Some(0)
+    }
+    fn from_u64(_: u64) -> Self {}
+}
+
+/// A leaf's values, in one of two forms the leaf picks for itself.
+#[derive(Clone, Copy, Debug)]
+enum Vals {
+    /// Value `i` is slot `i` of the leaf's array in [`ValueArrays`].
+    Array(ArrayId),
+    /// Value `i` is the one projecting to `first + i·step`: no bytes per
+    /// key. An empty leaf is an empty run.
+    Run { first: u64, step: u64 },
+}
+
+impl Vals {
+    /// A run if `values` are `first + i·step` for one `step` (a lone value
+    /// is a run of the slab's step, 1).
+    fn run_of<V: Progression>(mut values: impl Iterator<Item = V>) -> Option<Self> {
+        let first = values.next()?.to_u64()?;
+        let (mut prev, mut step) = (first, None);
+        for v in values {
+            let x = v.to_u64()?;
+            let d = x.checked_sub(prev)?;
+            if *step.get_or_insert(d) != d {
+                return None;
+            }
+            prev = x;
+        }
+        Some(Self::Run {
+            first,
+            step: step.unwrap_or(1),
+        })
+    }
+}
+
+/// An array leaf's array: array `at` of chunk `chunk` in [`ValueArrays`].
+#[derive(Clone, Copy, Debug)]
+struct ArrayId {
+    chunk: u32,
+    at: u32,
+}
+
+/// The value arrays of a tree's array leaves, `width` slots each (an
+/// insert overfills a leaf by one before it splits), the first `len` of
+/// which hold the leaf's values.
+///
+/// Arrays are carved from chunks, each as large as all the chunks before
+/// it, and a freed array is reused before a chunk is added. A bulk-built
+/// tree makes its arrays while it serves writes: one small allocation per
+/// leaf, made on the request path among its short-lived buffers, kept
+/// those buffers' pages resident; a few large chunks do not.
+#[derive(Clone, Debug)]
+struct ValueArrays<V> {
+    width: usize,
+    chunks: Vec<Vec<V>>,
+    free: Vec<ArrayId>,
+}
+
+impl<V: Progression> ValueArrays<V> {
+    /// Arrays in the first chunk.
+    const FIRST_CHUNK: usize = 64;
+
+    fn new(width: usize) -> Self {
+        Self {
+            width,
+            chunks: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Arrays handed out so far, in use or freed.
+    fn made(&self) -> usize {
+        self.chunks.iter().map(|c| c.len() / self.width).sum()
+    }
+
+    /// An array for a leaf to fill; what its slots hold is left over.
+    fn alloc(&mut self) -> ArrayId {
+        if let Some(id) = self.free.pop() {
+            return id;
+        }
+        let width = self.width;
+        if self
+            .chunks
+            .last()
+            .is_none_or(|c| c.len() + width > c.capacity())
+        {
+            let arrays = self.made().max(Self::FIRST_CHUNK);
+            self.chunks.push(Vec::with_capacity(arrays * width));
+        }
+        let chunk = self.chunks.len() - 1;
+        let c = &mut self.chunks[chunk];
+        let at = c.len() / width;
+        c.resize(c.len() + width, V::from_u64(0));
+        ArrayId {
+            chunk: chunk as u32,
+            at: at as u32,
+        }
+    }
+
+    fn release(&mut self, id: ArrayId) {
+        self.free.push(id);
+    }
+
+    fn get(&self, id: ArrayId) -> &[V] {
+        let start = id.at as usize * self.width;
+        &self.chunks[id.chunk as usize][start..start + self.width]
+    }
+
+    fn get_mut(&mut self, id: ArrayId) -> &mut [V] {
+        let start = id.at as usize * self.width;
+        &mut self.chunks[id.chunk as usize][start..start + self.width]
+    }
+
+    /// Heap bytes behind the chunks (capacity, not length) and the free
+    /// list.
+    fn heap_bytes(&self) -> usize {
+        let values: usize = self.chunks.iter().map(Vec::capacity).sum();
+        values * size_of::<V>()
+            + self.chunks.capacity() * size_of::<Vec<V>>()
+            + self.free.capacity() * size_of::<ArrayId>()
+    }
+}
+
 /// A leaf: each key stored once, as its encoding against the node prefix
-/// (`heads`, plus `tails` while the prefix is under four bytes), its value
-/// in the parallel `vals`, and the optional hash-bucket sidecar. A hit
-/// reads the head lines and one line of `vals`; no key copy is touched.
+/// (`heads`, plus `tails` while the prefix is under four bytes), its
+/// values (a run, or an array parallel to `heads` in the tree's
+/// [`ValueArrays`]), and the optional hash-bucket sidecar. A hit reads the
+/// head lines, plus one line of the array in an array leaf; no key copy is
+/// touched.
 #[derive(Debug)]
-struct Leaf<K, V> {
+struct Leaf<K> {
     /// Order-preserving 4-byte heads, one per entry, ascending.
     heads: Vec<u32>,
     /// Each rank's low four bytes, parallel to `heads` — filled only while
     /// `skip < 4`. With a prefix of four or more bytes `prefix ‖ head` is
     /// the whole rank and this stays empty.
     tails: Vec<u32>,
-    /// Values, parallel to `heads`.
-    vals: Vec<V>,
+    /// Values, one per head.
+    vals: Vals,
     /// Big-endian key bytes shared by every key in this node (count).
     skip: u8,
     /// The shared prefix itself, right-aligned ([`be_prefix`]).
@@ -109,12 +273,12 @@ struct Leaf<K, V> {
     key_type: PhantomData<fn() -> K>,
 }
 
-impl<K, V: Clone> Clone for Leaf<K, V> {
+impl<K> Clone for Leaf<K> {
     fn clone(&self) -> Self {
         Self {
             heads: self.heads.clone(),
             tails: self.tails.clone(),
-            vals: self.vals.clone(),
+            vals: self.vals,
             skip: self.skip,
             prefix: self.prefix,
             buckets: self.buckets,
@@ -136,9 +300,9 @@ struct Inner<K> {
 }
 
 #[derive(Clone, Debug)]
-enum Node<K, V> {
+enum Node<K> {
     Inner(Inner<K>),
-    Leaf(Leaf<K, V>),
+    Leaf(Leaf<K>),
 }
 
 /// The head-array half of a node search: the run of slots whose head
@@ -190,12 +354,12 @@ fn search_run<T: Ord>(items: &[T], run: Range<usize>, x: &T) -> Result<usize, us
     }
 }
 
-impl<K: IndexKey, V> Leaf<K, V> {
+impl<K: IndexKey> Leaf<K> {
     fn empty() -> Self {
         Self {
             heads: Vec::new(),
             tails: Vec::new(),
-            vals: Vec::new(),
+            vals: Vals::Run { first: 0, step: 1 },
             skip: 0,
             prefix: 0,
             buckets: [0; INLINE_BUCKETS],
@@ -206,7 +370,7 @@ impl<K: IndexKey, V> Leaf<K, V> {
     }
 
     /// A sorted-mode leaf over strictly ascending `ranks` and their values.
-    fn from_parts(ranks: &[u64], vals: Vec<V>) -> Self {
+    fn from_parts(ranks: &[u64], vals: Vals) -> Self {
         let mut leaf = Self::empty();
         leaf.vals = vals;
         leaf.encode(ranks);
@@ -214,11 +378,47 @@ impl<K: IndexKey, V> Leaf<K, V> {
     }
 
     fn len(&self) -> usize {
-        self.vals.len()
+        self.heads.len()
     }
 
     fn is_empty(&self) -> bool {
-        self.vals.is_empty()
+        self.heads.is_empty()
+    }
+
+    /// The value stored at slot `i`: read from the leaf's array, or
+    /// computed from the run with no load beyond the leaf itself.
+    fn value<V: Progression>(&self, i: usize, arrays: &ValueArrays<V>) -> V {
+        match self.vals {
+            Vals::Array(id) => arrays.get(id)[i],
+            Vals::Run { first, step } => V::from_u64(first + i as u64 * step),
+        }
+    }
+
+    /// The value under `key`, if the leaf holds it.
+    fn get<V: Progression>(&self, key: &K, rank: u64, arrays: &ValueArrays<V>) -> Option<V> {
+        self.find(key, rank).map(|i| self.value(i, arrays))
+    }
+
+    /// The leaf's array, turning a run into one first.
+    fn array_id<V: Progression>(&mut self, arrays: &mut ValueArrays<V>) -> ArrayId {
+        if let Vals::Run { first, step } = self.vals {
+            let id = arrays.alloc();
+            for (i, v) in arrays.get_mut(id)[..self.len()].iter_mut().enumerate() {
+                *v = V::from_u64(first + i as u64 * step);
+            }
+            self.vals = Vals::Array(id);
+        }
+        let Vals::Array(id) = self.vals else {
+            unreachable!("the run was just turned into an array")
+        };
+        id
+    }
+
+    /// The leaf's array for writing (its first `len` slots hold the
+    /// values), turning a run into one first.
+    fn array<'a, V: Progression>(&mut self, arrays: &'a mut ValueArrays<V>) -> &'a mut [V] {
+        let id = self.array_id(arrays);
+        arrays.get_mut(id)
     }
 
     /// The rank stored at slot `i`, rebuilt from the prefix, its head and
@@ -242,7 +442,6 @@ impl<K: IndexKey, V> Leaf<K, V> {
     /// shared prefix, each head against it, and tails only while that
     /// prefix is under four bytes (dropped otherwise).
     fn encode(&mut self, ranks: &[u64]) {
-        debug_assert_eq!(ranks.len(), self.vals.len());
         let (Some(&lo), Some(&hi)) = (ranks.first(), ranks.last()) else {
             self.skip = 0;
             self.prefix = 0;
@@ -285,7 +484,8 @@ impl<K: IndexKey, V> Leaf<K, V> {
         search_run(&self.tails, run, &(rank as u32))
     }
 
-    /// Point lookup: hash probe in hash mode, head search otherwise.
+    /// Point lookup of a slot: hash probe in hash mode, head search
+    /// otherwise.
     fn find(&self, key: &K, rank: u64) -> Option<usize> {
         if self.hash {
             self.hash_find(key, rank)
@@ -371,33 +571,46 @@ impl<K: IndexKey, V> Leaf<K, V> {
 
     /// Inserts `rank → value` at position `i`, extending the head (and
     /// tail) arrays incrementally when the new key shares the node prefix
-    /// (the common case) and re-encoding the leaf otherwise.
-    fn insert_entry(&mut self, i: usize, rank: u64, value: V) {
-        if !self.is_empty() && be_prefix(rank, self.skip) == self.prefix {
+    /// (the common case) and re-encoding the leaf otherwise. A run leaf
+    /// turns into an array first.
+    fn insert_entry<V: Progression>(
+        &mut self,
+        i: usize,
+        rank: u64,
+        value: V,
+        arrays: &mut ValueArrays<V>,
+    ) {
+        let len = self.len();
+        let vals = self.array(arrays);
+        vals.copy_within(i..len, i + 1);
+        vals[i] = value;
+        if len > 0 && be_prefix(rank, self.skip) == self.prefix {
             self.heads.insert(i, head_at(rank, self.skip));
             if self.skip < 4 {
                 self.tails.insert(i, rank as u32);
             }
-            self.vals.insert(i, value);
         } else {
             let mut ranks = self.ranks();
             ranks.insert(i, rank);
-            self.vals.insert(i, value);
             self.encode(&ranks);
         }
     }
 
-    /// Removes slot `i`, returning its rank and value. Only the first and
-    /// last keys bound the shared prefix, so only their removal can grow
-    /// it; the leaf is re-encoded then (dropping tails once the prefix
-    /// reaches four bytes), and left as it is otherwise.
-    fn remove_entry(&mut self, i: usize) -> (u64, V) {
+    /// Removes slot `i`, returning its rank and value (a run leaf turns
+    /// into an array first). Only the first and last keys bound the shared
+    /// prefix, so only their removal can grow it; the leaf is re-encoded
+    /// then (dropping tails once the prefix reaches four bytes), and left
+    /// as it is otherwise.
+    fn remove_entry<V: Progression>(&mut self, i: usize, arrays: &mut ValueArrays<V>) -> (u64, V) {
         let rank = self.rank(i);
+        let len = self.len();
+        let vals = self.array(arrays);
+        let value = vals[i];
+        vals.copy_within(i + 1..len, i);
         self.heads.remove(i);
         if self.skip < 4 {
             self.tails.remove(i);
         }
-        let value = self.vals.remove(i);
         let len = self.len();
         if len > 0
             && (i == 0 || i == len)
@@ -409,28 +622,46 @@ impl<K: IndexKey, V> Leaf<K, V> {
     }
 
     /// Moves slots `mid..` out, as their ranks and values, and re-encodes
-    /// what stays (its shared prefix can only grow).
-    fn split_off(&mut self, mid: usize) -> (Vec<u64>, Vec<V>) {
+    /// what stays (its shared prefix can only grow). Only an insert
+    /// overfills a leaf, and it has made the leaf an array already.
+    fn split_off<V: Progression>(
+        &mut self,
+        mid: usize,
+        arrays: &mut ValueArrays<V>,
+    ) -> (Vec<u64>, Vals) {
         let mut ranks = self.ranks();
         let right = ranks.split_off(mid);
-        let vals = self.vals.split_off(mid);
+        let left = self.array_id(arrays);
+        let moved = arrays.alloc();
+        for i in 0..right.len() {
+            let v = arrays.get(left)[mid + i];
+            arrays.get_mut(moved)[i] = v;
+        }
         self.encode(&ranks);
-        (right, vals)
+        (right, Vals::Array(moved))
     }
 
     /// Appends every entry of `right`, whose keys all sort above this
-    /// leaf's.
-    fn append(&mut self, right: Self) {
+    /// leaf's (as an array: a merge turns runs into one), and frees
+    /// `right`'s array.
+    fn append<V: Progression>(&mut self, right: Self, arrays: &mut ValueArrays<V>) {
         let mut ranks = self.ranks();
         ranks.extend(right.ranks());
-        self.vals.extend(right.vals);
+        let (len, id) = (self.len(), self.array_id(arrays));
+        for i in 0..right.len() {
+            let v = right.value(i, arrays);
+            arrays.get_mut(id)[len + i] = v;
+        }
+        if let Vals::Array(r) = right.vals {
+            arrays.release(r);
+        }
         self.encode(&ranks);
     }
 
-    /// Heap bytes behind the leaf's arrays (capacity, not length).
+    /// Heap bytes behind the leaf's key arrays (capacity, not length); its
+    /// values are counted with [`ValueArrays`], or take none (a run).
     fn heap_bytes(&self) -> usize {
         (self.heads.capacity() + self.tails.capacity()) * size_of::<u32>()
-            + self.vals.capacity() * size_of::<V>()
     }
 }
 
@@ -498,10 +729,24 @@ impl<K: IndexKey> Inner<K> {
 /// A mutable handle to the slot a key occupies after an upsert descent.
 ///
 /// Returned by [`BPlusTree::get_or_insert_with`]: one root-to-leaf walk
-/// resolves both "was it there?" and "where does the value live?".
+/// resolves both "was it there?" and "where does the value live?". The
+/// handle points into an array, so a run leaf turns into one to give it
+/// out; [`BPlusTree::upsert_with`] answers by copy and keeps the run.
 pub struct SlotRef<'a, V> {
     /// The value now stored under the key (the old one if `existed`).
     pub value: &'a mut V,
+    /// Whether the key already existed (the factory was not called).
+    pub existed: bool,
+    /// Nodes visited by the descent (the tree height).
+    pub visits: usize,
+}
+
+/// What one find-or-insert walk ([`BPlusTree::upsert_with`]) found or
+/// placed under a key, by copy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Upsert<V> {
+    /// The value now stored under the key (the old one if `existed`).
+    pub value: V,
     /// Whether the key already existed (the factory was not called).
     pub existed: bool,
     /// Nodes visited by the descent (the tree height).
@@ -518,14 +763,16 @@ pub struct SlotRef<'a, V> {
 ///     index.insert(k, k * 2);
 /// }
 /// let (value, node_visits) = index.lookup(&500);
-/// assert_eq!(value, Some(&1000));
+/// assert_eq!(value, Some(1000));
 /// assert_eq!(node_visits, index.height());
 /// assert_eq!(index.range(&10, &13).count(), 3);
 /// ```
 #[derive(Debug)]
 pub struct BPlusTree<K, V> {
-    nodes: Vec<Node<K, V>>,
+    nodes: Vec<Node<K>>,
     free: Vec<u32>,
+    /// The arrays of the array leaves.
+    arrays: ValueArrays<V>,
     root: u32,
     len: usize,
     max_keys: usize,
@@ -546,6 +793,7 @@ impl<K: Clone, V: Clone> Clone for BPlusTree<K, V> {
         Self {
             nodes: self.nodes.clone(),
             free: self.free.clone(),
+            arrays: self.arrays.clone(),
             root: self.root,
             len: self.len,
             max_keys: self.max_keys,
@@ -557,7 +805,7 @@ impl<K: Clone, V: Clone> Clone for BPlusTree<K, V> {
     }
 }
 
-impl<K: IndexKey, V> BPlusTree<K, V> {
+impl<K: IndexKey, V: Progression> BPlusTree<K, V> {
     /// A tree whose nodes hold at most `max_keys` keys (fan-out
     /// `max_keys + 1`). Databases use fan-outs in the tens to hundreds;
     /// the default elsewhere in this workspace is 64.
@@ -569,6 +817,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
         Self {
             nodes: vec![Node::Leaf(Leaf::empty())],
             free: Vec::new(),
+            arrays: ValueArrays::new(max_keys + 1),
             root: 0,
             len: 0,
             max_keys,
@@ -580,8 +829,9 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
     }
 
     /// Builds the tree bottom-up from strictly ascending `(key, value)`
-    /// entries: full leaves, no per-key descent. A [`SortedLoad`] run to
-    /// completion — the streaming form `Database`'s bulk build drives.
+    /// entries: full leaves, no per-key descent, each leaf a run where its
+    /// values form one. A [`SortedLoad`] run to completion — the streaming
+    /// form `Database`'s bulk build drives.
     ///
     /// # Panics
     /// Panics if `max_keys < 3` or the keys are not strictly ascending.
@@ -618,8 +868,9 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
     }
 
     /// Heap bytes the index occupies: every arena slot (in use or not) plus
-    /// every node array's capacity times its element size. A deterministic
-    /// diagnostic of the layout's bytes per key, not a resident-set figure.
+    /// every node array's and value chunk's capacity times its element
+    /// size. A deterministic diagnostic of the layout's bytes per key, not
+    /// a resident-set figure.
     pub fn heap_bytes(&self) -> usize {
         let arrays: usize = self
             .nodes
@@ -629,8 +880,9 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                 Node::Leaf(leaf) => leaf.heap_bytes(),
             })
             .sum();
-        self.nodes.capacity() * size_of::<Node<K, V>>()
+        self.nodes.capacity() * size_of::<Node<K>>()
             + self.free.capacity() * size_of::<u32>()
+            + self.arrays.heap_bytes()
             + arrays
     }
 
@@ -638,7 +890,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
         self.max_keys / 2
     }
 
-    fn alloc(&mut self, node: Node<K, V>) -> u32 {
+    fn alloc(&mut self, node: Node<K>) -> u32 {
         self.epoch += 1;
         if let Some(idx) = self.free.pop() {
             self.nodes[idx as usize] = node;
@@ -679,11 +931,11 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
     /// Looks up `key` with a full root-to-leaf descent, returning the value
     /// and the number of nodes visited (always the tree height). This is
     /// the cost-model entry point; hot paths use [`Self::lookup_hot`].
-    pub fn lookup(&self, key: &K) -> (Option<&V>, usize) {
+    pub fn lookup(&self, key: &K) -> (Option<V>, usize) {
         self.lookup_cold(key, key.rank64())
     }
 
-    fn lookup_cold(&self, key: &K, rank: u64) -> (Option<&V>, usize) {
+    fn lookup_cold(&self, key: &K, rank: u64) -> (Option<V>, usize) {
         let mut cur = self.root;
         let mut visits = 0usize;
         loop {
@@ -695,7 +947,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                 Node::Leaf(leaf) => {
                     leaf.note_point();
                     self.cache_store(cur);
-                    return (leaf.find(key, rank).map(|i| &leaf.vals[i]), visits);
+                    return (leaf.get(key, rank, &self.arrays), visits);
                 }
             }
         }
@@ -705,7 +957,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
     /// fence keys still cover `key`, the answer costs ~1 node visit;
     /// otherwise this falls back to a full descent (which re-arms the
     /// cache).
-    pub fn lookup_hot(&self, key: &K) -> (Option<&V>, usize) {
+    pub fn lookup_hot(&self, key: &K) -> (Option<V>, usize) {
         let rank = key.rank64();
         if let Some(idx) = self.cached_leaf() {
             if let Node::Leaf(leaf) = &self.nodes[idx as usize] {
@@ -717,7 +969,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                 if !leaf.is_empty() && rank >= leaf.rank(0) && rank <= leaf.rank(leaf.len() - 1) {
                     self.descent_hits.fetch_add(1, Relaxed);
                     leaf.note_point();
-                    return (leaf.find(key, rank).map(|i| &leaf.vals[i]), 1);
+                    return (leaf.get(key, rank, &self.arrays), 1);
                 }
             }
         }
@@ -729,17 +981,14 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
     /// at `height` visits each, but with the keys descending together.
     ///
     /// One key's walk is a chain of dependent cache misses (node, head
-    /// array, child or entry array, then the next node). The run walks
+    /// array, child or value array, then the next node). The run walks
     /// level by level instead: at each level it first touches every key's
-    /// node, head array and child or entry array with loads that depend on
+    /// node, head array and child or value array with loads that depend on
     /// nothing but that key's own node index, so the misses of up to
     /// `RUN_WIDTH` (16) keys are in flight at once, and only then steps each
     /// key through its already-fetched node. The descent cache is left
     /// pointing at the run's last leaf.
-    pub fn lookup_run(&self, keys: &[K], out: &mut Vec<Option<V>>)
-    where
-        V: Copy,
-    {
+    pub fn lookup_run(&self, keys: &[K], out: &mut Vec<Option<V>>) {
         out.clear();
         for chunk in keys.chunks(RUN_WIDTH) {
             let mut cursors = [self.root; RUN_WIDTH];
@@ -765,7 +1014,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                     unreachable!("an inner node at the tree's height");
                 };
                 leaf.note_point();
-                out.push(leaf.find(key, key.rank64()).map(|i| leaf.vals[i]));
+                out.push(leaf.get(key, key.rank64(), &self.arrays));
             }
             if let Some(&last) = cursors.last() {
                 self.cache_store(last);
@@ -775,12 +1024,10 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
 
     /// Starts the loads `key`'s step through `node` will make: the node
     /// itself, every cache line of its head array, and its child array
-    /// (inner) or its bucket byte, tails and first value (leaf). The values
-    /// are discarded; only the cache fills matter.
-    fn touch(&self, node: u32, key: &K)
-    where
-        V: Copy,
-    {
+    /// (inner) or its bucket byte, tails and first array value (leaf; a
+    /// run has no value line to fetch). The values are discarded; only the
+    /// cache fills matter.
+    fn touch(&self, node: u32, key: &K) {
         const LINE_U32S: usize = 16;
         let heads = match &self.nodes[node as usize] {
             Node::Inner(inner) => {
@@ -792,8 +1039,8 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
             Node::Leaf(leaf) => {
                 if leaf.hash {
                     black_box(leaf.buckets[(key.hash64() as usize) & (INLINE_BUCKETS - 1)]);
-                } else if let Some(&v) = leaf.vals.first() {
-                    black_box(v);
+                } else if let Vals::Array(id) = leaf.vals {
+                    black_box(self.arrays.get(id)[0]);
                 }
                 for tail in leaf.tails.iter().step_by(LINE_U32S) {
                     black_box(*tail);
@@ -807,25 +1054,66 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
     }
 
     /// Plain lookup (descent-cache-aware).
-    pub fn get(&self, key: &K) -> Option<&V> {
+    pub fn get(&self, key: &K) -> Option<V> {
         self.lookup_hot(key).0
     }
 
     /// Inserts `key → value`; returns the previous value if the key existed.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         let mut carry = Some(value);
-        let slot = self.get_or_insert_with(key, || carry.take().expect("fresh key consumes value"));
-        match carry.take() {
-            // The factory ran: the value is already in the tree.
-            None => None,
-            Some(v) => Some(std::mem::replace(slot.value, v)),
-        }
+        let (leaf, slot, _) =
+            self.find_or_insert(key, || carry.take().expect("fresh key consumes value"));
+        // No carry left: the factory ran, the value is already in the tree.
+        let value = carry?;
+        Some(std::mem::replace(self.slot_mut(leaf, slot), value))
     }
 
     /// Resolves `key` to its value slot in **one** root-to-leaf walk,
-    /// inserting `make()` if absent. This is the single-walk upsert the
-    /// database layer uses instead of a `get` + `insert` pair.
+    /// inserting `make()` if absent, and hands out the slot for writing.
     pub fn get_or_insert_with<F>(&mut self, key: K, make: F) -> SlotRef<'_, V>
+    where
+        F: FnOnce() -> V,
+    {
+        let (leaf, slot, existed) = self.find_or_insert(key, make);
+        let visits = self.height;
+        SlotRef {
+            value: self.slot_mut(leaf, slot),
+            existed,
+            visits,
+        }
+    }
+
+    /// Resolves `key` to its value in **one** root-to-leaf walk, inserting
+    /// `make()` if absent. This is the single-walk upsert the database
+    /// layer uses instead of a `get` + `insert` pair; finding a key leaves
+    /// its leaf as it was.
+    pub fn upsert_with<F>(&mut self, key: K, make: F) -> Upsert<V>
+    where
+        F: FnOnce() -> V,
+    {
+        let (leaf, slot, existed) = self.find_or_insert(key, make);
+        let Node::Leaf(leaf) = &self.nodes[leaf as usize] else {
+            unreachable!("upsert landed on an inner node")
+        };
+        Upsert {
+            value: leaf.value(slot, &self.arrays),
+            existed,
+            visits: self.height,
+        }
+    }
+
+    /// Slot `slot` of leaf `leaf`'s array, for writing (a run leaf turns
+    /// into an array first).
+    fn slot_mut(&mut self, leaf: u32, slot: usize) -> &mut V {
+        let Node::Leaf(leaf) = &mut self.nodes[leaf as usize] else {
+            unreachable!("upsert landed on an inner node")
+        };
+        &mut leaf.array(&mut self.arrays)[slot]
+    }
+
+    /// The walk behind every upsert: the leaf and slot now holding `key`
+    /// (after any split), and whether it existed.
+    fn find_or_insert<F>(&mut self, key: K, make: F) -> (u32, usize, bool)
     where
         F: FnOnce() -> V,
     {
@@ -844,15 +1132,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
             self.len += 1;
         }
         self.cache_store(leaf);
-        let visits = self.height;
-        match &mut self.nodes[leaf as usize] {
-            Node::Leaf(l) => SlotRef {
-                value: &mut l.vals[slot],
-                existed,
-                visits,
-            },
-            Node::Inner(_) => unreachable!("upsert landed on an inner node"),
-        }
+        (leaf, slot, existed)
     }
 
     #[allow(clippy::type_complexity)]
@@ -883,7 +1163,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                         (node, i, true, None)
                     }
                     Err(i) => {
-                        leaf.insert_entry(i, rank, make());
+                        leaf.insert_entry(i, rank, make(), &mut self.arrays);
                         if leaf.len() <= max_keys {
                             leaf.adapt();
                             return (node, i, false, None);
@@ -892,7 +1172,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                         // first key of the right half (it stays in the
                         // leaf — B+ style).
                         let mid = leaf.len() / 2;
-                        let (r_ranks, r_vals) = leaf.split_off(mid);
+                        let (r_ranks, r_vals) = leaf.split_off(mid, &mut self.arrays);
                         leaf.hash = false;
                         *leaf.mix.get_mut() = 0;
                         let sep = K::from_rank64(r_ranks[0]);
@@ -965,7 +1245,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                 match &mut self.nodes[node as usize] {
                     Node::Leaf(leaf) => match leaf.search(rank) {
                         Ok(i) => {
-                            let (_, v) = leaf.remove_entry(i);
+                            let (_, v) = leaf.remove_entry(i, &mut self.arrays);
                             leaf.adapt();
                             (Some(v), leaf.len() < min)
                         }
@@ -1056,12 +1336,12 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
         let is_leaf = matches!(self.nodes[child as usize], Node::Leaf(_));
         if is_leaf {
             let (r, v) = match &mut self.nodes[left as usize] {
-                Node::Leaf(leaf) => leaf.remove_entry(leaf.len() - 1),
+                Node::Leaf(leaf) => leaf.remove_entry(leaf.len() - 1, &mut self.arrays),
                 Node::Inner(_) => unreachable!(),
             };
             let new_sep = K::from_rank64(r);
             match &mut self.nodes[child as usize] {
-                Node::Leaf(leaf) => leaf.insert_entry(0, r, v),
+                Node::Leaf(leaf) => leaf.insert_entry(0, r, v, &mut self.arrays),
                 Node::Inner(_) => unreachable!(),
             }
             match &mut self.nodes[parent as usize] {
@@ -1103,13 +1383,13 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
         if is_leaf {
             let (r, v, new_sep) = match &mut self.nodes[right as usize] {
                 Node::Leaf(leaf) => {
-                    let (r, v) = leaf.remove_entry(0);
+                    let (r, v) = leaf.remove_entry(0, &mut self.arrays);
                     (r, v, leaf.key(0))
                 }
                 Node::Inner(_) => unreachable!(),
             };
             match &mut self.nodes[child as usize] {
-                Node::Leaf(leaf) => leaf.insert_entry(leaf.len(), r, v),
+                Node::Leaf(leaf) => leaf.insert_entry(leaf.len(), r, v, &mut self.arrays),
                 Node::Inner(_) => unreachable!(),
             }
             match &mut self.nodes[parent as usize] {
@@ -1158,7 +1438,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
         self.epoch += 1;
         self.free.push(right);
         match (&mut self.nodes[left as usize], right_node) {
-            (Node::Leaf(leaf), Node::Leaf(r)) => leaf.append(r),
+            (Node::Leaf(leaf), Node::Leaf(r)) => leaf.append(r, &mut self.arrays),
             (Node::Inner(inner), Node::Inner(r)) => {
                 inner.keys.push(sep);
                 inner.keys.extend(r.keys);
@@ -1207,7 +1487,7 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
     }
 
     /// All `(key, value)` pairs with `start <= key < end`.
-    pub fn range<'a>(&'a self, start: &K, end: &'a K) -> impl Iterator<Item = (K, &'a V)> {
+    pub fn range<'a>(&'a self, start: &K, end: &'a K) -> impl Iterator<Item = (K, V)> + 'a {
         self.iter_from(start).take_while(move |(k, _)| k < end)
     }
 
@@ -1228,7 +1508,11 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
     /// keys' prefix-truncated encodings, leaf tails present exactly while
     /// the leaf prefix is under four bytes, every leaf key (rebuilt from
     /// its prefix, head and tail) sorting strictly between its neighbours,
-    /// and hash sidecars resolving every resident key.
+    /// and hash sidecars resolving every resident key — and for values:
+    /// every run value fits the value type ([`Progression::MAX`]), and
+    /// every array the tree made is owned by exactly one array leaf or is
+    /// free, so no run leaf owns one and `heap_bytes` counts an array only
+    /// for an array leaf or the free list.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut count = 0usize;
         let depth = self.check_rec(self.root, None, None, true, &mut count)?;
@@ -1237,6 +1521,33 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
         }
         if count != self.len {
             return Err(format!("len {} but counted {count}", self.len));
+        }
+        // Every array made is owned by exactly one array leaf or is free.
+        let width = self.arrays.width;
+        let mut seen: Vec<Vec<bool>> = self
+            .arrays
+            .chunks
+            .iter()
+            .map(|c| vec![false; c.len() / width])
+            .collect();
+        let leaves = self.nodes.iter().filter_map(|node| match node {
+            Node::Leaf(Leaf {
+                vals: Vals::Array(id),
+                ..
+            }) => Some(*id),
+            _ => None,
+        });
+        for id in leaves.chain(self.arrays.free.iter().copied()) {
+            let slot = seen
+                .get_mut(id.chunk as usize)
+                .and_then(|chunk| chunk.get_mut(id.at as usize))
+                .ok_or_else(|| format!("value array {id:?} was never made"))?;
+            if std::mem::replace(slot, true) {
+                return Err(format!("value array {id:?} is owned twice"));
+            }
+        }
+        if seen.iter().flatten().any(|&owned| !owned) {
+            return Err("a value array is neither owned nor free".to_owned());
         }
         Ok(())
     }
@@ -1283,8 +1594,21 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
                 if leaf.len() > self.max_keys {
                     return Err(format!("leaf {node}: overfull"));
                 }
-                if leaf.heads.len() != leaf.len() {
-                    return Err(format!("leaf {node}: head/value arity mismatch"));
+                match leaf.vals {
+                    Vals::Array(_) => {}
+                    Vals::Run { first, step } => {
+                        let last = (leaf.len() as u64)
+                            .checked_sub(1)
+                            .map(|i| step.checked_mul(i)?.checked_add(first));
+                        if last.is_some_and(|x| x.is_none_or(|x| x > V::MAX)) {
+                            return Err(format!(
+                                "leaf {node}: run ({first}, {step}) over {} keys passes \
+                                 the value type's max {}",
+                                leaf.len(),
+                                V::MAX
+                            ));
+                        }
+                    }
                 }
                 let want_tails = if leaf.skip < 4 { leaf.len() } else { 0 };
                 if leaf.tails.len() != want_tails {
@@ -1365,15 +1689,17 @@ impl<K: IndexKey, V> BPlusTree<K, V> {
 
 /// A [`BPlusTree`] bulk load in progress: strictly ascending entries go
 /// straight into leaves, and each leaf is placed in the arena as soon as it
-/// fills. Only the newest full leaf is held back, so [`Self::finish`] can
-/// rebalance it with an underfull tail; the level above needs one
-/// `(low key, node)` pair per leaf.
+/// fills — as a run when its values form one, so no value array is ever
+/// allocated for it. Only the newest full leaf is held back, so
+/// [`Self::finish`] can rebalance it with an underfull tail; the level
+/// above needs one `(low key, node)` pair per leaf.
 #[derive(Debug)]
 pub(crate) struct SortedLoad<K, V> {
     tree: BPlusTree<K, V>,
     /// The newest full leaf, not yet placed.
     held: Vec<(K, V)>,
-    /// The leaf being filled.
+    /// The leaf being filled. It and `held` swap buffers, so the load
+    /// allocates no entry buffer per leaf.
     cur: Vec<(K, V)>,
     /// Every placed leaf's lowest key and node index.
     leaves: Vec<(K, u32)>,
@@ -1381,7 +1707,7 @@ pub(crate) struct SortedLoad<K, V> {
     ranks: Vec<u64>,
 }
 
-impl<K: IndexKey, V> SortedLoad<K, V> {
+impl<K: IndexKey, V: Progression> SortedLoad<K, V> {
     /// An empty load into leaves of `max_keys` entries.
     ///
     /// # Panics
@@ -1391,7 +1717,7 @@ impl<K: IndexKey, V> SortedLoad<K, V> {
         tree.nodes.clear();
         Self {
             tree,
-            held: Vec::new(),
+            held: Vec::with_capacity(max_keys),
             cur: Vec::with_capacity(max_keys),
             leaves: Vec::new(),
             ranks: Vec::with_capacity(max_keys),
@@ -1415,27 +1741,32 @@ impl<K: IndexKey, V> SortedLoad<K, V> {
         self.cur.push((key, value));
         self.tree.len += 1;
         if self.cur.len() == self.tree.max_keys {
-            let full = std::mem::replace(&mut self.cur, Vec::with_capacity(self.tree.max_keys));
-            let ready = std::mem::replace(&mut self.held, full);
-            if !ready.is_empty() {
-                self.place(ready);
+            if !self.held.is_empty() {
+                let mut ready = std::mem::take(&mut self.held);
+                self.place(&ready);
+                ready.clear();
+                self.held = ready;
             }
+            std::mem::swap(&mut self.cur, &mut self.held);
         }
     }
 
-    fn place(&mut self, entries: Vec<(K, V)>) {
-        let low = entries[0].0.clone();
+    fn place(&mut self, entries: &[(K, V)]) {
         let idx = self.tree.nodes.len() as u32;
         self.ranks.clear();
-        let mut vals = Vec::with_capacity(entries.len());
-        for (k, v) in entries {
-            self.ranks.push(k.rank64());
-            vals.push(v);
-        }
+        self.ranks.extend(entries.iter().map(|(k, _)| k.rank64()));
+        let values = entries.iter().map(|&(_, v)| v);
+        let vals = Vals::run_of(values.clone()).unwrap_or_else(|| {
+            let id = self.tree.arrays.alloc();
+            for (slot, v) in self.tree.arrays.get_mut(id).iter_mut().zip(values) {
+                *slot = v;
+            }
+            Vals::Array(id)
+        });
         self.tree
             .nodes
             .push(Node::Leaf(Leaf::from_parts(&self.ranks, vals)));
-        self.leaves.push((low, idx));
+        self.leaves.push((entries[0].0.clone(), idx));
     }
 
     /// Places the last leaves and stacks inner levels until one node
@@ -1455,7 +1786,7 @@ impl<K: IndexKey, V> SortedLoad<K, V> {
         }
         for entries in [held, cur] {
             if !entries.is_empty() {
-                self.place(entries);
+                self.place(&entries);
             }
         }
         let Self {
@@ -1518,8 +1849,8 @@ pub struct Iter<'a, K, V> {
     stack: Vec<(u32, usize)>,
 }
 
-impl<'a, K: IndexKey, V> Iterator for Iter<'a, K, V> {
-    type Item = (K, &'a V);
+impl<K: IndexKey, V: Progression> Iterator for Iter<'_, K, V> {
+    type Item = (K, V);
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
@@ -1529,7 +1860,7 @@ impl<'a, K: IndexKey, V> Iterator for Iter<'a, K, V> {
                     if pos < leaf.len() {
                         leaf.note_scan();
                         self.stack.last_mut().expect("non-empty").1 += 1;
-                        return Some((leaf.key(pos), &leaf.vals[pos]));
+                        return Some((leaf.key(pos), leaf.value(pos, &self.tree.arrays)));
                     }
                     self.stack.pop();
                 }
@@ -1567,7 +1898,7 @@ mod tests {
             assert_eq!(t.insert(k, k * 2), None);
         }
         for k in 0..1000u64 {
-            assert_eq!(t.get(&k), Some(&(k * 2)));
+            assert_eq!(t.get(&k), Some(k * 2));
         }
         assert_eq!(t.len(), 1000);
         t.check_invariants().unwrap();
@@ -1588,7 +1919,7 @@ mod tests {
         }
         t.check_invariants().unwrap();
         for &k in &keys {
-            assert_eq!(t.get(&k), Some(&k));
+            assert_eq!(t.get(&k), Some(k));
         }
         // In-order iteration is sorted.
         let collected: Vec<u64> = t.iter().map(|(k, _)| k).collect();
@@ -1608,7 +1939,7 @@ mod tests {
         assert_eq!(t.insert(7, 1), None);
         assert_eq!(t.insert(7, 2), Some(1));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.get(&7), Some(&2));
+        assert_eq!(t.get(&7), Some(2));
     }
 
     #[test]
@@ -1656,7 +1987,7 @@ mod tests {
         t.check_invariants().unwrap();
         // And the tree is still usable.
         t.insert(42, 42);
-        assert_eq!(t.get(&42), Some(&42));
+        assert_eq!(t.get(&42), Some(42));
         t.check_invariants().unwrap();
     }
 
@@ -1679,7 +2010,7 @@ mod tests {
             }
         }
         t.check_invariants().unwrap();
-        let got: Vec<(u64, u64)> = t.iter().map(|(k, v)| (k, *v)).collect();
+        let got: Vec<(u64, u64)> = t.iter().collect();
         let want: Vec<(u64, u64)> = model.into_iter().collect();
         assert_eq!(got, want);
     }
@@ -1708,7 +2039,7 @@ mod tests {
         for k in 0..100u64 {
             t.insert(k, k * 2);
         }
-        let got: Vec<(u64, u64)> = t.range(&10, &15).map(|(k, v)| (k, *v)).collect();
+        let got: Vec<(u64, u64)> = t.range(&10, &15).collect();
         assert_eq!(got, vec![(10, 20), (11, 22), (12, 24), (13, 26), (14, 28)]);
         assert_eq!(t.range(&50, &50).count(), 0);
         assert_eq!(t.range(&95, &1000).count(), 5);
@@ -1765,8 +2096,8 @@ mod tests {
                 built.insert(k, v);
             }
             assert_eq!(bulk.len(), built.len(), "n={n}");
-            let a: Vec<(u64, u64)> = bulk.iter().map(|(k, v)| (k, *v)).collect();
-            let b: Vec<(u64, u64)> = built.iter().map(|(k, v)| (k, *v)).collect();
+            let a: Vec<(u64, u64)> = bulk.iter().collect();
+            let b: Vec<(u64, u64)> = built.iter().collect();
             assert_eq!(a, b, "n={n}");
             assert!(bulk.height() <= built.height(), "n={n}: bulk is denser");
         }
@@ -1819,7 +2150,7 @@ mod tests {
         assert!(slot.existed);
         assert_eq!(slot.visits, 1, "single-leaf tree: one visit");
         *slot.value = 5;
-        assert_eq!(t.get(&10), Some(&5));
+        assert_eq!(t.get(&10), Some(5));
         assert_eq!(t.len(), 1);
     }
 
@@ -1831,7 +2162,7 @@ mod tests {
         assert_eq!(cold, t.height(), "first touch walks the tree");
         let before = t.descent_hits();
         let (v, hot) = t.lookup_hot(&5000);
-        assert_eq!(v, Some(&5000));
+        assert_eq!(v, Some(5000));
         assert_eq!(hot, 1, "repeat lands in the cached leaf");
         assert_eq!(t.descent_hits(), before + 1);
         // A miss inside the cached leaf's span is decidable in one visit
@@ -1847,8 +2178,8 @@ mod tests {
             t.insert(k, k);
         }
         // Warm the cache on one leaf, then force merges/borrows around it.
-        assert_eq!(t.lookup_hot(&250).0, Some(&250));
-        assert_eq!(t.lookup_hot(&250).0, Some(&250));
+        assert_eq!(t.lookup_hot(&250).0, Some(250));
+        assert_eq!(t.lookup_hot(&250).0, Some(250));
         for k in 200..300u64 {
             if k != 250 {
                 t.remove(&k);
@@ -1856,9 +2187,9 @@ mod tests {
         }
         t.check_invariants().unwrap();
         // The cached leaf index is stale now; answers must stay right.
-        assert_eq!(t.lookup_hot(&250).0, Some(&250));
+        assert_eq!(t.lookup_hot(&250).0, Some(250));
         assert_eq!(t.lookup_hot(&299).0, None);
-        assert_eq!(t.lookup_hot(&199).0, Some(&199));
+        assert_eq!(t.lookup_hot(&199).0, Some(199));
         t.remove(&250);
         assert_eq!(t.lookup_hot(&250).0, None);
     }
@@ -1872,15 +2203,15 @@ mod tests {
         };
         assert!(!leaf_of(&t).0, "starts in sorted mode");
         for _ in 0..(FLIP_STREAK + 2) {
-            assert_eq!(t.get(&7), Some(&7));
+            assert_eq!(t.get(&7), Some(7));
         }
         t.insert(100, 100); // mutation applies the pending flip
         assert!(leaf_of(&t).0, "point streak flips to hash mode");
         t.check_invariants().unwrap();
         for k in 0..12u64 {
-            assert_eq!(t.get(&k), Some(&k));
+            assert_eq!(t.get(&k), Some(k));
         }
-        assert_eq!(t.get(&100), Some(&100));
+        assert_eq!(t.get(&100), Some(100));
         // A scan flags the leaf; the next mutation drops the sidecar.
         assert_eq!(t.range(&0, &5).count(), 5);
         t.insert(101, 101);
@@ -1892,7 +2223,7 @@ mod tests {
     fn apply_adaptation_flips_without_a_mutation() {
         let mut t = BPlusTree::from_sorted(16, (0..16u64).map(|k| (k, k)));
         for _ in 0..(FLIP_STREAK + 2) {
-            assert_eq!(t.get(&3), Some(&3));
+            assert_eq!(t.get(&3), Some(3));
         }
         t.apply_adaptation();
         match &t.nodes[t.root as usize] {
@@ -1921,7 +2252,7 @@ mod tests {
         let probes: Vec<u64> = (0..620).rev().collect();
         let mut out = Vec::new();
         t.lookup_run(&probes, &mut out);
-        let want: Vec<Option<u64>> = probes.iter().map(|k| t.lookup(k).0.copied()).collect();
+        let want: Vec<Option<u64>> = probes.iter().map(|k| t.lookup(k).0).collect();
         assert_eq!(out, want);
     }
 
@@ -1936,7 +2267,7 @@ mod tests {
         let got: Vec<i32> = t.iter().map(|(k, _)| k).collect();
         assert_eq!(got, keys, "signed keys iterate in order");
         for &k in &keys {
-            assert_eq!(t.get(&k), Some(&i64::from(k)));
+            assert_eq!(t.get(&k), Some(i64::from(k)));
         }
 
         let mut t = BPlusTree::new(4);
@@ -1944,7 +2275,7 @@ mod tests {
             t.insert(k, ());
         }
         t.check_invariants().unwrap();
-        assert_eq!(t.get(&7), Some(&()));
+        assert_eq!(t.get(&7), Some(()));
         assert_eq!(t.get(&8), None);
     }
 
@@ -1970,5 +2301,97 @@ mod tests {
             }
         }
         assert!(saw_discriminating_leaf);
+    }
+
+    // ——— run leaves ———
+
+    /// `(run leaves, array leaves)` among the non-empty leaves.
+    fn leaf_forms<V>(t: &BPlusTree<u64, V>) -> (usize, usize) {
+        let leaves = t.nodes.iter().filter_map(|n| match n {
+            Node::Leaf(l) if !l.heads.is_empty() => Some(&l.vals),
+            _ => None,
+        });
+        leaves.fold((0, 0), |(runs, arrays), vals| match vals {
+            Vals::Run { .. } => (runs + 1, arrays),
+            Vals::Array(_) => (runs, arrays + 1),
+        })
+    }
+
+    #[test]
+    fn a_bulk_load_of_a_progression_places_only_run_leaves() {
+        let t = BPlusTree::from_sorted(8, (0..1000u64).map(|k| (k * 3, 500 + k)));
+        t.check_invariants().unwrap();
+        assert_eq!(leaf_forms(&t), (125, 0));
+        for k in 0..1000u64 {
+            assert_eq!(t.lookup(&(k * 3)).0, Some(500 + k));
+            assert_eq!(t.get(&(k * 3 + 1)), None);
+        }
+        assert!(t.iter().map(|(_, v)| v).eq(500..1500));
+        // The same keys with one value out of step: that leaf alone is an
+        // array, and only its array pays value bytes.
+        let bumped = BPlusTree::from_sorted(
+            8,
+            (0..1000u64).map(|k| (k * 3, if k == 9 { 0 } else { 500 + k })),
+        );
+        bumped.check_invariants().unwrap();
+        assert_eq!(leaf_forms(&bumped), (124, 1));
+        assert_eq!((t.arrays.made(), bumped.arrays.made()), (0, 1));
+        assert_eq!(t.arrays.heap_bytes(), 0);
+        assert_eq!(
+            bumped.heap_bytes(),
+            t.heap_bytes() + bumped.arrays.heap_bytes()
+        );
+        assert_eq!(bumped.get(&27), Some(0));
+        assert_eq!(bumped.get(&30), Some(510));
+    }
+
+    #[test]
+    fn an_upsert_keeps_a_run_and_any_write_turns_it_into_an_array() {
+        let mut t = BPlusTree::from_sorted(8, (0..8u64).map(|k| (k, 100 + k)));
+        assert_eq!(leaf_forms(&t), (1, 0));
+        let found = t.upsert_with(5, || unreachable!("key exists"));
+        assert_eq!((found.value, found.existed, found.visits), (105, true, 1));
+        assert_eq!(leaf_forms(&t), (1, 0), "finding a key: still a run");
+        assert_eq!(t.insert(5, 7), Some(105));
+        assert_eq!(leaf_forms(&t), (0, 1), "an overwrite: an array");
+        t.check_invariants().unwrap();
+        let want: Vec<(u64, u64)> = (0..8)
+            .map(|k| (k, if k == 5 { 7 } else { 100 + k }))
+            .collect();
+        assert_eq!(t.iter().collect::<Vec<_>>(), want);
+
+        let mut t = BPlusTree::from_sorted(8, (0..8u64).map(|k| (k, 100 + k)));
+        let slot = t.get_or_insert_with(2, || unreachable!("key exists"));
+        assert_eq!(*slot.value, 102);
+        assert_eq!(leaf_forms(&t), (0, 1), "a `&mut V` needs an array");
+        t.check_invariants().unwrap();
+
+        // A fresh key, even the run's next value at its end, makes the full
+        // leaf an array before it splits.
+        let mut t = BPlusTree::from_sorted(4, (0..4u64).map(|k| (k * 10, 100 + k)));
+        assert_eq!(t.upsert_with(40, || 104).value, 104);
+        assert_eq!((t.height(), leaf_forms(&t)), (2, (0, 2)));
+        t.check_invariants().unwrap();
+        assert!(t.iter().eq((0..5u64).map(|k| (k * 10, 100 + k))));
+    }
+
+    #[test]
+    fn a_remove_turns_the_run_into_an_array_first() {
+        let mut t = BPlusTree::from_sorted(8, (0..16u64).map(|k| (k, 100 + k)));
+        assert_eq!(leaf_forms(&t), (2, 0));
+        assert_eq!(t.remove(&3), Some(103));
+        assert_eq!(leaf_forms(&t), (1, 1));
+        t.check_invariants().unwrap();
+        for k in (0..16u64).filter(|&k| k != 3) {
+            assert_eq!(t.get(&k), Some(100 + k), "key {k}");
+        }
+        // Rebalancing moves entries between a run and an array.
+        for k in 4..7u64 {
+            assert_eq!(t.remove(&k), Some(100 + k));
+        }
+        t.check_invariants().unwrap();
+        assert!(t.iter().eq((0..16u64)
+            .filter(|k| !(3..7).contains(k))
+            .map(|k| (k, 100 + k))));
     }
 }

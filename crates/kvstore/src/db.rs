@@ -130,23 +130,21 @@ impl Database {
     /// The seed-era `insert` walked the index twice — once to probe for the
     /// key, once to insert it. This resolves the slot with one
     /// find-or-insert descent: a fresh key allocates its record on the way
-    /// down; an existing key overwrites its record in place.
+    /// down; an existing key overwrites its record in place, so its address
+    /// and the index leaf holding it stay as they were.
     pub fn upsert(&mut self, key: u64, record: Record) -> Upserted {
         let store = &mut self.store;
         let mut carry = Some(record);
         let slot = self
             .index
-            .get_or_insert_with(key, || store.insert(carry.take().expect("fresh key")));
-        let addr = *slot.value;
-        let existed = slot.existed;
-        let index_visits = slot.visits;
+            .upsert_with(key, || store.insert(carry.take().expect("fresh key")));
         if let Some(record) = carry {
-            store.set(addr, record);
+            store.set(slot.value, record);
         }
         Upserted {
-            addr,
-            existed,
-            index_visits,
+            addr: slot.value,
+            existed: slot.existed,
+            index_visits: slot.visits,
         }
     }
 
@@ -155,7 +153,7 @@ impl Database {
     /// costs ~1 node visit each after the first.
     pub fn lookup_by_key(&self, key: u64) -> Option<Lookup<'_>> {
         let (addr, visits) = self.index.lookup_hot(&key);
-        let addr = *addr?;
+        let addr = addr?;
         Some(Lookup {
             addr,
             record: self.store.get(addr),
@@ -191,7 +189,7 @@ impl Database {
     pub fn iter(&self) -> impl Iterator<Item = (u64, &Record)> + '_ {
         self.index
             .iter()
-            .map(|(key, addr)| (key, self.store.get(*addr)))
+            .map(|(key, addr)| (key, self.store.get(addr)))
     }
 
     /// Builds a database from `(key, record)` pairs in one
@@ -298,8 +296,7 @@ impl DatabaseBuilder {
             pairs.push((key, addr));
         } else if self.index.last_key().is_some_and(|&last| key <= last) {
             let loaded = std::mem::replace(&mut self.index, SortedLoad::new(DEFAULT_MAX_KEYS));
-            let mut pairs: Vec<(u64, Addr48)> =
-                loaded.finish().iter().map(|(k, a)| (k, *a)).collect();
+            let mut pairs: Vec<(u64, Addr48)> = loaded.finish().iter().collect();
             pairs.push((key, addr));
             self.unsorted = Some(pairs);
         } else {

@@ -12,7 +12,8 @@
 //!   rebalancing) that reports how many nodes each lookup visits, with a
 //!   slot layout built for raw lookup speed (head arrays with per-node
 //!   prefix truncation, adaptive hash leaves, a descent cache, and sorted
-//!   bulk load — DESIGN.md §13);
+//!   bulk load into run leaves that store no value per key — DESIGN.md
+//!   §13);
 //! * [`key`] — the [`key::IndexKey`] projection those slot layouts are
 //!   derived from;
 //! * [`slab`] — a slab store of fixed 64-byte records addressed by
@@ -29,7 +30,7 @@ pub mod db;
 pub mod key;
 pub mod slab;
 
-pub use btree::{BPlusTree, SlotRef};
+pub use btree::{BPlusTree, Progression, SlotRef, Upsert};
 pub use db::{Database, DatabaseBuilder};
 pub use key::IndexKey;
 pub use slab::{Addr48, Record, SlabStore, VALUE_SIZE};

@@ -5,6 +5,8 @@
 //! configuration)" (§3.2). [`SlabStore`] is that record heap: fixed 64-byte
 //! records, addressed by [`Addr48`], O(1) reads by address.
 
+use crate::btree::Progression;
+
 /// Record size in bytes (the paper's configuration).
 pub const VALUE_SIZE: usize = 64;
 
@@ -28,6 +30,21 @@ impl Addr48 {
     /// The raw 48-bit value.
     pub fn raw(self) -> u64 {
         self.0
+    }
+}
+
+/// A bulk build hands out consecutive addresses in key order, so a leaf of
+/// them is a run of step 1 that stores none of them.
+impl Progression for Addr48 {
+    const MAX: u64 = Addr48::MAX;
+
+    fn to_u64(self) -> Option<u64> {
+        Some(self.0)
+    }
+
+    fn from_u64(x: u64) -> Self {
+        debug_assert!(x <= Self::MAX, "address {x:#x} exceeds 48 bits");
+        Self(x)
     }
 }
 

@@ -32,12 +32,12 @@ proptest! {
             match op {
                 Op::Insert(k, v) => prop_assert_eq!(tree.insert(k, v), model.insert(k, v)),
                 Op::Remove(k) => prop_assert_eq!(tree.remove(&k), model.remove(&k)),
-                Op::Get(k) => prop_assert_eq!(tree.get(&k), model.get(&k)),
+                Op::Get(k) => prop_assert_eq!(tree.get(&k), model.get(&k).copied()),
             }
             prop_assert_eq!(tree.len(), model.len());
         }
         prop_assert!(tree.check_invariants().is_ok(), "{:?}", tree.check_invariants());
-        let got: Vec<(u16, u32)> = tree.iter().map(|(k, v)| (k, *v)).collect();
+        let got: Vec<(u16, u32)> = tree.iter().collect();
         let want: Vec<(u16, u32)> = model.into_iter().collect();
         prop_assert_eq!(got, want);
     }
@@ -93,19 +93,19 @@ proptest! {
                     prop_assert_eq!(tree.remove(&k), model.remove(&k));
                 }
                 MixedOp::HotGet(k) => {
-                    prop_assert_eq!(tree.lookup_hot(&k).0, model.get(&k));
+                    prop_assert_eq!(tree.lookup_hot(&k).0, model.get(&k).copied());
                 }
                 MixedOp::HotBurst(k) => {
                     // Long enough to cross the leaf's hash-flip streak and
                     // to exercise repeated descent-cache hits on one leaf.
                     for _ in 0..20 {
-                        prop_assert_eq!(tree.lookup_hot(&k).0, model.get(&k));
+                        prop_assert_eq!(tree.lookup_hot(&k).0, model.get(&k).copied());
                     }
                 }
                 MixedOp::Range(a, b) => {
                     let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
                     let got: Vec<(u16, u32)> =
-                        tree.range(&lo, &hi).map(|(k, v)| (k, *v)).collect();
+                        tree.range(&lo, &hi).collect();
                     let want: Vec<(u16, u32)> =
                         model.range(lo..hi).map(|(k, v)| (*k, *v)).collect();
                     prop_assert_eq!(got, want);
@@ -117,7 +117,7 @@ proptest! {
             }
         }
         prop_assert!(tree.check_invariants().is_ok(), "{:?}", tree.check_invariants());
-        let got: Vec<(u16, u32)> = tree.iter().map(|(k, v)| (k, *v)).collect();
+        let got: Vec<(u16, u32)> = tree.iter().collect();
         let want: Vec<(u16, u32)> = model.into_iter().collect();
         prop_assert_eq!(got, want);
     }
@@ -145,8 +145,8 @@ proptest! {
         }
         prop_assert!(bulk.height() <= built.height());
         {
-            let a: Vec<(u32, u32)> = bulk.iter().map(|(k, v)| (k, *v)).collect();
-            let b: Vec<(u32, u32)> = built.iter().map(|(k, v)| (k, *v)).collect();
+            let a: Vec<(u32, u32)> = bulk.iter().collect();
+            let b: Vec<(u32, u32)> = built.iter().collect();
             prop_assert_eq!(a, b);
         }
         // The bulk-built tree accepts further mutation like any other.
@@ -158,8 +158,8 @@ proptest! {
             prop_assert_eq!(bulk.remove(&k), built.remove(&k));
         }
         prop_assert!(bulk.check_invariants().is_ok(), "{:?}", bulk.check_invariants());
-        let a: Vec<(u32, u32)> = bulk.iter().map(|(k, v)| (k, *v)).collect();
-        let b: Vec<(u32, u32)> = built.iter().map(|(k, v)| (k, *v)).collect();
+        let a: Vec<(u32, u32)> = bulk.iter().collect();
+        let b: Vec<(u32, u32)> = built.iter().collect();
         prop_assert_eq!(a, b);
     }
 }
@@ -230,15 +230,15 @@ fn matches_oracle<K: IndexKey + Copy + Debug>(
         match op {
             KeyOp::Insert(k, v) => prop_assert_eq!(tree.insert(k, v), model.insert(k, v)),
             KeyOp::Remove(k) => prop_assert_eq!(tree.remove(&k), model.remove(&k)),
-            KeyOp::Get(k) => prop_assert_eq!(tree.get(&k), model.get(&k)),
+            KeyOp::Get(k) => prop_assert_eq!(tree.get(&k), model.get(&k).copied()),
             KeyOp::HotBurst(k) => {
                 for _ in 0..20 {
-                    prop_assert_eq!(tree.lookup_hot(&k).0, model.get(&k));
+                    prop_assert_eq!(tree.lookup_hot(&k).0, model.get(&k).copied());
                 }
             }
             KeyOp::Range(a, b) => {
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                let got: Vec<(K, u32)> = tree.range(&lo, &hi).map(|(k, v)| (k, *v)).collect();
+                let got: Vec<(K, u32)> = tree.range(&lo, &hi).collect();
                 let want: Vec<(K, u32)> = model.range(lo..hi).map(|(k, v)| (*k, *v)).collect();
                 prop_assert_eq!(got, want);
             }
@@ -250,7 +250,7 @@ fn matches_oracle<K: IndexKey + Copy + Debug>(
             tree.check_invariants()
         );
     }
-    let got: Vec<(K, u32)> = tree.iter().map(|(k, v)| (k, *v)).collect();
+    let got: Vec<(K, u32)> = tree.iter().collect();
     let want: Vec<(K, u32)> = model.into_iter().collect();
     prop_assert_eq!(got, want);
     Ok(())
@@ -337,6 +337,152 @@ fn a_leaf_keeps_tails_only_while_its_prefix_is_short() {
     );
     assert_eq!(tree.height(), 1);
     for i in 0..10 {
-        assert_eq!(tree.get(&near(i)), Some(&i));
+        assert_eq!(tree.get(&near(i)), Some(i));
+    }
+}
+
+// ——— run leaves: a bulk load whose values step evenly (record addresses
+// handed out in key order) keeps each leaf's values as `(first, step)`.
+// An upsert that finds its key leaves a run as it is; every other write
+// (insert, remove, borrow, merge, a write through `&mut V`) turns it into
+// an array first, and none of it may show. ———
+
+#[derive(Clone, Debug)]
+enum RunOp {
+    Insert(u16, u64),
+    /// `upsert_with`: finds the key, or inserts the value.
+    Upsert(u16, u64),
+    Remove(u16),
+    /// `get_or_insert_with`, then an optional write through the handle.
+    Slot(u16, Option<u64>),
+    HotBurst(u16),
+    Optimize,
+    Range(u16, u16),
+    IterFrom(u16),
+}
+
+fn run_op_strategy() -> impl Strategy<Value = RunOp> {
+    let key = || any::<u16>().prop_map(|k| k % 1200);
+    prop_oneof![
+        (key(), any::<u64>()).prop_map(|(k, v)| RunOp::Insert(k, v >> 20)),
+        (key(), any::<u64>()).prop_map(|(k, v)| RunOp::Upsert(k, v >> 20)),
+        key().prop_map(RunOp::Remove),
+        (key(), any::<bool>(), any::<u64>())
+            .prop_map(|(k, write, v)| RunOp::Slot(k, write.then_some(v >> 20))),
+        key().prop_map(RunOp::HotBurst),
+        Just(RunOp::Optimize),
+        (key(), key()).prop_map(|(a, b)| RunOp::Range(a, b)),
+        key().prop_map(RunOp::IterFrom),
+    ]
+}
+
+/// Enough point lookups on every key to arm each leaf's hash directory,
+/// then the sweep that arms them.
+fn arm_every_leaf(tree: &mut BPlusTree<u32, u64>, model: &BTreeMap<u32, u64>) {
+    for _ in 0..20 {
+        for k in model.keys() {
+            tree.get(k);
+        }
+    }
+    tree.apply_adaptation();
+}
+
+/// Every key up to just past the largest reads the model, one at a time
+/// (cold and hot) and as one interleaved run.
+fn every_key_reads_the_model(
+    tree: &BPlusTree<u32, u64>,
+    model: &BTreeMap<u32, u64>,
+) -> TestCaseResult {
+    let top = model.keys().next_back().map_or(0, |&k| k + 2);
+    let keys: Vec<u32> = (0..top).collect();
+    let mut run = Vec::new();
+    tree.lookup_run(&keys, &mut run);
+    for (&k, got) in keys.iter().zip(run) {
+        let want = model.get(&k).copied();
+        prop_assert_eq!(got, want, "lookup_run of {}", k);
+        prop_assert_eq!(tree.lookup(&k).0, want, "lookup of {}", k);
+        prop_assert_eq!(tree.lookup_hot(&k).0, want, "lookup_hot of {}", k);
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn run_built_trees_match_btreemap_under_writes(
+        max_keys in 3usize..12,
+        keys in proptest::collection::vec(any::<u16>(), 0..400),
+        first in 0u64..1 << 40,
+        step in 0u64..4,
+        armed in any::<bool>(),
+        ops in proptest::collection::vec(run_op_strategy(), 0..200),
+    ) {
+        let mut keys: Vec<u32> = keys.into_iter().map(|k| u32::from(k % 1200)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut model: BTreeMap<u32, u64> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k, first + i as u64 * step))
+            .collect();
+        let mut tree = BPlusTree::from_sorted(max_keys, model.iter().map(|(&k, &v)| (k, v)));
+        prop_assert!(tree.check_invariants().is_ok(), "{:?}", tree.check_invariants());
+        if armed {
+            arm_every_leaf(&mut tree, &model);
+        }
+        every_key_reads_the_model(&tree, &model)?;
+        for op in ops {
+            match op {
+                RunOp::Insert(k, v) => {
+                    let k = u32::from(k);
+                    prop_assert_eq!(tree.insert(k, v), model.insert(k, v));
+                }
+                RunOp::Upsert(k, v) => {
+                    let k = u32::from(k);
+                    let existed = model.contains_key(&k);
+                    let up = tree.upsert_with(k, || v);
+                    prop_assert_eq!(up.existed, existed);
+                    prop_assert_eq!(up.value, *model.entry(k).or_insert(v));
+                }
+                RunOp::Remove(k) => {
+                    prop_assert_eq!(tree.remove(&u32::from(k)), model.remove(&u32::from(k)));
+                }
+                RunOp::Slot(k, write) => {
+                    let k = u32::from(k);
+                    let had = model.get(&k).copied();
+                    let slot = tree.get_or_insert_with(k, || 7);
+                    prop_assert_eq!(slot.existed, had.is_some());
+                    prop_assert_eq!(*slot.value, had.unwrap_or(7));
+                    let now = write.unwrap_or(*slot.value);
+                    *slot.value = now;
+                    model.insert(k, now);
+                }
+                RunOp::HotBurst(k) => {
+                    let k = u32::from(k);
+                    for _ in 0..20 {
+                        prop_assert_eq!(tree.lookup_hot(&k).0, model.get(&k).copied());
+                    }
+                }
+                RunOp::Optimize => tree.apply_adaptation(),
+                RunOp::Range(a, b) => {
+                    let (lo, hi) = (u32::from(a.min(b)), u32::from(a.max(b)));
+                    let got: Vec<(u32, u64)> = tree.range(&lo, &hi).collect();
+                    let want: Vec<(u32, u64)> = model.range(lo..hi).map(|(&k, &v)| (k, v)).collect();
+                    prop_assert_eq!(got, want);
+                }
+                RunOp::IterFrom(a) => {
+                    let a = u32::from(a);
+                    let got: Vec<(u32, u64)> = tree.iter_from(&a).collect();
+                    let want: Vec<(u32, u64)> = model.range(a..).map(|(&k, &v)| (k, v)).collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
+            prop_assert_eq!(tree.len(), model.len());
+            prop_assert!(tree.check_invariants().is_ok(), "{:?}", tree.check_invariants());
+        }
+        arm_every_leaf(&mut tree, &model);
+        every_key_reads_the_model(&tree, &model)?;
+        let got: Vec<(u32, u64)> = tree.iter().collect();
+        let want: Vec<(u32, u64)> = model.into_iter().collect();
+        prop_assert_eq!(got, want);
     }
 }

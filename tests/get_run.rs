@@ -114,7 +114,7 @@ proptest! {
         }
         let mut out = Vec::new();
         tree.lookup_run(&probes, &mut out);
-        let want: Vec<Option<u64>> = probes.iter().map(|k| tree.lookup(k).0.copied()).collect();
+        let want: Vec<Option<u64>> = probes.iter().map(|k| tree.lookup(k).0).collect();
         prop_assert_eq!(out, want);
         prop_assert!(tree.check_invariants().is_ok());
     }
@@ -151,7 +151,7 @@ fn lookup_run_covers_heights_one_to_four_with_and_without_hash_leaves() {
             for run in probes.chunks(37) {
                 tree.lookup_run(run, &mut out);
                 for (key, got) in run.iter().zip(&out) {
-                    assert_eq!(*got, tree.lookup(key).0.copied(), "key {key}");
+                    assert_eq!(*got, tree.lookup(key).0, "key {key}");
                 }
             }
         }
