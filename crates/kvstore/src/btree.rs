@@ -726,21 +726,6 @@ impl<K: IndexKey> Inner<K> {
     }
 }
 
-/// A mutable handle to the slot a key occupies after an upsert descent.
-///
-/// Returned by [`BPlusTree::get_or_insert_with`]: one root-to-leaf walk
-/// resolves both "was it there?" and "where does the value live?". The
-/// handle points into an array, so a run leaf turns into one to give it
-/// out; [`BPlusTree::upsert_with`] answers by copy and keeps the run.
-pub struct SlotRef<'a, V> {
-    /// The value now stored under the key (the old one if `existed`).
-    pub value: &'a mut V,
-    /// Whether the key already existed (the factory was not called).
-    pub existed: bool,
-    /// Nodes visited by the descent (the tree height).
-    pub visits: usize,
-}
-
 /// What one find-or-insert walk ([`BPlusTree::upsert_with`]) found or
 /// placed under a key, by copy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1066,21 +1051,6 @@ impl<K: IndexKey, V: Progression> BPlusTree<K, V> {
         // No carry left: the factory ran, the value is already in the tree.
         let value = carry?;
         Some(std::mem::replace(self.slot_mut(leaf, slot), value))
-    }
-
-    /// Resolves `key` to its value slot in **one** root-to-leaf walk,
-    /// inserting `make()` if absent, and hands out the slot for writing.
-    pub fn get_or_insert_with<F>(&mut self, key: K, make: F) -> SlotRef<'_, V>
-    where
-        F: FnOnce() -> V,
-    {
-        let (leaf, slot, existed) = self.find_or_insert(key, make);
-        let visits = self.height;
-        SlotRef {
-            value: self.slot_mut(leaf, slot),
-            existed,
-            visits,
-        }
     }
 
     /// Resolves `key` to its value in **one** root-to-leaf walk, inserting
@@ -2141,15 +2111,15 @@ mod tests {
     }
 
     #[test]
-    fn get_or_insert_with_is_single_walk_upsert() {
+    fn upsert_with_is_single_walk_upsert() {
         let mut t = BPlusTree::new(8);
-        let slot = t.get_or_insert_with(10u64, || 1);
-        assert!(!slot.existed);
-        assert_eq!(*slot.value, 1);
-        let slot = t.get_or_insert_with(10u64, || unreachable!("key exists"));
-        assert!(slot.existed);
-        assert_eq!(slot.visits, 1, "single-leaf tree: one visit");
-        *slot.value = 5;
+        let up = t.upsert_with(10u64, || 1);
+        assert!(!up.existed);
+        assert_eq!(up.value, 1);
+        let up = t.upsert_with(10u64, || unreachable!("key exists"));
+        assert!(up.existed);
+        assert_eq!(up.visits, 1, "single-leaf tree: one visit");
+        assert_eq!(t.insert(10, 5), Some(1));
         assert_eq!(t.get(&10), Some(5));
         assert_eq!(t.len(), 1);
     }
@@ -2359,12 +2329,6 @@ mod tests {
             .map(|k| (k, if k == 5 { 7 } else { 100 + k }))
             .collect();
         assert_eq!(t.iter().collect::<Vec<_>>(), want);
-
-        let mut t = BPlusTree::from_sorted(8, (0..8u64).map(|k| (k, 100 + k)));
-        let slot = t.get_or_insert_with(2, || unreachable!("key exists"));
-        assert_eq!(*slot.value, 102);
-        assert_eq!(leaf_forms(&t), (0, 1), "a `&mut V` needs an array");
-        t.check_invariants().unwrap();
 
         // A fresh key, even the run's next value at its end, makes the full
         // leaf an array before it splits.

@@ -30,7 +30,7 @@ pub mod db;
 pub mod key;
 pub mod slab;
 
-pub use btree::{BPlusTree, Progression, SlotRef, Upsert};
+pub use btree::{BPlusTree, Progression, Upsert};
 pub use db::{Database, DatabaseBuilder};
 pub use key::IndexKey;
 pub use slab::{Addr48, Record, SlabStore, VALUE_SIZE};

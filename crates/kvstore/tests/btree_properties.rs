@@ -344,8 +344,8 @@ fn a_leaf_keeps_tails_only_while_its_prefix_is_short() {
 // ——— run leaves: a bulk load whose values step evenly (record addresses
 // handed out in key order) keeps each leaf's values as `(first, step)`.
 // An upsert that finds its key leaves a run as it is; every other write
-// (insert, remove, borrow, merge, a write through `&mut V`) turns it into
-// an array first, and none of it may show. ———
+// (insert, remove, borrow, merge) turns it into an array first, and none
+// of it may show. ———
 
 #[derive(Clone, Debug)]
 enum RunOp {
@@ -353,7 +353,7 @@ enum RunOp {
     /// `upsert_with`: finds the key, or inserts the value.
     Upsert(u16, u64),
     Remove(u16),
-    /// `get_or_insert_with`, then an optional write through the handle.
+    /// `upsert_with`, then an optional `insert` of a new value.
     Slot(u16, Option<u64>),
     HotBurst(u16),
     Optimize,
@@ -449,12 +449,13 @@ proptest! {
                 RunOp::Slot(k, write) => {
                     let k = u32::from(k);
                     let had = model.get(&k).copied();
-                    let slot = tree.get_or_insert_with(k, || 7);
-                    prop_assert_eq!(slot.existed, had.is_some());
-                    prop_assert_eq!(*slot.value, had.unwrap_or(7));
-                    let now = write.unwrap_or(*slot.value);
-                    *slot.value = now;
-                    model.insert(k, now);
+                    let up = tree.upsert_with(k, || 7);
+                    prop_assert_eq!(up.existed, had.is_some());
+                    prop_assert_eq!(up.value, had.unwrap_or(7));
+                    if let Some(now) = write {
+                        prop_assert_eq!(tree.insert(k, now), Some(up.value));
+                    }
+                    model.insert(k, write.unwrap_or(up.value));
                 }
                 RunOp::HotBurst(k) => {
                     let k = u32::from(k);

@@ -9,10 +9,9 @@
 //! `ShardCell::apply` does under the shard lock; the commit thread's steps
 //! are `ShardCell::commit_loop`'s, and `run` is the real `LogCommit::run`,
 //! which writes and fsyncs the WAL segment. A schedule says which of the
-//! three takes the next step, and the search is **exhaustive**: every
-//! schedule of every script set in scope ([`script_sets`]) is run by
-//! stateless depth-first search, each replayed from a fresh shard
-//! directory (a shard cannot be cloned).
+//! three takes the next step, and the search is **exhaustive**:
+//! `p4lru-explore` runs every schedule of every script set in scope
+//! ([`script_sets`]), each from a fresh shard directory.
 //!
 //! **The world is crashed after every step.** The WAL segment keeps each
 //! interesting length of its records between its synced length (as of the
@@ -47,8 +46,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::Read;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::thread;
 
 use p4lru::durable::failpoint::{truncate_tail, zero_tail};
 use p4lru::durable::record::{DEL_PAYLOAD_BYTES, RECORD_HEADER_BYTES, SET_PAYLOAD_BYTES};
@@ -57,6 +54,7 @@ use p4lru::durable::{DurabilityConfig, LogCommit, SyncPolicy};
 use p4lru::kvstore::Record;
 use p4lru::server::gate::CommitGate;
 use p4lru::server::Shard;
+use p4lru_explore as explore;
 
 /// The two keys; both start present, written by the initial snapshot.
 const KEYS: [u64; 2] = [11, 12];
@@ -181,7 +179,6 @@ type Recoveries = HashMap<(Writes, u64, bool), Recovered>;
 
 struct World<'a> {
     protocol: Protocol,
-    dir: &'a Path,
     shard: Shard,
     gate: CommitGate<Reply>,
     conns: Vec<Conn<'a>>,
@@ -252,7 +249,7 @@ fn copy_segment(from: &Path, written: u64, to: &Path) -> u64 {
 impl<'a> World<'a> {
     /// A fresh world. `dir` is reused run after run: the fresh start
     /// rewrites its snapshot and truncates its one WAL segment.
-    fn new(protocol: Protocol, dir: &'a Path, scripts: &'a [Vec<Op>]) -> Self {
+    fn new(protocol: Protocol, dir: &Path, scripts: &'a [Vec<Op>]) -> Self {
         let mut shard = Shard::new(16, 7);
         for key in KEYS {
             shard.load(key, record(0));
@@ -262,7 +259,6 @@ impl<'a> World<'a> {
             .expect("a fresh shard directory");
         Self {
             protocol,
-            dir,
             shard,
             gate: CommitGate::new(0),
             conns: scripts
@@ -283,18 +279,6 @@ impl<'a> World<'a> {
         }
     }
 
-    /// The actors that can step: each loop with requests left, then the
-    /// commit thread when it is mid-cycle or has work.
-    fn runnable(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> = (0..self.conns.len())
-            .filter(|&c| self.conns[c].sent < self.conns[c].script.len())
-            .collect();
-        if self.phase != 0 || self.gate.has_work(self.shard.has_buffered()) {
-            ids.push(self.conns.len());
-        }
-        ids
-    }
-
     /// The write of `slot` that the first `through` writes leave visible:
     /// its sequence number (0: the initial snapshot's) and tag.
     fn visible(&self, slot: usize, through: u64) -> (u64, Option<u64>) {
@@ -306,10 +290,7 @@ impl<'a> World<'a> {
             .map_or((0, Some(0)), |(i, &(_, value))| (i as u64 + 1, value))
     }
 
-    fn step(&mut self, actor: usize) -> Result<Did, String> {
-        if actor == self.conns.len() {
-            return self.commit_step();
-        }
+    fn loop_step(&mut self, actor: usize) -> Result<Did, String> {
         let conn = &mut self.conns[actor];
         let at = conn.sent;
         let (kind, slot) = conn.script[at];
@@ -429,7 +410,7 @@ impl<'a> World<'a> {
 
     /// Crashes a copy of the world at every interesting WAL length and
     /// checks what recovery makes of it.
-    fn crash(&self, recoveries: &mut Recoveries) -> Result<(), String> {
+    fn crash(&self, scratch: &mut Scratch) -> Result<(), String> {
         let (records, written) = self.written;
         let mut lens = vec![self.synced_len, written];
         if written > self.synced_len + 1 {
@@ -439,11 +420,11 @@ impl<'a> World<'a> {
         for len in lens {
             for sized in [true, false] {
                 let disk = (self.writes[..records].to_vec(), len, sized);
-                let recovered = match recoveries.get(&disk) {
+                let recovered = match scratch.recoveries.get(&disk) {
                     Some(&recovered) => recovered,
                     None => {
-                        let recovered = self.recover(len, sized)?;
-                        recoveries.insert(disk, recovered);
+                        let recovered = self.recover(&scratch.dir, len, sized)?;
+                        scratch.recoveries.insert(disk, recovered);
                         recovered
                     }
                 };
@@ -453,16 +434,16 @@ impl<'a> World<'a> {
         Ok(())
     }
 
-    /// Recovers a copy of the shard directory whose WAL segment kept only
-    /// its first `keep` bytes: the rest zeroed up to its pre-sized length
-    /// (`sized`), or cut off.
-    fn recover(&self, keep: u64, sized: bool) -> Result<Recovered, String> {
-        let copy = self.dir.with_extension("crashed");
+    /// Recovers a copy of the shard directory `dir` whose WAL segment kept
+    /// only its first `keep` bytes: the rest zeroed up to its pre-sized
+    /// length (`sized`), or cut off.
+    fn recover(&self, dir: &Path, keep: u64, sized: bool) -> Result<Recovered, String> {
+        let copy = dir.with_extension("crashed");
         let _ = fs::remove_dir_all(&copy);
         fs::create_dir_all(&copy).expect("a crash directory");
         let segment = copy.join(self.segment.file_name().expect("a file"));
         let mut presized = 0;
-        for entry in fs::read_dir(self.dir).expect("the shard directory lists") {
+        for entry in fs::read_dir(dir).expect("the shard directory lists") {
             let path = entry.expect("a directory entry").path();
             if path == self.segment {
                 presized = copy_segment(&path, self.written.1, &segment);
@@ -526,107 +507,69 @@ impl<'a> World<'a> {
     }
 }
 
-/// Whether two adjacent steps of different actors reach the same world in
-/// either order, as far as any crash can tell. The commit thread's `run`
-/// and fsync touch only the segment file, and a loop's step only the
-/// shard's memory and the gate, so they commute: the skipped middle state
-/// (the disk step done, the loop's request not yet applied) has the disk of
-/// the state after both and a subset of its acks, so any crash there fails
-/// after both too. Two GETs change neither the disk nor the gate's
-/// decisions.
-fn commute(a: Did, b: Did) -> bool {
-    matches!(
-        (a, b),
-        (Did::Disk, Did::Get | Did::Write)
-            | (Did::Get | Did::Write, Did::Disk)
-            | (Did::Get, Did::Get)
-    )
-}
+impl explore::Machine for World<'_> {
+    type Did = Did;
+    type Worker = Scratch;
 
-/// Runs `scripts`, one per loop, under `schedule`: entry `i` picks among
-/// the actors that can step at step `i`, and past the schedule's end the
-/// first of them runs. Crashes the world after every step from `crash_from`
-/// on (the earlier states are the previous schedule's). Returns how many
-/// actors each step had to pick from, or the first violation.
-///
-/// With `reduced`, the run stops short at a step that [`commute`]s with the
-/// one before it and belongs to a lower-numbered actor: the schedule with
-/// the two swapped reaches the same world, sorts earlier, and is explored
-/// in its own right.
-fn explore(
-    scripts: &[Vec<Op>],
-    schedule: &[usize],
-    protocol: Protocol,
-    dir: &Path,
-    crash_from: usize,
-    reduced: bool,
-    recoveries: &mut Recoveries,
-) -> Result<Vec<usize>, String> {
-    let mut world = World::new(protocol, dir, scripts);
-    let mut widths = Vec::new();
-    let mut last: Option<(usize, Did)> = None;
-    let failed =
-        |world: &World, e: String| format!("{e}\n  trace:\n    {}", world.trace.join("\n    "));
-    loop {
-        let runnable = world.runnable();
-        let pick = schedule.get(widths.len()).copied().unwrap_or(0);
-        let Some(&actor) = runnable.get(pick) else {
-            break;
-        };
-        widths.push(runnable.len());
-        let did = world.step(actor).map_err(|e| failed(&world, e))?;
-        if reduced && last.is_some_and(|(before, done)| actor < before && commute(done, did)) {
-            return Ok(widths);
+    /// Each loop with requests left, then the commit thread when it is
+    /// mid-cycle or has work.
+    fn actors(&self) -> Vec<usize> {
+        let mut ids: Vec<usize> = (0..self.conns.len())
+            .filter(|&c| self.conns[c].sent < self.conns[c].script.len())
+            .collect();
+        if self.phase != 0 || self.gate.has_work(self.shard.has_buffered()) {
+            ids.push(self.conns.len());
         }
-        last = Some((actor, did));
-        if widths.len() >= crash_from {
-            world.crash(recoveries).map_err(|e| failed(&world, e))?;
+        ids
+    }
+
+    fn step(&mut self, actor: usize) -> Result<Did, String> {
+        if actor == self.conns.len() {
+            self.commit_step()
+        } else {
+            self.loop_step(actor)
         }
     }
-    for (c, conn) in world.conns.iter().enumerate() {
-        if conn.acked.len() < conn.script.len() {
-            let e = format!(
-                "a reply left at the gate: loop {c} got {} acks",
-                conn.acked.len()
-            );
-            return Err(failed(&world, e));
-        }
-    }
-    Ok(widths)
-}
 
-/// Every schedule of `scripts` (less the reordered twins `explore` cuts
-/// short), depth first: run one, then advance the deepest pick that has an
-/// alternative left and cut the schedule there. Returns how many runs that
-/// took, or the first violation with the schedule that produced it.
-fn every_schedule(
-    scripts: &[Vec<Op>],
-    protocol: Protocol,
-    dir: &Path,
-    recoveries: &mut Recoveries,
-) -> Result<usize, String> {
-    let mut schedule: Vec<usize> = Vec::new();
-    let mut crash_from = 0;
-    for ran in 1.. {
-        let widths = explore(
-            scripts, &schedule, protocol, dir, crash_from, true, recoveries,
+    /// The commit thread's `run` and fsync touch only the segment file, and
+    /// a loop's step only the shard's memory and the gate, so they commute
+    /// as far as any crash can tell: the skipped middle state (the disk step
+    /// done, the loop's request not yet applied) has the disk of the state
+    /// after both and a subset of its acks, so any crash there fails after
+    /// both too. Two GETs change neither the disk nor the gate's decisions.
+    fn commute(a: Did, b: Did) -> bool {
+        matches!(
+            (a, b),
+            (Did::Disk, Did::Get | Did::Write)
+                | (Did::Get | Did::Write, Did::Disk)
+                | (Did::Get, Did::Get)
         )
-        .map_err(|e| format!("{e}\n  scripts {scripts:?}\n  schedule {schedule:?}"))?;
-        schedule.resize(widths.len(), 0);
-        while schedule
-            .last()
-            .is_some_and(|&pick| pick + 1 == widths[schedule.len() - 1])
-        {
-            schedule.pop();
-        }
-        match schedule.last_mut() {
-            Some(pick) => *pick += 1,
-            None => return Ok(ran),
-        }
-        // The states before the changed pick were crashed already.
-        crash_from = schedule.len();
     }
-    unreachable!()
+
+    /// The world is crashed after every step, once per state: an earlier
+    /// run crashed the states it shares with this one.
+    fn check_step(&mut self, scratch: &mut Scratch, new: bool) -> Result<(), String> {
+        if new {
+            self.crash(scratch)?;
+        }
+        Ok(())
+    }
+
+    fn check_end(&mut self) -> Result<(), String> {
+        for (c, conn) in self.conns.iter().enumerate() {
+            if conn.acked.len() < conn.script.len() {
+                let acks = conn.acked.len();
+                return Err(format!(
+                    "a reply left at the gate: loop {c} got {acks} acks"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    fn trace(&self) -> Vec<String> {
+        self.trace.clone()
+    }
 }
 
 /// What a script of a two- or three-request set may ask: anything of
@@ -704,62 +647,43 @@ fn script_sets() -> Vec<Vec<Vec<Op>>> {
     sets
 }
 
-/// A fresh shard directory for one test, on tmpfs when there is one.
-fn shard_dir(label: &str) -> PathBuf {
-    let shm = Path::new("/dev/shm");
-    let root = if shm.is_dir() {
-        shm.to_path_buf()
-    } else {
-        std::env::temp_dir()
-    };
-    root.join(format!("p4lru-explorer-{label}-{}", std::process::id()))
+/// A worker's shard directory (on tmpfs when there is one), reused run
+/// after run, and the recoveries it has run.
+struct Scratch {
+    dir: PathBuf,
+    recoveries: Recoveries,
 }
 
-/// Runs the whole scope against `protocol`, split between two workers:
-/// the number of script sets and schedules, or the first violation (the
-/// first worker's, when both find one).
-fn exhaust(protocol: Protocol) -> Result<(usize, usize), String> {
-    const WORKERS: usize = 2;
-    let sets = script_sets();
-    let stop = AtomicBool::new(false);
-    let outcomes: Vec<Result<usize, String>> = thread::scope(|scope| {
-        let workers: Vec<_> = (0..WORKERS)
-            .map(|worker| {
-                let (sets, stop) = (&sets, &stop);
-                scope.spawn(move || {
-                    let dir = shard_dir(&format!("{protocol:?}-{worker}"));
-                    let mut recoveries = Recoveries::new();
-                    let mut schedules = 0;
-                    let mut outcome = Ok(());
-                    for scripts in sets.iter().skip(worker).step_by(WORKERS) {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        match every_schedule(scripts, protocol, &dir, &mut recoveries) {
-                            Ok(ran) => schedules += ran,
-                            Err(e) => {
-                                stop.store(true, Ordering::Relaxed);
-                                outcome = Err(e);
-                                break;
-                            }
-                        }
-                    }
-                    let _ = fs::remove_dir_all(&dir);
-                    let _ = fs::remove_dir_all(dir.with_extension("crashed"));
-                    outcome.map(|()| schedules)
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("a worker panicked"))
-            .collect()
-    });
-    let mut schedules = 0;
-    for outcome in outcomes {
-        schedules += outcome?;
+impl Scratch {
+    fn new(label: &str) -> Self {
+        let shm = Path::new("/dev/shm");
+        let root = if shm.is_dir() {
+            shm.to_path_buf()
+        } else {
+            std::env::temp_dir()
+        };
+        let dir = root.join(format!("p4lru-explorer-{label}-{}", std::process::id()));
+        Self {
+            dir,
+            recoveries: Recoveries::new(),
+        }
     }
-    Ok((sets.len(), schedules))
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.dir);
+        let _ = fs::remove_dir_all(self.dir.with_extension("crashed"));
+    }
+}
+
+/// Runs the whole scope against `protocol`: the number of script sets and
+/// schedules, or the first violation.
+fn exhaust(protocol: Protocol) -> Result<(usize, usize), explore::Failure> {
+    let worker = |w| Scratch::new(&format!("{protocol:?}-{w}"));
+    explore::exhaust(&script_sets(), worker, |scripts, scratch: &mut Scratch| {
+        World::new(protocol, &scratch.dir, scripts)
+    })
 }
 
 #[test]
@@ -811,8 +735,7 @@ fn the_explorer_catches_committing_cleared_at_the_cut() {
 #[test]
 fn each_defect_fails_on_its_own_schedule_and_the_real_gate_passes_it() {
     let scripts = [vec![(Kind::Get, 0)], vec![(Kind::Set, 0)]];
-    let dir = shard_dir("named");
-    let mut recoveries = Recoveries::new();
+    let mut scratch = Scratch::new("named");
     for (protocol, schedule, property) in [
         (
             Protocol::GetSkipsBuffer,
@@ -832,21 +755,11 @@ fn each_defect_fails_on_its_own_schedule_and_the_real_gate_passes_it() {
         ),
     ] {
         let mut run = |protocol| {
-            explore(
-                &scripts,
-                schedule,
-                protocol,
-                &dir,
-                0,
-                false,
-                &mut recoveries,
-            )
+            let world = World::new(protocol, &scratch.dir, &scripts);
+            explore::replay(world, &mut scratch, schedule)
         };
         run(Protocol::Real)
             .unwrap_or_else(|e| panic!("the real gate on {protocol:?}'s schedule: {e}"));
-        let caught = run(protocol).unwrap_err();
-        assert!(caught.starts_with(property), "{protocol:?}: {caught}");
+        explore::assert_fails(run(protocol), property);
     }
-    let _ = fs::remove_dir_all(&dir);
-    let _ = fs::remove_dir_all(dir.with_extension("crashed"));
 }

@@ -17,9 +17,8 @@
 //!    only raises what later GETs are held to.
 //!
 //! A schedule says which connection takes its next micro-step, and the
-//! search is **exhaustive**: every schedule of every script set in scope
-//! (see [`script_sets`]) is run, by stateless depth-first search — the
-//! switch cannot be cloned, so each schedule replays from an empty world.
+//! search is **exhaustive**: `p4lru-explore` runs every schedule of every
+//! script set in scope ([`script_sets`]), each from an empty world.
 //!
 //! Two properties, both reported as a `stale read`:
 //!
@@ -42,6 +41,7 @@
 
 use p4lru::server::{Request, Response};
 use p4lru::tier::{Step, SwitchTier, SwitchTierConfig};
+use p4lru_explore as explore;
 
 /// Key slots: 0 and 1 share an invalidation partition, 2 has its own.
 const KEYS: usize = 3;
@@ -302,85 +302,58 @@ impl World {
     }
 }
 
-/// Whether two adjacent micro-steps of different connections leave the same
-/// world in either order. An upstream step touches one key's stored value
-/// and nothing of the switch, so it commutes with every switch step and
-/// with every upstream step that is not a write racing an access of the
-/// same key; two switch steps are never assumed to.
-fn commute(a: Option<Op>, b: Option<Op>) -> bool {
-    match (a, b) {
-        (None, None) => false,
-        (Some((a, at)), Some((b, bt))) => at != bt || (a == Kind::Get && b == Kind::Get),
-        _ => true,
+/// The machine the explorer drives: the world and a connection per script.
+struct Sim<'a> {
+    world: World,
+    conns: Vec<Conn<'a>>,
+}
+
+impl<'a> Sim<'a> {
+    fn new(tier: Tier, keys: [u64; KEYS], scripts: &'a [Script]) -> Self {
+        let conns = scripts.iter().map(|s| Conn::new(s)).collect();
+        Self {
+            world: World::new(tier, keys),
+            conns,
+        }
     }
 }
 
-/// Runs `scripts`, one per connection, under `schedule`: entry `i` picks
-/// among the connections that still have work at micro-step `i`, and past
-/// the schedule's end the first of them runs. A last connection then reads
-/// every key back in one turn. Returns how many connections each
-/// micro-step had to pick from, or the first violation.
-///
-/// With `reduced`, the run stops short at a micro-step that [`commute`]s
-/// with the one before it and belongs to a lower-numbered connection: the
-/// schedule with the two swapped reaches the same world, sorts earlier,
-/// and is explored in its own right.
-fn explore(
-    scripts: &[Script],
-    schedule: &[usize],
-    tier: Tier,
-    keys: [u64; KEYS],
-    reduced: bool,
-) -> Result<Vec<usize>, String> {
-    let mut world = World::new(tier, keys);
-    let mut conns: Vec<Conn> = scripts.iter().map(|s| Conn::new(s)).collect();
-    let mut widths = Vec::new();
-    let mut last = None;
-    loop {
-        let mut runnable = conns.iter_mut().enumerate().filter(|(_, c)| !c.done());
-        let pick = schedule.get(widths.len()).copied().unwrap_or(0);
-        let Some((id, conn)) = runnable.nth(pick) else {
-            assert!(pick == 0, "schedule entry {} out of range", widths.len());
-            break;
-        };
-        widths.push(pick + 1 + runnable.count());
-        let did = world.step(conn)?;
-        if reduced && last.is_some_and(|(before, done)| id < before && commute(done, did)) {
-            return Ok(widths);
-        }
-        last = Some((id, did));
-    }
-    let read_back = [(0..KEYS).map(|slot| (Kind::Get, slot)).collect()];
-    let mut reader = Conn::new(&read_back);
-    while !reader.done() {
-        world.step(&mut reader)?;
-    }
-    world.switch.check_invariants()?;
-    Ok(widths)
-}
+impl explore::Machine for Sim<'_> {
+    /// The op the upstream applied, or `None` for a step at the switch.
+    type Did = Option<Op>;
+    type Worker = ();
 
-/// Every schedule of `scripts` (less the reordered twins `explore` cuts
-/// short), depth first: run one, then advance the deepest pick that has an
-/// alternative left and cut the schedule there. Returns how many runs that
-/// took, or the first violation with the schedule that produced it.
-fn every_schedule(scripts: &[Script], tier: Tier, keys: [u64; KEYS]) -> Result<usize, String> {
-    let mut schedule = Vec::new();
-    for ran in 1.. {
-        let widths = explore(scripts, &schedule, tier, keys, true)
-            .map_err(|e| format!("{e}\n  scripts {scripts:?}\n  schedule {schedule:?}"))?;
-        schedule.resize(widths.len(), 0);
-        while schedule
-            .last()
-            .is_some_and(|&pick| pick + 1 == widths[schedule.len() - 1])
-        {
-            schedule.pop();
-        }
-        match schedule.last_mut() {
-            Some(pick) => *pick += 1,
-            None => return Ok(ran),
+    fn actors(&self) -> Vec<usize> {
+        (0..self.conns.len())
+            .filter(|&c| !self.conns[c].done())
+            .collect()
+    }
+
+    fn step(&mut self, conn: usize) -> Result<Option<Op>, String> {
+        self.world.step(&mut self.conns[conn])
+    }
+
+    /// An upstream step touches one key's stored value and nothing of the
+    /// switch, so it commutes with every switch step and with every
+    /// upstream step that is not a write racing an access of the same key;
+    /// two switch steps are never assumed to.
+    fn commute(a: Option<Op>, b: Option<Op>) -> bool {
+        match (a, b) {
+            (None, None) => false,
+            (Some((a, at)), Some((b, bt))) => at != bt || (a == Kind::Get && b == Kind::Get),
+            _ => true,
         }
     }
-    unreachable!()
+
+    /// A last connection reads every key back in one turn.
+    fn check_end(&mut self) -> Result<(), String> {
+        let read_back = [(0..KEYS).map(|slot| (Kind::Get, slot)).collect()];
+        let mut reader = Conn::new(&read_back);
+        while !reader.done() {
+            self.world.step(&mut reader)?;
+        }
+        self.world.switch.check_invariants()
+    }
 }
 
 /// What a script may ask: anything of slot 0, and a GET or a SET of the
@@ -458,15 +431,19 @@ fn script_sets() -> Vec<Vec<Script>> {
     sets
 }
 
+/// Replays one named schedule against `tier`.
+fn replay(tier: Tier, scripts: &[Script], schedule: &[usize]) -> Result<(), explore::Failure> {
+    explore::replay(Sim::new(tier, keys(), scripts), &mut (), schedule)
+}
+
 /// Runs the whole scope against `tier`; the first violation, if any.
-fn exhaust(tier: Tier) -> Result<(usize, usize), String> {
+fn exhaust(tier: Tier) -> Result<(usize, usize), explore::Failure> {
     let keys = keys();
-    let sets = script_sets();
-    let mut schedules = 0;
-    for scripts in &sets {
-        schedules += every_schedule(scripts, tier, keys)?;
-    }
-    Ok((sets.len(), schedules))
+    explore::exhaust(
+        &script_sets(),
+        |_| (),
+        |scripts, _| Sim::new(tier, keys, scripts),
+    )
 }
 
 #[test]
@@ -518,11 +495,10 @@ fn the_pr_11_schedule_is_stale_without_rule_3_and_fresh_with_it() {
         0, // SET finishes (rule 3, where there is one) and is acked
         0, // the writer's own next GET begins: a hit on the old value, or a miss
     ];
-    explore(&scripts, &schedule, Tier::Real, keys(), false).expect("rule 3 expels the old value");
-    let caught = explore(&scripts, &schedule, Tier::WithoutRule3, keys(), false).unwrap_err();
-    assert!(
-        caught.starts_with("stale read: GET of slot 0 was acked version 0"),
-        "{caught}"
+    replay(Tier::Real, &scripts, &schedule).expect("rule 3 expels the old value");
+    explore::assert_fails(
+        replay(Tier::WithoutRule3, &scripts, &schedule),
+        "stale read: GET of slot 0 was acked version 0",
     );
 }
 
@@ -542,12 +518,11 @@ fn a_turn_begun_piecemeal_reads_behind_its_own_write() {
         1, // … and is admitted: no stamp is newer than its clock
         0, // the turn's own GET begins: a hit on the old value
     ];
-    let caught = explore(&scripts, &schedule, Tier::BeginsInterleave, keys(), false).unwrap_err();
-    assert!(
-        caught.starts_with("stale read: GET of slot 0 was acked version 0 behind version 1"),
-        "{caught}"
+    explore::assert_fails(
+        replay(Tier::BeginsInterleave, &scripts, &schedule),
+        "stale read: GET of slot 0 was acked version 0 behind version 1",
     );
     // Begun as one step the same picks cannot separate the two, and the
     // GET follows its SET upstream.
-    explore(&scripts, &schedule, Tier::Real, keys(), false).expect("the turn reads its own write");
+    replay(Tier::Real, &scripts, &schedule).expect("the turn reads its own write");
 }
