@@ -5,34 +5,50 @@
 //!
 //! ```text
 //! [8  magic "P4LRSNAP"]
-//! [u32 version]
+//! [u32 version]             // 2; version 1 files are still read
 //! [u64 seq]
 //! [u64 count]
-//! count × ([u64 key][VALUE_SIZE record bytes])
+//! count × entry
 //! [u32 crc]                 // over everything after the magic
 //! ```
 //!
+//! A version 2 entry is `[u64 key][u8 mask][the record's non-zero 8-byte
+//! words, in order]`: bit `i` of the mask is set when bytes `8i..8i+8` of
+//! the record are not all zero. A served value is padded to `VALUE_SIZE`
+//! with zeros, so most of a record is elided (a preloaded record's entry
+//! is 25 bytes, not 72). A version 1 entry is `[u64 key][VALUE_SIZE record
+//! bytes]`.
+//!
 //! Writes are crash-atomic: the body goes to `snap-<seq>.tmp`, is fsynced,
 //! and is renamed into place, then the directory is fsynced. Readers ignore
-//! `.tmp` leftovers and validate the CRC, so a crash at any point leaves
-//! either the old snapshot or the new one, never a half-written hybrid.
+//! `.tmp` leftovers and validate the CRC and every entry before building
+//! anything, so a crash at any point leaves either the old snapshot or the
+//! new one, never a half-written hybrid.
 
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use p4lru_kvstore::{Database, DatabaseBuilder, VALUE_SIZE};
+use p4lru_kvstore::{Database, DatabaseBuilder, Record, VALUE_SIZE};
 
 use crate::crc::{crc32, Crc32};
 
 const MAGIC: &[u8; 8] = b"P4LRSNAP";
-const VERSION: u32 = 1;
+/// The version this build writes.
+const VERSION: u32 = 2;
+/// Whole records after each key; still read.
+const VERSION_1: u32 = 1;
 const PREFIX: &str = "snap-";
 const SUFFIX: &str = ".snap";
 /// `version`, `seq` and `count`: the body's fields before its records.
 const FIELDS_BYTES: usize = 4 + 8 + 8;
-/// One encoded `(key, record)` entry.
-const ENTRY_BYTES: usize = 8 + VALUE_SIZE;
+// A version 2 entry's one-byte mask has a bit for each of a record's
+// eight 8-byte words.
+const _: () = assert!(VALUE_SIZE == 64);
+/// A version 1 entry: the key and the whole record.
+const V1_ENTRY_BYTES: usize = 8 + VALUE_SIZE;
+/// The longest version 2 entry: key, mask, and every word.
+const MAX_ENTRY_BYTES: usize = 8 + 1 + VALUE_SIZE;
 /// The writer's buffer: each full buffer is checksummed and written in
 /// one piece.
 const WRITE_BUFFER_BYTES: usize = 1 << 20;
@@ -64,6 +80,23 @@ impl BodyWriter {
         Ok(())
     }
 
+    /// Encodes one version 2 entry. Every word is copied to the next free
+    /// place and only a non-zero one advances it, so the loop compares
+    /// whole words and takes no branch on the data.
+    fn entry(&mut self, key: u64, record: &Record) -> io::Result<()> {
+        let mut entry = [0u8; MAX_ENTRY_BYTES];
+        entry[..8].copy_from_slice(&key.to_le_bytes());
+        let (mut mask, mut len) = (0u8, 9);
+        for (i, word) in record.chunks_exact(8).enumerate() {
+            let kept = u64::from_ne_bytes(word.try_into().expect("8 bytes")) != 0;
+            entry[len..len + 8].copy_from_slice(word);
+            mask |= u8::from(kept) << i;
+            len += 8 * usize::from(kept);
+        }
+        entry[8] = mask;
+        self.put(&entry[..len])
+    }
+
     fn drain(&mut self) -> io::Result<()> {
         self.crc.update(&self.buf);
         self.file.write_all(&self.buf)?;
@@ -92,8 +125,7 @@ pub fn write_snapshot(dir: &Path, seq: u64, db: &Database) -> io::Result<PathBuf
         w.put(&seq.to_le_bytes())?;
         w.put(&(db.len() as u64).to_le_bytes())?;
         for (key, record) in db.iter() {
-            w.put(&key.to_le_bytes())?;
-            w.put(record)?;
+            w.entry(key, record)?;
         }
         w.drain()?;
         let crc = w.crc.finish();
@@ -209,16 +241,20 @@ pub fn install_snapshot_bytes(dir: &Path, seq: u64, bytes: &[u8]) -> io::Result<
 }
 
 /// A snapshot file's bytes after validation: the sealed seq and the
-/// encoded records, still in the buffer they were read or shipped in.
+/// encoded entries, still in the buffer they were read or shipped in.
 struct Validated<'a> {
     seq: u64,
-    records: &'a [u8],
+    version: u32,
+    /// Entries walked, which the declared count matched.
+    count: usize,
+    entries: &'a [u8],
 }
 
 impl<'a> Validated<'a> {
-    /// Checks magic, CRC, version, and that the declared entry count is
-    /// exactly what the record bytes hold — with checked arithmetic, and
-    /// without sizing anything from the count.
+    /// Checks magic, CRC and version, then walks every entry: none may be
+    /// torn or run past the body, the walk must end exactly at the body's
+    /// end, and the declared count must be the number walked. Nothing is
+    /// sized from the count.
     fn parse(bytes: &'a [u8]) -> io::Result<Self> {
         if bytes.len() < MAGIC.len() + FIELDS_BYTES + 4 {
             return Err(err("snapshot file is too short"));
@@ -230,41 +266,82 @@ impl<'a> Validated<'a> {
         if crc32(body) != u32::from_le_bytes(crc.try_into().expect("4 bytes")) {
             return Err(err("snapshot CRC mismatch"));
         }
-        let (fields, records) = body.split_at(FIELDS_BYTES);
+        let (fields, entries) = body.split_at(FIELDS_BYTES);
         let version = u32::from_le_bytes(fields[0..4].try_into().expect("4 bytes"));
-        if version != VERSION {
+        if version != VERSION && version != VERSION_1 {
             return Err(err(format!("unsupported snapshot version {version}")));
         }
         let seq = u64::from_le_bytes(fields[4..12].try_into().expect("8 bytes"));
         let count = u64::from_le_bytes(fields[12..20].try_into().expect("8 bytes"));
-        if count.checked_mul(ENTRY_BYTES as u64) != Some(records.len() as u64) {
+        let (mut at, mut walked) = (0, 0u64);
+        while at < entries.len() && walked < count {
+            let len = entry_len(version, &entries[at..]);
+            if at + len > entries.len() {
+                return Err(err(format!("snapshot entry {walked} is torn")));
+            }
+            at += len;
+            walked += 1;
+        }
+        if walked != count {
             return Err(err(format!(
-                "snapshot declares {count} entries but holds {} bytes of records",
-                records.len()
+                "snapshot declares {count} entries but holds {walked}"
             )));
         }
-        Ok(Self { seq, records })
+        if at != entries.len() {
+            return Err(err(format!(
+                "snapshot has {} bytes after its last entry",
+                entries.len() - at
+            )));
+        }
+        Ok(Self {
+            seq,
+            version,
+            count: walked as usize,
+            entries,
+        })
     }
 
     /// Streams the records into a bulk build of the store.
     fn build(&self) -> Database {
-        let entries = self.records.chunks_exact(ENTRY_BYTES);
-        let mut builder = DatabaseBuilder::with_capacity(entries.len());
-        for entry in entries {
-            let (key, record) = entry.split_at(8);
-            builder.push(
-                u64::from_le_bytes(key.try_into().expect("8 bytes")),
-                record.try_into().expect("record bytes"),
-            );
+        let mut builder = DatabaseBuilder::with_capacity(self.count);
+        let mut rest = self.entries;
+        while !rest.is_empty() {
+            let (entry, tail) = rest.split_at(entry_len(self.version, rest));
+            let (key, words) = entry.split_at(8);
+            let mut record = [0u8; VALUE_SIZE];
+            if self.version == VERSION_1 {
+                record.copy_from_slice(words);
+            } else {
+                let mut mask = words[0];
+                for word in words[1..].chunks_exact(8) {
+                    let i = mask.trailing_zeros() as usize;
+                    record[8 * i..8 * i + 8].copy_from_slice(word);
+                    mask &= mask - 1;
+                }
+            }
+            builder.push(u64::from_le_bytes(key.try_into().expect("8 bytes")), record);
+            rest = tail;
         }
         builder.finish()
+    }
+}
+
+/// The length of the entry `rest` starts with, as its header declares: at
+/// least the bytes that hold the header, so a short `rest` reads as torn.
+fn entry_len(version: u32, rest: &[u8]) -> usize {
+    match (version, rest.get(8)) {
+        (VERSION_1, _) => V1_ENTRY_BYTES,
+        (_, Some(mask)) => 9 + 8 * mask.count_ones() as usize,
+        (_, None) => 9,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{reference_snapshot, TempDir};
+    use crate::testutil::{
+        reference_entries_v2, reference_snapshot, reference_snapshot_v2, sealed_snapshot, TempDir,
+    };
     use p4lru_kvstore::db::record_for;
     use p4lru_kvstore::Record;
 
@@ -360,10 +437,18 @@ mod tests {
     #[test]
     fn files_from_the_reference_encoder_load_unchanged() {
         let tmp = TempDir::new("snap-reference");
-        let db = sample_db(300);
+        // Sparse records, full ones, all-zero ones, and every mask bit alone.
+        let mut db = sample_db(300);
+        db.insert(1 << 40, [0u8; VALUE_SIZE]);
+        db.insert(1 << 41, [0xA5u8; VALUE_SIZE]);
+        for i in 0..VALUE_SIZE {
+            let mut record = [0u8; VALUE_SIZE];
+            record[i] = 1;
+            db.insert((1 << 42) + i as u64, record);
+        }
         let written = write_snapshot(tmp.path(), 7, &db).unwrap();
         let entries = entries_of(&db);
-        let reference = reference_snapshot(7, entries.len() as u64, &entries);
+        let reference = reference_snapshot_v2(7, entries.len() as u64, &entries);
         assert_eq!(
             fs::read(written).unwrap(),
             reference,
@@ -371,6 +456,77 @@ mod tests {
         );
         let loaded = load_latest(tmp.path()).unwrap();
         assert_eq!(entries_of(&loaded.db), entries);
+        // A version 1 file, as older data dirs hold, still loads.
+        fs::write(
+            tmp.path().join(snapshot_file_name(8)),
+            reference_snapshot(8, entries.len() as u64, &entries),
+        )
+        .unwrap();
+        let loaded = load_latest(tmp.path()).unwrap();
+        assert_eq!(loaded.seq, 8);
+        assert_eq!(entries_of(&loaded.db), entries);
+    }
+
+    /// Version 2 files whose CRC holds but whose body lies, each with what
+    /// its refusal names. `record_for(k)` keeps two words for `k > 0`, so
+    /// every entry is 25 bytes.
+    fn hostile_v2_snapshots(seq: u64) -> Vec<(&'static str, Vec<u8>, &'static str)> {
+        let entries: Vec<_> = (1..=9).map(|k| (k, record_for(k))).collect();
+        let honest = reference_entries_v2(&entries);
+        assert_eq!(honest.len(), 9 * 25);
+        let count = entries.len() as u64;
+        let mut overrun = honest.clone();
+        overrun[8 * 25 + 8] = 0xFF; // the last entry claims all eight words
+        let mut trailing = honest.clone();
+        trailing.extend_from_slice(&[0; 3]);
+        let seal = |version, count, body: &[u8]| sealed_snapshot(version, seq, count, body);
+        vec![
+            (
+                "torn entry",
+                seal(2, count, &honest[..honest.len() - 3]),
+                "is torn",
+            ),
+            ("mask overrun", seal(2, count, &overrun), "is torn"),
+            ("count too high", seal(2, count + 1, &honest), "holds 9"),
+            (
+                "count too low",
+                seal(2, count - 1, &honest),
+                "after its last entry",
+            ),
+            (
+                "wrapping count",
+                seal(2, count + (1 << 61), &honest),
+                "holds 9",
+            ),
+            ("largest count", seal(2, u64::MAX, &honest), "holds 9"),
+            ("trailing bytes", seal(2, count, &trailing), "3 bytes after"),
+            (
+                "version 3",
+                seal(3, count, &honest),
+                "unsupported snapshot version 3",
+            ),
+        ]
+    }
+
+    #[test]
+    fn a_hostile_v2_snapshot_is_skipped_and_refused_with_nothing_written() {
+        let tmp = TempDir::new("snap-hostile");
+        write_snapshot(tmp.path(), 10, &sample_db(5)).unwrap();
+        let before = list_snapshots(tmp.path()).unwrap();
+        for (case, bytes, reason) in hostile_v2_snapshots(20) {
+            let e = install_snapshot_bytes(tmp.path(), 20, &bytes).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{case}: {e}");
+            assert!(e.to_string().contains(reason), "{case}: {e}");
+            assert_eq!(list_snapshots(tmp.path()).unwrap(), before, "{case}");
+            assert_eq!(fs::read_dir(tmp.path()).unwrap().count(), 1, "{case}");
+
+            let path = tmp.path().join(snapshot_file_name(20));
+            fs::write(&path, &bytes).unwrap();
+            let loaded = load_latest(tmp.path()).unwrap();
+            assert_eq!((loaded.seq, loaded.db.len()), (10, 5), "{case}");
+            assert_eq!(loaded.invalid_skipped, 1, "{case}");
+            fs::remove_file(path).unwrap();
+        }
     }
 
     #[test]

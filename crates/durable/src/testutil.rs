@@ -38,22 +38,57 @@ impl Drop for TempDir {
     }
 }
 
-/// A snapshot file as earlier builds encoded it, checksummed by the
-/// reference byte-at-a-time CRC. `count` is written as given, so a test
-/// can make the header disagree with the records it carries.
-pub fn reference_snapshot(seq: u64, count: u64, entries: &[(u64, Record)]) -> Vec<u8> {
+/// A snapshot file around entries already encoded: the header fields as
+/// given, so a test can make them disagree with the entries, and the
+/// reference byte-at-a-time CRC.
+pub fn sealed_snapshot(version: u32, seq: u64, count: u64, entries: &[u8]) -> Vec<u8> {
     let mut body = Vec::new();
-    body.extend_from_slice(&1u32.to_le_bytes());
+    body.extend_from_slice(&version.to_le_bytes());
     body.extend_from_slice(&seq.to_le_bytes());
     body.extend_from_slice(&count.to_le_bytes());
-    for (key, record) in entries {
-        body.extend_from_slice(&key.to_le_bytes());
-        body.extend_from_slice(record);
-    }
+    body.extend_from_slice(entries);
     let mut file = b"P4LRSNAP".to_vec();
     file.extend_from_slice(&body);
     file.extend_from_slice(&crc32_bytewise(&body).to_le_bytes());
     file
+}
+
+/// A version 1 snapshot file, as earlier builds encoded it: each key and
+/// its whole record. `count` is written as given.
+pub fn reference_snapshot(seq: u64, count: u64, entries: &[(u64, Record)]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for (key, record) in entries {
+        bytes.extend_from_slice(&key.to_le_bytes());
+        bytes.extend_from_slice(record);
+    }
+    sealed_snapshot(1, seq, count, &bytes)
+}
+
+/// Version 2 entries, encoded a byte at a time: each key, a mask with bit
+/// `i` set when any byte of the record's word `i` is not zero, and those
+/// words.
+pub fn reference_entries_v2(entries: &[(u64, Record)]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for (key, record) in entries {
+        bytes.extend_from_slice(&key.to_le_bytes());
+        let mut mask = 0u8;
+        let mut words = Vec::new();
+        for (i, word) in record.chunks(8).enumerate() {
+            if word.iter().any(|&b| b != 0) {
+                mask |= 1 << i;
+                words.extend_from_slice(word);
+            }
+        }
+        bytes.push(mask);
+        bytes.extend_from_slice(&words);
+    }
+    bytes
+}
+
+/// A version 2 snapshot file from the reference encoder. `count` is
+/// written as given.
+pub fn reference_snapshot_v2(seq: u64, count: u64, entries: &[(u64, Record)]) -> Vec<u8> {
+    sealed_snapshot(2, seq, count, &reference_entries_v2(entries))
 }
 
 /// WAL records `(seq, op)` as earlier builds encoded them, checksummed by

@@ -101,6 +101,8 @@ type Script = Vec<Vec<Op>>;
 
 #[derive(Default)]
 struct Conn<'a> {
+    /// The connection's number in a trace line.
+    id: usize,
     script: &'a [Vec<Op>],
     /// Index of the current turn in `script`.
     at: usize,
@@ -119,8 +121,9 @@ struct Conn<'a> {
 }
 
 impl<'a> Conn<'a> {
-    fn new(script: &'a [Vec<Op>]) -> Self {
+    fn new(id: usize, script: &'a [Vec<Op>]) -> Self {
         Self {
+            id,
             script,
             ..Self::default()
         }
@@ -140,6 +143,9 @@ struct World {
     upstream: [(u64, bool); KEYS],
     /// Per key slot: the newest version whose write has been acked.
     acked: [u64; KEYS],
+    /// What each step did, a line a step; kept only when a failing
+    /// schedule is replayed.
+    trace: Option<Vec<String>>,
 }
 
 /// The version a served record carries in its first eight bytes.
@@ -155,6 +161,13 @@ impl World {
             switch: switch(),
             upstream: [(0, true); KEYS],
             acked: [0; KEYS],
+            trace: None,
+        }
+    }
+
+    fn note(&mut self, line: impl FnOnce() -> String) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(line());
         }
     }
 
@@ -221,6 +234,14 @@ impl World {
                     Step::Reply(other) => return Err(format!("the switch answered {other:?}")),
                 });
             }
+            let (id, ops) = (conn.id, &turn[from..conn.versions.len()]);
+            let verdicts: Vec<String> = (begun.iter().zip(&conn.versions[from..]))
+                .map(|(step, version)| match step {
+                    Step::Forward { .. } => "forward".to_string(),
+                    Step::Reply(_) => format!("hit at version {version}"),
+                })
+                .collect();
+            self.note(|| format!("conn {id}: begin {ops:?}: {verdicts:?}"));
             conn.begun.extend(begun);
         } else if conn.answers.len() < forwards(&conn.begun) {
             // 2. The upstream applies this connection's next forward.
@@ -231,6 +252,8 @@ impl World {
             let (version, answer) = self.apply(turn[at]);
             conn.versions[at] = version;
             conn.answers.push(answer);
+            let (id, op) = (conn.id, turn[at]);
+            self.note(|| format!("conn {id}: upstream applies {op:?} at version {version}"));
             return Ok(Some(turn[at]));
         } else {
             // 3. Finish: the whole turn at once, in wire order …
@@ -258,6 +281,8 @@ impl World {
             }
             let answers = std::mem::take(&mut conn.answers);
             let replies = self.switch.finish_turn(&requests, begun, answers);
+            let (id, versions) = (conn.id, &conn.versions);
+            self.note(|| format!("conn {id}: finish, ack versions {versions:?}"));
             // … and ack, in wire order.
             for (i, (&(kind, slot), reply)) in turn.iter().zip(&replies).enumerate() {
                 let version = conn.versions[i];
@@ -310,11 +335,17 @@ struct Sim<'a> {
 
 impl<'a> Sim<'a> {
     fn new(tier: Tier, keys: [u64; KEYS], scripts: &'a [Script]) -> Self {
-        let conns = scripts.iter().map(|s| Conn::new(s)).collect();
+        let conns = scripts.iter().enumerate();
         Self {
             world: World::new(tier, keys),
-            conns,
+            conns: conns.map(|(id, s)| Conn::new(id, s)).collect(),
         }
+    }
+
+    /// The same machine, keeping a trace line per step.
+    fn traced(mut self) -> Self {
+        self.world.trace = Some(Vec::new());
+        self
     }
 }
 
@@ -348,11 +379,15 @@ impl explore::Machine for Sim<'_> {
     /// A last connection reads every key back in one turn.
     fn check_end(&mut self) -> Result<(), String> {
         let read_back = [(0..KEYS).map(|slot| (Kind::Get, slot)).collect()];
-        let mut reader = Conn::new(&read_back);
+        let mut reader = Conn::new(self.conns.len(), &read_back);
         while !reader.done() {
             self.world.step(&mut reader)?;
         }
         self.world.switch.check_invariants()
+    }
+
+    fn trace(&self) -> Vec<String> {
+        self.world.trace.clone().unwrap_or_default()
     }
 }
 
@@ -431,19 +466,27 @@ fn script_sets() -> Vec<Vec<Script>> {
     sets
 }
 
-/// Replays one named schedule against `tier`.
+/// Replays one schedule against `tier`, with its trace.
 fn replay(tier: Tier, scripts: &[Script], schedule: &[usize]) -> Result<(), explore::Failure> {
-    explore::replay(Sim::new(tier, keys(), scripts), &mut (), schedule)
+    explore::replay(Sim::new(tier, keys(), scripts).traced(), &mut (), schedule)
 }
 
-/// Runs the whole scope against `tier`; the first violation, if any.
+/// Runs the whole scope against `tier`; the first violation, if any. The
+/// search keeps no trace: the failing schedule, replayed alone, does.
 fn exhaust(tier: Tier) -> Result<(usize, usize), explore::Failure> {
-    let keys = keys();
-    explore::exhaust(
-        &script_sets(),
-        |_| (),
-        |scripts, _| Sim::new(tier, keys, scripts),
-    )
+    let (keys, sets) = (keys(), script_sets());
+    explore::exhaust(&sets, |_| (), |scripts, _| Sim::new(tier, keys, scripts)).map_err(|found| {
+        let index = found
+            .set
+            .as_ref()
+            .expect("a search failure names its set")
+            .0;
+        let replayed = replay(tier, &sets[index], &found.schedule);
+        let trace = replayed
+            .expect_err("the failing schedule fails again")
+            .trace;
+        explore::Failure { trace, ..found }
+    })
 }
 
 #[test]
@@ -456,11 +499,14 @@ fn no_schedule_gets_a_stale_read_past_begin_and_finish() {
     );
 }
 
-/// The same exhaustive run, minus rule 3.
+/// The same exhaustive run, minus rule 3; its report shows every step.
 #[test]
 #[should_panic(expected = "stale read")]
 fn the_explorer_catches_a_finish_without_rule_3() {
-    exhaust(Tier::WithoutRule3).unwrap_or_else(|e| panic!("{e}"));
+    if let Err(failure) = exhaust(Tier::WithoutRule3) {
+        assert!(!failure.trace.is_empty(), "the report has no trace");
+        panic!("{failure}");
+    }
 }
 
 /// The same exhaustive run, with a turn's begins open to other
@@ -496,10 +542,11 @@ fn the_pr_11_schedule_is_stale_without_rule_3_and_fresh_with_it() {
         0, // the writer's own next GET begins: a hit on the old value, or a miss
     ];
     replay(Tier::Real, &scripts, &schedule).expect("rule 3 expels the old value");
-    explore::assert_fails(
+    let failure = explore::assert_fails(
         replay(Tier::WithoutRule3, &scripts, &schedule),
         "stale read: GET of slot 0 was acked version 0",
     );
+    assert!(failure.trace.len() >= schedule.len(), "{failure}");
 }
 
 /// The schedule that makes a turn's begins atomic by protocol rather than
