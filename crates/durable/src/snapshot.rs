@@ -14,10 +14,12 @@
 //!
 //! A version 2 entry is `[u64 key][u8 mask][the record's non-zero 8-byte
 //! words, in order]`: bit `i` of the mask is set when bytes `8i..8i+8` of
-//! the record are not all zero. A served value is padded to `VALUE_SIZE`
-//! with zeros, so most of a record is elided (a preloaded record's entry
-//! is 25 bytes, not 72). A version 1 entry is `[u64 key][VALUE_SIZE record
-//! bytes]`.
+//! the record are not all zero. That is the form the record heap stores
+//! (`p4lru_kvstore::sparse`), so the writer copies the heap's words and
+//! the reader pushes them back without a 64-byte record in between. A
+//! served value is padded to `VALUE_SIZE` with zeros, so most of a record
+//! is elided (a preloaded record's entry is 25 bytes, not 72). A version 1
+//! entry is `[u64 key][VALUE_SIZE record bytes]`.
 //!
 //! Writes are crash-atomic: the body goes to `snap-<seq>.tmp`, is fsynced,
 //! and is renamed into place, then the directory is fsynced. Readers ignore
@@ -29,7 +31,8 @@ use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use p4lru_kvstore::{Database, DatabaseBuilder, Record, VALUE_SIZE};
+use p4lru_kvstore::sparse::{encoded_len, MAX_ENCODED_BYTES, WORDS};
+use p4lru_kvstore::{Database, DatabaseBuilder, Sparse, VALUE_SIZE};
 
 use crate::crc::{crc32, Crc32};
 
@@ -42,13 +45,10 @@ const PREFIX: &str = "snap-";
 const SUFFIX: &str = ".snap";
 /// `version`, `seq` and `count`: the body's fields before its records.
 const FIELDS_BYTES: usize = 4 + 8 + 8;
-// A version 2 entry's one-byte mask has a bit for each of a record's
-// eight 8-byte words.
-const _: () = assert!(VALUE_SIZE == 64);
 /// A version 1 entry: the key and the whole record.
 const V1_ENTRY_BYTES: usize = 8 + VALUE_SIZE;
 /// The longest version 2 entry: key, mask, and every word.
-const MAX_ENTRY_BYTES: usize = 8 + 1 + VALUE_SIZE;
+const MAX_ENTRY_BYTES: usize = 8 + MAX_ENCODED_BYTES;
 /// The writer's buffer: each full buffer is checksummed and written in
 /// one piece.
 const WRITE_BUFFER_BYTES: usize = 1 << 20;
@@ -80,20 +80,12 @@ impl BodyWriter {
         Ok(())
     }
 
-    /// Encodes one version 2 entry. Every word is copied to the next free
-    /// place and only a non-zero one advances it, so the loop compares
-    /// whole words and takes no branch on the data.
-    fn entry(&mut self, key: u64, record: &Record) -> io::Result<()> {
+    /// Writes one version 2 entry: the key, then the record as the heap
+    /// stores it.
+    fn entry(&mut self, key: u64, record: Sparse<'_>) -> io::Result<()> {
         let mut entry = [0u8; MAX_ENTRY_BYTES];
         entry[..8].copy_from_slice(&key.to_le_bytes());
-        let (mut mask, mut len) = (0u8, 9);
-        for (i, word) in record.chunks_exact(8).enumerate() {
-            let kept = u64::from_ne_bytes(word.try_into().expect("8 bytes")) != 0;
-            entry[len..len + 8].copy_from_slice(word);
-            mask |= u8::from(kept) << i;
-            len += 8 * usize::from(kept);
-        }
-        entry[8] = mask;
+        let len = 8 + record.write_le(&mut entry[8..]);
         self.put(&entry[..len])
     }
 
@@ -124,7 +116,7 @@ pub fn write_snapshot(dir: &Path, seq: u64, db: &Database) -> io::Result<PathBuf
         w.put(&VERSION.to_le_bytes())?;
         w.put(&seq.to_le_bytes())?;
         w.put(&(db.len() as u64).to_le_bytes())?;
-        for (key, record) in db.iter() {
+        for (key, record) in db.iter_sparse() {
             w.entry(key, record)?;
         }
         w.drain()?;
@@ -307,19 +299,14 @@ impl<'a> Validated<'a> {
         let mut rest = self.entries;
         while !rest.is_empty() {
             let (entry, tail) = rest.split_at(entry_len(self.version, rest));
-            let (key, words) = entry.split_at(8);
-            let mut record = [0u8; VALUE_SIZE];
+            let (key, record) = entry.split_at(8);
+            let key = u64::from_le_bytes(key.try_into().expect("8 bytes"));
             if self.version == VERSION_1 {
-                record.copy_from_slice(words);
+                builder.push(key, record.try_into().expect("a whole record"));
             } else {
-                let mut mask = words[0];
-                for word in words[1..].chunks_exact(8) {
-                    let i = mask.trailing_zeros() as usize;
-                    record[8 * i..8 * i + 8].copy_from_slice(word);
-                    mask &= mask - 1;
-                }
+                let mut words = [0; WORDS];
+                builder.push_sparse(key, Sparse::read_le(record, &mut words));
             }
-            builder.push(u64::from_le_bytes(key.try_into().expect("8 bytes")), record);
             rest = tail;
         }
         builder.finish()
@@ -331,7 +318,7 @@ impl<'a> Validated<'a> {
 fn entry_len(version: u32, rest: &[u8]) -> usize {
     match (version, rest.get(8)) {
         (VERSION_1, _) => V1_ENTRY_BYTES,
-        (_, Some(mask)) => 9 + 8 * mask.count_ones() as usize,
+        (_, Some(&mask)) => 8 + encoded_len(mask),
         (_, None) => 9,
     }
 }

@@ -1,8 +1,9 @@
-//! The assembled database: B+Tree index over the slab store, plus the
+//! The assembled database: B+Tree index over the record heap, plus the
 //! service-time model used by the LruIndex throughput experiments.
 
 use crate::btree::{BPlusTree, SortedLoad};
-use crate::slab::{Addr48, Record, SlabStore, VALUE_SIZE};
+use crate::slab::{Addr48, Record, RecordBuf, RecordHeap, VALUE_SIZE};
+use crate::sparse::Sparse;
 
 /// Default B+Tree fan-out used across the workspace. 64 keys per node keeps
 /// a 1M-key index at height 4 (vs 6 at the old 32) while a node's head
@@ -20,8 +21,9 @@ pub const RECORD_READ_NS: u64 = 100;
 /// Fixed per-request server overhead (parsing, syscalls, reply build), ns.
 pub const REQUEST_OVERHEAD_NS: u64 = 1_000;
 
-/// A key-value database: `u64` keys → 64-byte records, indexed by a B+Tree
-/// whose leaves hold [`Addr48`] record addresses.
+/// A key-value database: `u64` keys → 64-byte records, stored at their
+/// size in a [`RecordHeap`] and indexed by a B+Tree whose leaves hold
+/// [`Addr48`] record addresses.
 ///
 /// ```
 /// use p4lru_kvstore::db::Database;
@@ -35,16 +37,16 @@ pub const REQUEST_OVERHEAD_NS: u64 = 1_000;
 #[derive(Clone, Debug)]
 pub struct Database {
     index: BPlusTree<u64, Addr48>,
-    store: SlabStore,
+    heap: RecordHeap,
 }
 
 /// Result of a keyed lookup: the record plus the cost drivers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Lookup<'a> {
+pub struct Lookup {
     /// The record's address (what LruIndex would cache).
     pub addr: Addr48,
-    /// The record contents.
-    pub record: &'a Record,
+    /// The record contents, decoded from the heap.
+    pub record: RecordBuf,
     /// B+Tree nodes visited to find the address.
     pub index_visits: usize,
 }
@@ -53,10 +55,11 @@ pub struct Lookup<'a> {
 /// walk cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Upserted {
-    /// The record's address (stable across overwrites of an existing key).
+    /// The record's address: an overwrite keeps it while the record's
+    /// mask of non-zero words holds, and re-places the record otherwise.
     pub addr: Addr48,
-    /// Whether the key already existed (the write was an in-place
-    /// overwrite rather than a fresh insert).
+    /// Whether the key already existed (the write was an overwrite rather
+    /// than a fresh insert).
     pub existed: bool,
     /// B+Tree nodes visited by the combined find-or-insert walk.
     pub index_visits: usize,
@@ -73,7 +76,7 @@ impl Database {
     pub fn new(max_keys: usize) -> Self {
         Self {
             index: BPlusTree::new(max_keys),
-            store: SlabStore::new(),
+            heap: RecordHeap::new(),
         }
     }
 
@@ -111,6 +114,12 @@ impl Database {
         self.index.heap_bytes()
     }
 
+    /// Heap bytes the records occupy ([`RecordHeap::heap_bytes`]): the
+    /// per-key cost of the values, the index not included.
+    pub fn record_bytes(&self) -> usize {
+        self.heap.heap_bytes()
+    }
+
     /// Applies any pending leaf-mode adaptations in the index now (e.g.
     /// after a snapshot scan flagged every leaf as scanned). Cheap; meant
     /// for quiescent moments like post-snapshot seal.
@@ -130,17 +139,17 @@ impl Database {
     /// The seed-era `insert` walked the index twice — once to probe for the
     /// key, once to insert it. This resolves the slot with one
     /// find-or-insert descent: a fresh key allocates its record on the way
-    /// down; an existing key overwrites its record in place, so its address
-    /// and the index leaf holding it stay as they were.
+    /// down; an existing key whose mask of non-zero words holds overwrites
+    /// its words in place, so its address and the index leaf holding it
+    /// stay as they were. A record whose mask changes is re-placed in its
+    /// new mask's arena ([`RecordHeap::overwrite`]), and the same walk
+    /// re-points the index at it ([`BPlusTree::upsert_by`]).
     pub fn upsert(&mut self, key: u64, record: Record) -> Upserted {
-        let store = &mut self.store;
-        let mut carry = Some(record);
-        let slot = self
-            .index
-            .upsert_with(key, || store.insert(carry.take().expect("fresh key")));
-        if let Some(record) = carry {
-            store.set(slot.value, record);
-        }
+        let heap = &mut self.heap;
+        let slot = self.index.upsert_by(key, |old| match old {
+            None => Some(heap.insert(&record)),
+            Some(addr) => Some(heap.overwrite(addr, &record)).filter(|&moved| moved != addr),
+        });
         Upserted {
             addr: slot.value,
             existed: slot.existed,
@@ -151,12 +160,12 @@ impl Database {
     /// Keyed lookup through the index (the slow path a cache miss takes).
     /// Uses the descent cache, so a run of lookups hitting the same leaf
     /// costs ~1 node visit each after the first.
-    pub fn lookup_by_key(&self, key: u64) -> Option<Lookup<'_>> {
+    pub fn lookup_by_key(&self, key: u64) -> Option<Lookup> {
         let (addr, visits) = self.index.lookup_hot(&key);
         let addr = addr?;
         Some(Lookup {
             addr,
-            record: self.store.get(addr),
+            record: self.heap.record(addr),
             index_visits: visits,
         })
     }
@@ -164,36 +173,43 @@ impl Database {
     /// Resolves a run of keys to their record addresses with one
     /// interleaved index descent ([`BPlusTree::lookup_run`]), replacing
     /// `out`'s contents with one entry per key, in key order. Each found
-    /// record is touched as well, so the copies that follow read lines
-    /// already on their way (both ends: the slab does not line-align its
-    /// records). A run costs `index_height` visits per key and does not
-    /// consult the descent cache.
+    /// record's words are touched as well ([`RecordHeap::touch`]), so the
+    /// reads that follow find lines already on their way. A run costs
+    /// `index_height` visits per key and does not consult the descent
+    /// cache.
     pub fn resolve_run(&self, keys: &[u64], out: &mut Vec<Option<Addr48>>) {
         self.index.lookup_run(keys, out);
         for addr in out.iter().flatten() {
-            let record = self.store.get(*addr);
-            std::hint::black_box((record[0], record[VALUE_SIZE - 1]));
+            self.heap.touch(*addr);
         }
     }
 
     /// Direct read by cached address (the fast path a cache hit takes).
-    pub fn lookup_by_addr(&self, addr: Addr48) -> &Record {
-        self.store.get(addr)
+    pub fn lookup_by_addr(&self, addr: Addr48) -> RecordBuf {
+        self.heap.record(addr)
     }
 
     /// Iterates every `(key, record)` pair in ascending key order.
-    ///
-    /// This is the serialization hook the durability subsystem snapshots
-    /// through: a full, ordered scan of the store without exposing the
-    /// index or slab internals.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &Record)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, RecordBuf)> + '_ {
         self.index
             .iter()
-            .map(|(key, addr)| (key, self.store.get(addr)))
+            .map(|(key, addr)| (key, self.heap.record(addr)))
+    }
+
+    /// Iterates every key with its record as the heap stores it, in
+    /// ascending key order.
+    ///
+    /// This is the serialization hook the durability subsystem snapshots
+    /// through: a full, ordered scan of the store, in the sparse form a
+    /// snapshot entry holds, without exposing the index or heap internals.
+    pub fn iter_sparse(&self) -> impl Iterator<Item = (u64, Sparse<'_>)> + '_ {
+        self.index
+            .iter()
+            .map(|(key, addr)| (key, self.heap.get(addr)))
     }
 
     /// Builds a database from `(key, record)` pairs in one
-    /// [`DatabaseBuilder`] pass (deserialization hook — the slab assigns
+    /// [`DatabaseBuilder`] pass (deserialization hook — the heap assigns
     /// fresh addresses, so only the contents round-trip, not the physical
     /// layout). Ascending keys stream straight into full leaves; any other
     /// order is sorted once at the end, and later duplicates win, matching
@@ -218,7 +234,7 @@ impl Database {
     pub fn remove(&mut self, key: u64) -> bool {
         match self.index.remove(&key) {
             Some(addr) => {
-                self.store.remove(addr);
+                self.heap.remove(addr);
                 true
             }
             None => false,
@@ -239,7 +255,7 @@ impl Database {
 
 /// The one way a [`Database`] is built in bulk (fresh population, snapshot
 /// recovery, a shipped snapshot): records are pushed one at a time, each
-/// goes straight into the slab, and its `(key, address)` straight into the
+/// goes straight into the heap, and its `(key, address)` straight into the
 /// index's bottom-up load, which places full leaves as they fill — no
 /// intermediate copy of the records or of the pairs.
 ///
@@ -257,11 +273,11 @@ impl Database {
 /// }
 /// let db = builder.finish();
 /// assert_eq!(db.len(), 334);
-/// assert_eq!(db.lookup_by_key(999).unwrap().record, &record_for(999));
+/// assert_eq!(db.lookup_by_key(999).unwrap().record, record_for(999));
 /// ```
 #[derive(Debug)]
 pub struct DatabaseBuilder {
-    store: SlabStore,
+    heap: RecordHeap,
     index: SortedLoad<u64, Addr48>,
     /// Every pair pushed so far, once a key arrived out of order.
     unsorted: Option<Vec<(u64, Addr48)>>,
@@ -279,11 +295,12 @@ impl DatabaseBuilder {
         Self::with_capacity(0)
     }
 
-    /// An empty build with slab room for `records` records (a hint; more
-    /// may be pushed).
-    pub fn with_capacity(records: usize) -> Self {
+    /// An empty build of about `records` records. The count is only a
+    /// hint, and the build reserves nothing for it: the heap's arenas grow
+    /// in chunks that are never copied.
+    pub fn with_capacity(_records: usize) -> Self {
         Self {
-            store: SlabStore::with_capacity(records),
+            heap: RecordHeap::new(),
             index: SortedLoad::new(DEFAULT_MAX_KEYS),
             unsorted: None,
         }
@@ -291,7 +308,18 @@ impl DatabaseBuilder {
 
     /// Adds a record.
     pub fn push(&mut self, key: u64, record: Record) {
-        let addr = self.store.insert(record);
+        let addr = self.heap.insert(&record);
+        self.place(key, addr);
+    }
+
+    /// Adds a record given in sparse form (a snapshot entry's, read with
+    /// [`Sparse::read_le`]), with no 64-byte copy on the way.
+    pub fn push_sparse(&mut self, key: u64, record: Sparse<'_>) {
+        let addr = self.heap.insert_sparse(record);
+        self.place(key, addr);
+    }
+
+    fn place(&mut self, key: u64, addr: Addr48) {
         if let Some(pairs) = &mut self.unsorted {
             pairs.push((key, addr));
         } else if self.index.last_key().is_some_and(|&last| key <= last) {
@@ -307,7 +335,7 @@ impl DatabaseBuilder {
     /// The database built from every pushed record.
     pub fn finish(self) -> Database {
         let Self {
-            mut store,
+            mut heap,
             index,
             unsorted,
         } = self;
@@ -322,13 +350,13 @@ impl DatabaseBuilder {
                         return false;
                     }
                     std::mem::swap(&mut later.1, &mut kept.1);
-                    store.remove(later.1);
+                    heap.remove(later.1);
                     true
                 });
                 BPlusTree::from_sorted(DEFAULT_MAX_KEYS, pairs)
             }
         };
-        Database { index, store }
+        Database { index, heap }
     }
 }
 
@@ -349,7 +377,7 @@ mod tests {
         let db = Database::populate(10_000);
         assert_eq!(db.len(), 10_000);
         let l = db.lookup_by_key(1234).expect("key exists");
-        assert_eq!(l.record, &record_for(1234));
+        assert_eq!(l.record, record_for(1234));
         assert_eq!(l.index_visits, db.index_height());
         assert_eq!(db.lookup_by_key(99_999), None);
     }
@@ -358,7 +386,7 @@ mod tests {
     fn cached_address_reads_same_record() {
         let db = Database::populate(1000);
         let l = db.lookup_by_key(77).unwrap();
-        assert_eq!(db.lookup_by_addr(l.addr), &record_for(77));
+        assert_eq!(db.lookup_by_addr(l.addr), record_for(77));
     }
 
     #[test]
@@ -380,7 +408,7 @@ mod tests {
         let addr1 = db.lookup_by_key(5).unwrap().addr;
         let replaced = db.insert(5, record_for(6));
         assert_eq!(replaced, Some(addr1));
-        assert_eq!(db.lookup_by_key(5).unwrap().record, &record_for(6));
+        assert_eq!(db.lookup_by_key(5).unwrap().record, record_for(6));
         assert_eq!(db.len(), 1);
     }
 
@@ -411,7 +439,16 @@ mod tests {
         assert!(again.existed);
         assert_eq!(again.addr, first.addr, "overwrite keeps the address");
         assert_eq!(again.index_visits, db.index_height());
-        assert_eq!(db.lookup_by_key(9).unwrap().record, &record_for(10));
+        assert_eq!(db.lookup_by_key(9).unwrap().record, record_for(10));
+        assert_eq!(db.len(), 1);
+        // Key 0's record keeps only word 1 (`mix64(0)`): a new mask moves
+        // it, and the index follows.
+        let moved = db.upsert(9, record_for(0));
+        assert!(moved.existed);
+        assert_ne!(moved.addr, first.addr, "a new mask re-places the record");
+        assert_eq!(moved.index_visits, db.index_height());
+        assert_eq!(db.lookup_by_key(9).unwrap().addr, moved.addr);
+        assert_eq!(db.lookup_by_addr(moved.addr), record_for(0));
         assert_eq!(db.len(), 1);
     }
 
@@ -426,7 +463,7 @@ mod tests {
         assert_eq!(db.len(), 3);
         let keys: Vec<u64> = db.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![1, 3, 5]);
-        assert_eq!(db.lookup_by_key(5).unwrap().record, &record_for(5));
+        assert_eq!(db.lookup_by_key(5).unwrap().record, record_for(5));
     }
 
     #[test]
@@ -438,6 +475,6 @@ mod tests {
         ];
         let db = Database::from_entries(entries);
         assert_eq!(db.len(), 2);
-        assert_eq!(db.lookup_by_key(2).unwrap().record, &record_for(21));
+        assert_eq!(db.lookup_by_key(2).unwrap().record, record_for(21));
     }
 }

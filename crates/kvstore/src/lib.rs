@@ -16,8 +16,11 @@
 //!   §13);
 //! * [`key`] — the [`key::IndexKey`] projection those slot layouts are
 //!   derived from;
-//! * [`slab`] — a slab store of fixed 64-byte records addressed by
-//!   [`slab::Addr48`] (the paper's 48-bit index, 64-byte values);
+//! * [`slab`] — the record heap: 64-byte records stored at their size,
+//!   one arena per mask of non-zero words, addressed by [`slab::Addr48`]
+//!   (the paper's 48-bit index, variable-length values);
+//! * [`sparse`] — the codec between a record and its stored form (the
+//!   mask and the non-zero words), which snapshots write as well;
 //! * [`db`] — the two glued together, with the service-time model used by
 //!   the throughput experiments, and [`db::DatabaseBuilder`], the one
 //!   streaming bulk build every bulk-loaded store goes through.
@@ -29,8 +32,10 @@ pub mod btree;
 pub mod db;
 pub mod key;
 pub mod slab;
+pub mod sparse;
 
 pub use btree::{BPlusTree, Progression, Upsert};
 pub use db::{Database, DatabaseBuilder};
 pub use key::IndexKey;
-pub use slab::{Addr48, Record, SlabStore, VALUE_SIZE};
+pub use slab::{Addr48, Record, RecordBuf, RecordHeap, VALUE_SIZE};
+pub use sparse::Sparse;

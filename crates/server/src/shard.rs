@@ -10,7 +10,7 @@
 //! placeholder's "reserve, then fill" dance collapses into one step — see
 //! DESIGN.md §7). Like LruIndex (§3.2), the cache stores the record's
 //! 48-bit *address*, not its value: a hit skips the index walk and reads
-//! the slab directly.
+//! the record heap directly.
 //!
 //! A shard is single-threaded by construction — `&mut self` on every
 //! operation; the server keeps each shard behind one mutex that the reactor
@@ -122,7 +122,7 @@ impl Shard {
         shard.log = Some(log);
         for key in replayed_keys {
             // Deleted keys are simply absent by now; survivors get their
-            // (fresh) slab address installed, warming the cache with what
+            // (fresh) heap address installed, warming the cache with what
             // was hot at crash time. Warm-up installs bypass the eviction
             // counter — they are not request-driven traffic.
             if let Some(found) = shard.db.lookup_by_key(key) {
@@ -187,7 +187,7 @@ impl Shard {
     /// run been served one key at a time — and leaving the cache, its
     /// DFA states and the hit/miss/absent/eviction counters as that would.
     ///
-    /// A cache hit reads the slab directly by cached address and refreshes
+    /// A cache hit reads the record heap directly by cached address and refreshes
     /// the entry's recency; a miss walks the index and installs the
     /// address. The run first probes the cache for every key, then
     /// resolves the keys that missed with one interleaved index descent
@@ -247,20 +247,19 @@ impl Shard {
             }
             walked = true;
             let found = match run_addr {
-                Some(addr) => addr.map(|addr| (addr, db.index_height())),
+                Some(addr) => addr.map(|addr| (addr, db.index_height(), db.lookup_by_addr(addr))),
                 None => db
                     .lookup_by_key(key)
-                    .map(|found| (found.addr, found.index_visits)),
+                    .map(|found| (found.addr, found.index_visits, found.record)),
             };
             match found {
-                Some((addr, visits)) => {
-                    let record = *db.lookup_by_addr(addr);
+                Some((addr, visits, record)) => {
                     metrics.miss(visits);
                     if let Outcome::Evicted { .. } = cache.update(key, addr, overwrite) {
                         metrics.eviction();
                     }
                     installed = true;
-                    reply(Some(record));
+                    reply(Some(*record));
                 }
                 None => {
                     metrics.absent();
@@ -287,9 +286,10 @@ impl Shard {
         // and a third time to learn a new key's address.
         let u = self.db.upsert(key, record);
         if u.existed {
-            // The record was overwritten in place, so any cached address
-            // is still valid; the walk cost is not charged (seed parity:
-            // in-place overwrites reported 0 visits).
+            // An overwrite: the walk cost is not charged (seed parity:
+            // in-place overwrites reported 0 visits). A record whose mask
+            // of non-zero words changed was re-placed at a new address,
+            // which the install below puts in the cache.
             self.metrics.set(0);
         } else {
             self.metrics.set(u.index_visits);
@@ -303,7 +303,7 @@ impl Shard {
     /// Deletes `key`, returning whether it existed.
     ///
     /// The cached address **must** be invalidated before the store frees the
-    /// record: the slab reuses freed addresses, so a stale cache entry would
+    /// record: the heap reuses freed addresses, so a stale cache entry would
     /// later serve some other key's record.
     pub fn del(&mut self, key: u64) -> io::Result<bool> {
         if let Some(log) = &mut self.log {
@@ -414,7 +414,7 @@ impl Shard {
             WalOp::Del { key } => {
                 self.metrics.del();
                 // Same invalidate-before-free order as [`Shard::del`]: the
-                // slab reuses freed addresses.
+                // heap reuses freed addresses.
                 self.cache.remove(&key);
                 self.db.remove(key);
             }
@@ -546,7 +546,7 @@ mod tests {
     #[test]
     fn set_new_and_existing_keys() {
         let mut shard = loaded_shard(10);
-        shard.set(3, record_for(103)).unwrap(); // existing: in-place
+        shard.set(3, record_for(103)).unwrap(); // existing: same mask, in place
         assert_eq!(shard.get(3), Some(record_for(103)));
         shard.set(500, record_for(500)).unwrap(); // new key
         assert_eq!(shard.get(500), Some(record_for(500)));
@@ -564,11 +564,44 @@ mod tests {
         assert_eq!(shard.get(4), Some(record_for(4))); // cache addr of key 4
         assert!(shard.del(4).unwrap());
         assert!(!shard.del(4).unwrap(), "second delete finds nothing");
-        // The slab reuses key 4's freed slot for the next insert; a stale
+        // The heap reuses key 4's freed slot for the next insert; a stale
         // cached address would now serve key 777's record under key 4.
         shard.set(777, record_for(777)).unwrap();
         assert_eq!(shard.get(4), None, "deleted key must stay deleted");
         assert_eq!(shard.get(777), Some(record_for(777)));
+    }
+
+    /// A benchmark SET's value: `[key:8][conn:1][version:8]`, padded and
+    /// closed by a mark byte — three non-zero words where a preloaded
+    /// record has two.
+    fn set_value(key: u64, version: u64) -> Record {
+        let mut r = [0u8; VALUE_SIZE];
+        r[..8].copy_from_slice(&key.to_le_bytes());
+        r[8] = 1;
+        r[9..17].copy_from_slice(&version.to_le_bytes());
+        r[VALUE_SIZE - 1] = 0xA5;
+        r
+    }
+
+    #[test]
+    fn a_set_that_moves_a_cached_record_re_points_the_cache() {
+        let mut shard = loaded_shard(100);
+        assert_eq!(shard.get(7), Some(record_for(7))); // cache key 7
+        let preloaded = shard.db.lookup_by_key(7).unwrap().addr;
+        shard.set(7, set_value(7, 1)).unwrap();
+        let moved = shard.db.lookup_by_key(7).unwrap().addr;
+        assert_ne!(moved, preloaded, "a new mask re-places the record");
+        assert_eq!(shard.cache().get(&7), Some(&moved));
+        let hits = shard.snapshot(0).hits;
+        assert_eq!(shard.get(7), Some(set_value(7, 1)));
+        assert_eq!(shard.snapshot(0).hits, hits + 1, "a front-cache hit");
+
+        assert!(shard.del(7).unwrap());
+        shard.set(500, set_value(500, 2)).unwrap();
+        let fresh = shard.db.lookup_by_key(500).unwrap().addr;
+        assert_eq!(fresh, moved, "the fresh key reuses the freed slot");
+        assert_eq!(shard.get(7), None, "deleted key must stay deleted");
+        assert_eq!(shard.get(500), Some(set_value(500, 2)));
     }
 
     #[test]

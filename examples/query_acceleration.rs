@@ -14,7 +14,7 @@ use p4lru::kvstore::db::Database;
 use p4lru::lruindex::system::{run_miss_rate, run_throughput, LruIndexConfig, ThroughputConfig};
 
 fn main() {
-    // The database substrate: a real B+Tree index over a slab store.
+    // The database substrate: a real B+Tree index over a record heap.
     let db = Database::populate(200_000);
     println!(
         "database: {} records, B+Tree height {}, service {}ns (indexed) vs {}ns (index walk)\n",

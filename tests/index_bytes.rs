@@ -107,7 +107,7 @@ fn reads_like(db: &Database, oracle: &BTreeMap<u64, Record>, keys: impl Iterator
         let got = db.lookup_by_key(k).map(|l| *l.record);
         assert_eq!(got, oracle.get(&k).copied(), "key {k}");
     }
-    assert!(db.iter().eq(oracle.iter().map(|(&k, r)| (k, r))));
+    assert!(db.iter().eq(oracle.iter().map(|(&k, &r)| (k, r.into()))));
 }
 
 fn index_bytes_per_key(db: &Database) -> f64 {
