@@ -157,6 +157,12 @@ impl<K: Eq + Hash + Clone, V, const N: usize, S: CacheState<N>> SeriesLru<K, V, 
         self.query(key).1
     }
 
+    /// Mutable value lookup across levels, without LRU reordering (the
+    /// series' [`LruArray::get_mut`]).
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.levels.iter_mut().find_map(|array| array.get_mut(key))
+    }
+
     /// Is the key cached at any level?
     pub fn contains(&self, key: &K) -> bool {
         matches!(self.query(key).0, QueryHit::Level(_))
@@ -298,6 +304,24 @@ mod tests {
         s.apply_reply(hit, 10, 100);
         assert_eq!(s.len(), 1);
         assert_eq!(s.duplicate_count(), 0);
+        s.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn get_mut_rewrites_a_value_at_any_level_in_place() {
+        let mut s = series(2, 1);
+        for k in 1..=4u64 {
+            s.apply_reply(QueryHit::Miss, k, k * 10);
+        }
+        // Key 1 was demoted to level 1; key 2 is level 0's LRU.
+        *s.get_mut(&1).unwrap() = 11;
+        *s.get_mut(&2).unwrap() = 22;
+        assert_eq!(s.get_mut(&9), None);
+        assert_eq!(s.query(&1), (QueryHit::Level(1), Some(&11)));
+        // No reordering: the next fresh key still demotes key 2, and the
+        // cascade carries its rewritten value down.
+        s.apply_reply(QueryHit::Miss, 5, 50);
+        assert_eq!(s.query(&2), (QueryHit::Level(1), Some(&22)));
         s.check_invariants().unwrap();
     }
 

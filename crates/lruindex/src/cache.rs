@@ -61,13 +61,24 @@ pub struct SeriesIndex<const N: usize, S: CacheState<N>> {
     label: &'static str,
 }
 
+/// The series behind [`SeriesIndex::new`]: `levels` arrays splitting the
+/// units that fit `memory_bytes` of [`index_layout`] entries. Generic in
+/// the value, so a cache that keeps whole values in the series (the serving
+/// tier's switch) gets the same capacity and hashing as the index.
+pub fn index_series<V, const N: usize, S: CacheState<N>>(
+    levels: usize,
+    memory_bytes: usize,
+    seed: u64,
+) -> SeriesLru<u64, V, N, S> {
+    let units_total = index_layout().units_in(memory_bytes, N);
+    SeriesLru::new(levels, (units_total / levels).max(1), seed)
+}
+
 impl<const N: usize, S: CacheState<N>> SeriesIndex<N, S> {
     /// `levels` arrays sized to fit `memory_bytes` in total.
     pub fn new(levels: usize, memory_bytes: usize, seed: u64, label: &'static str) -> Self {
-        let units_total = index_layout().units_in(memory_bytes, N);
-        let units_per_level = (units_total / levels).max(1);
         Self {
-            series: SeriesLru::new(levels, units_per_level, seed),
+            series: index_series(levels, memory_bytes, seed),
             label,
         }
     }
@@ -75,38 +86,6 @@ impl<const N: usize, S: CacheState<N>> SeriesIndex<N, S> {
     /// The underlying series (tests and diagnostics).
     pub fn series(&self) -> &SeriesLru<u64, u64, N, S> {
         &self.series
-    }
-
-    /// Mutable access to the underlying series (two-tier gateway internals).
-    pub fn series_mut(&mut self) -> &mut SeriesLru<u64, u64, N, S> {
-        &mut self.series
-    }
-
-    /// Number of series levels.
-    pub fn levels(&self) -> usize {
-        self.series.level_count()
-    }
-
-    /// Per-level query hook: the read-only pass, returning *which* level
-    /// holds the key plus the cached address — richer than the trait's
-    /// boolean-ish `cached_flag`, for per-level hit accounting in the tier.
-    pub fn query_level(&self, key: u64) -> (QueryHit, Option<u64>) {
-        let (hit, addr) = self.series.query(&key);
-        (hit, addr.copied())
-    }
-
-    /// Detailed reply hook: applies the deferred write and reports the full
-    /// [`ReplyOutcome`], including the expelled `(key, addr)` pair so a
-    /// value store paired with this index can reclaim the freed slot.
-    pub fn admit(&mut self, hit: QueryHit, key: u64, addr: u64) -> ReplyOutcome<u64, u64> {
-        self.series.apply_reply(hit, key, addr)
-    }
-
-    /// Invalidation hook: expels the key outright (the SET/DEL coherence
-    /// path of a two-tier deployment), returning the level it occupied and
-    /// the cached address.
-    pub fn invalidate(&mut self, key: u64) -> Option<(usize, u64)> {
-        self.series.remove(&key)
     }
 }
 
@@ -237,23 +216,6 @@ mod tests {
         // Promote via the protocol.
         c.apply_reply(10, 1234, flag, 0);
         assert_eq!(c.series().duplicate_count(), 0);
-    }
-
-    #[test]
-    fn per_level_hooks_roundtrip() {
-        let mut c = SeriesIndex::<3, Dfa3>::new(2, 4096, 9, "P4LRU3");
-        let (hit, addr) = c.query_level(77);
-        assert_eq!((hit, addr), (QueryHit::Miss, None));
-        let out = c.admit(hit, 77, 0xBEEF);
-        assert_eq!(out, ReplyOutcome::InsertedFresh { expelled: None });
-        let (hit, addr) = c.query_level(77);
-        assert_eq!(hit, QueryHit::Level(0));
-        assert_eq!(addr, Some(0xBEEF));
-        assert_eq!(c.invalidate(77), Some((0, 0xBEEF)));
-        assert_eq!(c.query_level(77).0, QueryHit::Miss);
-        assert_eq!(c.invalidate(77), None);
-        assert_eq!(c.levels(), 2);
-        c.series_mut().check_invariants().unwrap();
     }
 
     #[test]

@@ -21,7 +21,7 @@
 pub mod cache;
 pub mod system;
 
-pub use cache::{IndexCache, ReplyEffect, SeriesIndex};
+pub use cache::{index_series, IndexCache, ReplyEffect, SeriesIndex};
 pub use p4lru_core::policies::PolicyKind;
 pub use p4lru_core::series::{QueryHit, ReplyOutcome};
 pub use system::{LruIndexConfig, LruIndexReport, ThroughputConfig, ThroughputReport};

@@ -5,9 +5,10 @@
 //!
 //! The pieces, bottom up:
 //!
-//! * [`switch`] — the switch model: a [`p4lru_lruindex::SeriesIndex`]
-//!   mapping keys to 48-bit slot addresses plus a register-file value
-//!   store, and the tier's one front end: the sans-IO step pair
+//! * [`switch`] — the switch model: LruIndex's series of P4LRU3 arrays
+//!   (sized as [`p4lru_lruindex::SeriesIndex`]) holding each cached record
+//!   in its key's value slot, and the tier's one front end: the sans-IO
+//!   step pair
 //!   [`SwitchTier::begin`] / [`SwitchTier::finish`] — and, for a pipelined
 //!   burst, [`SwitchTier::begin_turn`] / [`SwitchTier::finish_turn`] — that
 //!   applies the three coherence rules (invalidate-before-forward,

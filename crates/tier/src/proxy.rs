@@ -4,8 +4,9 @@
 //! Clients connect to the proxy exactly as they would to serverd — same
 //! frames, same opcodes — so every existing client and load generator works
 //! unchanged. Per connection the proxy keeps its own upstream connection;
-//! the switch tier (index + value store) is shared across connections under
-//! one mutex, the way all ports of one switch share the same register file.
+//! the switch tier (the series arrays and the records in them) is shared
+//! across connections under one mutex, the way all ports of one switch
+//! share the same register arrays.
 //!
 //! A connection is served in *turns*. A turn blocks for one frame, takes
 //! with it every further GET/SET/DEL frame that has already arrived (up to

@@ -1,13 +1,14 @@
-//! The switch tier: the LruIndex series index paired with a register-backed
-//! value store, and the per-request protocol that keeps it coherent with
-//! the server behind it.
+//! The switch tier: LruIndex's series-connected P4LRU3 arrays holding the
+//! cached records themselves, and the per-request protocol that keeps them
+//! coherent with the server behind it.
 //!
-//! On a Tofino, the series-connected P4LRU arrays track *which* keys are
-//! cached and *where* (a 48-bit slot address); the values themselves live
-//! in a separate register file indexed by that address. [`SwitchTier`]
-//! reproduces that split in software: a [`SeriesIndex`] maps keys to slot
-//! addresses, and a flat `Vec<Record>` plays the register file, with a
-//! free-list recycling slots as index evictions release them.
+//! Values sit where P4LRU keeps them (PAPER.md §2.2): each record lives in
+//! its unit's value slot, at `S_lru` of its key's position, and moves only
+//! when a cascade carries it to the tail of the next level. [`SwitchTier`]
+//! holds that series itself, sized by [`index_series`] exactly as a
+//! [`p4lru_lruindex::SeriesIndex`] is (15 B of index SRAM per entry), so
+//! it caches the keys the index would, with no second store, address or
+//! allocator beside it.
 //!
 //! A request crosses the tier in two sans-IO steps, [`SwitchTier::begin`]
 //! before the upstream round trip and [`SwitchTier::finish`] after it, and
@@ -54,10 +55,10 @@
 
 use std::sync::Arc;
 
-use p4lru_core::dfa::Dfa3;
 use p4lru_core::hashing::hash_u64;
+use p4lru_core::series::P4Lru3Series;
 use p4lru_kvstore::Record;
-use p4lru_lruindex::{QueryHit, ReplyOutcome, SeriesIndex};
+use p4lru_lruindex::{index_series, QueryHit, ReplyOutcome};
 use p4lru_server::shard::record_from_bytes;
 use p4lru_server::{Request, Response};
 
@@ -65,7 +66,8 @@ use crate::counters::TierCounters;
 
 /// Switch-tier sizing. Mirrors the paper's deployment: `levels` series
 /// arrays sharing `memory_bytes` of index SRAM (15 B/entry — 8-byte key,
-/// 6-byte address, 1-byte state), one value slot per index entry.
+/// 6-byte address, 1-byte state); each entry keeps its record in its
+/// unit's value slot.
 #[derive(Clone, Debug)]
 pub struct SwitchTierConfig {
     /// Series levels (the paper deploys 4).
@@ -107,11 +109,8 @@ pub enum Step {
 
 /// The in-network front cache of a two-tier deployment.
 pub struct SwitchTier {
-    index: SeriesIndex<3, Dfa3>,
-    /// The register-file value store, one slot per index entry and one over.
-    slots: Vec<Record>,
-    /// Free slot addresses (every address not currently held by the index).
-    free: Vec<u64>,
+    /// The cached records, each in its key's value slot.
+    series: P4Lru3Series<u64, Record>,
     /// The invalidation clock: bumped by every invalidation, handed out by
     /// [`Self::begin`].
     epoch: u64,
@@ -131,14 +130,8 @@ impl SwitchTier {
 
     /// Builds the tier around an existing (shared) counter block.
     pub fn with_counters(config: &SwitchTierConfig, counters: Arc<TierCounters>) -> Self {
-        let index = SeriesIndex::new(config.levels, config.memory_bytes, config.seed, "P4LRU3");
-        // One slot more than the index has entries: an admission takes its
-        // slot before the insert that, in a full index, frees the evictee's.
-        let slots = p4lru_lruindex::IndexCache::capacity(&index) + 1;
         Self {
-            index,
-            slots: vec![[0u8; p4lru_kvstore::VALUE_SIZE]; slots],
-            free: (0..slots as u64).rev().collect(),
+            series: index_series(config.levels, config.memory_bytes, config.seed),
             epoch: 0,
             invalidated_at: vec![0; 1 << PARTITION_BITS].into_boxed_slice(),
             seed: config.seed,
@@ -151,20 +144,19 @@ impl SwitchTier {
         (hash_u64(self.seed, key) >> (u64::BITS - PARTITION_BITS)) as usize
     }
 
-    /// Entry capacity (that of the index; the value store has a slot to
-    /// spare).
+    /// Entry capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.len() - 1
+        self.series.capacity()
     }
 
-    /// Cached entries right now.
+    /// Cached entries right now (a scan of every unit).
     pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.series.len()
     }
 
     /// Is the tier empty?
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.series.is_empty()
     }
 
     /// The shared counter block.
@@ -260,17 +252,16 @@ impl SwitchTier {
         self.epoch
     }
 
-    /// The switch's data-plane GET path: query the index, and on a hit
-    /// promote the entry (the reply pass) and read its slot. Counts the hit
-    /// per level. Returns `None` on a miss — the caller forwards.
+    /// The switch's data-plane GET path: query every level read-only, and
+    /// on a hit promote the entry (the reply pass) and read its record.
+    /// Counts the hit per level. Returns `None` on a miss — the caller
+    /// forwards.
     pub fn lookup(&mut self, key: u64) -> Option<(usize, Record)> {
-        let (hit, addr) = self.index.query_level(key);
-        let QueryHit::Level(level) = hit else {
+        let (hit, record) = self.series.query(&key);
+        let (QueryHit::Level(level), Some(&record)) = (hit, record) else {
             return None;
         };
-        let addr = addr.expect("a query hit always carries its address");
-        let record = self.slots[addr as usize];
-        match self.index.admit(hit, key, addr) {
+        match self.series.apply_reply(hit, key, record) {
             ReplyOutcome::Promoted => {}
             outcome => unreachable!("promotion of a just-queried key: {outcome:?}"),
         }
@@ -287,33 +278,23 @@ impl SwitchTier {
             self.counters.stale_drop();
             return false;
         }
-        // A racing reader's reply may have admitted the key already (two
-        // pipelined GETs of the same cold key): refresh its slot in place
-        // rather than cascade-inserting a duplicate.
-        if let (QueryHit::Level(level), Some(addr)) = self.index.query_level(key) {
-            self.slots[addr as usize] = record;
-            match self.index.admit(QueryHit::Level(level), key, addr) {
-                ReplyOutcome::Promoted => {}
-                outcome => unreachable!("promotion of a just-queried key: {outcome:?}"),
+        let (hit, _) = self.series.query(&key);
+        match self.series.apply_reply(hit, key, record) {
+            // A racing reader's reply admitted the key already (two
+            // pipelined GETs of the same cold key): it was promoted rather
+            // than cascade-inserted twice; refresh its record in place.
+            ReplyOutcome::Promoted => {
+                *self.series.get_mut(&key).expect("a promoted key is cached") = record;
             }
-            return true;
-        }
-        let slot = self
-            .free
-            .pop()
-            .expect("the value store outsizes the index by a slot");
-        self.slots[slot as usize] = record;
-        match self.index.admit(QueryHit::Miss, key, slot) {
             ReplyOutcome::InsertedFresh { expelled } => {
                 self.counters.insert();
-                if let Some((_key, freed)) = expelled {
+                if expelled.is_some() {
                     self.counters.eviction();
-                    self.free.push(freed);
                 }
             }
-            // Unreachable: the pre-check above saw a miss and `&mut self`
-            // is held throughout, so level 0 cannot already hold the key.
-            outcome => unreachable!("miss-path admit produced {outcome:?}"),
+            // Unreachable: `&mut self` is held since the query, so the key
+            // is still where it found it.
+            outcome => unreachable!("admission after a query produced {outcome:?}"),
         }
         true
     }
@@ -326,40 +307,25 @@ impl SwitchTier {
     pub fn invalidate(&mut self, key: u64) -> bool {
         self.epoch += 1;
         self.invalidated_at[self.partition(key)] = self.epoch;
-        match self.index.invalidate(key) {
-            Some((_level, addr)) => {
-                self.free.push(addr);
-                self.counters.invalidation();
-                true
-            }
-            None => false,
+        let expelled = self.series.remove(&key).is_some();
+        if expelled {
+            self.counters.invalidation();
         }
+        expelled
     }
 
-    /// Internal consistency: every address is either free or indexed,
-    /// exactly once.
+    /// Internal consistency of every level of the series.
     pub fn check_invariants(&self) -> Result<(), String> {
-        self.index.series().check_invariants()?;
-        let indexed = self.index.series().len();
-        if indexed + self.free.len() != self.slots.len() {
-            return Err(format!(
-                "slot leak: {indexed} indexed + {} free != {} total",
-                self.free.len(),
-                self.slots.len()
-            ));
-        }
-        let mut seen = vec![false; self.slots.len()];
-        for &addr in &self.free {
-            if std::mem::replace(&mut seen[addr as usize], true) {
-                return Err(format!("address {addr} freed twice"));
-            }
-        }
-        Ok(())
+        self.series.check_invariants()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     fn tier(memory_bytes: usize) -> SwitchTier {
@@ -618,5 +584,58 @@ mod tests {
             snap.level_hits[1] + snap.level_hits[2] > 0,
             "deep levels hit"
         );
+    }
+
+    /// A record no other admission of the run carries: admission `n`, key.
+    fn distinct_record(n: u64, key: u64) -> Record {
+        let mut record = record(0);
+        record[..8].copy_from_slice(&n.to_le_bytes());
+        record[56..].copy_from_slice(&key.to_le_bytes());
+        record
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Value follows key: on a ~200 B tier (9 entries) driven over 27
+        /// keys, so every few admissions cascade and evict, a hit returns
+        /// the record last admitted for its key since the key was last
+        /// invalidated. Some admissions carry an old epoch, so the stamp
+        /// guard drops a share of them.
+        #[test]
+        fn a_hit_returns_the_last_record_admitted_since_the_last_invalidation(
+            steps in prop::collection::vec((0u8..4, any::<u64>(), 0u64..3), 1..300),
+        ) {
+            let mut t = tier(200);
+            let keys = 3 * t.capacity() as u64;
+            let mut model: HashMap<u64, Record> = HashMap::new();
+            for (n, &(kind, key, lag)) in steps.iter().enumerate() {
+                let key = key % keys;
+                match kind {
+                    0 | 1 => {
+                        if let Some((_level, record)) = t.lookup(key) {
+                            prop_assert_eq!(Some(&record), model.get(&key), "step {}: key {}", n, key);
+                        }
+                    }
+                    2 => {
+                        let record = distinct_record(n as u64, key);
+                        if t.admit(key, record, t.epoch().saturating_sub(lag)) {
+                            model.insert(key, record);
+                        }
+                    }
+                    _ => {
+                        t.invalidate(key);
+                        model.remove(&key);
+                    }
+                }
+                prop_assert!(t.len() <= t.capacity(), "step {}", n);
+                if let Err(e) = t.check_invariants() {
+                    panic!("step {n}: {e}");
+                }
+            }
+            if steps.len() >= 200 {
+                prop_assert!(t.counters().snapshot(3).evictions > 0);
+            }
+        }
     }
 }

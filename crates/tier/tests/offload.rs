@@ -132,3 +132,55 @@ fn two_tiers_hit_at_least_as_often_as_the_server_alone() {
         "two-tier total hit rate {two_tier:.4} < server-only {server_only:.4}"
     );
 }
+
+/// The first test's hot-flip stream, pinned to its exact counts rather than
+/// floors: capacity, hashing and every hit, insert, eviction and
+/// invalidation of the switch show up here, so a change to how the tier
+/// stores its entries that moves any of them fails by name.
+#[test]
+fn the_hot_flip_stream_lands_on_exact_counts() {
+    let ops = HotFlipConfig {
+        items: 8_000,
+        alpha: 0.9,
+        read_fraction: 0.95,
+        flip_every: 6_000,
+        seed: SEED,
+    }
+    .generate(24_000);
+    let mut switch = SwitchTier::new(&SwitchTierConfig {
+        levels: 4,
+        memory_bytes: 24_000,
+        seed: 0x7134,
+    });
+    for op in &ops {
+        let value = record_for(op.key()).to_vec();
+        let (request, response) = match *op {
+            Op::Read(key) => (Request::Get { key }, Response::Value(value)),
+            Op::Update(key) => (Request::Set { key, value }, Response::Ok),
+        };
+        if let Step::Forward { epoch } = switch.begin(&request) {
+            switch.finish(&request, epoch, &response);
+        }
+    }
+    switch.check_invariants().expect("tier invariants");
+    assert_eq!(switch.capacity(), 1_668);
+    let snap = switch.counters().snapshot(4);
+    assert_eq!(
+        (snap.gets, snap.sets, snap.dels, snap.forwarded),
+        (22_826, 1_174, 0, 11_340),
+        "requests"
+    );
+    assert_eq!((snap.hits, snap.misses), (12_660, 10_166), "hits");
+    assert_eq!(snap.level_hits, vec![7_713, 2_419, 1_509, 1_019]);
+    assert_eq!(
+        (
+            snap.inserts,
+            snap.evictions,
+            snap.invalidations,
+            snap.stale_drops
+        ),
+        (10_166, 7_928, 661, 0),
+        "membership"
+    );
+    assert_eq!(switch.len(), 1_577);
+}
