@@ -86,8 +86,7 @@ fn probes(n: u64, count: usize, zipf: bool, seed: u64) -> Vec<u64> {
 /// best-of-3 columns). The lookup closure returns the value so the sum
 /// keeps the walks observable.
 fn time_pass(probe_keys: &[u64], mut lookup: impl FnMut(&u64) -> u64) -> f64 {
-    // Warm pass: fault the tree into cache and let leaf adaptation settle
-    // before the measured passes.
+    // Warm pass: fault the tree into cache before the measured passes.
     let mut sum = 0u64;
     for k in probe_keys.iter().take(probe_keys.len() / 4) {
         sum = sum.wrapping_add(lookup(k));
@@ -109,20 +108,10 @@ fn time_pass(probe_keys: &[u64], mut lookup: impl FnMut(&u64) -> u64) -> f64 {
 fn measure_size(n: u64, probe_count: usize, zipf: bool) -> f64 {
     let probe_keys = probes(n, probe_count, zipf, 0xB7EE ^ n);
 
-    let mut slot_tree = p4lru_kvstore::btree::BPlusTree::from_sorted(
+    let slot_tree = p4lru_kvstore::btree::BPlusTree::from_sorted(
         p4lru_kvstore::db::DEFAULT_MAX_KEYS,
         (0..n).map(|k| (k, k)),
     );
-    // Steady state, not cold start: one point touch per key records a
-    // point-heavy mix on every leaf, then the shipped adaptation sweep
-    // (the `optimize_index` pass serverd runs at each snapshot commit)
-    // flips them to hash mode before the measured pass.
-    let mut warm = 0u64;
-    for k in 0..n {
-        warm = warm.wrapping_add(slot_tree.lookup_hot(&k).0.expect("key exists"));
-    }
-    black_box(warm);
-    slot_tree.apply_adaptation();
     time_pass(&probe_keys, |k| {
         slot_tree.lookup_hot(k).0.expect("key exists")
     })
@@ -185,7 +174,7 @@ fn main() -> ExitCode {
 
     let mut fig = FigureResult::new(
         "BENCH_btree_slot",
-        "B+Tree lookup: slot layout (heads + hash leaves + descent cache)",
+        "B+Tree lookup: slot layout (heads + descent cache)",
         "keys in tree",
         "lookup ns/op",
     );

@@ -12,30 +12,22 @@
 //! - **Key heads with prefix truncation.** Every node stores a contiguous
 //!   `u32` array of order-preserving *heads* — big-endian key bytes
 //!   `[skip, skip+4)` where `skip` counts the prefix bytes all keys in the
-//!   node share. The search scans the flat head array. See [`crate::key`].
+//!   node share. The search scans the flat head array; a leaf's point
+//!   lookup and a scan's start are the same search. See [`crate::key`].
 //! - **Each key stored once.** A leaf keeps no key: ranks are lossless, so
 //!   `prefix ‖ head` *is* the key once the leaf shares four or more prefix
 //!   bytes, and a parallel `u32` array of *tails* (each rank's low four
 //!   bytes) completes it below that. Equal `(prefix, head[, tail])` decides
 //!   equality; keys handed out (iteration, separators) are rebuilt with
 //!   [`IndexKey::from_rank64`]. Inner nodes still hold separator keys.
-//! - **Hash leaves.** A leaf whose recent access mix is point-lookup-heavy
-//!   arms a hash-bucket directory (open addressing over
-//!   [`IndexKey::hash64`]) so point probes skip the binary search entirely.
-//!   The directory is a fixed-size array *inline in the node* with a
-//!   compile-time mask, so the bucket byte's address is computable before
-//!   the node's own cache line arrives — the bucket load and the node
-//!   metadata load overlap instead of chaining, cutting a serial cache
-//!   miss off every probe. Entries stay physically sorted, so scans and
-//!   bulk snapshots never notice; the first range/scan touch flags the
-//!   leaf and the next mutation disarms the directory.
 //! - **A descent cache.** The tree remembers the last leaf a lookup landed
 //!   in (packed with a structural epoch). A hot lookup re-checks that
 //!   leaf's fence keys and, on a hit, answers in ~1 node visit instead of a
 //!   root-to-leaf walk. [`BPlusTree::lookup`] remains the uncached descent
 //!   (its visit count *is* the tree height — the cost model the LruIndex
 //!   figures are built on); [`BPlusTree::lookup_hot`] is the cached entry
-//!   point the database layer uses.
+//!   point the database layer uses. A `&self` lookup writes no node: it
+//!   stores only the cache word and the cache's hit counter.
 //! - **Sorted bulk load.** [`BPlusTree::from_sorted`] builds the tree
 //!   bottom-up from ascending entries with full leaves — no root-to-leaf
 //!   descent per key.
@@ -54,23 +46,10 @@ use std::hint::black_box;
 use std::marker::PhantomData;
 use std::mem::size_of;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use crate::key::{be_prefix, compose_rank, head_at, shared_prefix_bytes, IndexKey};
 
-/// Point-lookup streak after which a leaf flips to hash mode.
-const FLIP_STREAK: u8 = 16;
-/// Slots in a leaf's inline hash directory. A fixed power of two keeps the
-/// probe mask a compile-time constant, which is what lets the bucket load
-/// issue before the node's metadata line arrives.
-const INLINE_BUCKETS: usize = 128;
-/// Most entries a leaf may hold and still run in hash mode (load factor
-/// ≤ 0.5 over [`INLINE_BUCKETS`], so linear probes always terminate).
-/// Larger fan-outs simply stay in sorted mode.
-const INLINE_BUCKET_CAP: usize = INLINE_BUCKETS / 2;
-/// Access-mix bit marking a range/scan touch (drops hash mode on the next
-/// mutation of the leaf).
-const SCAN_FLAG: u8 = 0x80;
 /// Keys [`BPlusTree::lookup_run`] walks down together: enough independent
 /// misses to keep a core's fill buffers busy, few enough that the cursors
 /// live on the stack.
@@ -241,10 +220,9 @@ impl<V: Progression> ValueArrays<V> {
 /// A leaf: each key stored once, as its encoding against the node prefix
 /// (`heads`, plus `tails` while the prefix is under four bytes), its
 /// values (a run, or an array parallel to `heads` in the tree's
-/// [`ValueArrays`]), and the optional hash-bucket sidecar. A hit reads the
-/// head lines, plus one line of the array in an array leaf; no key copy is
-/// touched.
-#[derive(Debug)]
+/// [`ValueArrays`]). A hit reads the head lines, plus one line of the
+/// array in an array leaf; no key copy is touched.
+#[derive(Clone, Debug)]
 struct Leaf<K> {
     /// Order-preserving 4-byte heads, one per entry, ascending.
     heads: Vec<u32>,
@@ -258,35 +236,8 @@ struct Leaf<K> {
     skip: u8,
     /// The shared prefix itself, right-aligned ([`be_prefix`]).
     prefix: u64,
-    /// Hash-mode directory: open-addressed buckets of `slot + 1` (0
-    /// empty), inline in the node so a probe's bucket address needs no
-    /// pointer chase. Only meaningful while `hash` is set; entries stay
-    /// physically sorted either way.
-    buckets: [u8; INLINE_BUCKETS],
-    /// Whether the bucket directory is armed (hash mode).
-    hash: bool,
-    /// Access mix: bit 7 = scanned since last mutation, bits 0..7 = point
-    /// lookup streak. Updated with relaxed atomics so `&self` readers can
-    /// vote; acted on by the next `&mut self` mutation.
-    mix: AtomicU8,
     /// The key type the ranks decode to.
     key_type: PhantomData<fn() -> K>,
-}
-
-impl<K> Clone for Leaf<K> {
-    fn clone(&self) -> Self {
-        Self {
-            heads: self.heads.clone(),
-            tails: self.tails.clone(),
-            vals: self.vals,
-            skip: self.skip,
-            prefix: self.prefix,
-            buckets: self.buckets,
-            hash: self.hash,
-            mix: AtomicU8::new(self.mix.load(Relaxed)),
-            key_type: PhantomData,
-        }
-    }
 }
 
 /// An internal node: separator keys with their head array, plus children.
@@ -362,9 +313,6 @@ impl<K: IndexKey> Leaf<K> {
             vals: Vals::Run { first: 0, step: 1 },
             skip: 0,
             prefix: 0,
-            buckets: [0; INLINE_BUCKETS],
-            hash: false,
-            mix: AtomicU8::new(0),
             key_type: PhantomData,
         }
     }
@@ -394,9 +342,9 @@ impl<K: IndexKey> Leaf<K> {
         }
     }
 
-    /// The value under `key`, if the leaf holds it.
-    fn get<V: Progression>(&self, key: &K, rank: u64, arrays: &ValueArrays<V>) -> Option<V> {
-        self.find(key, rank).map(|i| self.value(i, arrays))
+    /// The value under the key of `rank`, if the leaf holds it.
+    fn get<V: Progression>(&self, rank: u64, arrays: &ValueArrays<V>) -> Option<V> {
+        self.search(rank).ok().map(|i| self.value(i, arrays))
     }
 
     /// The leaf's array, turning a run into one first.
@@ -482,91 +430,6 @@ impl<K: IndexKey> Leaf<K> {
         }
         // Equal heads share the rank's top four bytes; the tails decide.
         search_run(&self.tails, run, &(rank as u32))
-    }
-
-    /// Point lookup of a slot: hash probe in hash mode, head search
-    /// otherwise.
-    fn find(&self, key: &K, rank: u64) -> Option<usize> {
-        if self.hash {
-            self.hash_find(key, rank)
-        } else {
-            self.search(rank).ok()
-        }
-    }
-
-    fn hash_find(&self, key: &K, rank: u64) -> Option<usize> {
-        // Decide the prefix once; inside the class a slot matches iff its
-        // head (and tail, if the leaf keeps them) match.
-        if be_prefix(rank, self.skip) != self.prefix {
-            return None;
-        }
-        let head = head_at(rank, self.skip);
-        let mut i = (key.hash64() as usize) & (INLINE_BUCKETS - 1);
-        loop {
-            match self.buckets[i] {
-                0 => return None,
-                s => {
-                    let slot = usize::from(s) - 1;
-                    if self.heads[slot] == head
-                        && (self.skip >= 4 || self.tails[slot] == rank as u32)
-                    {
-                        return Some(slot);
-                    }
-                }
-            }
-            i = (i + 1) & (INLINE_BUCKETS - 1);
-        }
-    }
-
-    /// Rebuilds and arms the inline bucket directory. The caller ensures
-    /// `len() <= INLINE_BUCKET_CAP`, which keeps the load factor ≤ 0.5
-    /// (so linear probes always terminate) and `slot + 1` in a byte.
-    fn rebuild_buckets(&mut self) {
-        self.buckets = [0; INLINE_BUCKETS];
-        for slot in 0..self.len() {
-            let mut i = (self.key(slot).hash64() as usize) & (INLINE_BUCKETS - 1);
-            while self.buckets[i] != 0 {
-                i = (i + 1) & (INLINE_BUCKETS - 1);
-            }
-            self.buckets[i] = (slot + 1) as u8;
-        }
-        self.hash = true;
-    }
-
-    /// Votes "point lookup" into the access mix (relaxed; losing a vote to
-    /// a concurrent racer is harmless — it only delays a mode flip).
-    fn note_point(&self) {
-        // Saturate at the flip threshold: once a leaf has earned its hash
-        // sidecar the streak stops moving, so steady-state point lookups
-        // never dirty the node's cache line.
-        let m = self.mix.load(Relaxed);
-        if m & SCAN_FLAG == 0 && m < FLIP_STREAK {
-            self.mix.store(m + 1, Relaxed);
-        }
-    }
-
-    /// Votes "scanned": the next mutation reverts the leaf to sorted mode.
-    fn note_scan(&self) {
-        self.mix.store(SCAN_FLAG, Relaxed);
-    }
-
-    /// Applies the pending mode decision after a mutation: disarm the hash
-    /// directory if a scan touched the leaf, otherwise keep it fresh (or
-    /// arm it once the point streak crosses [`FLIP_STREAK`]).
-    fn adapt(&mut self) {
-        let m = *self.mix.get_mut();
-        if m & SCAN_FLAG != 0 {
-            self.hash = false;
-            *self.mix.get_mut() = 0;
-        } else if (self.hash || m >= FLIP_STREAK)
-            && !self.is_empty()
-            && self.len() <= INLINE_BUCKET_CAP
-        {
-            self.rebuild_buckets();
-        } else {
-            // Empty, or grown past the directory's capacity: stay sorted.
-            self.hash = false;
-        }
     }
 
     /// Inserts `rank → value` at position `i`, extending the head (and
@@ -930,9 +793,8 @@ impl<K: IndexKey, V: Progression> BPlusTree<K, V> {
                     cur = inner.children[inner.child_for(key, rank)];
                 }
                 Node::Leaf(leaf) => {
-                    leaf.note_point();
                     self.cache_store(cur);
-                    return (leaf.get(key, rank, &self.arrays), visits);
+                    return (leaf.get(rank, &self.arrays), visits);
                 }
             }
         }
@@ -953,8 +815,7 @@ impl<K: IndexKey, V: Progression> BPlusTree<K, V> {
                 // true miss.
                 if !leaf.is_empty() && rank >= leaf.rank(0) && rank <= leaf.rank(leaf.len() - 1) {
                     self.descent_hits.fetch_add(1, Relaxed);
-                    leaf.note_point();
-                    return (leaf.get(key, rank, &self.arrays), 1);
+                    return (leaf.get(rank, &self.arrays), 1);
                 }
             }
         }
@@ -981,8 +842,8 @@ impl<K: IndexKey, V: Progression> BPlusTree<K, V> {
             // Every leaf sits at depth `height`, so the keys change levels
             // in lockstep.
             for _ in 1..self.height {
-                for (&node, key) in cursors.iter().zip(chunk) {
-                    self.touch(node, key);
+                for &node in cursors.iter() {
+                    self.touch(node);
                 }
                 for (node, key) in cursors.iter_mut().zip(chunk) {
                     let Node::Inner(inner) = &self.nodes[*node as usize] else {
@@ -991,15 +852,14 @@ impl<K: IndexKey, V: Progression> BPlusTree<K, V> {
                     *node = inner.children[inner.child_for(key, key.rank64())];
                 }
             }
-            for (&node, key) in cursors.iter().zip(chunk) {
-                self.touch(node, key);
+            for &node in cursors.iter() {
+                self.touch(node);
             }
             for (&node, key) in cursors.iter().zip(chunk) {
                 let Node::Leaf(leaf) = &self.nodes[node as usize] else {
                     unreachable!("an inner node at the tree's height");
                 };
-                leaf.note_point();
-                out.push(leaf.get(key, key.rank64(), &self.arrays));
+                out.push(leaf.get(key.rank64(), &self.arrays));
             }
             if let Some(&last) = cursors.last() {
                 self.cache_store(last);
@@ -1007,12 +867,12 @@ impl<K: IndexKey, V: Progression> BPlusTree<K, V> {
         }
     }
 
-    /// Starts the loads `key`'s step through `node` will make: the node
+    /// Starts the loads a key's step through `node` will make: the node
     /// itself, every cache line of its head array, and its child array
-    /// (inner) or its bucket byte, tails and first array value (leaf; a
-    /// run has no value line to fetch). The values are discarded; only the
-    /// cache fills matter.
-    fn touch(&self, node: u32, key: &K) {
+    /// (inner) or its tails and first array value (leaf; a run has no
+    /// value line to fetch). The values are discarded; only the cache
+    /// fills matter.
+    fn touch(&self, node: u32) {
         const LINE_U32S: usize = 16;
         let heads = match &self.nodes[node as usize] {
             Node::Inner(inner) => {
@@ -1022,9 +882,7 @@ impl<K: IndexKey, V: Progression> BPlusTree<K, V> {
                 &inner.heads
             }
             Node::Leaf(leaf) => {
-                if leaf.hash {
-                    black_box(leaf.buckets[(key.hash64() as usize) & (INLINE_BUCKETS - 1)]);
-                } else if let Vals::Array(id) = leaf.vals {
+                if let Vals::Array(id) = leaf.vals {
                     black_box(self.arrays.get(id)[0]);
                 }
                 for tail in leaf.tails.iter().step_by(LINE_U32S) {
@@ -1152,14 +1010,10 @@ impl<K: IndexKey, V: Progression> BPlusTree<K, V> {
                     Node::Inner(_) => unreachable!(),
                 };
                 match leaf.search(rank) {
-                    Ok(i) => {
-                        leaf.adapt();
-                        (node, i, true, None)
-                    }
+                    Ok(i) => (node, i, true, None),
                     Err(i) => {
                         leaf.insert_entry(i, rank, make(), &mut self.arrays);
                         if leaf.len() <= max_keys {
-                            leaf.adapt();
                             return (node, i, false, None);
                         }
                         // Split: right half to a fresh node; separator =
@@ -1167,8 +1021,6 @@ impl<K: IndexKey, V: Progression> BPlusTree<K, V> {
                         // leaf — B+ style).
                         let mid = leaf.len() / 2;
                         let (r_ranks, r_vals) = leaf.split_off(mid, &mut self.arrays);
-                        leaf.hash = false;
-                        *leaf.mix.get_mut() = 0;
                         let sep = K::from_rank64(r_ranks[0]);
                         let in_right = i >= mid;
                         let slot = if in_right { i - mid } else { i };
@@ -1240,7 +1092,6 @@ impl<K: IndexKey, V: Progression> BPlusTree<K, V> {
                     Node::Leaf(leaf) => match leaf.search(rank) {
                         Ok(i) => {
                             let (_, v) = leaf.remove_entry(i, &mut self.arrays);
-                            leaf.adapt();
                             (Some(v), leaf.len() < min)
                         }
                         Err(_) => (None, false),
@@ -1311,14 +1162,11 @@ impl<K: IndexKey, V: Progression> BPlusTree<K, V> {
         }
     }
 
-    /// Recomputes a node's head metadata (and hash sidecar) after a
-    /// rebalance rearranged its keys.
+    /// Recomputes a node's head metadata after a rebalance rearranged its
+    /// keys.
     fn refresh_meta(&mut self, idx: u32) {
         match &mut self.nodes[idx as usize] {
-            Node::Leaf(leaf) => {
-                leaf.rebuild_meta();
-                leaf.adapt();
-            }
+            Node::Leaf(leaf) => leaf.rebuild_meta(),
             Node::Inner(inner) => inner.rebuild_meta(),
         }
     }
@@ -1485,24 +1333,13 @@ impl<K: IndexKey, V: Progression> BPlusTree<K, V> {
         self.iter_from(start).take_while(move |(k, _)| k < end)
     }
 
-    /// Re-evaluates every leaf's hash-mode decision now instead of waiting
-    /// for each leaf's next mutation — a maintenance sweep for quiescent
-    /// moments (e.g. right after a snapshot scan flagged every leaf).
-    pub fn apply_adaptation(&mut self) {
-        for node in &mut self.nodes {
-            if let Node::Leaf(leaf) = node {
-                leaf.adapt();
-            }
-        }
-    }
-
     /// Structural invariants for property tests: uniform depth, sorted keys,
     /// separator bounds, occupancy ≥ min for non-root nodes, `len`
     /// consistency — plus the slot-layout extras: head arrays matching the
     /// keys' prefix-truncated encodings, leaf tails present exactly while
     /// the leaf prefix is under four bytes, every leaf key (rebuilt from
-    /// its prefix, head and tail) sorting strictly between its neighbours,
-    /// and hash sidecars resolving every resident key — and for values:
+    /// its prefix, head and tail) sorting strictly between its neighbours
+    /// — and for values:
     /// every run value fits the value type ([`Progression::MAX`]), and
     /// every array the tree made is owned by exactly one array leaf or is
     /// free, so no run leaf owns one and `heap_bytes` counts an array only
@@ -1625,19 +1462,6 @@ impl<K: IndexKey, V: Progression> BPlusTree<K, V> {
                     (0..leaf.tails.len()).find(|&i| leaf.tails[i] != keys[i].rank64() as u32)
                 {
                     return Err(format!("leaf {node}: stale tail at {i}"));
-                }
-                if leaf.hash {
-                    if leaf.len() > INLINE_BUCKET_CAP {
-                        return Err(format!(
-                            "leaf {node}: hash mode past directory capacity ({} keys)",
-                            leaf.len()
-                        ));
-                    }
-                    for (i, k) in keys.iter().enumerate() {
-                        if leaf.hash_find(k, k.rank64()) != Some(i) {
-                            return Err(format!("leaf {node}: hash directory misses key {i}"));
-                        }
-                    }
                 }
                 *count += leaf.len();
                 Ok(1)
@@ -1834,9 +1658,6 @@ impl<K: IndexKey, V: Progression> SortedLoad<K, V> {
 }
 
 /// In-order iterator (depth-first through the arena).
-///
-/// Iteration counts as a scan: every leaf it yields from is flagged, so a
-/// hash-mode leaf reverts to plain sorted mode at its next mutation.
 pub struct Iter<'a, K, V> {
     tree: &'a BPlusTree<K, V>,
     /// (node, next child/entry index) stack.
@@ -1852,7 +1673,6 @@ impl<K: IndexKey, V: Progression> Iterator for Iter<'_, K, V> {
             match &self.tree.nodes[node as usize] {
                 Node::Leaf(leaf) => {
                     if pos < leaf.len() {
-                        leaf.note_scan();
                         self.stack.last_mut().expect("non-empty").1 += 1;
                         return Some((leaf.key(pos), leaf.value(pos, &self.tree.arrays)));
                     }
@@ -2189,65 +2009,16 @@ mod tests {
     }
 
     #[test]
-    fn hash_mode_flips_on_point_streak_and_reverts_on_scan() {
-        let mut t = BPlusTree::from_sorted(16, (0..12u64).map(|k| (k, k)));
-        let leaf_of = |t: &BPlusTree<u64, u64>| match &t.nodes[t.root as usize] {
-            Node::Leaf(l) => (l.hash, l.mix.load(Relaxed)),
-            Node::Inner(_) => panic!("single-leaf tree expected"),
-        };
-        assert!(!leaf_of(&t).0, "starts in sorted mode");
-        for _ in 0..(FLIP_STREAK + 2) {
-            assert_eq!(t.get(&7), Some(7));
-        }
-        t.insert(100, 100); // mutation applies the pending flip
-        assert!(leaf_of(&t).0, "point streak flips to hash mode");
-        t.check_invariants().unwrap();
-        for k in 0..12u64 {
-            assert_eq!(t.get(&k), Some(k));
-        }
-        assert_eq!(t.get(&100), Some(100));
-        // A scan flags the leaf; the next mutation drops the sidecar.
-        assert_eq!(t.range(&0, &5).count(), 5);
-        t.insert(101, 101);
-        assert!(!leaf_of(&t).0, "scan touch reverts to sorted mode");
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn apply_adaptation_flips_without_a_mutation() {
-        let mut t = BPlusTree::from_sorted(16, (0..16u64).map(|k| (k, k)));
-        for _ in 0..(FLIP_STREAK + 2) {
-            assert_eq!(t.get(&3), Some(3));
-        }
-        t.apply_adaptation();
-        match &t.nodes[t.root as usize] {
-            Node::Leaf(l) => assert!(l.hash),
-            Node::Inner(_) => panic!("single-leaf tree expected"),
-        }
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn lookup_run_reads_armed_hash_leaves() {
-        let mut t = BPlusTree::from_sorted(8, (0..200u64).map(|k| (k * 3, k)));
-        for _ in 0..(FLIP_STREAK + 2) {
-            for k in 0..200u64 {
-                t.get(&(k * 3));
-            }
-        }
-        t.apply_adaptation();
-        assert!(t.height() > 2);
+    fn a_node_slot_is_at_most_96_bytes() {
+        // Every arena slot is as large as the larger node kind, so an
+        // inline field in either one costs it in every slot, inner nodes
+        // included. A 128-byte hash directory inline in each leaf made
+        // the slot 216 bytes.
         assert!(
-            t.nodes
-                .iter()
-                .all(|n| matches!(n, Node::Inner(_)) || matches!(n, Node::Leaf(l) if l.hash)),
-            "every leaf armed"
+            size_of::<Node<u64>>() <= 96,
+            "node slot grew to {} bytes",
+            size_of::<Node<u64>>()
         );
-        let probes: Vec<u64> = (0..620).rev().collect();
-        let mut out = Vec::new();
-        t.lookup_run(&probes, &mut out);
-        let want: Vec<Option<u64>> = probes.iter().map(|k| t.lookup(k).0).collect();
-        assert_eq!(out, want);
     }
 
     #[test]

@@ -120,12 +120,10 @@ impl Database {
         self.heap.heap_bytes()
     }
 
-    /// Applies any pending leaf-mode adaptations in the index now (e.g.
-    /// after a snapshot scan flagged every leaf as scanned). Cheap; meant
-    /// for quiescent moments like post-snapshot seal.
-    pub fn optimize_index(&mut self) {
-        self.index.apply_adaptation();
-    }
+    /// Does nothing. The index has no per-leaf mode left to re-apply
+    /// after a scan: every leaf answers with the same head search. Kept
+    /// only because `benchmark/`'s layer walk still calls it.
+    pub fn optimize_index(&mut self) {}
 
     /// Inserts or overwrites `key`, returning the prior address if the key
     /// existed. A thin wrapper over [`Self::upsert`].

@@ -16,11 +16,11 @@
 //!
 //! [`IndexKey`] is the one hook a key type provides: [`IndexKey::rank64`],
 //! a *lossless* order-preserving projection onto `u64`, and its inverse
-//! [`IndexKey::from_rank64`]. Everything else (prefixes, heads, tails,
-//! hashes for hash-mode leaves) derives from the rank. Because the rank is
-//! the key, a leaf stores no key at all: `prefix ‖ head` is the whole rank
-//! once a leaf shares four or more prefix bytes, and a 4-byte *tail* (the
-//! rank's low bytes) completes it otherwise (`compose_rank`). Equal
+//! [`IndexKey::from_rank64`]. Everything else (prefixes, heads, tails)
+//! derives from the rank. Because the rank is the key, a leaf stores no
+//! key at all: `prefix ‖ head` is the whole rank once a leaf shares four
+//! or more prefix bytes, and a 4-byte *tail* (the rank's low bytes)
+//! completes it otherwise (`compose_rank`). Equal
 //! `(prefix, head[, tail])` means equal keys; there is no tie fallback.
 
 /// A key usable by the slot-layout B+Tree.
@@ -38,16 +38,6 @@ pub trait IndexKey: Ord + Clone {
     /// The key whose [`rank64`](IndexKey::rank64) is `rank`. Only ever
     /// called with ranks of keys of this type.
     fn from_rank64(rank: u64) -> Self;
-
-    /// The hash used by hash-mode leaves. The default is a single
-    /// multiplicative (Fibonacci) hash — one multiply on the critical path
-    /// before the bucket load, where a full finalizing mix costs a serial
-    /// chain of them. Only the low 32 bits carry entropy (the mixed high
-    /// half is shifted down, because bucket masks use the low bits); that
-    /// is plenty for per-leaf directories of at most a few hundred slots.
-    fn hash64(&self) -> u64 {
-        self.rank64().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32
-    }
 }
 
 macro_rules! unsigned_index_key {

@@ -11,9 +11,8 @@
 //! * [`btree`] — an arena-allocated B+Tree (insert, lookup, delete with
 //!   rebalancing) that reports how many nodes each lookup visits, with a
 //!   slot layout built for raw lookup speed (head arrays with per-node
-//!   prefix truncation, adaptive hash leaves, a descent cache, and sorted
-//!   bulk load into run leaves that store no value per key — DESIGN.md
-//!   §13);
+//!   prefix truncation, a descent cache, and sorted bulk load into run
+//!   leaves that store no value per key — DESIGN.md §13);
 //! * [`key`] — the [`key::IndexKey`] projection those slot layouts are
 //!   derived from;
 //! * [`slab`] — the record heap: 64-byte records stored at their size,

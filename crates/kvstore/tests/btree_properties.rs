@@ -71,12 +71,13 @@ proptest! {
 }
 
 proptest! {
-    // The slot-layout rewrite adds three kinds of hidden state — hash-mode
-    // sidecars, the descent cache, and per-node head/prefix metadata — all
-    // of which must be observationally invisible. This interleaving drives
-    // every transition: hot bursts push leaves toward hash mode, scans
-    // flag them back, removals trigger the rebalances that invalidate the
-    // descent cache, and every answer is checked against a `BTreeMap`.
+    // The slot layout adds two kinds of hidden state — the descent cache
+    // and per-node head/prefix metadata — both of which must be
+    // observationally invisible. This interleaving drives every
+    // transition: hot bursts hit the cached leaf again and again, scans
+    // walk across leaves, removals trigger the rebalances that invalidate
+    // the descent cache, and every answer is checked against a
+    // `BTreeMap`.
     #[test]
     fn mixed_ops_with_hot_bursts_and_scans_match_btreemap(
         max_keys in 3usize..12,
@@ -96,8 +97,7 @@ proptest! {
                     prop_assert_eq!(tree.lookup_hot(&k).0, model.get(&k).copied());
                 }
                 MixedOp::HotBurst(k) => {
-                    // Long enough to cross the leaf's hash-flip streak and
-                    // to exercise repeated descent-cache hits on one leaf.
+                    // Repeated descent-cache hits on one leaf.
                     for _ in 0..20 {
                         prop_assert_eq!(tree.lookup_hot(&k).0, model.get(&k).copied());
                     }
@@ -110,7 +110,6 @@ proptest! {
                         model.range(lo..hi).map(|(k, v)| (*k, *v)).collect();
                     prop_assert_eq!(got, want);
                 }
-                MixedOp::Optimize => tree.apply_adaptation(),
             }
             if step % 64 == 0 {
                 prop_assert!(tree.check_invariants().is_ok(), "{:?}", tree.check_invariants());
@@ -171,7 +170,6 @@ enum MixedOp {
     HotGet(u16),
     HotBurst(u16),
     Range(u16, u16),
-    Optimize,
 }
 
 fn mixed_op_strategy() -> impl Strategy<Value = MixedOp> {
@@ -181,7 +179,6 @@ fn mixed_op_strategy() -> impl Strategy<Value = MixedOp> {
         any::<u16>().prop_map(|k| MixedOp::HotGet(k % 300)),
         any::<u16>().prop_map(|k| MixedOp::HotBurst(k % 300)),
         (any::<u16>(), any::<u16>()).prop_map(|(a, b)| MixedOp::Range(a % 300, b % 300)),
-        Just(MixedOp::Optimize),
     ]
 }
 
@@ -356,7 +353,6 @@ enum RunOp {
     /// `upsert_with`, then an optional `insert` of a new value.
     Slot(u16, Option<u64>),
     HotBurst(u16),
-    Optimize,
     Range(u16, u16),
     IterFrom(u16),
 }
@@ -370,21 +366,9 @@ fn run_op_strategy() -> impl Strategy<Value = RunOp> {
         (key(), any::<bool>(), any::<u64>())
             .prop_map(|(k, write, v)| RunOp::Slot(k, write.then_some(v >> 20))),
         key().prop_map(RunOp::HotBurst),
-        Just(RunOp::Optimize),
         (key(), key()).prop_map(|(a, b)| RunOp::Range(a, b)),
         key().prop_map(RunOp::IterFrom),
     ]
-}
-
-/// Enough point lookups on every key to arm each leaf's hash directory,
-/// then the sweep that arms them.
-fn arm_every_leaf(tree: &mut BPlusTree<u32, u64>, model: &BTreeMap<u32, u64>) {
-    for _ in 0..20 {
-        for k in model.keys() {
-            tree.get(k);
-        }
-    }
-    tree.apply_adaptation();
 }
 
 /// Every key up to just past the largest reads the model, one at a time
@@ -413,7 +397,6 @@ proptest! {
         keys in proptest::collection::vec(any::<u16>(), 0..400),
         first in 0u64..1 << 40,
         step in 0u64..4,
-        armed in any::<bool>(),
         ops in proptest::collection::vec(run_op_strategy(), 0..200),
     ) {
         let mut keys: Vec<u32> = keys.into_iter().map(|k| u32::from(k % 1200)).collect();
@@ -426,9 +409,6 @@ proptest! {
             .collect();
         let mut tree = BPlusTree::from_sorted(max_keys, model.iter().map(|(&k, &v)| (k, v)));
         prop_assert!(tree.check_invariants().is_ok(), "{:?}", tree.check_invariants());
-        if armed {
-            arm_every_leaf(&mut tree, &model);
-        }
         every_key_reads_the_model(&tree, &model)?;
         for op in ops {
             match op {
@@ -463,7 +443,6 @@ proptest! {
                         prop_assert_eq!(tree.lookup_hot(&k).0, model.get(&k).copied());
                     }
                 }
-                RunOp::Optimize => tree.apply_adaptation(),
                 RunOp::Range(a, b) => {
                     let (lo, hi) = (u32::from(a.min(b)), u32::from(a.max(b)));
                     let got: Vec<(u32, u64)> = tree.range(&lo, &hi).collect();
@@ -480,7 +459,6 @@ proptest! {
             prop_assert_eq!(tree.len(), model.len());
             prop_assert!(tree.check_invariants().is_ok(), "{:?}", tree.check_invariants());
         }
-        arm_every_leaf(&mut tree, &model);
         every_key_reads_the_model(&tree, &model)?;
         let got: Vec<(u32, u64)> = tree.iter().collect();
         let want: Vec<(u32, u64)> = model.into_iter().collect();

@@ -344,10 +344,6 @@ impl Shard {
         if log.should_snapshot() {
             log.snapshot(&self.db)?;
             self.metrics.snapshot_taken();
-            // The snapshot's full scan flagged every index leaf as
-            // scanned; re-apply leaf-mode decisions now, in this quiescent
-            // moment, instead of letting the next writes pay for it.
-            self.db.optimize_index();
         }
         Ok(())
     }

@@ -518,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn slots_recycle_under_churn() {
+    fn churn_keeps_the_series_consistent() {
         let mut t = tier(2048);
         let capacity = t.capacity();
         for k in 0..(capacity as u64 * 5) {
@@ -529,7 +529,8 @@ mod tests {
         t.check_invariants().unwrap();
         let snap = t.counters().snapshot(3);
         assert!(snap.evictions > 0, "churn must evict");
-        // Interleave invalidations and keep the free-list consistent.
+        // Invalidate every key ever admitted: the series empties and
+        // stays consistent.
         for k in 0..(capacity as u64 * 5) {
             t.invalidate(k);
         }
@@ -552,8 +553,8 @@ mod tests {
             key += 1;
             assert!(key < 10_000, "the index never filled");
         }
-        // No entry is free, so each admission evicts: its slot is taken
-        // before the evictee's comes back.
+        // No entry is free, so each admission evicts, and the newcomer's
+        // record is the one its key reads back.
         for key in key..key + 50 {
             let epoch = t.epoch();
             assert!(t.admit(key, record(key as u8), epoch));

@@ -6,7 +6,7 @@
 //!   twin shard: replies, cache contents and DFA states, and the
 //!   hit/miss/absent/eviction counters.
 //! - `BPlusTree::lookup_run` equals `lookup` for every key, on trees of
-//!   height 1–4 and on leaves with the hash directory armed.
+//!   height 1–4.
 //! - On a live server, a burst that mixes GETs with the frames that end a
 //!   run gets the sequential model's replies, in order — also when the run
 //!   is held at a dirty shard's commit gate.
@@ -100,7 +100,6 @@ proptest! {
         inserts in vec(0u64..2_000, 0..700),
         removes in vec(0u64..2_000, 0..300),
         probes in vec(0u64..2_050, 1..80),
-        armed in any::<bool>(),
     ) {
         let mut tree = BPlusTree::new(max_keys);
         for &key in &inserts {
@@ -108,9 +107,6 @@ proptest! {
         }
         for &key in &removes {
             tree.remove(&key);
-        }
-        if armed {
-            arm_hash_leaves(&mut tree, &inserts);
         }
         let mut out = Vec::new();
         tree.lookup_run(&probes, &mut out);
@@ -120,39 +116,22 @@ proptest! {
     }
 }
 
-/// Enough point lookups on every stored key for each leaf's streak to pass
-/// the flip threshold, then the adaptation pass that arms the directories.
-fn arm_hash_leaves(tree: &mut BPlusTree<u64, u64>, keys: &[u64]) {
-    for _ in 0..20 {
-        for key in keys {
-            tree.get(key);
-        }
-    }
-    tree.apply_adaptation();
-}
-
 #[test]
-fn lookup_run_covers_heights_one_to_four_with_and_without_hash_leaves() {
+fn lookup_run_covers_heights_one_to_four() {
     let mut heights = BTreeSet::new();
     for items in [5u64, 12, 40, 150] {
-        for armed in [false, true] {
-            let keys: Vec<u64> = (0..items).map(|k| k * 7).collect();
-            let mut tree = BPlusTree::new(6);
-            for &key in &keys {
-                tree.insert(key, key + 1);
-            }
-            if armed {
-                arm_hash_leaves(&mut tree, &keys);
-            }
-            heights.insert(tree.height());
-            // Every stored key, every gap, and a run longer than one chunk.
-            let probes: Vec<u64> = (0..items * 7 + 3).rev().collect();
-            let mut out = Vec::new();
-            for run in probes.chunks(37) {
-                tree.lookup_run(run, &mut out);
-                for (key, got) in run.iter().zip(&out) {
-                    assert_eq!(*got, tree.lookup(key).0, "key {key}");
-                }
+        let mut tree = BPlusTree::new(6);
+        for key in (0..items).map(|k| k * 7) {
+            tree.insert(key, key + 1);
+        }
+        heights.insert(tree.height());
+        // Every stored key, every gap, and a run longer than one chunk.
+        let probes: Vec<u64> = (0..items * 7 + 3).rev().collect();
+        let mut out = Vec::new();
+        for run in probes.chunks(37) {
+            tree.lookup_run(run, &mut out);
+            for (key, got) in run.iter().zip(&out) {
+                assert_eq!(*got, tree.lookup(key).0, "key {key}");
             }
         }
     }
