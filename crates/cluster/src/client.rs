@@ -192,14 +192,6 @@ impl ClusterClient {
         Ok(out)
     }
 
-    /// Asks every slot's live node to shut down; best effort.
-    pub fn shutdown_all(&mut self) {
-        let names: Vec<String> = self.ring.nodes().to_vec();
-        for name in names {
-            let _ = self.on_slot(&name, |c| c.shutdown());
-        }
-    }
-
     /// Runs `f` against the slot's live node, flipping between its
     /// primary and standby under the retry policy until `f` succeeds,
     /// the budget runs out, or the error is one retrying cannot fix.

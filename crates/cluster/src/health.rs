@@ -183,11 +183,6 @@ impl ClusterHealth {
     pub fn slots(&self) -> &[SlotHealth] {
         &self.slots
     }
-
-    /// Total failovers across all slots.
-    pub fn total_flips(&self) -> u64 {
-        self.slots.iter().map(SlotHealth::flips).sum()
-    }
 }
 
 /// One probe: connect, PING, await PONG, all under `timeout`.

@@ -24,8 +24,10 @@
 //! * [`reader`] — tailing the log as a stream (the primary side of WAL
 //!   shipping: contiguous encoded records from a given sequence, or a
 //!   snapshot-needed signal once the history was pruned);
-//! * [`failpoint`] — fault injection (truncate / corrupt / short-write at a
-//!   chosen byte offset) for crash tests.
+//! * [`fs`] — the one seam to a file system: the [`Fs`] operations this
+//!   crate calls, on the real disk ([`StdFs`]) or in memory ([`SimFs`],
+//!   whose clones are the crash images tests recover), and [`DataDir`],
+//!   a shard directory on one of them (a plain path is the real disk).
 //!
 //! Durability contract: under [`SyncPolicy::Always`] every acknowledged
 //! write is on disk before its ack (group commit batches the fsync, it
@@ -36,7 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod crc;
-pub mod failpoint;
+pub mod fs;
 pub mod reader;
 pub mod record;
 pub mod recover;
@@ -49,7 +51,7 @@ mod testutil;
 
 use std::time::Duration;
 
-pub use failpoint::{FailMode, FailpointFile};
+pub use fs::{DataDir, Fs, FsFile, SimFs, StdFs};
 pub use reader::{ReadBatch, ReadOutcome};
 pub use record::{WalOp, WalRecord};
 pub use recover::Recovery;

@@ -27,8 +27,8 @@
 //! record.
 
 use std::io;
-use std::path::Path;
 
+use crate::fs::DataDir;
 use crate::record::{self, WalRecord};
 use crate::snapshot::list_snapshots;
 use crate::wal::{list_segments, Next, SegmentReader};
@@ -75,11 +75,16 @@ fn invalid(msg: String) -> io::Error {
 /// the active segment's zero tail, or a record being written or torn by a
 /// crash, none of it acknowledged, and the next call picks up after the
 /// writer fills or rotates past it.
-pub fn read_log_from(dir: &Path, from_seq: u64, max_bytes: usize) -> io::Result<ReadOutcome> {
+pub fn read_log_from(
+    dir: impl Into<DataDir>,
+    from_seq: u64,
+    max_bytes: usize,
+) -> io::Result<ReadOutcome> {
     if from_seq == 0 {
         return Err(invalid("read_log_from needs from_seq >= 1".to_owned()));
     }
-    let segments = list_segments(dir)?;
+    let dir = dir.into();
+    let segments = list_segments(&dir)?;
     // The segment that would contain `from_seq`: the last one starting at or
     // before it. Later segments follow in order.
     let start = segments
@@ -90,7 +95,7 @@ pub fn read_log_from(dir: &Path, from_seq: u64, max_bytes: usize) -> io::Result<
         // Every surviving segment starts past `from_seq` (or there are no
         // segments at all): the records at `from_seq` were either pruned
         // into a snapshot or never written.
-        let snapshot_seq = list_snapshots(dir)?
+        let snapshot_seq = list_snapshots(&dir)?
             .last()
             .map(|&(seq, _)| seq)
             .unwrap_or(0);
@@ -106,7 +111,7 @@ pub fn read_log_from(dir: &Path, from_seq: u64, max_bytes: usize) -> io::Result<
     let mut next_expected = from_seq;
     'segments: for (i, segment) in segments[start..].iter().enumerate() {
         let is_last = start + i == segments.len() - 1;
-        let mut reader = SegmentReader::open(&segment.path)?;
+        let mut reader = SegmentReader::open(dir.fs(), &segment.path)?;
         loop {
             let rec = match reader.next()? {
                 Next::Record(rec) => rec,
@@ -372,7 +377,10 @@ mod tests {
             log.commit().unwrap();
         }
         let first = &list_segments(tmp.path()).unwrap()[0].path.clone();
-        crate::failpoint::flip_byte(first, 20).unwrap();
+        let mut bytes = std::fs::read(first).unwrap();
+        let at = bytes.len() - 20;
+        bytes[at] ^= 0xFF;
+        std::fs::write(first, bytes).unwrap();
         let err = read_log_from(tmp.path(), 1, usize::MAX).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }

@@ -16,11 +16,11 @@
 //!    error.
 
 use std::io;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 use p4lru_kvstore::Database;
 
+use crate::fs::DataDir;
 use crate::record::WalOp;
 use crate::snapshot;
 use crate::wal;
@@ -62,17 +62,18 @@ fn corrupt(msg: impl Into<String>) -> io::Error {
 /// corrupted record at its very tail — the signature of a crash mid-append
 /// — which it tolerates. Refuses gaps or mid-log damage, which would
 /// silently lose acknowledged writes.
-pub fn recover(dir: &Path) -> io::Result<Recovery> {
+pub fn recover(dir: impl Into<DataDir>) -> io::Result<Recovery> {
     let begin = Instant::now();
+    let dir = dir.into();
     // The snapshot's records stream straight into a bulk build: snapshots
     // are written from `Database::iter` (ascending keys), so the index is
     // built bottom-up with full leaves; an unsorted file goes through the
     // build's sort instead.
-    let snap = snapshot::load_latest(dir)?;
+    let snap = snapshot::load_latest(&dir)?;
     let snapshot_entries = snap.db.len() as u64;
     let mut db = snap.db;
 
-    let segments = wal::list_segments(dir)?;
+    let segments = wal::list_segments(&dir)?;
     let mut last_seq = snap.seq;
     let mut replayed = 0u64;
     let mut replayed_keys = Vec::new();
@@ -80,7 +81,7 @@ pub fn recover(dir: &Path) -> io::Result<Recovery> {
 
     for (i, segment) in segments.iter().enumerate() {
         let is_last = i + 1 == segments.len();
-        let scan = wal::scan_segment(&segment.path)?;
+        let scan = wal::scan_segment(dir.fs(), &segment.path)?;
         if scan.file_len > scan.valid_len {
             if !is_last {
                 let tail = match scan.damage {
@@ -96,9 +97,7 @@ pub fn recover(dir: &Path) -> io::Result<Recovery> {
             // The active segment's unwritten zeros, or a crash mid-append:
             // trim them so the next segment follows a sealed one and a
             // damaged tail can never be misread by a later recovery.
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&segment.path)?;
+            let file = dir.fs().open(&segment.path, true)?;
             file.set_len(scan.valid_len)?;
             file.sync_all()?;
             torn_tail = scan.damage.is_some();
@@ -234,7 +233,9 @@ mod tests {
         wal.append(&set(2)).unwrap();
         wal.sync().unwrap();
         let seg = wal::list_segments(tmp.path()).unwrap().remove(0);
-        let valid_len = wal::scan_segment(&seg.path).unwrap().valid_len;
+        let valid_len = wal::scan_segment(&crate::fs::StdFs, &seg.path)
+            .unwrap()
+            .valid_len;
         // Simulate a crash mid-append of record 3.
         let mut bytes = std::fs::read(&seg.path).unwrap();
         bytes.extend_from_slice(&[81, 0, 0, 0, 0xAA, 0xBB]); // header fragment

@@ -19,12 +19,12 @@
 //!    snapshot, and prunes segments the snapshot made redundant.
 
 use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use p4lru_kvstore::{Database, Record};
 
+use crate::fs::DataDir;
 use crate::record::WalOp;
 use crate::recover::{recover, Recovery};
 use crate::snapshot::write_snapshot;
@@ -34,7 +34,7 @@ use crate::{DurabilityConfig, SyncPolicy};
 /// One shard's durability engine.
 #[derive(Debug)]
 pub struct ShardLog {
-    dir: PathBuf,
+    dir: DataDir,
     buffer: WalBuffer,
     sink: Arc<Mutex<LogSink>>,
     snapshot_every: u64,
@@ -132,9 +132,9 @@ impl LogCommit {
 }
 
 impl ShardLog {
-    fn open(dir: &Path, file: WalFile, next_seq: u64, config: &DurabilityConfig) -> Self {
+    fn open(dir: DataDir, file: WalFile, next_seq: u64, config: &DurabilityConfig) -> Self {
         Self {
-            dir: dir.to_path_buf(),
+            dir,
             buffer: WalBuffer::new(next_seq),
             sink: LogSink::new(file, config),
             snapshot_every: config.snapshot_every,
@@ -147,28 +147,32 @@ impl ShardLog {
     /// sequence 0 (so the initial population survives a crash that happens
     /// before the first WAL-driven snapshot) and opens the WAL at sequence
     /// 1.
-    pub fn init_fresh(dir: &Path, db: &Database, config: &DurabilityConfig) -> io::Result<Self> {
-        std::fs::create_dir_all(dir)?;
-        write_snapshot(dir, 0, db)?;
-        let file = WalFile::create(dir, 1, config.segment_bytes)?;
+    pub fn init_fresh(
+        dir: impl Into<DataDir>,
+        db: &Database,
+        config: &DurabilityConfig,
+    ) -> io::Result<Self> {
+        let dir = dir.into();
+        dir.fs().create_dir_all(dir.path())?;
+        write_snapshot(&dir, 0, db)?;
+        let file = WalFile::create(&dir, 1, config.segment_bytes)?;
         Ok(Self::open(dir, file, 1, config))
     }
 
     /// Recovers an existing shard directory and positions the WAL to append
     /// after the last durable record. Returns the engine plus what recovery
     /// found (the caller owns rebuilding its in-memory state from it).
-    pub fn recover(dir: &Path, config: &DurabilityConfig) -> io::Result<(Self, Recovery)> {
-        let recovery = recover(dir)?;
+    pub fn recover(
+        dir: impl Into<DataDir>,
+        config: &DurabilityConfig,
+    ) -> io::Result<(Self, Recovery)> {
+        let dir = dir.into();
+        let recovery = recover(&dir)?;
         // Always start a new segment: old segments are never appended to, so
         // a sealed segment is immutable from here on.
         let next_seq = recovery.last_seq + 1;
-        let file = WalFile::create(dir, next_seq, config.segment_bytes)?;
+        let file = WalFile::create(&dir, next_seq, config.segment_bytes)?;
         Ok((Self::open(dir, file, next_seq, config), recovery))
-    }
-
-    /// The shard directory this log writes to.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Sequence number of the last appended record.
@@ -220,9 +224,9 @@ impl ShardLog {
         let db = crate::snapshot::install_snapshot_bytes(&self.dir, seq, bytes)?;
         let mut sink = lock(&self.sink);
         for segment in crate::wal::list_segments(&self.dir)? {
-            std::fs::remove_file(&segment.path)?;
+            self.dir.fs().remove(&segment.path)?;
         }
-        crate::wal::fsync_dir(&self.dir)?;
+        self.dir.fs().fsync_dir(self.dir.path())?;
         sink.file.restart(seq + 1)?;
         sink.unsynced = 0;
         self.buffer = WalBuffer::new(seq + 1);

@@ -27,14 +27,14 @@
 //! anything, so a crash at any point leaves either the old snapshot or the
 //! new one, never a half-written hybrid.
 
-use std::fs::{self, File};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use p4lru_kvstore::sparse::{encoded_len, MAX_ENCODED_BYTES, WORDS};
 use p4lru_kvstore::{Database, DatabaseBuilder, Sparse, VALUE_SIZE};
 
 use crate::crc::{crc32, Crc32};
+use crate::fs::{DataDir, FsFile};
 
 const MAGIC: &[u8; 8] = b"P4LRSNAP";
 /// The version this build writes.
@@ -66,7 +66,7 @@ fn err(msg: impl Into<String>) -> io::Error {
 /// in one buffer, and each full buffer is folded into the CRC and written
 /// with one call.
 struct BodyWriter {
-    file: File,
+    file: Box<dyn FsFile>,
     buf: Vec<u8>,
     crc: Crc32,
 }
@@ -102,11 +102,13 @@ impl BodyWriter {
 /// Returns the final snapshot path. Older snapshot files are pruned after
 /// the new one is durable (best effort — a leftover old snapshot is ignored
 /// at load time because the newest valid one wins).
-pub fn write_snapshot(dir: &Path, seq: u64, db: &Database) -> io::Result<PathBuf> {
-    let tmp = dir.join(format!("{PREFIX}{seq:020}.tmp"));
-    let path = dir.join(snapshot_file_name(seq));
+pub fn write_snapshot(dir: impl Into<DataDir>, seq: u64, db: &Database) -> io::Result<PathBuf> {
+    let dir = dir.into();
+    let fs = dir.fs();
+    let tmp = dir.path().join(format!("{PREFIX}{seq:020}.tmp"));
+    let path = dir.path().join(snapshot_file_name(seq));
     {
-        let mut file = File::create(&tmp)?;
+        let mut file = fs.create(&tmp)?;
         file.write_all(MAGIC)?; // magic is outside the CRC
         let mut w = BodyWriter {
             file,
@@ -124,40 +126,24 @@ pub fn write_snapshot(dir: &Path, seq: u64, db: &Database) -> io::Result<PathBuf
         w.file.write_all(&crc.to_le_bytes())?;
         w.file.sync_all()?;
     }
-    fs::rename(&tmp, &path)?;
-    crate::wal::fsync_dir(dir)?;
-    prune_older_snapshots(dir, seq)?;
+    fs.rename(&tmp, &path)?;
+    fs.fsync_dir(dir.path())?;
+    prune_older_snapshots(&dir, seq)?;
     Ok(path)
 }
 
-fn prune_older_snapshots(dir: &Path, newest_seq: u64) -> io::Result<()> {
+fn prune_older_snapshots(dir: &DataDir, newest_seq: u64) -> io::Result<()> {
     for (seq, path) in list_snapshots(dir)? {
         if seq < newest_seq {
-            let _ = fs::remove_file(path);
+            let _ = dir.fs().remove(&path);
         }
     }
     Ok(())
 }
 
 /// Lists `(seq, path)` of every snapshot file, sorted ascending by `seq`.
-pub fn list_snapshots(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut found = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name
-            .strip_prefix(PREFIX)
-            .and_then(|s| s.strip_suffix(SUFFIX))
-        else {
-            continue;
-        };
-        if let Ok(seq) = stem.parse::<u64>() {
-            found.push((seq, entry.path()));
-        }
-    }
-    found.sort_by_key(|&(seq, _)| seq);
-    Ok(found)
+pub fn list_snapshots(dir: impl Into<DataDir>) -> io::Result<Vec<(u64, PathBuf)>> {
+    dir.into().numbered(PREFIX, SUFFIX)
 }
 
 /// A loaded snapshot: the sealed sequence number and the store it holds.
@@ -175,10 +161,11 @@ pub struct LoadedSnapshot {
 ///
 /// With no (valid) snapshot at all, returns `seq: 0` and an empty store —
 /// the state before any WAL record.
-pub fn load_latest(dir: &Path) -> io::Result<LoadedSnapshot> {
+pub fn load_latest(dir: impl Into<DataDir>) -> io::Result<LoadedSnapshot> {
+    let dir = dir.into();
     let mut invalid_skipped = 0;
-    for (seq, path) in list_snapshots(dir)?.into_iter().rev() {
-        let bytes = fs::read(&path)?;
+    for (seq, path) in list_snapshots(&dir)?.into_iter().rev() {
+        let bytes = dir.fs().read(&path)?;
         let Ok(snapshot) = Validated::parse(&bytes) else {
             invalid_skipped += 1;
             continue;
@@ -212,7 +199,11 @@ pub fn load_latest(dir: &Path) -> io::Result<LoadedSnapshot> {
 /// version, CRC, entry count, and that the sealed seq matches the `seq`
 /// they were shipped as — so a corrupt or mislabeled shipment never
 /// becomes a loadable snapshot file and the existing state is untouched.
-pub fn install_snapshot_bytes(dir: &Path, seq: u64, bytes: &[u8]) -> io::Result<Database> {
+pub fn install_snapshot_bytes(
+    dir: impl Into<DataDir>,
+    seq: u64,
+    bytes: &[u8],
+) -> io::Result<Database> {
     let snapshot = Validated::parse(bytes)?;
     if snapshot.seq != seq {
         return Err(err(format!(
@@ -220,15 +211,17 @@ pub fn install_snapshot_bytes(dir: &Path, seq: u64, bytes: &[u8]) -> io::Result<
             snapshot.seq
         )));
     }
-    let tmp = dir.join(format!("{PREFIX}{seq:020}.tmp"));
+    let dir = dir.into();
+    let fs = dir.fs();
+    let tmp = dir.path().join(format!("{PREFIX}{seq:020}.tmp"));
     {
-        let mut file = File::create(&tmp)?;
+        let mut file = fs.create(&tmp)?;
         file.write_all(bytes)?;
         file.sync_all()?;
     }
-    fs::rename(&tmp, dir.join(snapshot_file_name(seq)))?;
-    crate::wal::fsync_dir(dir)?;
-    prune_older_snapshots(dir, seq)?;
+    fs.rename(&tmp, &dir.path().join(snapshot_file_name(seq)))?;
+    fs.fsync_dir(dir.path())?;
+    prune_older_snapshots(&dir, seq)?;
     Ok(snapshot.build())
 }
 
@@ -331,6 +324,7 @@ mod tests {
     };
     use p4lru_kvstore::db::record_for;
     use p4lru_kvstore::Record;
+    use std::fs;
 
     fn sample_db(items: u64) -> Database {
         let mut db = Database::default();

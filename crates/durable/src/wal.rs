@@ -33,11 +33,11 @@
 //! pre-sizing has no zero tails, and older code reads a zero tail as a
 //! torn tail and trims it.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use crate::fs::{DataDir, Fs, FsFile};
 use crate::record::{self, Decoded, WalOp, WalRecord};
 
 /// Rotate the active segment once it exceeds this many bytes (default).
@@ -61,28 +61,10 @@ pub struct Segment {
 }
 
 /// Lists the segments of `dir`, sorted by `first_seq`.
-pub fn list_segments(dir: &Path) -> io::Result<Vec<Segment>> {
-    let mut segments = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name
-            .strip_prefix(SEGMENT_PREFIX)
-            .and_then(|s| s.strip_suffix(SEGMENT_SUFFIX))
-        else {
-            continue;
-        };
-        let Ok(first_seq) = stem.parse::<u64>() else {
-            continue;
-        };
-        segments.push(Segment {
-            first_seq,
-            path: entry.path(),
-        });
-    }
-    segments.sort_by_key(|s| s.first_seq);
-    Ok(segments)
+pub fn list_segments(dir: impl Into<DataDir>) -> io::Result<Vec<Segment>> {
+    let found = dir.into().numbered(SEGMENT_PREFIX, SEGMENT_SUFFIX)?;
+    let segment = |(first_seq, path)| Segment { first_seq, path };
+    Ok(found.into_iter().map(segment).collect())
 }
 
 /// Why a segment's records end before its file does, when the rest of the
@@ -110,10 +92,10 @@ pub struct SegmentScan {
     pub damage: Option<Damage>,
 }
 
-/// Scans one segment file, stopping at the first invalid record and
-/// applying the end-of-log rule (module docs) to what follows it.
-pub fn scan_segment(path: &Path) -> io::Result<SegmentScan> {
-    let mut reader = SegmentReader::open(path)?;
+/// Scans the segment file at `path` on `fs`, stopping at the first invalid
+/// record and applying the end-of-log rule (module docs) to what follows it.
+pub fn scan_segment(fs: &dyn Fs, path: &Path) -> io::Result<SegmentScan> {
+    let mut reader = SegmentReader::open(fs, path)?;
     let mut records = Vec::new();
     let damage = loop {
         match reader.next()? {
@@ -156,7 +138,7 @@ pub(crate) enum Next {
 /// that stops at the first invalid record never reads the rest.
 #[derive(Debug)]
 pub(crate) struct SegmentReader {
-    file: File,
+    file: Box<dyn FsFile>,
     file_len: u64,
     buf: Vec<u8>,
     /// Offset in `buf` of the next record.
@@ -167,9 +149,9 @@ pub(crate) struct SegmentReader {
 }
 
 impl SegmentReader {
-    pub(crate) fn open(path: &Path) -> io::Result<SegmentReader> {
-        let file = File::open(path)?;
-        let file_len = file.metadata()?.len();
+    pub(crate) fn open(fs: &dyn Fs, path: &Path) -> io::Result<SegmentReader> {
+        let file = fs.open(path, false)?;
+        let file_len = file.size()?;
         Ok(SegmentReader {
             file,
             file_len,
@@ -226,19 +208,6 @@ impl SegmentReader {
         let n = self.file.read(&mut self.buf[kept..])?;
         self.buf.truncate(kept + n);
         self.eof = n == 0;
-        Ok(())
-    }
-}
-
-/// Opens `dir` itself and fsyncs it, making renames/creates in it durable.
-pub fn fsync_dir(dir: &Path) -> io::Result<()> {
-    #[cfg(unix)]
-    {
-        File::open(dir)?.sync_all()
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = dir;
         Ok(())
     }
 }
@@ -331,8 +300,8 @@ impl WalChunk {
 /// the zero tail, which recovery trims.
 #[derive(Debug)]
 pub struct WalFile {
-    dir: PathBuf,
-    file: File,
+    dir: DataDir,
+    file: Box<dyn FsFile>,
     seg_first_seq: u64,
     seg_written: u64,
     /// Sequence number the next written record must have.
@@ -342,14 +311,12 @@ pub struct WalFile {
 
 /// Creates the segment whose first record will be `first_seq`, empty and
 /// pre-sized to `len` bytes.
-fn open_segment(dir: &Path, first_seq: u64, len: u64) -> io::Result<File> {
-    let file = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(dir.join(segment_file_name(first_seq)))?;
+fn open_segment(dir: &DataDir, first_seq: u64, len: u64) -> io::Result<Box<dyn FsFile>> {
+    let file = dir
+        .fs()
+        .create(&dir.path().join(segment_file_name(first_seq)))?;
     file.set_len(len)?;
-    fsync_dir(dir)?;
+    dir.fs().fsync_dir(dir.path())?;
     Ok(file)
 }
 
@@ -360,11 +327,16 @@ impl WalFile {
     /// An existing file of the same name is truncated first: recovery has
     /// already established that no durable record at or past `next_seq`
     /// exists, and no stale byte survives under the new zero tail.
-    pub fn create(dir: &Path, next_seq: u64, segment_bytes: u64) -> io::Result<WalFile> {
+    pub fn create(
+        dir: impl Into<DataDir>,
+        next_seq: u64,
+        segment_bytes: u64,
+    ) -> io::Result<WalFile> {
+        let dir = dir.into();
         let segment_bytes = segment_bytes.max(1);
         Ok(WalFile {
-            dir: dir.to_path_buf(),
-            file: open_segment(dir, next_seq, segment_bytes)?,
+            file: open_segment(&dir, next_seq, segment_bytes)?,
+            dir,
             seg_first_seq: next_seq,
             seg_written: 0,
             next_seq,
@@ -452,12 +424,12 @@ impl WalFile {
             // construction (snapshot rotates first), so the name check
             // suffices.
             if segment.first_seq < upto_seq && segment.first_seq != self.seg_first_seq {
-                fs::remove_file(&segment.path)?;
+                self.dir.fs().remove(&segment.path)?;
                 removed += 1;
             }
         }
         if removed > 0 {
-            fsync_dir(&self.dir)?;
+            self.dir.fs().fsync_dir(self.dir.path())?;
         }
         Ok(removed)
     }
@@ -480,7 +452,7 @@ pub struct Wal {
 impl Wal {
     /// Starts a fresh active segment whose first record will be `next_seq`
     /// (see [`WalFile::create`]).
-    pub fn create(dir: &Path, next_seq: u64, segment_bytes: u64) -> io::Result<Wal> {
+    pub fn create(dir: impl Into<DataDir>, next_seq: u64, segment_bytes: u64) -> io::Result<Wal> {
         Ok(Wal {
             buffer: WalBuffer::new(next_seq),
             file: WalFile::create(dir, next_seq, segment_bytes)?,
@@ -513,8 +485,10 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fs::StdFs;
     use crate::record::WalOp;
     use crate::testutil::TempDir;
+    use std::fs;
 
     fn del(key: u64) -> WalOp {
         WalOp::Del { key }
@@ -532,7 +506,7 @@ mod tests {
         let segments = list_segments(tmp.path()).unwrap();
         assert_eq!(segments.len(), 1);
         assert_eq!(segments[0].first_seq, 1);
-        let scan = scan_segment(&segments[0].path).unwrap();
+        let scan = scan_segment(&StdFs, &segments[0].path).unwrap();
         assert_eq!(scan.damage, None);
         assert_eq!(scan.records.len(), 10);
         assert_eq!(scan.records[3].seq, 4);
@@ -554,7 +528,7 @@ mod tests {
         let firsts: Vec<u64> = segments.iter().map(|s| s.first_seq).collect();
         assert_eq!(firsts, vec![1, 2, 3, 4, 5]);
         for sealed in &segments[..4] {
-            let scan = scan_segment(&sealed.path).unwrap();
+            let scan = scan_segment(&StdFs, &sealed.path).unwrap();
             assert_eq!(scan.damage, None);
             assert_eq!(scan.records.len(), 1);
         }
@@ -599,7 +573,7 @@ mod tests {
         file.write(&second).unwrap();
         file.sync().unwrap();
         let segment = &list_segments(tmp.path()).unwrap()[0];
-        let seqs: Vec<u64> = scan_segment(&segment.path)
+        let seqs: Vec<u64> = scan_segment(&StdFs, &segment.path)
             .unwrap()
             .records
             .iter()
@@ -631,7 +605,7 @@ mod tests {
         // created again under the same name.
         let _wal = Wal::create(tmp.path(), 1, 4096).unwrap();
         let path = tmp.path().join(segment_file_name(1));
-        let scan = scan_segment(&path).unwrap();
+        let scan = scan_segment(&StdFs, &path).unwrap();
         assert!(
             scan.records.is_empty(),
             "no stale record under the zero tail"
@@ -676,7 +650,7 @@ mod tests {
         drop(file);
         assert_eq!(file_len(&path(10)), dels(4));
         for (seq, records) in [(1, 2), (3, 1), (10, 4)] {
-            let scan = scan_segment(&path(seq)).unwrap();
+            let scan = scan_segment(&StdFs, &path(seq)).unwrap();
             assert_eq!((scan.records.len(), scan.damage), (records, None));
         }
     }
@@ -687,10 +661,10 @@ mod tests {
         let mut wal = Wal::create(tmp.path(), 1, DEFAULT_SEGMENT_BYTES).unwrap();
         wal.append(&del(1)).unwrap();
         let segments = list_segments(tmp.path()).unwrap();
-        let scan = scan_segment(&segments[0].path).unwrap();
+        let scan = scan_segment(&StdFs, &segments[0].path).unwrap();
         assert_eq!(scan.records.len(), 0, "append buffers until sync");
         wal.sync().unwrap();
-        let scan = scan_segment(&segments[0].path).unwrap();
+        let scan = scan_segment(&StdFs, &segments[0].path).unwrap();
         assert_eq!(scan.records.len(), 1);
     }
 }

@@ -411,11 +411,6 @@ impl Tracer {
         self.stage_hist[stage as usize].snapshot()
     }
 
-    /// Drains a consistent-as-possible copy of the rolling trace ring.
-    pub fn sample_traces(&self) -> Vec<RequestTrace> {
-        self.ring.drain()
-    }
-
     /// Drains the slow-op ring.
     pub fn slow_traces(&self) -> Vec<RequestTrace> {
         self.slow_ring.drain()

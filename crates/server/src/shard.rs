@@ -31,12 +31,11 @@
 //! amortizing.
 
 use std::io;
-use std::path::Path;
 use std::sync::Arc;
 
 use p4lru_core::array::P4Lru3Array;
 use p4lru_core::unit::Outcome;
-use p4lru_durable::{DurabilityConfig, LogCommit, Recovery, ShardLog, WalOp, WalRecord};
+use p4lru_durable::{DataDir, DurabilityConfig, LogCommit, Recovery, ShardLog, WalOp, WalRecord};
 use p4lru_kvstore::slab::Record;
 use p4lru_kvstore::{Addr48, Database, VALUE_SIZE};
 
@@ -92,7 +91,7 @@ impl Shard {
     /// the initial records and before serving traffic.
     pub fn enable_durability_fresh(
         &mut self,
-        dir: &Path,
+        dir: impl Into<DataDir>,
         config: &DurabilityConfig,
     ) -> io::Result<()> {
         self.log = Some(ShardLog::init_fresh(dir, &self.db, config)?);
@@ -106,7 +105,7 @@ impl Shard {
     pub fn recover(
         units: usize,
         seed: u64,
-        dir: &Path,
+        dir: impl Into<DataDir>,
         config: &DurabilityConfig,
     ) -> io::Result<Self> {
         let (log, recovery) = ShardLog::recover(dir, config)?;
@@ -143,11 +142,6 @@ impl Shard {
     /// The front cache, read-only (inspection and tests).
     pub fn cache(&self) -> &P4Lru3Array<u64, Addr48> {
         &self.cache
-    }
-
-    /// Front-cache capacity in entries.
-    pub fn cache_capacity(&self) -> usize {
-        self.cache.capacity()
     }
 
     /// Number of records in the backing store.

@@ -11,7 +11,8 @@
 //! which writes and fsyncs the WAL segment. A schedule says which of the
 //! three takes the next step, and the search is **exhaustive**:
 //! `p4lru-explore` runs every schedule of every script set in scope
-//! ([`script_sets`]), each from a fresh shard directory.
+//! ([`script_sets`]), each from a fresh shard directory on its own
+//! in-memory [`SimFs`]; no real file is opened.
 //!
 //! **The world is crashed after every step.** The WAL segment keeps each
 //! interesting length of its records between its synced length (as of the
@@ -20,8 +21,9 @@
 //! of the records written. The segment is pre-sized, so what follows the
 //! kept bytes is lost one of two ways: zeroed up to the pre-sized length
 //! (the size reached the disk and the writes did not), or cut off (the
-//! size change never reached the disk either). [`Shard::recover`] rebuilds
-//! the shard from each copy. The properties:
+//! size change never reached the disk either). Each such disk is an
+//! edited clone of the world's `SimFs`, and [`Shard::recover`] rebuilds
+//! the shard from it. The properties:
 //!
 //! * recovery succeeds and recovers a prefix of the writes applied;
 //! * **acked write lost**: every SET/DEL acked on the wire is recovered
@@ -38,19 +40,15 @@
 //! checking for buffered records, a cut released before it has run or
 //! before its fsync returned, and `committing` cleared at the cut instead
 //! of after the sync. It must find each defect's property in the same
-//! exhaustive run that finds none in the real protocol. Shard directories
-//! live on tmpfs (`/dev/shm`) when the host has one, so fsync stays out of
-//! the budget.
+//! exhaustive run that finds none in the real protocol.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fs::{self, File, OpenOptions};
-use std::io::Read;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use p4lru::durable::failpoint::{truncate_tail, zero_tail};
 use p4lru::durable::record::{DEL_PAYLOAD_BYTES, RECORD_HEADER_BYTES, SET_PAYLOAD_BYTES};
 use p4lru::durable::wal::segment_file_name;
-use p4lru::durable::{DurabilityConfig, LogCommit, SyncPolicy};
+use p4lru::durable::{DataDir, DurabilityConfig, LogCommit, SimFs, SyncPolicy};
 use p4lru::kvstore::Record;
 use p4lru::server::gate::CommitGate;
 use p4lru::server::Shard;
@@ -58,6 +56,9 @@ use p4lru_explore as explore;
 
 /// The two keys; both start present, written by the initial snapshot.
 const KEYS: [u64; 2] = [11, 12];
+
+/// The shard directory, on each world's own [`SimFs`].
+const DIR: &str = "shard";
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Kind {
@@ -188,8 +189,10 @@ struct World<'a> {
     /// The cut taken and not yet run, and its last sequence number.
     cut: Option<LogCommit>,
     cut_seq: u64,
-    /// The WAL segment: how many writes and bytes of records reached it,
-    /// and the bytes of records as of the last fsync.
+    /// The file system the shard is on, and its WAL segment: how many
+    /// writes and bytes of records reached it, and the bytes of records as
+    /// of the last fsync.
+    fs: Arc<SimFs>,
     segment: PathBuf,
     written: (usize, u64),
     synced_len: u64,
@@ -228,34 +231,16 @@ fn wal_bytes(writes: &[(usize, Option<u64>)]) -> u64 {
         .sum()
 }
 
-/// A sparse copy of the live segment at `from`: its first `written` bytes
-/// (its records), then a hole up to its pre-sized length. Returns that
-/// length.
-fn copy_segment(from: &Path, written: u64, to: &Path) -> u64 {
-    let mut records = Vec::new();
-    File::open(from)
-        .and_then(|file| file.take(written).read_to_end(&mut records))
-        .expect("the segment reads");
-    fs::write(to, &records).expect("the copy succeeds");
-    let len = fs::metadata(from).expect("the segment exists").len();
-    OpenOptions::new()
-        .write(true)
-        .open(to)
-        .and_then(|file| file.set_len(len))
-        .expect("the copy is pre-sized");
-    len
-}
-
 impl<'a> World<'a> {
-    /// A fresh world. `dir` is reused run after run: the fresh start
-    /// rewrites its snapshot and truncates its one WAL segment.
-    fn new(protocol: Protocol, dir: &Path, scripts: &'a [Vec<Op>]) -> Self {
+    /// A fresh world, its shard directory on a new [`SimFs`].
+    fn new(protocol: Protocol, scripts: &'a [Vec<Op>]) -> Self {
         let mut shard = Shard::new(16, 7);
         for key in KEYS {
             shard.load(key, record(0));
         }
+        let fs = Arc::new(SimFs::default());
         shard
-            .enable_durability_fresh(dir, &config())
+            .enable_durability_fresh(DataDir::new(fs.clone(), DIR), &config())
             .expect("a fresh shard directory");
         Self {
             protocol,
@@ -272,7 +257,8 @@ impl<'a> World<'a> {
             phase: 0,
             cut: None,
             cut_seq: 0,
-            segment: dir.join(segment_file_name(1)),
+            fs,
+            segment: Path::new(DIR).join(segment_file_name(1)),
             written: (0, 0),
             synced_len: 0,
             trace: Vec::new(),
@@ -410,7 +396,7 @@ impl<'a> World<'a> {
 
     /// Crashes a copy of the world at every interesting WAL length and
     /// checks what recovery makes of it.
-    fn crash(&self, scratch: &mut Scratch) -> Result<(), String> {
+    fn crash(&self, recoveries: &mut Recoveries) -> Result<(), String> {
         let (records, written) = self.written;
         let mut lens = vec![self.synced_len, written];
         if written > self.synced_len + 1 {
@@ -420,11 +406,11 @@ impl<'a> World<'a> {
         for len in lens {
             for sized in [true, false] {
                 let disk = (self.writes[..records].to_vec(), len, sized);
-                let recovered = match scratch.recoveries.get(&disk) {
+                let recovered = match recoveries.get(&disk) {
                     Some(&recovered) => recovered,
                     None => {
-                        let recovered = self.recover(&scratch.dir, len, sized)?;
-                        scratch.recoveries.insert(disk, recovered);
+                        let recovered = self.recover(len, sized)?;
+                        recoveries.insert(disk, recovered);
                         recovered
                     }
                 };
@@ -434,31 +420,20 @@ impl<'a> World<'a> {
         Ok(())
     }
 
-    /// Recovers a copy of the shard directory `dir` whose WAL segment kept
-    /// only its first `keep` bytes: the rest zeroed up to its pre-sized
-    /// length (`sized`), or cut off.
-    fn recover(&self, dir: &Path, keep: u64, sized: bool) -> Result<Recovered, String> {
-        let copy = dir.with_extension("crashed");
-        let _ = fs::remove_dir_all(&copy);
-        fs::create_dir_all(&copy).expect("a crash directory");
-        let segment = copy.join(self.segment.file_name().expect("a file"));
-        let mut presized = 0;
-        for entry in fs::read_dir(dir).expect("the shard directory lists") {
-            let path = entry.expect("a directory entry").path();
-            if path == self.segment {
-                presized = copy_segment(&path, self.written.1, &segment);
-            } else {
-                fs::copy(&path, copy.join(path.file_name().expect("a file")))
-                    .expect("the copy succeeds");
-            }
-        }
+    /// Recovers a crash image of the shard directory whose WAL segment
+    /// kept only its first `keep` bytes: the rest zeroed up to its
+    /// pre-sized length (`sized`), or cut off.
+    fn recover(&self, keep: u64, sized: bool) -> Result<Recovered, String> {
+        let image = SimFs::clone(&self.fs);
         if sized {
-            zero_tail(&segment, keep).expect("the tail is zeroed");
+            image.zero_from(&self.segment, keep)
         } else {
-            truncate_tail(&segment, presized - keep).expect("the tail is cut");
+            image.set_len(&self.segment, keep)
         }
+        .expect("the segment exists");
+        let dir = DataDir::new(Arc::new(image), DIR);
         let mut shard =
-            Shard::recover(16, 7, &copy, &config()).map_err(|e| format!("recovery failed: {e}"))?;
+            Shard::recover(16, 7, dir, &config()).map_err(|e| format!("recovery failed: {e}"))?;
         // The restarted process's gate: the dead one's replies are gone,
         // and a read of the recovered shard has nothing to wait for.
         let mut gate: CommitGate<()> = CommitGate::new(0);
@@ -509,7 +484,7 @@ impl<'a> World<'a> {
 
 impl explore::Machine for World<'_> {
     type Did = Did;
-    type Worker = Scratch;
+    type Worker = Recoveries;
 
     /// Each loop with requests left, then the commit thread when it is
     /// mid-cycle or has work.
@@ -548,9 +523,9 @@ impl explore::Machine for World<'_> {
 
     /// The world is crashed after every step, once per state: an earlier
     /// run crashed the states it shares with this one.
-    fn check_step(&mut self, scratch: &mut Scratch, new: bool) -> Result<(), String> {
+    fn check_step(&mut self, recoveries: &mut Recoveries, new: bool) -> Result<(), String> {
         if new {
-            self.crash(scratch)?;
+            self.crash(recoveries)?;
         }
         Ok(())
     }
@@ -647,43 +622,15 @@ fn script_sets() -> Vec<Vec<Vec<Op>>> {
     sets
 }
 
-/// A worker's shard directory (on tmpfs when there is one), reused run
-/// after run, and the recoveries it has run.
-struct Scratch {
-    dir: PathBuf,
-    recoveries: Recoveries,
-}
-
-impl Scratch {
-    fn new(label: &str) -> Self {
-        let shm = Path::new("/dev/shm");
-        let root = if shm.is_dir() {
-            shm.to_path_buf()
-        } else {
-            std::env::temp_dir()
-        };
-        let dir = root.join(format!("p4lru-explorer-{label}-{}", std::process::id()));
-        Self {
-            dir,
-            recoveries: Recoveries::new(),
-        }
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.dir);
-        let _ = fs::remove_dir_all(self.dir.with_extension("crashed"));
-    }
-}
-
 /// Runs the whole scope against `protocol`: the number of script sets and
-/// schedules, or the first violation.
+/// schedules, or the first violation. Each worker keeps the recoveries it
+/// has run.
 fn exhaust(protocol: Protocol) -> Result<(usize, usize), explore::Failure> {
-    let worker = |w| Scratch::new(&format!("{protocol:?}-{w}"));
-    explore::exhaust(&script_sets(), worker, |scripts, scratch: &mut Scratch| {
-        World::new(protocol, &scratch.dir, scripts)
-    })
+    explore::exhaust(
+        &script_sets(),
+        |_| Recoveries::new(),
+        |scripts, _| World::new(protocol, scripts),
+    )
 }
 
 #[test]
@@ -694,7 +641,7 @@ fn no_schedule_or_crash_loses_an_ack() {
         "{schedules} schedules of {sets} script sets, crashed after every step, in {:?}",
         started.elapsed()
     );
-    assert!(schedules > 1_000, "the scope shrank: {schedules} schedules");
+    assert_eq!((sets, schedules), (315, 36_024), "the scope changed");
 }
 
 /// The same exhaustive run, with GETs admitted past buffered records.
@@ -735,7 +682,7 @@ fn the_explorer_catches_committing_cleared_at_the_cut() {
 #[test]
 fn each_defect_fails_on_its_own_schedule_and_the_real_gate_passes_it() {
     let scripts = [vec![(Kind::Get, 0)], vec![(Kind::Set, 0)]];
-    let mut scratch = Scratch::new("named");
+    let mut recoveries = Recoveries::new();
     for (protocol, schedule, property) in [
         (
             Protocol::GetSkipsBuffer,
@@ -754,10 +701,8 @@ fn each_defect_fails_on_its_own_schedule_and_the_real_gate_passes_it() {
             "acked read not durable",
         ),
     ] {
-        let mut run = |protocol| {
-            let world = World::new(protocol, &scratch.dir, &scripts);
-            explore::replay(world, &mut scratch, schedule)
-        };
+        let mut run =
+            |protocol| explore::replay(World::new(protocol, &scripts), &mut recoveries, schedule);
         run(Protocol::Real)
             .unwrap_or_else(|e| panic!("the real gate on {protocol:?}'s schedule: {e}"));
         explore::assert_fails(run(protocol), property);

@@ -1,38 +1,29 @@
-//! Cross-crate durability tests: the fault-injection harness driving real
-//! WAL bytes through recovery, via the facade crate's re-exports.
+//! Cross-crate durability tests: damaged WAL bytes driven through
+//! recovery, via the facade crate's re-exports.
 //!
 //! The unit tests inside `p4lru-durable` cover each module; these tests
 //! exercise the crash *surface* — a write stream cut short, corrupted, or
-//! truncated by `FailpointFile` and the file-level helpers — and assert the
-//! recovery contract from DESIGN.md §8: everything before the damage
+//! truncated, as bytes or by `SimFs`'s editing operations — and assert
+//! the recovery contract from DESIGN.md §8: everything before the damage
 //! survives, the damaged tail is repaired away, and mid-log damage refuses
 //! to recover at all.
 
 use std::io::Write;
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use p4lru::durable::failpoint::{flip_byte, truncate_tail};
 use p4lru::durable::record::encode_into;
 use p4lru::durable::wal::{segment_file_name, Wal, DEFAULT_SEGMENT_BYTES};
-use p4lru::durable::{recover, FailMode, FailpointFile, WalOp};
+use p4lru::durable::{recover, DataDir, Fs, SimFs, WalOp};
 use p4lru::kvstore::db::record_for;
 
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(label: &str) -> Self {
-        let path =
-            std::env::temp_dir().join(format!("p4lru-durability-{label}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).unwrap();
-        Self(path)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+/// A shard directory on a fresh in-memory file system, and the path of
+/// its first WAL segment.
+fn sim_dir() -> (Arc<SimFs>, DataDir, PathBuf) {
+    let fs = Arc::new(SimFs::default());
+    let dir = DataDir::new(fs.clone(), "shard");
+    let segment = dir.path().join(segment_file_name(1));
+    (fs, dir, segment)
 }
 
 fn set(key: u64) -> WalOp {
@@ -42,32 +33,27 @@ fn set(key: u64) -> WalOp {
     }
 }
 
-/// Encodes WAL records `1..=n` through a `FailpointFile`, stopping at the
-/// first injected error — exactly the byte stream a crashed writer leaves.
-fn write_through_failpoint(n: u64, mode: FailMode) -> Vec<u8> {
-    let mut fp = FailpointFile::new(Vec::new(), mode);
-    let mut buf = Vec::new();
+/// WAL records `1..=n`, encoded back to back.
+fn records(n: u64) -> Vec<u8> {
+    let mut bytes = Vec::new();
     for seq in 1..=n {
-        buf.clear();
-        encode_into(&mut buf, seq, &set(seq));
-        if fp.write_all(&buf).is_err() {
-            break;
-        }
+        encode_into(&mut bytes, seq, &set(seq));
     }
-    fp.into_inner()
+    bytes
 }
 
 #[test]
 fn short_write_mid_record_recovers_everything_before_it() {
-    let tmp = TempDir::new("short");
+    let (fs, dir, segment) = sim_dir();
     // Each SET record is 8 bytes of framing + 81 of payload = 89 bytes.
-    // Fail 40 bytes into the fourth record: three full records and a
+    // A crash 40 bytes into the fourth record: three full records and a
     // fragment land on "disk".
-    let bytes = write_through_failpoint(10, FailMode::ShortWrite { at: 3 * 89 + 40 });
+    let mut bytes = records(10);
+    bytes.truncate(3 * 89 + 40);
     assert_eq!(bytes.len(), 3 * 89 + 40, "prefix written, rest swallowed");
-    std::fs::write(tmp.0.join(segment_file_name(1)), &bytes).unwrap();
+    fs.create(&segment).unwrap().write_all(&bytes).unwrap();
 
-    let r = recover::recover(&tmp.0).unwrap();
+    let r = recover::recover(&dir).unwrap();
     assert!(r.torn_tail, "the fragment reads as a torn record");
     assert_eq!(r.replayed, 3, "all complete records survive");
     assert_eq!(r.last_seq, 3);
@@ -75,21 +61,22 @@ fn short_write_mid_record_recovers_everything_before_it() {
         assert_eq!(r.db.lookup_by_key(key).unwrap().record, &record_for(key));
     }
     // The repair truncated the fragment: a second recovery is clean.
-    let r2 = recover::recover(&tmp.0).unwrap();
+    let r2 = recover::recover(&dir).unwrap();
     assert!(!r2.torn_tail);
     assert_eq!(r2.replayed, 3);
 }
 
 #[test]
 fn corrupted_final_record_is_skipped_not_fatal() {
-    let tmp = TempDir::new("corrupt");
+    let (fs, dir, segment) = sim_dir();
     // Flip a byte inside the *last* record's payload (record 5 spans bytes
     // 4*89 .. 5*89; corrupt one near its middle).
-    let bytes = write_through_failpoint(5, FailMode::Corrupt { at: 4 * 89 + 50 });
+    let mut bytes = records(5);
+    bytes[4 * 89 + 50] ^= 0xFF;
     assert_eq!(bytes.len(), 5 * 89, "corruption changes bytes, not length");
-    std::fs::write(tmp.0.join(segment_file_name(1)), &bytes).unwrap();
+    fs.create(&segment).unwrap().write_all(&bytes).unwrap();
 
-    let r = recover::recover(&tmp.0).unwrap();
+    let r = recover::recover(&dir).unwrap();
     assert!(r.torn_tail, "CRC catches the flipped byte");
     assert_eq!(r.replayed, 4, "records before the corruption survive");
     assert_eq!(r.last_seq, 4);
@@ -97,46 +84,45 @@ fn corrupted_final_record_is_skipped_not_fatal() {
 
 #[test]
 fn file_level_fault_helpers_compose_with_a_real_wal() {
-    let tmp = TempDir::new("helpers");
-    let mut wal = Wal::create(&tmp.0, 1, DEFAULT_SEGMENT_BYTES).unwrap();
+    let (fs, dir, segment) = sim_dir();
+    let mut wal = Wal::create(&dir, 1, DEFAULT_SEGMENT_BYTES).unwrap();
     for seq in 1..=6 {
         wal.append(&set(seq)).unwrap();
     }
     wal.sync().unwrap();
     drop(wal);
-    let segment = tmp.0.join(segment_file_name(1));
 
     // Chop half a record off the end: record 6 is torn, 1..=5 survive.
-    truncate_tail(&segment, 30).unwrap();
-    let r = recover::recover(&tmp.0).unwrap();
+    fs.set_len(&segment, 6 * 89 - 30).unwrap();
+    let r = recover::recover(&dir).unwrap();
     assert!(r.torn_tail);
     assert_eq!(r.replayed, 5);
 
     // Now flip the last byte of the (repaired) log: record 5's payload is
     // corrupt, 1..=4 survive.
-    flip_byte(&segment, 1).unwrap();
-    let r = recover::recover(&tmp.0).unwrap();
+    fs.flip_byte(&segment, 1).unwrap();
+    let r = recover::recover(&dir).unwrap();
     assert!(r.torn_tail);
     assert_eq!(r.replayed, 4);
 }
 
 #[test]
 fn damage_in_a_sealed_segment_refuses_recovery() {
-    let tmp = TempDir::new("sealed");
+    let (fs, dir, segment) = sim_dir();
     // Tiny segment budget: every sync rotates, so each record seals its own
     // segment file.
-    let mut wal = Wal::create(&tmp.0, 1, 8).unwrap();
+    let mut wal = Wal::create(&dir, 1, 8).unwrap();
     for seq in 1..=3 {
         wal.append(&set(seq)).unwrap();
         wal.sync().unwrap();
     }
     drop(wal);
     // Sanity: undamaged, everything replays.
-    assert_eq!(recover::recover(&tmp.0).unwrap().replayed, 3);
+    assert_eq!(recover::recover(&dir).unwrap().replayed, 3);
     // Damage in a sealed (non-final) segment means acknowledged records are
     // gone, and recovery must say so, not guess.
-    flip_byte(&tmp.0.join(segment_file_name(1)), 1).unwrap();
-    let e = recover::recover(&tmp.0).unwrap_err();
+    fs.flip_byte(&segment, 1).unwrap();
+    let e = recover::recover(&dir).unwrap_err();
     assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
     assert!(e.to_string().contains("not the final segment"), "{e}");
 }

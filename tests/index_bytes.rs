@@ -115,7 +115,7 @@ fn index_bytes_per_key(db: &Database) -> f64 {
 }
 
 #[test]
-fn a_served_shard_costs_at_most_8_bytes_per_key() {
+fn a_served_shard_costs_at_most_6_bytes_per_key() {
     let (db, oracle) = served_shard();
     reads_like(db, oracle, 0..2 * KEYS + 100);
     let per_key = index_bytes_per_key(db);
