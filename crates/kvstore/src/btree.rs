@@ -919,36 +919,12 @@ impl<K: IndexKey, V: Progression> BPlusTree<K, V> {
     where
         F: FnOnce() -> V,
     {
-        self.upsert_by(key, |old| match old {
-            None => Some(make()),
-            Some(_) => None,
-        })
-    }
-
-    /// [`Self::upsert_with`] that may also replace a found value, in the
-    /// same walk: `f(None)` makes an absent key's value (it must return
-    /// `Some`), and `f(Some(old))` returns the value that replaces `old`,
-    /// or `None` to keep it. Only a replacement turns a run leaf into an
-    /// array. [`Upsert::value`] is the value stored afterwards.
-    pub fn upsert_by<F>(&mut self, key: K, f: F) -> Upsert<V>
-    where
-        F: FnOnce(Option<V>) -> Option<V>,
-    {
-        let mut f = Some(f);
-        let (leaf, slot, existed) = self.find_or_insert(key, || {
-            let f = f.take().expect("the factory runs once");
-            f(None).expect("an absent key needs a value")
-        });
+        let (leaf, slot, existed) = self.find_or_insert(key, make);
         let Node::Leaf(node) = &self.nodes[leaf as usize] else {
             unreachable!("upsert landed on an inner node")
         };
-        let mut value = node.value(slot, &self.arrays);
-        if let Some(new) = f.and_then(|f| f(Some(value))) {
-            *self.slot_mut(leaf, slot) = new;
-            value = new;
-        }
         Upsert {
-            value,
+            value: node.value(slot, &self.arrays),
             existed,
             visits: self.height,
         }
@@ -2117,25 +2093,12 @@ mod tests {
         let found = t.upsert_with(5, || unreachable!("key exists"));
         assert_eq!((found.value, found.existed, found.visits), (105, true, 1));
         assert_eq!(leaf_forms(&t), (1, 0), "finding a key: still a run");
-        let kept = t.upsert_by(5, |old| {
-            assert_eq!(old, Some(105));
-            None
-        });
-        assert_eq!((kept.value, leaf_forms(&t)), (105, (1, 0)), "kept: a run");
         assert_eq!(t.insert(5, 7), Some(105));
         assert_eq!(leaf_forms(&t), (0, 1), "an overwrite: an array");
         t.check_invariants().unwrap();
         let want: Vec<(u64, u64)> = (0..8)
             .map(|k| (k, if k == 5 { 7 } else { 100 + k }))
             .collect();
-        assert_eq!(t.iter().collect::<Vec<_>>(), want);
-
-        // A replacement in the same walk does what that insert did.
-        let mut t = BPlusTree::from_sorted(8, (0..8u64).map(|k| (k, 100 + k)));
-        let replaced = t.upsert_by(5, |old| old.map(|_| 7));
-        assert_eq!((replaced.value, replaced.existed), (7, true));
-        assert_eq!(leaf_forms(&t), (0, 1), "a replacement: an array");
-        t.check_invariants().unwrap();
         assert_eq!(t.iter().collect::<Vec<_>>(), want);
 
         // A fresh key, even the run's next value at its end, makes the full

@@ -55,8 +55,7 @@ pub struct Lookup {
 /// walk cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Upserted {
-    /// The record's address: an overwrite keeps it while the record's
-    /// mask of non-zero words holds, and re-places the record otherwise.
+    /// The record's address, which an overwrite keeps.
     pub addr: Addr48,
     /// Whether the key already existed (the write was an overwrite rather
     /// than a fresh insert).
@@ -136,18 +135,16 @@ impl Database {
     ///
     /// The seed-era `insert` walked the index twice — once to probe for the
     /// key, once to insert it. This resolves the slot with one
-    /// find-or-insert descent: a fresh key allocates its record on the way
-    /// down; an existing key whose mask of non-zero words holds overwrites
-    /// its words in place, so its address and the index leaf holding it
-    /// stay as they were. A record whose mask changes is re-placed in its
-    /// new mask's arena ([`RecordHeap::overwrite`]), and the same walk
-    /// re-points the index at it ([`BPlusTree::upsert_by`]).
+    /// find-or-insert descent ([`BPlusTree::upsert_with`]): a fresh key
+    /// allocates its record on the way down; an existing key's record is
+    /// overwritten at its address ([`RecordHeap::overwrite`]), so the index
+    /// leaf holding it stays as it was.
     pub fn upsert(&mut self, key: u64, record: Record) -> Upserted {
         let heap = &mut self.heap;
-        let slot = self.index.upsert_by(key, |old| match old {
-            None => Some(heap.insert(&record)),
-            Some(addr) => Some(heap.overwrite(addr, &record)).filter(|&moved| moved != addr),
-        });
+        let slot = self.index.upsert_with(key, || heap.insert(&record));
+        if slot.existed {
+            heap.overwrite(slot.value, &record);
+        }
         Upserted {
             addr: slot.value,
             existed: slot.existed,
@@ -439,14 +436,14 @@ mod tests {
         assert_eq!(again.index_visits, db.index_height());
         assert_eq!(db.lookup_by_key(9).unwrap().record, record_for(10));
         assert_eq!(db.len(), 1);
-        // Key 0's record keeps only word 1 (`mix64(0)`): a new mask moves
-        // it, and the index follows.
-        let moved = db.upsert(9, record_for(0));
-        assert!(moved.existed);
-        assert_ne!(moved.addr, first.addr, "a new mask re-places the record");
-        assert_eq!(moved.index_visits, db.index_height());
-        assert_eq!(db.lookup_by_key(9).unwrap().addr, moved.addr);
-        assert_eq!(db.lookup_by_addr(moved.addr), record_for(0));
+        // Key 0's record keeps only word 1 (`mix64(0)`): a new mask keeps
+        // the address too, and reads follow it.
+        let forwarded = db.upsert(9, record_for(0));
+        assert!(forwarded.existed);
+        assert_eq!(forwarded.addr, first.addr, "a new mask keeps the address");
+        assert_eq!(forwarded.index_visits, db.index_height());
+        assert_eq!(db.lookup_by_key(9).unwrap().addr, first.addr);
+        assert_eq!(db.lookup_by_addr(first.addr), record_for(0));
         assert_eq!(db.len(), 1);
     }
 

@@ -4,11 +4,19 @@
 //! the key in the database … values of variable lengths (64 bytes in our
 //! configuration)" (§3.2). [`RecordHeap`] is that heap, holding each
 //! 64-byte [`Record`] at its size: only its non-zero 8-byte words
-//! ([`crate::sparse`]), in the arena of its *mask*. Record `i` of the
-//! arena of mask `m` is `popcount(m)` words, so a preloaded record takes
-//! 16 bytes and an all-zero one none. An [`Addr48`] names the arena in its
-//! top 8 bits and the slot in its low 40, so a read is O(1) by address and
-//! decodes into a [`RecordBuf`].
+//! ([`crate::sparse`]), in the arena of its *mask*. A slot of the arena of
+//! mask `m` is `popcount(m)` words, but at least two, so a preloaded record
+//! takes 16 bytes and so does an all-zero one. An [`Addr48`] names the
+//! arena in its top 8 bits and the slot in its low 40, so a read is O(1)
+//! by address and decodes into a [`RecordBuf`].
+//!
+//! A record keeps the address it was inserted at — its *home* — until it
+//! is removed, as the paper's values never move (§2.2). An overwrite with
+//! the home's mask writes the home in place. Any other mask puts the words
+//! in a slot of that mask's arena — the *target* — and leaves a forward to
+//! it in the home, which is why a slot holds at least two words. A read
+//! follows at most one forward, and a target's address never leaves the
+//! heap, so the index and every cache of it hold home addresses only.
 
 use std::mem::size_of;
 use std::ops::Deref;
@@ -19,8 +27,9 @@ use crate::sparse::{Sparse, WORDS};
 /// Record size in bytes (the paper's configuration).
 pub const VALUE_SIZE: usize = 64;
 
-/// A 48-bit record address — what LruIndex caches on the switch: the
-/// record's mask in bits 40..48 and its slot in that mask's arena below.
+/// A 48-bit record address — what LruIndex caches on the switch: a mask
+/// in bits 40..48 and a slot in that mask's arena below. A record's
+/// address is its home: the mask is the one it was inserted with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Addr48(u64);
 
@@ -56,7 +65,7 @@ impl Addr48 {
         self.0
     }
 
-    /// The mask of the record's non-zero words: which arena holds it.
+    /// The mask of the arena the address is in.
     pub fn mask(self) -> u8 {
         (self.0 >> Self::SLOT_BITS) as u8
     }
@@ -146,13 +155,30 @@ fn locate(slot: u64) -> (usize, usize) {
     }
 }
 
-/// The records of one mask: `width` words each, in chunks that are
-/// allocated at their full size, so the arena grows without copying (a
-/// clone's last chunk, cut to its length, grows like a `Vec`). Freed slots
-/// are reused before a new one is made. The all-zero arena has width 0
-/// and stores nothing but its slot count.
+/// Words in the narrowest slot: enough for a forward.
+const MIN_WIDTH: usize = 2;
+
+/// Tags the second word of a forward, so that the target's address (which
+/// may be 0) makes it non-zero.
+const FORWARD: u64 = 1 << 63;
+
+/// The target a home slot forwards to, if it holds a forward: a zero first
+/// word and a non-zero second. A stored record's first word is non-zero
+/// unless it keeps no word at all, and then both words are zero.
+fn forward(home: &[u64]) -> Option<Addr48> {
+    (home[0] == 0 && home[1] != 0).then(|| Addr48(home[1] ^ FORWARD))
+}
+
+/// The slots of one mask: `width` words each, in chunks that are allocated
+/// at their full size, so the arena grows without copying (a clone's last
+/// chunk, cut to its length, grows like a `Vec`). A slot holds a record's
+/// `kept` words, then zeros up to the width. Freed slots are reused before
+/// a new one is made.
 #[derive(Clone, Debug)]
 struct Arena {
+    /// Words a record of this mask keeps.
+    kept: usize,
+    /// Words in a slot: `kept`, but at least [`MIN_WIDTH`].
     width: usize,
     chunks: Vec<Vec<u64>>,
     /// Slots handed out so far, in use or freed.
@@ -162,8 +188,10 @@ struct Arena {
 
 impl Arena {
     fn new(mask: u8) -> Self {
+        let kept = mask.count_ones() as usize;
         Self {
-            width: mask.count_ones() as usize,
+            kept,
+            width: kept.max(MIN_WIDTH),
             chunks: Vec::new(),
             slots: 0,
             free: Vec::new(),
@@ -171,38 +199,40 @@ impl Arena {
     }
 
     fn words(&self, slot: u64) -> &[u64] {
-        if self.width == 0 {
-            return &[];
-        }
         let (chunk, at) = locate(slot);
         &self.chunks[chunk][at * self.width..(at + 1) * self.width]
     }
 
     fn words_mut(&mut self, slot: u64) -> &mut [u64] {
-        if self.width == 0 {
-            return &mut [];
-        }
         let (chunk, at) = locate(slot);
         &mut self.chunks[chunk][at * self.width..(at + 1) * self.width]
     }
 
-    /// Places `words` (`width` of them) and returns their slot.
+    /// Writes a record's `kept` words to `slot`, zeroing the rest.
+    fn write(&mut self, slot: u64, words: &[u64]) {
+        debug_assert_eq!(words.len(), self.kept);
+        let (record, pad) = self.words_mut(slot).split_at_mut(words.len());
+        record.copy_from_slice(words);
+        pad.fill(0);
+    }
+
+    /// Places a record's `kept` words and returns their slot.
     fn insert(&mut self, words: &[u64]) -> u64 {
-        debug_assert_eq!(words.len(), self.width);
         if let Some(slot) = self.free.pop() {
-            self.words_mut(slot).copy_from_slice(words);
+            self.write(slot, words);
             return slot;
         }
+        debug_assert_eq!(words.len(), self.kept);
         let slot = self.slots;
         self.slots += 1;
-        if self.width > 0 {
-            let (chunk, _) = locate(slot);
-            if chunk == self.chunks.len() {
-                let words = chunk_records(chunk) * self.width;
-                self.chunks.push(Vec::with_capacity(words));
-            }
-            self.chunks[chunk].extend_from_slice(words);
+        let (chunk, _) = locate(slot);
+        if chunk == self.chunks.len() {
+            let words = chunk_records(chunk) * self.width;
+            self.chunks.push(Vec::with_capacity(words));
         }
+        let chunk = &mut self.chunks[chunk];
+        chunk.extend_from_slice(words);
+        chunk.resize(chunk.len() + self.width - self.kept, 0);
         slot
     }
 
@@ -263,6 +293,22 @@ impl RecordHeap {
         &mut self.arenas[usize::from(*at) - 1]
     }
 
+    /// The words of the slot at `addr`.
+    fn slot(&self, addr: Addr48) -> &[u64] {
+        self.arenas[self.arena_at(addr.mask())].words(addr.slot())
+    }
+
+    /// The arena that holds the slot at `addr`.
+    fn owner(&mut self, addr: Addr48) -> &mut Arena {
+        let at = self.arena_at(addr.mask());
+        &mut self.arenas[at]
+    }
+
+    /// Returns the slot at `addr` to its arena's free list.
+    fn free(&mut self, addr: Addr48) {
+        self.owner(addr).free.push(addr.slot());
+    }
+
     /// Stores a record, returning its address.
     pub fn insert(&mut self, record: &Record) -> Addr48 {
         let mut buf = [0; WORDS];
@@ -278,15 +324,19 @@ impl RecordHeap {
     }
 
     /// The record at `addr` as stored — the O(1) path a cached index
-    /// unlocks.
+    /// unlocks, following the home's forward if it has one.
     ///
     /// # Panics
     /// Panics if the address was never allocated.
     pub fn get(&self, addr: Addr48) -> Sparse<'_> {
-        let mask = addr.mask();
+        let home = self.slot(addr);
+        let (mask, words) = match forward(home) {
+            None => (addr.mask(), home),
+            Some(target) => (target.mask(), self.slot(target)),
+        };
         Sparse {
             mask,
-            words: self.arenas[self.arena_at(mask)].words(addr.slot()),
+            words: &words[..mask.count_ones() as usize],
         }
     }
 
@@ -303,29 +353,38 @@ impl RecordHeap {
         std::hint::black_box((words.first().copied(), words.last().copied()));
     }
 
-    /// Overwrites the record at `addr`, returning its address: the same
-    /// one while the mask holds (the words are written in place), else a
-    /// fresh one in the new mask's arena, `addr` having been freed.
-    pub fn overwrite(&mut self, addr: Addr48, record: &Record) -> Addr48 {
+    /// Overwrites the record at `addr`, which keeps that address. A record
+    /// with the home's mask is written to the home, one with its target's
+    /// mask to the target; any other mask gets a new target in its arena,
+    /// and the home forwards to it. A target left behind is freed.
+    pub fn overwrite(&mut self, addr: Addr48, record: &Record) {
         let mut buf = [0; WORDS];
-        let sparse = Sparse::encode(record, &mut buf);
-        if sparse.mask == addr.mask() {
-            let at = self.arena_at(sparse.mask);
-            self.arenas[at]
-                .words_mut(addr.slot())
-                .copy_from_slice(sparse.words);
-            return addr;
+        let Sparse { mask, words } = Sparse::encode(record, &mut buf);
+        let target = forward(self.slot(addr));
+        if let Some(target) = target.filter(|t| t.mask() == mask) {
+            return self.owner(target).write(target.slot(), words);
         }
-        self.remove(addr);
-        self.insert_sparse(sparse)
+        if let Some(target) = target {
+            self.free(target);
+        }
+        if mask == addr.mask() {
+            self.owner(addr).write(addr.slot(), words);
+        } else {
+            let target = Addr48::at(mask, self.arena_mut(mask).insert(words));
+            self.owner(addr).words_mut(addr.slot())[..MIN_WIDTH]
+                .copy_from_slice(&[0, FORWARD | target.raw()]);
+        }
     }
 
-    /// Releases a record slot for reuse. The caller owns the invariant that
-    /// no live address still points at it.
+    /// Releases a record's home slot, and its target if it has one, for
+    /// reuse. The caller owns the invariant that no live address still
+    /// points at it.
     pub fn remove(&mut self, addr: Addr48) {
         self.len -= 1;
-        let at = self.arena_at(addr.mask());
-        self.arenas[at].free.push(addr.slot());
+        if let Some(target) = forward(self.slot(addr)) {
+            self.free(target);
+        }
+        self.free(addr);
     }
 
     /// Heap bytes behind the records: every chunk's capacity, the free
@@ -371,18 +430,91 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_keeps_the_address_only_while_the_mask_holds() {
+    fn an_overwrite_keeps_the_address_and_forwards_a_new_mask() {
         let mut s = RecordHeap::new();
         let a = s.insert(&rec(1));
-        assert_eq!(s.overwrite(a, &rec(9)), a);
+        s.overwrite(a, &rec(9));
         assert_eq!(s.record(a), rec(9));
-        let moved = s.overwrite(a, &[0xAB; VALUE_SIZE]);
-        assert_ne!(moved, a);
-        assert_eq!((moved.mask(), moved.slot()), (0xFF, 0));
-        assert_eq!(s.record(moved), [0xAB; VALUE_SIZE]);
+        // A new mask: the words go to slot 0 of the full arena, and the
+        // home stays taken.
+        s.overwrite(a, &[0xAB; VALUE_SIZE]);
+        assert_eq!(s.record(a), [0xAB; VALUE_SIZE]);
+        assert_eq!(s.get(a).mask, 0xFF);
         assert_eq!(s.len(), 1);
-        // The old slot is free again for its mask.
-        assert_eq!(s.insert(&rec(4)), a);
+        assert_eq!(s.insert(&[0xCD; VALUE_SIZE]), Addr48::at(0xFF, 1));
+        let b = s.insert(&rec(4));
+        assert_ne!(b, a);
+        // Home again: the target is free for its mask.
+        s.overwrite(a, &rec(2));
+        assert_eq!(s.record(a), rec(2));
+        assert_eq!(s.insert(&[0xEF; VALUE_SIZE]), Addr48::at(0xFF, 0));
+        // A remove frees the home and the target.
+        s.overwrite(b, &[0x12; VALUE_SIZE]);
+        s.remove(b);
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.insert(&[0x34; VALUE_SIZE]), Addr48::at(0xFF, 2));
+        assert_eq!(s.insert(&rec(5)), b);
+    }
+
+    /// A record whose non-zero words are exactly those of `mask`.
+    fn of_mask(mask: u8, seed: u8) -> Record {
+        let mut r = [0u8; VALUE_SIZE];
+        for i in (0..WORDS).filter(|i| mask & 1 << i != 0) {
+            r[i * 8] = seed;
+            r[i * 8 + 7] = i as u8 + 1;
+        }
+        r
+    }
+
+    #[test]
+    fn every_pair_of_masks_forwards_and_frees_its_targets() {
+        let mut s = RecordHeap::new();
+        // Slots made and free in `mask`'s arena, if it has one yet.
+        let slots = |s: &RecordHeap, mask: u8| match s.arena_of[usize::from(mask)] {
+            0 => (0, 0),
+            at => {
+                let arena = &s.arenas[usize::from(at) - 1];
+                (arena.slots, arena.free.len())
+            }
+        };
+        for home in 0..=u8::MAX {
+            for new in (0..=u8::MAX).filter(|&new| new != home) {
+                let other = (0..).find(|&m| m != home && m != new).unwrap();
+                // `a` moves from `home` to `new`, `b` the other way: each
+                // arena holds one home and one target.
+                let a = s.insert(&of_mask(home, 1));
+                let b = s.insert(&of_mask(new, 2));
+                for (mask_a, mask_b, seed) in [
+                    (new, home, 3),
+                    (new, home, 4),
+                    (home, new, 5),
+                    (new, home, 6),
+                    (other, home, 7),
+                ] {
+                    s.overwrite(a, &of_mask(mask_a, seed));
+                    s.overwrite(b, &of_mask(mask_b, seed));
+                    assert_eq!(s.len(), 2);
+                    assert_eq!(s.get(a).mask, mask_a);
+                    assert_eq!(s.record(a), of_mask(mask_a, seed));
+                    assert_eq!(s.record(b), of_mask(mask_b, seed));
+                    for mask in [home, new, other] {
+                        let (made, _) = slots(&s, mask);
+                        assert!(made <= 2, "{home:#x} → {new:#x}: {made} slots of {mask:#x}");
+                    }
+                    if mask_a == home {
+                        // Both records are home: the targets are free.
+                        assert_eq!((slots(&s, home).1, slots(&s, new).1), (1, 1));
+                    }
+                }
+                s.remove(a);
+                s.remove(b);
+                assert!(s.is_empty());
+                for mask in [home, new, other] {
+                    let (made, free) = slots(&s, mask);
+                    assert_eq!(made as usize, free, "{home:#x} → {new:#x}: {mask:#x}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -399,13 +531,20 @@ mod tests {
     }
 
     #[test]
-    fn the_all_zero_arena_stores_no_words() {
+    fn a_record_of_no_or_one_word_takes_a_two_word_slot() {
         let mut s = RecordHeap::new();
         let zero = s.insert(&[0; VALUE_SIZE]);
         assert_eq!(zero.mask(), 0);
         assert!(s.get(zero).words.is_empty());
         assert_eq!(s.record(zero), [0; VALUE_SIZE]);
-        assert_eq!(s.heap_bytes(), size_of::<Arena>() * s.arenas.capacity());
+        let one = s.insert(&of_mask(0x10, 9));
+        assert_eq!(s.get(one).words.len(), 1);
+        assert_eq!(s.record(one), of_mask(0x10, 9));
+        for mask in [0, 0x10] {
+            let arena = &s.arenas[s.arena_at(mask)];
+            assert_eq!(arena.width, MIN_WIDTH);
+            assert_eq!(arena.chunks[0].capacity(), FIRST_CHUNK as usize * MIN_WIDTH);
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Property tests: a `Database` whose records change masks — and so move
-//! between the heap's arenas, free their slots and reuse others — must
-//! read like a `BTreeMap` after every step, by key and by address.
+//! Property tests: a `Database` whose records change masks — and so
+//! forward from their home slots to targets in other arenas, free those
+//! targets and reuse freed slots — must read like a `BTreeMap` after every
+//! step, by key and by address, and every key must keep the address it
+//! was inserted at.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use p4lru_kvstore::db::{record_for, Database};
-use p4lru_kvstore::{Record, VALUE_SIZE};
+use p4lru_kvstore::{Addr48, Record, VALUE_SIZE};
 
 /// Keys the operations draw from: few enough that writes overwrite,
 /// deletes free and inserts reuse. Key 0 is one of them, and its
@@ -53,8 +55,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Every key reads what the oracle holds, by key and by the address the
-/// key resolves to; a scan yields the oracle.
-fn reads_like(db: &Database, oracle: &BTreeMap<u64, Record>) -> Result<(), TestCaseError> {
+/// key resolves to, which is the one it was inserted at; a scan yields the
+/// oracle.
+fn reads_like(
+    db: &Database,
+    oracle: &BTreeMap<u64, Record>,
+    homes: &BTreeMap<u64, Addr48>,
+) -> Result<(), TestCaseError> {
     prop_assert_eq!(db.len(), oracle.len());
     for k in 0..KEYS {
         let found = db.lookup_by_key(k);
@@ -64,9 +71,9 @@ fn reads_like(db: &Database, oracle: &BTreeMap<u64, Record>) -> Result<(), TestC
             "key {}",
             k
         );
+        prop_assert_eq!(found.map(|l| l.addr), homes.get(&k).copied(), "key {}", k);
         if let Some(l) = found {
             prop_assert_eq!(db.lookup_by_addr(l.addr), l.record, "key {}", k);
-            prop_assert_eq!(l.addr.mask(), mask_of(&l.record), "key {}", k);
         }
     }
     let scan: Vec<(u64, Record)> = db.iter().map(|(k, r)| (k, *r)).collect();
@@ -82,27 +89,36 @@ proptest! {
     ) {
         let mut db = Database::new(8);
         let mut oracle: BTreeMap<u64, Record> = BTreeMap::new();
+        let mut homes: BTreeMap<u64, Addr48> = BTreeMap::new();
         for op in ops {
             match op {
                 Op::Upsert(k, record) => {
-                    let before = db.lookup_by_key(k).map(|l| l.addr);
                     let u = db.upsert(k, record);
                     prop_assert_eq!(u.existed, oracle.insert(k, record).is_some());
-                    prop_assert_eq!(u.addr.mask(), mask_of(&record));
-                    if let Some(before) = before {
-                        // The address holds exactly while the mask does.
-                        prop_assert_eq!(u.addr == before, before.mask() == mask_of(&record));
+                    match homes.get(&k) {
+                        // The address holds across every overwrite.
+                        Some(&home) => prop_assert_eq!(u.addr, home),
+                        // A fresh record is homed in its own mask's arena.
+                        None => {
+                            prop_assert_eq!(u.addr.mask(), mask_of(&record));
+                            homes.insert(k, u.addr);
+                        }
                     }
                 }
-                Op::Remove(k) => prop_assert_eq!(db.remove(k), oracle.remove(&k).is_some()),
+                Op::Remove(k) => {
+                    prop_assert_eq!(db.remove(k), oracle.remove(&k).is_some());
+                    homes.remove(&k);
+                }
             }
-            reads_like(&db, &oracle)?;
+            reads_like(&db, &oracle, &homes)?;
         }
     }
 }
 
-/// Every mask, each moved to another and back: with one live record per
-/// arena and freed slots reused, no arena hands out a third slot.
+/// Every mask, each moved to another, back, and away again, then deleted:
+/// each arena held one home and one target, so if returning home and
+/// deleting free what they leave, two fresh records of each mask take
+/// slots 0 and 1 again.
 #[test]
 fn every_mask_moves_to_another_and_back() {
     let mut db = Database::new(8);
@@ -112,14 +128,24 @@ fn every_mask_moves_to_another_and_back() {
         db.insert(key, record_of(mask, key));
         oracle.insert(key, record_of(mask, key));
     }
-    for (mask, seed) in [(0x5A, 1), (0x00, 0)] {
+    for (mask, seed) in [(0x5A, 1), (0x00, 0), (0x5A, 2)] {
         for key in 0..256 {
             let record = record_of(key as u8 ^ mask, key ^ seed);
             let addr = db.upsert(key, record).addr;
-            assert!(addr.slot() <= 1, "key {key}: {addr:?}");
+            assert_eq!(addr, Addr48::at(key as u8, 0), "key {key}");
+            assert_eq!(db.lookup_by_addr(addr), record, "key {key}");
             oracle.insert(key, record);
         }
         let scan: Vec<(u64, Record)> = db.iter().map(|(k, r)| (k, *r)).collect();
         assert_eq!(scan, oracle.clone().into_iter().collect::<Vec<_>>());
+    }
+    for key in 0..256 {
+        assert!(db.remove(key));
+    }
+    for key in 256..768u64 {
+        let record = record_of(key as u8, key);
+        let addr = db.upsert(key, record).addr;
+        assert!(addr.slot() <= 1, "key {key}: {addr:?}");
+        assert_eq!(db.lookup_by_addr(addr), record, "key {key}");
     }
 }

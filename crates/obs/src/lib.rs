@@ -11,9 +11,8 @@
 //!   eight pipeline stages (decode → route → shard-queue → wal-append →
 //!   apply → fsync/commit-gate → reply-reorder → flush) into a fixed-size
 //!   [`trace::RequestTrace`] that rides along with the request, and
-//!   completed traces land in lock-free [`trace::TraceRing`]s (one for a
-//!   rolling sample of all requests, one for slow ops past a configurable
-//!   threshold), drainable on demand.
+//!   completed traces past a configurable slow-op threshold land in a
+//!   lock-free [`trace::TraceRing`], drainable on demand.
 //! - [`expo`] — Prometheus text-format (version 0.0.4) exposition: `# HELP`
 //!   / `# TYPE` metadata, label escaping, and cumulative `le` histogram
 //!   buckets.

@@ -10,7 +10,7 @@
 //! stamp is a single predictable branch.
 //!
 //! A fully traced request costs several clock reads plus a few dozen atomic
-//! RMWs (stage histograms, ring slot) — real money at millions of ops/s, so
+//! RMWs (stage histograms, counters) — real money at millions of ops/s, so
 //! the tracer *samples*: [`ObsConfig::sample_every`] traces one request in
 //! N (default 64) and the rest carry a disabled trace whose every stamp is
 //! that one branch. Sampling is what keeps the overhead budget (<3% ops/s,
@@ -21,15 +21,15 @@
 //! Completed traces are [`Tracer::finish`]ed: unstamped stages inherit the
 //! previous stage's timestamp (a GET has no WAL append; a volatile server
 //! has no fsync), per-stage durations feed the tracer's atomic stage
-//! histograms, and the trace lands in a lock-free [`TraceRing`] — plus a
-//! second, smaller ring when the end-to-end time crosses the slow-op
-//! threshold. Rings are drainable at any time without stopping writers.
+//! histograms, and a trace whose end-to-end time crosses the slow-op
+//! threshold lands in a lock-free [`TraceRing`], drainable at any time
+//! without stopping writers.
 //!
 //! [`TraceRing`] is a seqlock-style ring: producers claim a slot with one
 //! `fetch_add` and bracket their (plain atomic) stores with an odd/even
 //! version counter; readers retry or skip slots whose version moved under
 //! them. Two producers lapping onto the same slot can tear each other's
-//! write — acceptable for a rolling observational sample (the ring is sized
+//! write — acceptable for an observational sample (the ring is sized
 //! orders of magnitude past the writer count), never for accounting, which
 //! is why counters and histograms are recorded separately.
 
@@ -227,8 +227,6 @@ pub struct ObsConfig {
     /// Trace one request in this many (1 = every request). Sampled-out
     /// requests cost one atomic increment and carry a disabled trace.
     pub sample_every: u64,
-    /// Slots in the rolling all-requests ring.
-    pub ring_capacity: usize,
     /// Slots in the slow-op ring.
     pub slow_ring_capacity: usize,
     /// End-to-end threshold (microseconds) past which a request counts as a
@@ -242,7 +240,6 @@ impl Default for ObsConfig {
         Self {
             enabled: true,
             sample_every: 64,
-            ring_capacity: 4096,
             slow_ring_capacity: 256,
             slow_op_us: 10_000,
         }
@@ -260,7 +257,8 @@ pub struct FinishedTrace {
     pub slow: bool,
 }
 
-/// The tracing engine: epoch, stage histograms, rings, and counters.
+/// The tracing engine: epoch, stage histograms, the slow-op ring, and
+/// counters.
 #[derive(Debug)]
 pub struct Tracer {
     epoch: Instant,
@@ -269,7 +267,6 @@ pub struct Tracer {
     /// Requests offered to [`Tracer::start`] (the sampling clock).
     started: AtomicU64,
     slow_threshold_ns: u64,
-    ring: TraceRing,
     slow_ring: TraceRing,
     stage_hist: [AtomicHistogram; NUM_STAGES],
     finished: AtomicU64,
@@ -285,7 +282,6 @@ impl Tracer {
             sample_every: config.sample_every.max(1),
             started: AtomicU64::new(0),
             slow_threshold_ns: config.slow_op_us.saturating_mul(1_000),
-            ring: TraceRing::new(config.ring_capacity.max(1)),
             slow_ring: TraceRing::new(config.slow_ring_capacity.max(1)),
             stage_hist: std::array::from_fn(|_| AtomicHistogram::new()),
             finished: AtomicU64::new(0),
@@ -360,10 +356,10 @@ impl Tracer {
         }
     }
 
-    /// Completes a trace: normalizes it, feeds the stage histograms and the
-    /// ring(s), and reports the end-to-end total. Returns `None` for
-    /// disabled traces (tracing off, inline responses) — by design a single
-    /// branch, nothing else.
+    /// Completes a trace: normalizes it, feeds the stage histograms (and
+    /// the slow-op ring, if it crossed the threshold), and reports the
+    /// end-to-end total. Returns `None` for disabled traces (tracing off,
+    /// inline responses) — by design a single branch, nothing else.
     pub fn finish(&self, mut trace: RequestTrace) -> Option<FinishedTrace> {
         if !trace.enabled {
             return None;
@@ -377,7 +373,6 @@ impl Tracer {
         }
         let total_ns = trace.total_ns();
         self.finished.fetch_add(1, Ordering::Relaxed);
-        self.ring.push(&trace);
         let slow = total_ns >= self.slow_threshold_ns;
         if slow {
             self.slow_ops.fetch_add(1, Ordering::Relaxed);
@@ -504,7 +499,7 @@ impl TraceRing {
             }
             // The ring persists stamps only; a drained trace's span is
             // gone (slow-op *logging* happens at finish time, span
-            // intact — the ring is the rolling statistical sample).
+            // intact).
             out.push(RequestTrace {
                 op: OpKind::from_u8((header & 0xFF) as u8),
                 shard: (header >> 8) as u32,

@@ -281,9 +281,7 @@ impl Shard {
         let u = self.db.upsert(key, record);
         if u.existed {
             // An overwrite: the walk cost is not charged (seed parity:
-            // in-place overwrites reported 0 visits). A record whose mask
-            // of non-zero words changed was re-placed at a new address,
-            // which the install below puts in the cache.
+            // in-place overwrites reported 0 visits).
             self.metrics.set(0);
         } else {
             self.metrics.set(u.index_visits);
@@ -574,24 +572,28 @@ mod tests {
     }
 
     #[test]
-    fn a_set_that_moves_a_cached_record_re_points_the_cache() {
+    fn a_set_that_changes_a_cached_records_mask_keeps_its_address() {
         let mut shard = loaded_shard(100);
         assert_eq!(shard.get(7), Some(record_for(7))); // cache key 7
-        let preloaded = shard.db.lookup_by_key(7).unwrap().addr;
+        let home = shard.db.lookup_by_key(7).unwrap().addr;
         shard.set(7, set_value(7, 1)).unwrap();
-        let moved = shard.db.lookup_by_key(7).unwrap().addr;
-        assert_ne!(moved, preloaded, "a new mask re-places the record");
-        assert_eq!(shard.cache().get(&7), Some(&moved));
+        assert_eq!(shard.db.lookup_by_key(7).unwrap().addr, home);
+        assert_eq!(shard.cache().get(&7), Some(&home));
         let hits = shard.snapshot(0).hits;
         assert_eq!(shard.get(7), Some(set_value(7, 1)));
         assert_eq!(shard.snapshot(0).hits, hits + 1, "a front-cache hit");
 
+        // A DEL frees the home and the target: fresh keys of each mask
+        // reuse them.
         assert!(shard.del(7).unwrap());
         shard.set(500, set_value(500, 2)).unwrap();
-        let fresh = shard.db.lookup_by_key(500).unwrap().addr;
-        assert_eq!(fresh, moved, "the fresh key reuses the freed slot");
+        shard.set(501, record_for(501)).unwrap();
+        let target = Addr48::at(home.mask() | 0x80, 0);
+        assert_eq!(shard.db.lookup_by_key(500).unwrap().addr, target);
+        assert_eq!(shard.db.lookup_by_key(501).unwrap().addr, home);
         assert_eq!(shard.get(7), None, "deleted key must stay deleted");
         assert_eq!(shard.get(500), Some(set_value(500, 2)));
+        assert_eq!(shard.get(501), Some(record_for(501)));
     }
 
     #[test]

@@ -8,11 +8,15 @@
 //! and deterministic; a heap that pads every record to 64 bytes fails the
 //! bound here.
 //!
-//! A SET that changes a record's mask re-places it in another arena and
-//! re-points the index, so the second test moves the first record of every
-//! leaf and checks every read against a `BTreeMap` oracle.
+//! A SET that changes a record's mask keeps the record's address: its home
+//! slot forwards to a target slot in the new mask's arena. The second test
+//! forwards the first record of every leaf, returns it home, forwards it
+//! again, then deletes and re-inserts it. Every address holds, every read
+//! matches a `BTreeMap` oracle, the index keeps its bytes, and once the
+//! first targets are made no step takes a new slot: a return home and a
+//! delete free what they leave.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use p4lru::kvstore::db::{record_for, DEFAULT_MAX_KEYS};
 use p4lru::kvstore::{Database, DatabaseBuilder, Record, VALUE_SIZE};
@@ -75,27 +79,53 @@ fn a_served_shard_stores_at_most_17_bytes_per_record() {
     assert!(per_key <= 17.0, "served shard: {per_key:.2} B/record");
 }
 
+/// Overwrites each of `keys` with `value(key)`, checking that the key
+/// existed and kept its address, then that every read matches the oracle.
+fn set_each(
+    db: &mut Database,
+    oracle: &mut BTreeMap<u64, Record>,
+    keys: &[u64],
+    value: fn(u64) -> Record,
+) {
+    for &k in keys {
+        let home = db.lookup_by_key(k).unwrap().addr;
+        let u = db.upsert(k, value(k));
+        assert_eq!((u.existed, u.addr), (true, home), "key {k}");
+        oracle.insert(k, value(k));
+    }
+    reads_like(db, oracle);
+}
+
 #[test]
 fn a_set_that_changes_the_mask_of_every_leafs_first_key_reads_back() {
     let (mut db, mut oracle) = served_shard();
+    let index = db.index_bytes();
     let keys: Vec<u64> = oracle.keys().copied().collect();
     // The build filled leaves of DEFAULT_MAX_KEYS keys in key order, so
     // each chunk is (about) one leaf.
-    let mut freed = HashSet::new();
-    for leaf in keys.chunks(DEFAULT_MAX_KEYS) {
-        let before = db.lookup_by_key(leaf[0]).unwrap().addr;
-        let u = db.upsert(leaf[0], set_value(leaf[0]));
-        assert!(u.existed);
-        assert_ne!(u.addr.mask(), before.mask(), "key {}", leaf[0]);
-        freed.insert(before);
-        oracle.insert(leaf[0], set_value(leaf[0]));
+    let firsts: Vec<u64> = keys.chunks(DEFAULT_MAX_KEYS).map(|l| l[0]).collect();
+    set_each(&mut db, &mut oracle, &firsts, set_value);
+    // Home again: the targets are freed, and forwarding again reuses them.
+    set_each(&mut db, &mut oracle, &firsts, record_for);
+    let records = db.record_bytes();
+    set_each(&mut db, &mut oracle, &firsts, set_value);
+    assert_eq!(
+        db.record_bytes(),
+        records,
+        "forwarding again took new slots"
+    );
+    assert_eq!(db.index_bytes(), index, "a mask change moved index bytes");
+    // A delete frees the home and the target (its free lists grow): the
+    // keys inserted again, and forwarded again, reuse them.
+    for &k in &firsts {
+        assert!(db.remove(k));
+        oracle.remove(&k);
     }
-    reads_like(&db, &oracle);
-    // Moving them back reuses the slots they left.
-    for leaf in keys.chunks(DEFAULT_MAX_KEYS) {
-        let u = db.upsert(leaf[0], record_for(leaf[0]));
-        assert!(freed.remove(&u.addr), "key {} took a new slot", leaf[0]);
-        oracle.insert(leaf[0], record_for(leaf[0]));
+    let records = db.record_bytes();
+    for &k in &firsts {
+        assert!(!db.upsert(k, record_for(k)).existed);
+        oracle.insert(k, record_for(k));
     }
-    reads_like(&db, &oracle);
+    set_each(&mut db, &mut oracle, &firsts, set_value);
+    assert_eq!(db.record_bytes(), records, "a delete kept slots taken");
 }

@@ -18,7 +18,7 @@ use std::sync::OnceLock;
 
 use p4lru::kvstore::btree::BPlusTree;
 use p4lru::kvstore::db::{record_for, DEFAULT_MAX_KEYS};
-use p4lru::kvstore::{Addr48, Database, DatabaseBuilder, Record};
+use p4lru::kvstore::{Addr48, Database, DatabaseBuilder, Record, VALUE_SIZE};
 use p4lru::server::shard_of;
 
 const KEYS: u64 = 200_000;
@@ -110,6 +110,18 @@ fn reads_like(db: &Database, oracle: &BTreeMap<u64, Record>, keys: impl Iterator
     assert!(db.iter().eq(oracle.iter().map(|(&k, &r)| (k, r.into()))));
 }
 
+/// A benchmark SET's value: `[key:8][conn:1][version:8]`, padded and
+/// closed by a mark byte. Its words 0, 1 and 7 are non-zero, where a
+/// preloaded record keeps words 0 and 1.
+fn set_value(key: u64) -> Record {
+    let mut r = [0u8; VALUE_SIZE];
+    r[..8].copy_from_slice(&key.to_le_bytes());
+    r[8] = 1;
+    r[9..17].copy_from_slice(&1u64.to_le_bytes());
+    r[VALUE_SIZE - 1] = 0xA5;
+    r
+}
+
 fn index_bytes_per_key(db: &Database) -> f64 {
     db.index_bytes() as f64 / db.len() as f64
 }
@@ -131,11 +143,15 @@ fn a_served_shard_stays_compact_after_writes_to_a_tenth_of_its_leaves() {
     let keys: Vec<u64> = oracle.keys().copied().collect();
     // The build filled leaves of DEFAULT_MAX_KEYS keys in key order, so
     // each chunk is (about) one leaf. Overwrites keep every record's
-    // address, and with it the leaf.
+    // address, and with it the leaf: the first key's with the same mask of
+    // non-zero words, the second key's with a new one.
     for leaf in keys.chunks(DEFAULT_MAX_KEYS) {
         let record = record_for(leaf[0] ^ 0xFFFF);
         assert!(db.upsert(leaf[0], record).existed);
         oracle.insert(leaf[0], record);
+        let record = set_value(leaf[1]);
+        assert!(db.upsert(leaf[1], record).existed);
+        oracle.insert(leaf[1], record);
     }
     assert_eq!(db.index_bytes(), built, "overwrites moved index bytes");
     // A delete and a fresh key (one the other shard owns) in every tenth
