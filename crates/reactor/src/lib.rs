@@ -9,8 +9,7 @@
 //! The crate is deliberately protocol-agnostic — it knows nothing about
 //! frames, shards, or caches. `p4lru-server` layers its resumable
 //! `FrameReader`/`FrameWriter` and reorder-buffer machinery on top as a
-//! [`Driver`] implementation: its only connection front-end, and its
-//! open-loop load generator.
+//! [`Driver`] implementation: its only connection front-end.
 //!
 //! Layers, bottom up:
 //!

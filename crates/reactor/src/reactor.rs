@@ -83,8 +83,8 @@ pub trait Driver: Send {
     /// messages (drain it — undrained messages are redelivered next call).
     fn drive(&mut self, ready: Ready, msgs: &mut VecDeque<Self::Msg>, ctl: &mut Ctl) -> Status;
 
-    /// When the driver next wants an unprompted `drive` call (open-loop
-    /// pacing, timeouts). Re-queried after every dispatch; `None` means
+    /// When the driver next wants an unprompted `drive` call (pacing,
+    /// timeouts). Re-queried after every dispatch; `None` means
     /// "only wake me for readiness or messages".
     fn deadline(&self) -> Option<Instant> {
         None

@@ -13,7 +13,6 @@ use std::process::ExitCode;
 use p4lru_kvstore::db::record_for;
 use p4lru_server::client::Client;
 use p4lru_server::loadgen::{run, to_figure_json, LoadgenConfig};
-use p4lru_server::openloop::{run_open_loop, sweep_to_figure_json, OpenLoopConfig};
 
 const USAGE: &str = "\
 loadgen — closed-loop YCSB benchmark for p4lru_serverd
@@ -31,16 +30,10 @@ OPTIONS:
                          [default: 1]
   --seed <n>             workload seed           [default: 4269]
 
-OPEN-LOOP MODE (coordinated-omission-safe; --rate switches it on):
-  --rate <ops/s>         offered load, paced by a fixed schedule; latency is
-                         measured from each op's *intended* send instant
-  --conns <n>            connections to hold open   [default: 64]
-  --io-threads <n>       client-side event-loop threads [default: 2]
-  --open-window <n>      max in-flight ops per connection [default: 32]
-
   --out <path>           write FigureResult JSON [default: results/server_bench.json]
   --no-out               skip writing the JSON file
-  --no-verify            skip read verification
+  --no-verify            skip read verification (otherwise a read of the
+                         wrong value fails the run)
   --shutdown             send SHUTDOWN to the server afterwards
   --expect-hits          exit nonzero unless the server reports cache hits
   --crash-ok             a worker hitting a connection error ends its run
@@ -59,11 +52,6 @@ struct Args {
     expect_hits: bool,
     acked_log: Option<PathBuf>,
     verify_acked: Option<PathBuf>,
-    /// `Some(rate)` switches to the open-loop generator.
-    rate: Option<f64>,
-    conns: usize,
-    io_threads: usize,
-    open_window: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -74,10 +62,6 @@ fn parse_args() -> Result<Args, String> {
         expect_hits: false,
         acked_log: None,
         verify_acked: None,
-        rate: None,
-        conns: 64,
-        io_threads: 2,
-        open_window: 32,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -86,75 +70,41 @@ fn parse_args() -> Result<Args, String> {
                 print!("{USAGE}");
                 std::process::exit(0);
             }
-            "--no-out" => {
-                args.out = None;
-                continue;
-            }
-            "--no-verify" => {
-                args.config.verify = false;
-                continue;
-            }
-            "--shutdown" => {
-                args.shutdown = true;
-                continue;
-            }
-            "--expect-hits" => {
-                args.expect_hits = true;
-                continue;
-            }
-            "--crash-ok" => {
-                args.config.crash_ok = true;
-                continue;
-            }
-            _ => {}
-        }
-        const VALUE_FLAGS: &[&str] = &[
-            "--addr",
-            "--threads",
-            "--seconds",
-            "--items",
-            "--alpha",
-            "--read-fraction",
-            "--pipeline",
-            "--seed",
-            "--out",
-            "--acked-log",
-            "--verify-acked",
-            "--rate",
-            "--conns",
-            "--io-threads",
-            "--open-window",
-        ];
-        if !VALUE_FLAGS.contains(&flag.as_str()) {
-            return Err(format!("unknown flag {flag}"));
-        }
-        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        fn bad<E: std::fmt::Debug>(flag: &str) -> impl Fn(E) -> String + '_ {
-            move |e| format!("bad value for {flag}: {e:?}")
-        }
-        match flag.as_str() {
-            "--addr" => args.config.addr = value,
-            "--threads" => args.config.threads = value.parse().map_err(bad(&flag))?,
-            "--seconds" => args.config.seconds = value.parse().map_err(bad(&flag))?,
-            "--items" => args.config.items = value.parse().map_err(bad(&flag))?,
-            "--alpha" => args.config.alpha = value.parse().map_err(bad(&flag))?,
-            "--read-fraction" => args.config.read_fraction = value.parse().map_err(bad(&flag))?,
-            "--pipeline" => args.config.pipeline = value.parse().map_err(bad(&flag))?,
-            "--seed" => args.config.seed = value.parse().map_err(bad(&flag))?,
-            "--out" => args.out = Some(PathBuf::from(value)),
+            "--no-out" => args.out = None,
+            "--no-verify" => args.config.verify = false,
+            "--shutdown" => args.shutdown = true,
+            "--expect-hits" => args.expect_hits = true,
+            "--crash-ok" => args.config.crash_ok = true,
+            "--addr" => args.config.addr = value_of(&flag, &mut it)?,
+            "--threads" => args.config.threads = value_of(&flag, &mut it)?,
+            "--seconds" => args.config.seconds = value_of(&flag, &mut it)?,
+            "--items" => args.config.items = value_of(&flag, &mut it)?,
+            "--alpha" => args.config.alpha = value_of(&flag, &mut it)?,
+            "--read-fraction" => args.config.read_fraction = value_of(&flag, &mut it)?,
+            "--pipeline" => args.config.pipeline = value_of(&flag, &mut it)?,
+            "--seed" => args.config.seed = value_of(&flag, &mut it)?,
+            "--out" => args.out = Some(value_of(&flag, &mut it)?),
             "--acked-log" => {
                 args.config.record_acked = true;
-                args.acked_log = Some(PathBuf::from(value));
+                args.acked_log = Some(value_of(&flag, &mut it)?);
             }
-            "--verify-acked" => args.verify_acked = Some(PathBuf::from(value)),
-            "--rate" => args.rate = Some(value.parse().map_err(bad(&flag))?),
-            "--conns" => args.conns = value.parse().map_err(bad(&flag))?,
-            "--io-threads" => args.io_threads = value.parse().map_err(bad(&flag))?,
-            "--open-window" => args.open_window = value.parse().map_err(bad(&flag))?,
+            "--verify-acked" => args.verify_acked = Some(value_of(&flag, &mut it)?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
     Ok(args)
+}
+
+/// The next argument, parsed as the value of `flag`.
+fn value_of<T>(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Debug,
+{
+    let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|e| format!("bad value for {flag}: {e:?}"))
 }
 
 /// GETs every key the acked log names and checks its contents. Any missing
@@ -219,76 +169,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         None
-    } else if let Some(rate) = args.rate {
-        let open = OpenLoopConfig {
-            addr: args.config.addr.clone(),
-            conns: args.conns,
-            rate,
-            seconds: args.config.seconds,
-            items: args.config.items,
-            alpha: args.config.alpha,
-            read_fraction: args.config.read_fraction,
-            seed: args.config.seed,
-            io_threads: args.io_threads,
-            window: args.open_window,
-        };
-        println!(
-            "loadgen: open loop, {} conns at {:.0} ops/s offered for {}s against {}",
-            open.conns, open.rate, open.seconds, open.addr
-        );
-        let point = match run_open_loop(&open) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: open-loop run failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!(
-            "  {} ops ({:.0} achieved of {:.0} offered ops/s): p50 {:.1} us, \
-             p95 {:.1} us, p99 {:.1} us (CO-safe), max send lag {} us",
-            point.ops,
-            point.achieved_ops_s,
-            point.offered_ops_s,
-            point.p50_us,
-            point.p95_us,
-            point.p99_us,
-            point.max_send_lag_us
-        );
-        if point.aborted_conns > 0 {
-            eprintln!(
-                "warning: {} connections did not drain cleanly",
-                point.aborted_conns
-            );
-        }
-        if point.not_found > 0 || point.corrupt > 0 {
-            eprintln!(
-                "warning: {} reads found nothing, {} reads mismatched",
-                point.not_found, point.corrupt
-            );
-        }
-        // The open-loop figure gets its own default file so a closed-loop
-        // figure written earlier survives.
-        let out = match &args.out {
-            Some(p) if p.as_path() == Path::new("results/server_bench.json") => {
-                Some(PathBuf::from("results/server_openloop.json"))
-            }
-            other => other.clone(),
-        };
-        if let Some(out) = out {
-            if let Some(dir) = out.parent().filter(|d| !d.as_os_str().is_empty()) {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("error: cannot create {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            let json = sweep_to_figure_json(&open, std::slice::from_ref(&point), &[]);
-            if let Err(e) = std::fs::write(&out, json) {
-                eprintln!("error: cannot write {}: {e}", out.display());
-                return ExitCode::FAILURE;
-            }
-            println!("  wrote {}", out.display());
-        }
-        None
     } else {
         println!(
             "loadgen: {} threads x {}s against {} (items={}, alpha={}, read_fraction={}, pipeline={})",
@@ -316,11 +196,10 @@ fn main() -> ExitCode {
             summary.p95_us,
             summary.p99_us
         );
-        if summary.not_found > 0 || summary.corrupt > 0 {
-            eprintln!(
-                "warning: {} reads found nothing, {} reads mismatched",
-                summary.not_found, summary.corrupt
-            );
+        // A missing key is legitimate when the server holds fewer items
+        // than `--items`; a wrong value never is (checked at the end).
+        if summary.not_found > 0 {
+            eprintln!("warning: {} reads found nothing", summary.not_found);
         }
         if summary.aborted_workers > 0 {
             println!(
@@ -450,6 +329,11 @@ fn main() -> ExitCode {
         }
     }
 
+    let corrupt = summary.as_ref().map_or(0, |s| s.corrupt);
+    if corrupt > 0 {
+        eprintln!("error: {corrupt} reads returned a value other than their key's record");
+        return ExitCode::FAILURE;
+    }
     if args.expect_hits && hits.unwrap_or(0) == 0 {
         eprintln!("error: --expect-hits: server reported no cache hits");
         return ExitCode::FAILURE;

@@ -180,7 +180,7 @@ fn parse_args() -> Result<ServerConfig, String> {
 }
 
 fn main() -> ExitCode {
-    let config = match parse_args() {
+    let mut config = match parse_args() {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -189,9 +189,23 @@ fn main() -> ExitCode {
     };
     // Each connection costs one fd; ask for headroom above the connection
     // limit (WAL segments, replication, /metrics) before any sockets open.
+    // Past what the granted limit holds, an accept would fail with EMFILE
+    // instead of answering the limit's ERR frame, so the limit shrinks.
     match p4lru_reactor::raise_nofile_limit(config.max_conns as u64 + 256) {
-        Ok(_) => {}
+        Ok(granted) => {
+            let fits = granted.saturating_sub(256) as usize;
+            if fits < config.max_conns {
+                eprintln!(
+                    "warning: fd limit {granted} holds {fits} connections, serving at most {fits}"
+                );
+                config.max_conns = fits;
+            }
+        }
         Err(e) => eprintln!("warning: could not raise fd limit: {e}"),
+    }
+    if config.max_conns == 0 {
+        eprintln!("error: a connection limit of 0 serves no one");
+        return ExitCode::FAILURE;
     }
     let server = match Server::spawn(&config) {
         Ok(s) => s,

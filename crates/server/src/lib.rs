@@ -37,7 +37,6 @@ pub mod expose;
 pub mod gate;
 pub mod loadgen;
 pub mod metrics;
-pub mod openloop;
 pub mod protocol;
 mod reactor_front;
 pub mod repl;
@@ -50,7 +49,6 @@ pub use metrics::{
     ClusterSnapshot, ConnCounters, ConnSnapshot, LatencySummary, ReactorLoopSnapshot, ShardMetrics,
     ShardSnapshot, StageSummary, StatsReport, TierSnapshot,
 };
-pub use openloop::{run_open_loop, sweep_to_figure_json, OpenLoopConfig, OpenLoopSummary};
 pub use protocol::{FrameReader, FrameWriter, Request, Response};
 pub use repl::{ReplConfig, Role};
 pub use server::{shard_of, Server, ServerConfig};

@@ -347,3 +347,46 @@ fn serverd_accepts_frontend_reactor_and_names_the_removal_of_threads() {
         "stderr must name the removal: {stderr}"
     );
 }
+
+/// Under a hard fd limit below `--max-conns` + 256, the daemon serves as
+/// many connections as its descriptors hold (320 − 256 = 64) and turns
+/// the next one away with the limit's ERR frame, where an accept failing
+/// with EMFILE would leave that client hanging.
+#[test]
+fn serverd_clamps_its_connection_limit_to_the_fds_it_was_granted() {
+    // `ulimit` in the shell limits only that shell and the daemon it execs.
+    let mut child = Command::new("sh")
+        .args(["-c", "ulimit -n 320; exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_p4lru_serverd"))
+        .args(["--addr", "127.0.0.1:0", "--items", "0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("serverd spawns");
+    let mut lines = BufReader::new(child.stdout.take().expect("stdout is piped"))
+        .lines()
+        .map_while(Result::ok);
+    let banner = lines
+        .find(|line| line.contains("listening on "))
+        .expect("a listen banner");
+    assert!(banner.contains("max_conns=64)"), "banner: {banner}");
+    let addr = banner.split(' ').nth(3).unwrap().to_owned();
+
+    let mut held: Vec<Client> = (0..64).map(|_| Client::connect(&*addr).unwrap()).collect();
+    for client in &mut held {
+        client.ping().unwrap();
+    }
+    let mut stream = std::net::TcpStream::connect(&*addr).unwrap();
+    let mut frame = Vec::new();
+    assert!(p4lru_server::protocol::read_frame(&mut stream, &mut frame).unwrap());
+    assert_eq!(
+        Response::decode(&frame).unwrap(),
+        Response::Err("server at connection limit (64)".to_owned())
+    );
+
+    held[0].shutdown().unwrap();
+    drop(held);
+    // Drain to EOF: the daemon prints its final stats into this pipe.
+    lines.for_each(drop);
+    assert!(child.wait().unwrap().success());
+}

@@ -4,6 +4,9 @@
 //! and brace patterns (`crates/tier/tests/{coherence,offload}.rs`) name
 //! sets, not files, and are skipped, as are paths `.gitignore` marks as
 //! generated output (`results/server_bench.json` exists only after a run).
+//! The same docs and the CI workflow name only binaries that exist: what
+//! follows `target/release/` or `--bin ` is a `crates/*/src/bin/` file's
+//! name or the benchmark harness's `p4lru_benchmark`.
 
 use std::path::Path;
 
@@ -92,6 +95,76 @@ fn every_path_the_docs_name_exists() {
         "{} doc paths name nothing in the tree:\n{}",
         missing.len(),
         missing.join("\n")
+    );
+}
+
+/// Every binary name that follows `target/release/` or `--bin ` in `text`
+/// (a marker with no name after it, as in prose about the markers, names
+/// nothing).
+fn binary_names(text: &str) -> Vec<&str> {
+    let name_end =
+        |rest: &str| rest.find(|c: char| !c.is_ascii_alphanumeric() && !"_-".contains(c));
+    ["target/release/", "--bin "]
+        .iter()
+        .flat_map(|marker| {
+            text.match_indices(marker)
+                .map(|(at, m)| &text[at + m.len()..])
+        })
+        .map(|rest| &rest[..name_end(rest).unwrap_or(rest.len())])
+        .filter(|name| !name.is_empty())
+        .collect()
+}
+
+/// The binaries the workspace builds, and the benchmark harness's.
+fn binaries(root: &Path) -> Vec<String> {
+    let mut names = vec!["p4lru_benchmark".to_owned()];
+    for krate in std::fs::read_dir(root.join("crates")).expect("read crates/") {
+        let bins = krate.expect("a crate entry").path().join("src/bin");
+        for bin in std::fs::read_dir(bins).into_iter().flatten() {
+            let path = bin.expect("a bin entry").path();
+            if path.extension().is_some_and(|ext| ext == "rs") {
+                names.push(path.file_stem().unwrap().to_string_lossy().into_owned());
+            }
+        }
+    }
+    names
+}
+
+#[test]
+fn every_binary_the_docs_and_ci_name_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let binaries = binaries(root);
+    let (mut checked, mut missing) = (0, Vec::new());
+    for doc in DOCS.iter().chain([&".github/workflows/ci.yml"]) {
+        let text = std::fs::read_to_string(root.join(doc)).expect("read a doc");
+        for (line_no, line) in text.lines().enumerate() {
+            for name in binary_names(line) {
+                checked += 1;
+                if !binaries.iter().any(|bin| bin == name) {
+                    missing.push(format!("{doc}:{}: {name}", line_no + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        checked > 50,
+        "only {checked} binary names found: the scan is broken"
+    );
+    assert!(
+        missing.is_empty(),
+        "names that build nothing:\n{}",
+        missing.join("\n")
+    );
+}
+
+#[test]
+fn the_binary_scan_reads_release_paths_and_bin_flags() {
+    let line = "cargo build -p p4lru-server --bin p4lru_serverd --bin loadgen && \
+                ./target/release/cluster_top --bins; benchmark/target/release/p4lru_benchmark \
+                (not `target/release/` alone)";
+    assert_eq!(
+        binary_names(line),
+        ["cluster_top", "p4lru_benchmark", "p4lru_serverd", "loadgen"]
     );
 }
 
